@@ -1,0 +1,43 @@
+"""Golden CLI outputs: the sha256 of stdout and the exit code of fixed calls.
+
+A refactor must leave every digest unchanged.  A digest may change only
+when a documented edge case of the CLI changes on purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from rank2chern.cli import main
+
+GOLDEN = [
+    ("omega --genus 3 --route ideal --format text", "b1357a72a9c1bdbdf284af912be6fdfe5774ea248fc9929e0320310bd53568aa", 0),
+    ("omega --genus 3 --route ideal --format json", "c4459b8a601f6ac92ae889b129967533898e7885f26218bdbeaf1904eedda82e", 0),
+    ("omega --genus 3 --route ideal --format csv", "6d0bed1f12b77c358fae5b5228a5bfa8c0957b2ffdf5f963ea69ecc531711d5b", 0),
+    ("omega --genus 3 --route pairing --format text", "b1357a72a9c1bdbdf284af912be6fdfe5774ea248fc9929e0320310bd53568aa", 0),
+    ("omega --genus 3 --route pairing --format json", "c4459b8a601f6ac92ae889b129967533898e7885f26218bdbeaf1904eedda82e", 0),
+    ("omega --genus 3 --route pairing --format csv", "6d0bed1f12b77c358fae5b5228a5bfa8c0957b2ffdf5f963ea69ecc531711d5b", 0),
+    ("omega --genus 3 --route closed --format text", "b1357a72a9c1bdbdf284af912be6fdfe5774ea248fc9929e0320310bd53568aa", 0),
+    ("omega --genus 3 --route closed --format json", "c4459b8a601f6ac92ae889b129967533898e7885f26218bdbeaf1904eedda82e", 0),
+    ("omega --genus 3 --route closed --format csv", "6d0bed1f12b77c358fae5b5228a5bfa8c0957b2ffdf5f963ea69ecc531711d5b", 0),
+    ("relations --genus 3", "80c4b72a592f06e3667ecba781f0cddd0576efd7e845154bdabe4bf229439dec", 0),
+    ("relations --genus 3 --format json", "648c1a9bea2166147a9632dfbf9353487d21c11013ae9809135188beaf2bece3", 0),
+    ("sl2 --check relations --genus 3", "79fb521e39b7b8b6711e5c775eb8367b91eb627c8088bb9c9b97dcdf20df9e39", 0),
+    ("sl2 --check adjoint --genus 3", "2b26e7272b879f062c906e77b3e4bb6c9ff0f77a1a00e0e3dceb7cdec2c54598", 0),
+    ("sl2 --check descent --genus 3", "75fc33cd0ef0b97c6109af598de3435380ef3e760fbbc7851fb5dc180bc9156f", 0),
+    ("sl2 --check closure --genus 2", "f958a55c8aef89ccc859b7debde7f8fe63cb26683d66021d72db723555e8cd51", 0),
+    ("genfun --check all --expand 12", "d3c205f66efd06dd1d3bf88ba447996d60cd74c476aca2fbdc33420a49c88d54", 0),
+    ("verify --suite all --genus 2", "e9737ebd198a319d549af8566ebb373e209b5192f528ec2f18f5dbc2ee08dd0d", 0),
+]
+
+
+@pytest.mark.parametrize("line,digest,code", GOLDEN, ids=[line for line, _, _ in GOLDEN])
+def test_golden_cli_output(capsys, line, digest, code):
+    assert main(line.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:2000]
+
+
+def test_golden_integral(capsys):
+    assert main(["integral", "--genus", "3", "alpha beta gamma"]) == 0
+    assert capsys.readouterr().out == "-3/4\n"
