@@ -7,7 +7,7 @@ table whose generating function is the closed form checked in demo 05.
 """
 
 from rank2chern import (
-    PicClass,
+    Element,
     modified_mumford,
     mumford_relation,
     omega_from_ideal,
@@ -27,7 +27,7 @@ print("note: at l=2 the dimension is 5, one more than the pair-free monomials")
 
 print()
 print("== relation generators ==")
-one = PicClass.one(g)
+one = Element.one(g)  # the degree-0 primitive class
 print("R_{4,0,0}        =", rel_generator(4, 0, one, g))
 print("R_{4,1,0}        =", rel_generator(4, 1, one, g))
 print("MR^1_{4,1}       =", mumford_relation(1, 4, 0, one, g))

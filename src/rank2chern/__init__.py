@@ -8,7 +8,6 @@ from .algebra import (
     Bidegree,
     Element,
     ElementParseError,
-    PicClass,
     bidegree_cone,
     chern_filter_basis,
     format_element,
@@ -16,7 +15,6 @@ from .algebra import (
     gamma_power,
     monomial_basis,
     parse_element,
-    sigma_from_pic,
     theta,
     theta_power,
 )
@@ -44,6 +42,7 @@ from .operators import (
 )
 from .relations import (
     OmegaTable,
+    VerificationError,
     ideal_slice,
     modified_mumford,
     mumford_relation,
@@ -67,10 +66,10 @@ __all__ = [
     "InvariantPoly",
     "OmegaTable",
     "Operator",
-    "PicClass",
     "QMatrix",
     "RowSpan",
     "TSeries",
+    "VerificationError",
     "bidegree_cone",
     "check_adjointness",
     "check_closure",
@@ -101,7 +100,6 @@ __all__ = [
     "prim_basis",
     "rel_generator",
     "row_reduce",
-    "sigma_from_pic",
     "sl2_closure",
     "theta",
     "theta_power",

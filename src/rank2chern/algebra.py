@@ -14,9 +14,10 @@ Koszul sign of any rearrangement is absorbed into the coefficient.  psi index
 sets are kept as bitmasks over ``2g`` bits, so monomial keys stay
 machine-word sized for every supported genus.
 
-The module also provides the exterior algebra on ``eps_1, ..., eps_2g``
-modelling the cohomology of the Picard variety (:class:`PicClass`), the theta
-class, and the substitution ``eps_I -> psi_I``.
+The psi-only elements form the exterior algebra modelling the cohomology of
+the Picard variety; its theta class is ``-gamma``.  :class:`Sparse` holds the
+linear structure that :class:`Element` shares with the other sparse
+polynomial classes of the package.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def merge_masks(mask1: int, mask2: int):
 
 
 def mask_of(indices) -> int:
-    """Bitmask from 1-based psi/eps indices."""
+    """Bitmask from 1-based psi indices."""
     m = 0
     for i in indices:
         m |= 1 << (i - 1)
@@ -89,46 +90,139 @@ def monomial_bidegree(mono) -> Bidegree:
     return Bidegree(2 * a + 4 * b + 3 * s, 2 * (a + b + s))
 
 
-class Element:
-    """Exact element of the descendent algebra at a fixed genus.
+class Sparse:
+    """Sparse map from monomial keys to nonzero exact rationals.
 
-    Treated as immutable: all operations build new elements and never mutate
+    The linear structure shared by :class:`Element`, ``InvariantPoly`` and
+    ``BiPoly``: sums, negation, scalar multiples, equality and powers.  A
+    subclass supplies its constructors, the key ``_unit`` of its
+    multiplicative identity, and its own ``__mul__``, which applies the key
+    law.  ``g`` is the genus, or None for a class without one.  Values are
+    treated as immutable: operations build new values and never mutate
     ``terms`` in place.
     """
 
     __slots__ = ("g", "terms")
+    _unit = None
+
+    @classmethod
+    def _raw(cls, g, terms: dict):
+        """Unchecked constructor; ``terms`` must hold nonzero Fractions."""
+        x = object.__new__(cls)
+        x.g = g
+        x.terms = terms
+        return x
+
+    @classmethod
+    def zero(cls, *g):
+        return cls(*g)
+
+    @classmethod
+    def one(cls, *g):
+        return cls(*g, {cls._unit: _ONE})
+
+    def _coerce(self, other):
+        """``other`` as an operand of ``+``, ``-`` and ``==``, else NotImplemented."""
+        return NotImplemented
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.g != other.g:
+            raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
+        t = dict(self.terms)
+        for k, v in other.terms.items():
+            s = t.get(k, _ZERO) + v
+            if s:
+                t[k] = s
+            else:
+                del t[k]
+        return self._raw(self.g, t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._raw(self.g, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return self._raw(self.g, {})
+        return self._raw(self.g, {k: c * v for k, v in self.terms.items()})
+
+    def __pow__(self, n: int):
+        """Square-and-multiply; stops as soon as a square vanishes."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        out = self._raw(self.g, {self._unit: _ONE})
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+                if not base.terms:
+                    return base
+        return out
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return False
+        return self.g == other.g and self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class Element(Sparse):
+    """Exact element of the descendent algebra at a fixed genus."""
+
+    __slots__ = ()
+    _unit = (0, 0, 0)
 
     def __init__(self, g: int, terms=None):
         check_genus(g)
         self.g = g
         self.terms = {}
         if terms:
-            for mono, c in terms.items():
+            for (a, b, mask), c in terms.items():
+                if a < 0 or b < 0 or mask < 0 or mask >> (2 * g):
+                    raise ValueError(
+                        f"invalid monomial (alpha^{a}, beta^{b}, psi mask {mask:#x}) at genus {g}"
+                    )
                 c = Fraction(c)
                 if c:
-                    self.terms[mono] = c
-
-    @classmethod
-    def _raw(cls, g: int, terms: dict) -> "Element":
-        el = object.__new__(cls)
-        el.g = g
-        el.terms = terms
-        return el
+                    self.terms[(a, b, mask)] = c
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
-    def zero(cls, g: int) -> "Element":
-        return cls(g)
-
-    @classmethod
     def scalar(cls, g: int, c) -> "Element":
         return cls(g, {(0, 0, 0): Fraction(c)})
-
-    @classmethod
-    def one(cls, g: int) -> "Element":
-        return cls.scalar(g, 1)
 
     @classmethod
     def alpha(cls, g: int) -> "Element":
@@ -152,37 +246,13 @@ class Element:
     # ------------------------------------------------------------------
     # ring structure
 
-    def _check(self, other: "Element") -> None:
-        if self.g != other.g:
-            raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
-
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check(other)
-        t = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = t.get(mono, _ZERO) + c
-            if s:
-                t[mono] = s
-            else:
-                t.pop(mono, None)
-        return Element._raw(self.g, t)
-
-    def __neg__(self):
-        return Element._raw(self.g, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
-        self._check(other)
+        if self.g != other.g:
+            raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
         t = {}
         for (a1, b1, m1), c1 in self.terms.items():
             for (a2, b2, m2), c2 in other.terms.items():
@@ -199,34 +269,6 @@ class Element:
                 else:
                     del t[mono]
         return Element._raw(self.g, t)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "Element":
-        c = Fraction(c)
-        if not c:
-            return Element.zero(self.g)
-        return Element._raw(self.g, {m: c * v for m, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = Element.one(self.g)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.g == other.g and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # ------------------------------------------------------------------
     # gradings
@@ -391,158 +433,30 @@ def bidegree_cone(g: int, max_coh: int):
 
 
 # ----------------------------------------------------------------------
-# exterior algebra on eps_1..eps_2g (cohomology of the Picard variety)
+# the exterior algebra on psi_1..psi_2g (cohomology of the Picard variety)
 
 
-class PicClass:
-    """Exact element of the exterior algebra on eps_1, ..., eps_2g."""
-
-    __slots__ = ("g", "terms")
-
-    def __init__(self, g: int, terms=None):
-        check_genus(g)
-        self.g = g
-        self.terms = {}
-        if terms:
-            for mask, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mask] = c
-
-    @classmethod
-    def _raw(cls, g, terms):
-        el = object.__new__(cls)
-        el.g = g
-        el.terms = terms
-        return el
-
-    @classmethod
-    def zero(cls, g):
-        return cls(g)
-
-    @classmethod
-    def one(cls, g):
-        return cls(g, {0: _ONE})
-
-    @classmethod
-    def eps(cls, g, i):
-        if not 1 <= i <= 2 * g:
-            raise ValueError(f"eps index must be in [1, {2 * g}], got {i}")
-        return cls(g, {1 << (i - 1): _ONE})
-
-    @classmethod
-    def from_mask(cls, g, mask, coeff=1):
-        return cls(g, {mask: Fraction(coeff)})
-
-    def _check(self, other):
-        if self.g != other.g:
-            raise ValueError("genus mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, _ZERO) + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        return PicClass._raw(self.g, t)
-
-    def __neg__(self):
-        return PicClass._raw(self.g, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                c = c1 * c2 * koszul_sign(m1, m2)
-                mono = m1 | m2
-                s = t.get(mono, _ZERO) + c
-                if s:
-                    t[mono] = s
-                else:
-                    del t[mono]
-        return PicClass._raw(self.g, t)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return PicClass.zero(self.g)
-        return PicClass._raw(self.g, {m: c * v for m, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        out = PicClass.one(self.g)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, PicClass) and self.g == other.g and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self) -> Optional[int]:
-        """Common eps-degree of all terms, or None for zero/inhomogeneous."""
-        degs = {m.bit_count() for m in self.terms}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
-    def __repr__(self):
-        if not self.terms:
-            return "PicClass(0)"
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            names = "".join(f"e{i}" for i in indices_of(m)) or "1"
-            bits.append(f"{c}*{names}")
-        return "PicClass(" + " + ".join(bits) + ")"
-
-
-def theta(g: int) -> PicClass:
-    """theta = 2 * sum_i eps_i eps_{i+g}; satisfies theta^(g+1) = 0."""
-    check_genus(g)
-    terms = {}
-    for i in range(g):
-        terms[(1 << i) | (1 << (i + g))] = Fraction(2)
-    return PicClass._raw(g, terms)
+def theta(g: int) -> Element:
+    """theta = 2 * sum_i psi_i psi_{i+g} = -gamma; satisfies theta^(g+1) = 0."""
+    return -gamma(g)
 
 
 @lru_cache(maxsize=None)
-def theta_power(g: int, c: int) -> PicClass:
+def theta_power(g: int, c: int) -> Element:
     if c < 0:
         raise ValueError("negative theta power")
     if c == 0:
-        return PicClass.one(g)
+        return Element.one(g)
     return theta_power(g, c - 1) * theta(g)
 
 
 def exterior_basis(g: int, degree: int) -> list:
-    """Masks of the eps monomials of the given degree, ascending."""
+    """psi masks of the given degree, ascending."""
     if degree < 0 or degree > 2 * g:
         return []
     masks = [mask_of(i + 1 for i in combo) for combo in itertools.combinations(range(2 * g), degree)]
     masks.sort()
     return masks
-
-
-def sigma_from_pic(A: PicClass) -> Element:
-    """Replace each eps_I term by psi_I with the same coefficient."""
-    return Element._raw(A.g, {(0, 0, m): c for m, c in A.terms.items()})
 
 
 # ----------------------------------------------------------------------

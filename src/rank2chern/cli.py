@@ -9,8 +9,10 @@ Subcommands:
 * ``genfun``     generating-series identities and expansions
 * ``verify``     run the named verification suites
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or parse
-error.  Output is deterministic for identical arguments.
+Exit codes: 0 all checks passed, 1 a verification failed (including a check
+that ran no cases, or two routes that disagree), 2 usage or parse error.  Any
+other error is a crash and propagates.  Output is deterministic for identical
+arguments.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .integral import IntegralConfig, graded_integral
 from .operators import check_adjointness, check_closure, check_descent, check_sl2_relations
 from .relations import (
     OmegaTable,
+    VerificationError,
     default_max_coh,
     ideal_slice,
     omega_from_ideal,
@@ -110,6 +113,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=SUITES, default="all")
 
     return parser
+
+
+def _usage_error(args):
+    """Why the parsed arguments are invalid, or None."""
+    try:
+        check_genus(args.genus)
+    except ValueError as exc:
+        return str(exc)
+    for name in ("d", "max_coh", "expand"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            return f"--{name.replace('_', '-')} must be >= 0, got {value}"
+    if getattr(args, "normalization", 1) == 0:
+        return "normalization B must be nonzero"
+    if args.command == "genfun" and args.rank < 2:
+        return "rank must be >= 2"
+    if args.command == "sl2":
+        if args.check in ("adjoint", "closure") and args.d:
+            return f"--check {args.check} runs at d = 0 only"
+        if args.check != "relations" and args.max_coh is not None:
+            return f"--max-coh does not apply to --check {args.check}"
+    return None
 
 
 def _emit_table(table: OmegaTable, fmt: str, out) -> None:
@@ -211,7 +236,6 @@ def _genfun_formula(args):
 
 def _cmd_genfun(args, out) -> int:
     g = args.genus
-    check_genus(g)
     formula, rank = _genfun_formula(args)
     rows = []
     ok = True
@@ -297,6 +321,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    error = _usage_error(args)
+    if error is not None:
+        sys.stderr.write(f"error: {error}\n")
+        return USAGE_ERROR
     out = sys.stdout
     try:
         if args.command == "omega":
@@ -312,9 +340,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, out)
         parser.error(f"unknown command {args.command!r}")
-    except (ElementParseError, ValueError) as exc:
+    except ElementParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    except VerificationError as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return CHECK_FAILED
     return USAGE_ERROR
 
 

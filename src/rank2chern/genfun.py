@@ -19,21 +19,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .algebra import Sparse
+
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-class BiPoly:
+class BiPoly(Sparse):
     """Laurent polynomial in (q, t) with exact rational coefficients.
 
     Keys are integer exponent pairs (qExp, tExp); negative exponents are
     permitted only inside symmetry checks, all stored closed forms use
-    non-negative exponents.
+    non-negative exponents.  Rational scalars act as constants in ``+``,
+    ``-`` and ``==``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _unit = (0, 0)
 
     def __init__(self, terms=None):
+        self.g = None
         self.terms = {}
         if terms:
             for k, v in terms.items():
@@ -42,58 +46,21 @@ class BiPoly:
                     self.terms[k] = v
 
     @classmethod
-    def _raw(cls, terms):
-        p = object.__new__(cls)
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def const(cls, v):
         return cls({(0, 0): Fraction(v)})
-
-    @classmethod
-    def one(cls):
-        return cls.const(1)
 
     @classmethod
     def monomial(cls, i, j, coeff=1):
         return cls({(i, j): Fraction(coeff)})
 
-    def __add__(self, other):
+    def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other)
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            s = t.get(k, _ZERO) + v
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return BiPoly._raw(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly._raw({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+            return BiPoly.const(other)
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return BiPoly.zero()
-            return BiPoly._raw({k: v * other for k, v in self.terms.items()})
+            return self.scale(other)
         t = {}
         for (i1, j1), v1 in self.terms.items():
             for (i2, j2), v2 in other.terms.items():
@@ -103,32 +70,7 @@ class BiPoly:
                     t[k] = s
                 else:
                     del t[k]
-        return BiPoly._raw(t)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other)
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+        return BiPoly._raw(None, t)
 
     def coeff(self, i, j) -> Fraction:
         return self.terms.get((i, j), _ZERO)
@@ -141,10 +83,10 @@ class BiPoly:
 
     def reflect(self, dq: int, dt: int) -> "BiPoly":
         """Exponent reflection (i, j) -> (dq - i, dt - j)."""
-        return BiPoly._raw({(dq - i, dt - j): v for (i, j), v in self.terms.items()})
+        return BiPoly._raw(None, {(dq - i, dt - j): v for (i, j), v in self.terms.items()})
 
     def shift(self, i: int, j: int) -> "BiPoly":
-        return BiPoly._raw({(a + i, b + j): v for (a, b), v in self.terms.items()})
+        return BiPoly._raw(None, {(a + i, b + j): v for (a, b), v in self.terms.items()})
 
     def subst_t(self, value) -> "BiPoly":
         """Substitute a rational value for t."""
@@ -159,7 +101,7 @@ class BiPoly:
                     t[k] = s
                 else:
                     del t[k]
-        return BiPoly._raw(t)
+        return BiPoly._raw(None, t)
 
     def subst_q(self, value) -> "BiPoly":
         value = Fraction(value)
@@ -173,7 +115,7 @@ class BiPoly:
                     t[k] = s
                 else:
                     del t[k]
-        return BiPoly._raw(t)
+        return BiPoly._raw(None, t)
 
     def subst_q_equals_t(self) -> "BiPoly":
         """Fold q into t: (i, j) -> t^(i+j)."""
@@ -185,10 +127,10 @@ class BiPoly:
                 t[k] = s
             else:
                 del t[k]
-        return BiPoly._raw(t)
+        return BiPoly._raw(None, t)
 
     def truncate_total(self, max_deg: int) -> "BiPoly":
-        return BiPoly._raw({k: v for k, v in self.terms.items() if k[0] + k[1] <= max_deg})
+        return BiPoly._raw(None, {k: v for k, v in self.terms.items() if k[0] + k[1] <= max_deg})
 
     def min_total_degree(self):
         return min((i + j for i, j in self.terms), default=None)
@@ -215,7 +157,7 @@ class BiPoly:
                     rem[kk] = s
                 else:
                     rem.pop(kk, None)
-        return BiPoly._raw({k: v for k, v in quo.items() if v})
+        return BiPoly._raw(None, {k: v for k, v in quo.items() if v})
 
     def __repr__(self):
         if not self.terms:
@@ -501,7 +443,7 @@ def zagier_combinatorial_omega(g: int) -> BiPoly:
                     else:
                         put(qe, te, w)
                         put(qe + 4 * l, te + 2 * l, w)
-    return BiPoly._raw(out)
+    return BiPoly._raw(None, out)
 
 
 def is_centered_unimodal(seq) -> bool:

@@ -17,6 +17,7 @@ under rescaling it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -55,23 +56,6 @@ def _virasoro_line(g: int):
     return tuple(vals)
 
 
-def _falling(x: int, j: int) -> int:
-    out = 1
-    for t in range(j):
-        out *= x - t
-    return out
-
-
-def _sequence_sign(seq) -> int:
-    """Koszul sign of sorting an index sequence ascending (inversion count)."""
-    inv = 0
-    for x in range(len(seq)):
-        for y in range(x + 1, len(seq)):
-            if seq[x] > seq[y]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
 def monomial_integral(g: int, a: int, b: int, mask: int) -> Fraction:
     """B = 1 integral of the monomial alpha^a beta^b psi_mask."""
     s = mask.bit_count()
@@ -81,20 +65,11 @@ def monomial_integral(g: int, a: int, b: int, mask: int) -> Fraction:
     upper = mask >> g
     if lower != upper:
         return _ZERO
-    pairs = []
-    m = lower
-    while m:
-        low = m & -m
-        pairs.append(low.bit_length() - 1)
-        m ^= low
-    p = len(pairs)
-    # top bidegree forces a = b = g - 1 - p, so I_p is always available
-    target = []
-    for i in pairs:
-        target.extend((i, i + g))
-    sign = _sequence_sign(target)
-    value = _virasoro_line(g)[p] / (Fraction((-2) ** p) * _falling(g, p))
-    return sign * value
+    # top bidegree forces a = b = g - 1 - p, so I_p is always available;
+    # sorting psi_{i1} psi_{i1+g} ... psi_{ip} psi_{ip+g} takes p(p-1)/2 swaps
+    p = lower.bit_count()
+    value = _virasoro_line(g)[p] / (Fraction((-2) ** p) * math.perm(g, p))
+    return -value if (p * (p - 1) // 2) & 1 else value
 
 
 def graded_integral(D: Element, cfg: IntegralConfig) -> Fraction:

@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .integral import IntegralConfig, graded_pairing, top_bidegree
 from .linalg import RowSpan
-from .relations import ideal_slice, prim_basis, rel_generator_poly, sigma_from_pic, slice_vector
+from .relations import ideal_slice, prim_basis, rel_generator_poly, slice_vector
 
 _ZERO = Fraction(0)
 
@@ -217,7 +217,7 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
         "genus": g,
         "d": d,
         "cases": cases,
-        "pass": not failures,
+        "pass": cases > 0 and not failures,
         "failures": failures[:10],
     }
 
@@ -282,7 +282,7 @@ def check_adjointness(g: int, cfg: IntegralConfig = None) -> dict:
         "genus": g,
         "d": 0,
         "cases": cases,
-        "pass": not failures,
+        "pass": cases > 0 and not failures,
         "failures": failures[:10],
     }
 
@@ -299,7 +299,7 @@ def check_descent(g: int, d: int, k_max: int = None) -> dict:
     failures = []
     for k in range(2 * g + 2 * d, k_max + 1):
         for l in range(g + 1):
-            sigmas = [sigma_from_pic(s) for s in prim_basis(g, l)]
+            sigmas = prim_basis(g, l)
             for m in range(g - l + 1):
                 R_k = rel_generator_poly(g, k, m, l).embed()
                 R_down = rel_generator_poly(g, k - 1, m, l).embed()
@@ -336,7 +336,7 @@ def check_descent(g: int, d: int, k_max: int = None) -> dict:
         "genus": g,
         "d": d,
         "cases": cases,
-        "pass": not failures,
+        "pass": cases > 0 and not failures,
         "failures": failures[:10],
     }
 
@@ -472,7 +472,7 @@ def check_closure(g: int, buffers=(None,)) -> dict:
         "genus": g,
         "d": 0,
         "cases": cases,
-        "pass": not failures,
+        "pass": cases > 0 and not failures,
         "failures": failures[:10],
     }
 

@@ -2,7 +2,7 @@
 
 Three layers live here:
 
-* primitive classes in the exterior algebra on eps_1..eps_2g, computed as
+* primitive classes in the exterior algebra on psi_1..psi_2g, computed as
   exact kernels of multiplication by a theta power;
 * the Mumford relations (explicit t-coefficient formula), their modified
   recombination with the improved Chern-degree bound, and the graded
@@ -22,12 +22,10 @@ from functools import lru_cache
 
 from .algebra import (
     Element,
-    PicClass,
     bidegree_cone,
     check_genus,
     exterior_basis,
     monomial_basis,
-    sigma_from_pic,
     theta_power,
 )
 from .integral import IntegralConfig, pairing_matrix
@@ -35,6 +33,10 @@ from .linalg import QMatrix, RowSpan, row_reduce
 from .series import InvariantPoly, TSeries, phi_series
 
 _ZERO = Fraction(0)
+
+
+class VerificationError(RuntimeError):
+    """Two routes to the same exact object disagree."""
 
 
 def _falling(x: int, j: int) -> int:
@@ -57,7 +59,7 @@ def prim_basis(g: int, l: int):
     """Basis of the degree-l primitive part: kernel of theta^(g-l+1).
 
     Computed as an exact kernel, never from a closed-form combinatorial
-    basis: the pair-free eps monomials undercount the kernel for l >= 2.
+    basis: the pair-free psi monomials undercount the kernel for l >= 2.
     Size is C(2g, l) - C(2g, l-2).
     """
     check_genus(g)
@@ -69,19 +71,19 @@ def prim_basis(g: int, l: int):
     power = theta_power(g, g - l + 1)
     rows = []
     for mask in dom:
-        image = PicClass.from_mask(g, mask) * power
+        image = Element.monomial(g, 0, 0, mask) * power
         row = [_ZERO] * len(cod)
-        for m, c in image.terms.items():
+        for (_, _, m), c in image.terms.items():
             row[cod_index[m]] = c
         rows.append(row)
     matrix = QMatrix.from_rows(rows, cols=len(cod)).transpose()
     _, kernel = row_reduce(matrix)
     basis = []
     for vec in kernel:
-        basis.append(PicClass(g, {mask: v for mask, v in zip(dom, vec) if v}))
+        basis.append(Element(g, {(0, 0, mask): v for mask, v in zip(dom, vec) if v}))
     expected = math.comb(2 * g, l) - (math.comb(2 * g, l - 2) if l >= 2 else 0)
     if len(basis) != expected:
-        raise RuntimeError(
+        raise VerificationError(
             f"primitive basis size mismatch at g={g}, l={l}: got {len(basis)}, expected {expected}"
         )
     return tuple(basis)
@@ -91,14 +93,14 @@ def prim_basis(g: int, l: int):
 # Mumford relations
 
 
-def _sig_degree(sig: PicClass) -> int:
-    l = sig.degree()
-    if l is None:
-        raise ValueError("primitive class argument must be homogeneous and nonzero")
-    return l
+def _sig_degree(sig: Element) -> int:
+    degs = {mask.bit_count() if not (a or b) else None for a, b, mask in sig.terms}
+    if len(degs) != 1 or None in degs:
+        raise ValueError("primitive class argument must be a homogeneous nonzero psi-only element")
+    return degs.pop()
 
 
-def mumford_relation(d: int, k: int, m: int, sig: PicClass, g: int) -> Element:
+def mumford_relation(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """The relation attached to (k, theta^m * sig) at destabilizing degree d.
 
     Equal to (-1)^l 2^(2g-m-k) [t^(k+m-g-l)] (Phi_d(t) * F(t)) sigma_l with
@@ -129,10 +131,10 @@ def mumford_relation(d: int, k: int, m: int, sig: PicClass, g: int) -> Element:
         factor = factor + shifted * Fraction(weight)
     coeff = (phi * factor).coeff(n)
     scalar = _two_power(2 * g - m - k) * (-1) ** l
-    return coeff.embed() * sigma_from_pic(sig) * scalar
+    return coeff.embed() * sig * scalar
 
 
-def modified_mumford_sum(d: int, k: int, m: int, sig: PicClass, g: int) -> Element:
+def modified_mumford_sum(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """Modified relation as the alternating combination of plain relations."""
     l = _sig_degree(sig)
     if l + m > g:
@@ -146,7 +148,7 @@ def modified_mumford_sum(d: int, k: int, m: int, sig: PicClass, g: int) -> Eleme
     return out
 
 
-def modified_mumford_closed(d: int, k: int, m: int, sig: PicClass, g: int) -> Element:
+def modified_mumford_closed(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """Modified relation from its closed form
 
     (-1)^l 2^(2g-m-k) m!/(g-l-m)! *
@@ -167,15 +169,15 @@ def modified_mumford_closed(d: int, k: int, m: int, sig: PicClass, g: int) -> El
             w = Fraction(math.factorial(g - l - c) * 2**c, math.factorial(b) * math.factorial(c))
             poly = poly + (phi.coeff(a) * InvariantPoly.monomial(g, 0, b, c, w))
     scalar = _two_power(2 * g - m - k) * Fraction(math.factorial(m), math.factorial(g - l - m)) * (-1) ** l
-    return poly.embed() * sigma_from_pic(sig) * scalar
+    return poly.embed() * sig * scalar
 
 
-def modified_mumford(d: int, k: int, m: int, sig: PicClass, g: int) -> Element:
+def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """Modified Mumford relation; asserts the two defining routes agree."""
     by_sum = modified_mumford_sum(d, k, m, sig, g)
     by_closed = modified_mumford_closed(d, k, m, sig, g)
     if by_sum != by_closed:
-        raise RuntimeError(
+        raise VerificationError(
             f"modified relation routes disagree at d={d}, k={k}, m={m}, g={g}"
         )
     return by_closed
@@ -207,10 +209,10 @@ def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
     return out
 
 
-def rel_generator(k: int, m: int, sig: PicClass, g: int) -> Element:
+def rel_generator(k: int, m: int, sig: Element, g: int) -> Element:
     """R_{k,m,l} * sigma_l; homogeneous of bidegree (2k-2g+2m+l, 2k-2g)."""
     l = _sig_degree(sig)
-    return rel_generator_poly(g, k, m, l).embed() * sigma_from_pic(sig)
+    return rel_generator_poly(g, k, m, l).embed() * sig
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +272,7 @@ def ideal_slice(g: int, d: int, bd, check_independent: bool = True):
         rows = [slice_vector(x, index, len(basis)) for x in elements]
         rk, _ = row_reduce(QMatrix.from_rows(rows, cols=len(basis)))
         if rk != len(elements):
-            raise RuntimeError(f"relation family dependent at g={g}, d={d}, bd={bd}")
+            raise VerificationError(f"relation family dependent at g={g}, d={d}, bd={bd}")
     return elements
 
 

@@ -21,20 +21,21 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, check_genus, gamma_power
+from .algebra import Element, Sparse, check_genus, gamma_power
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class InvariantPoly:
+class InvariantPoly(Sparse):
     """Polynomial in alpha, beta, gamma with gamma^(g+1) = 0.
 
     Keys are exponent triples (a, b, c) with c <= g; coefficients are exact
     rationals.  Embeds into the full descendent algebra by expanding gamma.
     """
 
-    __slots__ = ("g", "terms")
+    __slots__ = ()
+    _unit = (0, 0, 0)
 
     def __init__(self, g: int, terms=None):
         check_genus(g)
@@ -42,28 +43,15 @@ class InvariantPoly:
         self.terms = {}
         if terms:
             for (a, b, c), v in terms.items():
+                if a < 0 or b < 0 or c < 0:
+                    raise ValueError(f"negative exponent in alpha^{a} beta^{b} gamma^{c}")
                 v = Fraction(v)
                 if v and c <= g:
                     self.terms[(a, b, c)] = v
 
     @classmethod
-    def _raw(cls, g, terms):
-        p = object.__new__(cls)
-        p.g = g
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls, g):
-        return cls(g)
-
-    @classmethod
     def const(cls, g, v):
         return cls(g, {(0, 0, 0): Fraction(v)})
-
-    @classmethod
-    def one(cls, g):
-        return cls.const(g, 1)
 
     @classmethod
     def gen(cls, g, name):
@@ -74,32 +62,12 @@ class InvariantPoly:
     def monomial(cls, g, a, b, c, coeff=1):
         return cls(g, {(a, b, c): Fraction(coeff)})
 
-    def _check(self, other):
-        if self.g != other.g:
-            raise ValueError("genus mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            s = t.get(k, _ZERO) + v
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return InvariantPoly._raw(self.g, t)
-
-    def __neg__(self):
-        return InvariantPoly._raw(self.g, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
         g = self.g
+        if g != other.g:
+            raise ValueError(f"genus mismatch: {g} vs {other.g}")
         t = {}
         for (a1, b1, c1), v1 in self.terms.items():
             for (a2, b2, c2), v2 in other.terms.items():
@@ -113,33 +81,6 @@ class InvariantPoly:
                 else:
                     del t[k]
         return InvariantPoly._raw(g, t)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, v):
-        v = Fraction(v)
-        if not v:
-            return InvariantPoly.zero(self.g)
-        return InvariantPoly._raw(self.g, {k: v * x for k, x in self.terms.items()})
-
-    def __pow__(self, n: int):
-        out = InvariantPoly.one(self.g)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InvariantPoly)
-            and self.g == other.g
-            and self.terms == other.terms
-        )
-
-    def is_zero(self):
-        return not self.terms
 
     def coh_degree(self):
         """Common cohomological degree 2a + 4b + 6c, or None."""
@@ -157,9 +98,10 @@ class InvariantPoly:
 
     def embed(self) -> Element:
         """Expand gamma powers into the full descendent algebra."""
-        out = Element.zero(self.g)
+        g = self.g
+        out = Element.zero(g)
         for (a, b, c), v in self.terms.items():
-            out = out + Element.monomial(self.g, a, b, 0, v) * gamma_power(self.g, c)
+            out = out + Element._raw(g, {(a, b, 0): v}) * gamma_power(g, c)
         return out
 
     def __repr__(self):
@@ -269,18 +211,6 @@ class TSeries:
             power = power * self
             fact *= k
             out = out + power * Fraction(1, fact)
-        return out
-
-    def log(self) -> "TSeries":
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != InvariantPoly.one(self.g):
-            raise ValueError("log needs constant term 1")
-        u = self - TSeries.const(self.g, self.order, 1)
-        out = TSeries.zero(self.g, self.order)
-        power = TSeries.const(self.g, self.order, 1)
-        for k in range(1, self.order + 1):
-            power = power * u
-            out = out + power * Fraction((-1) ** (k + 1), k)
         return out
 
 

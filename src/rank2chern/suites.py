@@ -32,7 +32,7 @@ def _report(suite, genus, d, cases, failures):
         "suite": suite,
         "genus": genus,
         "d": d,
-        "pass": not failures,
+        "pass": cases > 0 and not failures,
         "cases": cases,
         "failures": failures[:10],
     }

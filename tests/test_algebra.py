@@ -1,23 +1,51 @@
-import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rank2chern.algebra import (
     Bidegree,
     Element,
     ElementParseError,
-    PicClass,
     chern_filter_basis,
     format_element,
     gamma,
     gamma_power,
+    indices_of,
     mask_of,
     monomial_basis,
     parse_element,
-    sigma_from_pic,
     theta,
+    theta_power,
 )
+from rank2chern.genfun import BiPoly
+from rank2chern.series import InvariantPoly
+
+LAWS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+COEFFS = st.fractions(-4, 4, max_denominator=3).filter(bool)
+
+
+def _keys(*ranges):
+    return st.tuples(*(st.integers(lo, hi) for lo, hi in ranges))
+
+
+def _values(keys, build):
+    return st.dictionaries(keys, COEFFS, max_size=4).map(build)
+
+
+# small random values of each sparse class; gamma^3 keys are truncated away
+# at genus 2, and BiPoly keys may be negative (Laurent)
+VALUES = {
+    "Element": _values(_keys((0, 2), (0, 2), (0, 15)), lambda t: Element(2, t)),
+    "InvariantPoly": _values(_keys((0, 2), (0, 2), (0, 3)), lambda t: InvariantPoly(2, t)),
+    "BiPoly": _values(_keys((-2, 3), (-2, 3)), BiPoly),
+}
+ONE = {"Element": Element.one(2), "InvariantPoly": InvariantPoly.one(2), "BiPoly": BiPoly.one()}
+MONOMIAL_KEYS = _keys((0, 2), (0, 1), (0, 15))
+MONOMIALS = st.builds(lambda k, c: Element.monomial(2, *k, c), MONOMIAL_KEYS, COEFFS)
 
 
 def A(g):
@@ -99,35 +127,84 @@ def test_degree_cone_over_all_monomials():
                 assert a == 0 and mask == 0
 
 
-def test_bidegree_additivity_and_algebra_laws():
-    rnd = random.Random(7)
-    g = 2
-
-    def rand_monomial():
-        return Element.monomial(
-            g, rnd.randrange(3), rnd.randrange(2), rnd.randrange(16), F(rnd.randrange(-4, 5) or 1)
-        )
-
-    def rand_element():
-        x = Element.zero(g)
-        for _ in range(rnd.randrange(1, 4)):
-            x = x + rand_monomial()
-        return x
-
-    for _ in range(40):
-        x, y, z = rand_element(), rand_element(), rand_element()
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        mx, my = rand_monomial(), rand_monomial()
+@LAWS
+@given(mx=MONOMIALS, my=MONOMIALS)
+def test_bidegree_additivity_and_algebra_laws(mx, my):
+    prod = mx * my
+    if not prod.is_zero():
         bx, by = mx.bidegree(), my.bidegree()
-        prod = mx * my
-        if bx and by and not prod.is_zero():
-            assert prod.bidegree() == Bidegree(bx.coh + by.coh, bx.chern + by.chern)
-        # super-commutativity: monomials commute up to the Koszul sign
-        sx = mx.terms and next(iter(mx.terms))[2].bit_count()
-        sy = my.terms and next(iter(my.terms))[2].bit_count()
-        sign = -1 if (sx & 1) and (sy & 1) else 1
-        assert mx * my == (my * mx) * sign
+        assert prod.bidegree() == Bidegree(bx.coh + by.coh, bx.chern + by.chern)
+    # super-commutativity: monomials commute up to the Koszul sign
+    sign = -1 if mx.bidegree().coh % 2 and my.bidegree().coh % 2 else 1
+    assert mx * my == (my * mx) * sign
+
+
+@pytest.mark.parametrize("kind", VALUES)
+@LAWS
+@given(data=st.data())
+def test_ring_laws(kind, data):
+    x, y, z = (data.draw(VALUES[kind]) for _ in range(3))
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert (x - x).is_zero() and not (x - x)
+    assert x + (-x) == x - x
+    assert 2 * x == x * 2 == x + x == x.scale(2)
+    assert (0 * x).is_zero()
+
+
+@pytest.mark.parametrize("kind", VALUES)
+@LAWS
+@given(data=st.data(), n=st.integers(0, 6))
+def test_power_is_repeated_product(kind, data, n):
+    x = data.draw(VALUES[kind])
+    expected = ONE[kind]
+    for _ in range(n):
+        expected = expected * x
+    assert x**n == expected
+
+
+@LAWS
+@given(s=st.integers(0, 63), t=st.integers(0, 63))
+def test_koszul_sign_of_psi_products(s, t):
+    prod = Element.monomial(3, 0, 0, s) * Element.monomial(3, 0, 0, t)
+    if s & t:
+        assert prod.is_zero()
+        return
+    seq = indices_of(s) + indices_of(t)
+    inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1 :])
+    assert prod == Element.monomial(3, 0, 0, s | t, (-1) ** inversions)
+
+
+def test_operand_types():
+    x = Element.alpha(2)
+    for bad in (lambda: x + 3, lambda: 3 - x, lambda: x + InvariantPoly.one(2)):
+        with pytest.raises(TypeError):
+            bad()
+    assert x != 1 and x != InvariantPoly.gen(2, "alpha")
+    q = BiPoly.monomial(1, 0)
+    assert 1 + q == q + 1 == BiPoly({(0, 0): 1, (1, 0): 1})
+    assert 1 - q == -(q - 1)
+    assert BiPoly.const(3) == 3
+
+
+def test_constructors_reject_invalid_keys():
+    for key in ((-1, 0, 0), (0, -1, 0), (0, 0, 1 << 4), (0, 0, 1 << 10), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            Element.monomial(2, *key)
+        with pytest.raises(ValueError):
+            Element(2, {key: 1})
+    assert Element.monomial(2, 0, 0, 1 << 3) == P(2, 4)
+    assert Element.monomial(3, 0, 0, 1 << 5) == P(3, 6)
+
+
+def test_nilpotent_power_exits_early():
+    start = time.perf_counter()
+    assert parse_element("psi1^3000000", 2).is_zero()
+    assert (gamma(3) ** 10**9).is_zero()
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError):
+        A(2) ** -1
 
 
 # ----------------------------------------------------------------------
@@ -145,19 +222,15 @@ def test_derive_examples():
         A(g).derive("psi9")
 
 
-def test_super_leibniz():
-    rnd = random.Random(11)
-    g = 2
-    for _ in range(40):
-        hx = Element.monomial(g, rnd.randrange(2), rnd.randrange(2), rnd.randrange(16))
-        y = Element.monomial(g, rnd.randrange(2), rnd.randrange(2), rnd.randrange(16), F(3, 2))
-        i = rnd.randrange(1, 2 * g + 1)
-        var = f"psi{i}"
-        bd = hx.bidegree()
-        sign = -1 if bd and bd.coh % 2 else 1
-        lhs = (hx * y).derive(var)
-        rhs = hx.derive(var) * y + sign * (hx * y.derive(var))
-        assert lhs == rhs
+@LAWS
+@given(key=MONOMIAL_KEYS, y=MONOMIALS, i=st.integers(1, 4))
+def test_super_leibniz(key, y, i):
+    hx = Element.monomial(2, *key)
+    var = f"psi{i}"
+    sign = -1 if hx.bidegree().coh % 2 else 1
+    lhs = (hx * y).derive(var)
+    rhs = hx.derive(var) * y + sign * (hx * y.derive(var))
+    assert lhs == rhs
 
 
 # ----------------------------------------------------------------------
@@ -188,23 +261,20 @@ def test_chern_filter_matches_bidegree_union():
 
 
 # ----------------------------------------------------------------------
-# Picard exterior algebra
+# Picard exterior algebra: the psi-only part of the descendent algebra
 
 
 def test_theta_and_sigma():
     g = 2
     th = theta(g)
-    assert th == PicClass(g, {mask_of([1, 3]): 2, mask_of([2, 4]): 2})
+    assert th == Element(g, {(0, 0, mask_of([1, 3])): 2, (0, 0, mask_of([2, 4])): 2})
+    assert th == -gamma(g)
     # expanding with signs: both cross terms sort negatively
-    assert th * th == PicClass(g, {mask_of([1, 2, 3, 4]): -8})
+    assert th * th == Element.monomial(g, 0, 0, mask_of([1, 2, 3, 4]), -8)
     assert (th ** (g + 1)).is_zero()
     assert (theta(3) ** 4).is_zero()
-
-    assert sigma_from_pic(PicClass.eps(g, 1)) == P(g, 1)
-    mixed = PicClass.eps(g, 1) * PicClass.eps(g, 2) - PicClass.eps(g, 3) * PicClass.eps(g, 4)
-    assert sigma_from_pic(mixed) == P(g, 1) * P(g, 2) - P(g, 3) * P(g, 4)
-    # theta transported to the descendent algebra is -gamma
-    assert sigma_from_pic(th) == -gamma(g)
+    for c in range(5):
+        assert theta_power(3, c) == theta(3) ** c
 
 
 # ----------------------------------------------------------------------
@@ -223,20 +293,10 @@ def test_parse_examples():
     assert parse_element("alpha - alpha", g).is_zero()
 
 
-def test_format_parse_roundtrip():
-    rnd = random.Random(5)
-    g = 3
-    for _ in range(30):
-        x = Element.zero(g)
-        for _ in range(rnd.randrange(1, 5)):
-            x = x + Element.monomial(
-                g,
-                rnd.randrange(3),
-                rnd.randrange(3),
-                rnd.randrange(1 << (2 * g)),
-                F(rnd.randrange(-6, 7) or 1, rnd.choice([1, 2, 3])),
-            )
-        assert parse_element(format_element(x), g) == x
+@LAWS
+@given(x=_values(_keys((0, 2), (0, 2), (0, 63)), lambda t: Element(3, t)))
+def test_format_parse_roundtrip(x):
+    assert parse_element(format_element(x), 3) == x
 
 
 def test_parse_errors():

@@ -1,7 +1,12 @@
 import json
 
+import pytest
+
+import rank2chern.cli as cli
+from rank2chern.algebra import ElementParseError
 from rank2chern.cli import main
-from rank2chern.relations import OmegaTable, omega_from_ideal
+from rank2chern.operators import check_descent
+from rank2chern.relations import OmegaTable, VerificationError, omega_from_ideal
 
 
 def run(capsys, *argv):
@@ -131,3 +136,57 @@ def test_verify_scale_invariance(capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sl2 --check descent --genus 2 --max-coh 3",
+        "sl2 --check closure --genus 2 --d 2",
+        "sl2 --check adjoint --genus 2 --d 1",
+        "sl2 --check relations --genus 2 --max-coh -1",
+        "sl2 --check relations --genus 2 --d -1",
+        "omega --genus 2 --max-coh -5",
+        "relations --genus 2 --d -1",
+        "verify --suite main --genus 2 --d -1",
+        "genfun --formula stack --rank 1",
+        "genfun --expand -1",
+        "integral --genus 2 --normalization 0 gamma",
+    ],
+)
+def test_invalid_input_exit_2(capsys, argv):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_zero_case_report_fails(capsys, monkeypatch):
+    report = check_descent(2, 0, k_max=3)
+    assert report["cases"] == 0 and report["pass"] is False
+    monkeypatch.setattr(cli, "check_descent", lambda g, d, k_max=None: report)
+    code, out = run(capsys, "sl2", "--check", "descent", "--genus", "2")
+    assert code == 1
+    assert out.startswith("descent: genus=2 d=0 cases=0 FAIL")
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (VerificationError("modified relation routes disagree"), 1),
+        (ElementParseError("bad element"), 2),
+    ],
+)
+def test_route_error_exit_codes(capsys, monkeypatch, error, code):
+    def route(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "omega_from_ideal", route)
+    assert main(["omega", "--genus", "2"]) == code
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def route(*args):
+        raise ValueError("division is not exact")
+
+    monkeypatch.setattr(cli, "omega_from_ideal", route)
+    with pytest.raises(ValueError, match="not exact"):
+        main(["omega", "--genus", "2"])

@@ -123,17 +123,15 @@ def test_descent_boundary_and_explicit_case():
     g, d = 2, 0
     _, _, fa = make_sl2("alpha", d, g)
     _, _, fb = make_sl2("beta", d, g)
-    from rank2chern.algebra import sigma_from_pic
-
     # k = 2g + 2d: f kills the lowest generators
     for l in (0, 1):
-        sig = sigma_from_pic(prim_basis(g, l)[0])
+        sig = prim_basis(g, l)[0]
         low = rel_generator_poly(g, 2 * g + 2 * d, 0, l).embed() * sig
         assert fa(low).is_zero()
         assert fb(low).is_zero()
 
     # k=5, m=0, l=1: f_alpha R_{5,0,1} sigma = (2g-5) R_{4,0,1} sigma = -R_{4,0,1} sigma
-    sig = sigma_from_pic(prim_basis(g, 1)[2])
+    sig = prim_basis(g, 1)[2]
     lhs = fa(rel_generator_poly(g, 5, 0, 1).embed() * sig)
     rhs = (rel_generator_poly(g, 4, 0, 1).embed() * sig).scale(2 * g - 5)
     assert lhs == rhs

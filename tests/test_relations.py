@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from rank2chern.algebra import Element, PicClass, bidegree_cone, gamma, monomial_basis, theta_power
+import rank2chern.relations as rel
+from rank2chern.algebra import Element, bidegree_cone, gamma, monomial_basis, theta_power
 from rank2chern.genfun import omega_closed_form
 from rank2chern.integral import IntegralConfig
 from rank2chern.relations import (
     OmegaTable,
+    VerificationError,
     ideal_multiplicative_closure_holds,
     ideal_slice,
     ideal_slice_keys,
@@ -53,7 +55,7 @@ def test_prim_basis_annihilated_by_theta_power():
             killer = theta_power(g, g - l + 1)
             for cls in prim_basis(g, l):
                 assert (cls * killer).is_zero()
-                assert cls.degree() == l
+                assert cls.bidegree() == (3 * l, 2 * l)
 
 
 def test_prim_basis_rejects_large_degree():
@@ -75,15 +77,13 @@ def test_mumford_m0_specialization():
                 for k in range(g + l, g + l + 4):
                     got = mumford_relation(d, k, 0, sig, g)
                     scalar = F((-1) ** l) * (F(2) ** (2 * g - k) if 2 * g >= k else F(1, 2 ** (k - 2 * g)))
-                    from rank2chern.algebra import sigma_from_pic
-
-                    want = coeffs[k - g - l].embed() * sigma_from_pic(sig) * scalar
+                    want = coeffs[k - g - l].embed() * sig * scalar
                     assert got == want
 
 
 def test_mumford_negative_index_is_zero():
     g = 2
-    one = PicClass.one(g)
+    one = Element.one(g)
     assert mumford_relation(1, 1, 0, one, g).is_zero()  # k + m < g + l
     sig = prim_basis(g, 1)[0]
     assert mumford_relation(0, 2, 0, sig, g).is_zero()
@@ -92,14 +92,14 @@ def test_mumford_negative_index_is_zero():
 def test_mumford_explicit_value():
     # g=2, d=1, k=4, m=0: 2^0 c_{1,2} = alpha^2/2 + beta/2
     g = 2
-    got = mumford_relation(1, 4, 0, PicClass.one(g), g)
+    got = mumford_relation(1, 4, 0, Element.one(g), g)
     want = F(1, 2) * Element.alpha(g) ** 2 + F(1, 2) * Element.beta(g)
     assert got == want
 
 
 def test_modified_mumford_m0_equals_plain():
     g = 2
-    one = PicClass.one(g)
+    one = Element.one(g)
     for d in (0, 1):
         for k in (3, 4, 5, 6):
             assert modified_mumford(d, k, 0, one, g) == mumford_relation(d, k, 0, one, g)
@@ -144,7 +144,7 @@ def test_modified_mumford_validates_l_plus_m():
 
 def test_rel_generator_examples():
     g = 2
-    one = PicClass.one(g)
+    one = Element.one(g)
     assert rel_generator(4, 0, one, g) == Element.alpha(g) ** 2
     assert rel_generator(4, 1, one, g) == 2 * (Element.alpha(g) * Element.beta(g)) + 2 * gamma(g)
     # below the threshold the defining sum is empty
@@ -192,7 +192,7 @@ def test_rel_generator_pairs_to_zero():
 
     g = 2
     cfg = IntegralConfig(g)
-    one = PicClass.one(g)
+    one = Element.one(g)
     for m in (0, 1):
         rel = rel_generator(4, m, one, g)
         bd = rel.bidegree()
@@ -310,3 +310,16 @@ def test_omega_table_json_roundtrip():
     assert again == table
     csv = table.to_csv()
     assert csv.splitlines()[0] == "coh,chern,dim"
+
+
+def test_route_disagreements_raise_verification_error(monkeypatch):
+    g = 2
+    assert len(ideal_slice(g, 0, (4, 4))) == 1  # warms the prim_basis cache
+    monkeypatch.setattr(rel, "modified_mumford_sum", lambda *args: Element.one(g))
+    with pytest.raises(VerificationError, match="routes disagree"):
+        modified_mumford(0, 5, 0, Element.one(g), g)
+    monkeypatch.setattr(rel, "row_reduce", lambda matrix: (0, []))
+    with pytest.raises(VerificationError, match="dependent"):
+        ideal_slice(g, 0, (4, 4))
+    with pytest.raises(VerificationError, match="size mismatch"):
+        prim_basis.__wrapped__(g, 1)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -63,22 +64,31 @@ def test_coefficient_degrees_and_alpha_part():
                     assert bd.chern <= 2 * n
 
 
-def test_exp_log_roundtrip():
-    g = 2
-    s = TSeries(g, 8)
-    s.coeffs[0] = InvariantPoly.one(g)
-    s.coeffs[1] = InvariantPoly.gen(g, "alpha")
-    s.coeffs[2] = InvariantPoly.gen(g, "beta").scale(F(1, 3))
-    s.coeffs[3] = InvariantPoly.gen(g, "gamma")
-    assert s.log().exp() == s
-    t = TSeries(g, 8)
-    t.coeffs[1] = InvariantPoly.gen(g, "alpha")
-    t.coeffs[2] = InvariantPoly.gen(g, "gamma").scale(2)
-    assert t.exp().log() == t
+def test_exp_coefficients():
+    g, order = 2, 8
+    alpha, gam = InvariantPoly.gen(g, "alpha"), InvariantPoly.gen(g, "gamma")
+    x = TSeries(g, order)
+    x.coeffs[1] = alpha
+    assert x.exp().coeffs == [alpha**n * F(1, math.factorial(n)) for n in range(order + 1)]
+    # exp(gamma t^2) = 1 + gamma t^2 + gamma^2 t^4 / 2, since gamma^3 = 0 at genus 2
+    y = TSeries(g, order)
+    y.coeffs[2] = gam
+    one, zero = InvariantPoly.one(g), InvariantPoly.zero(g)
+    assert y.exp() == TSeries(g, order, [one, zero, gam, zero, gam**2 * F(1, 2)])
+    assert (x + y).exp() == x.exp() * y.exp()
+    s = TSeries.const(g, order, 1)
     with pytest.raises(ValueError):
         s.exp()
-    with pytest.raises(ValueError):
-        t.log()
+
+
+def test_invariant_poly_rejects_negative_exponents():
+    for key in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            InvariantPoly(2, {key: 1})
+        with pytest.raises(ValueError):
+            InvariantPoly.monomial(2, *key)
+    # gamma^(g+1) = 0 is the ring's truncation, not an invalid key
+    assert InvariantPoly.monomial(2, 0, 0, 3).is_zero()
 
 
 # ----------------------------------------------------------------------
