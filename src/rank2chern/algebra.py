@@ -472,6 +472,15 @@ class ElementParseError(ValueError):
     pass
 
 
+def _number(convert, digits: str):
+    """``convert(digits)``; a literal past the interpreter's limit on
+    integer digits is a parse error, not a crash."""
+    try:
+        return convert(digits)
+    except ValueError:
+        raise ElementParseError(f"number too long: {digits[:20]}...") from None
+
+
 _TOKEN = re.compile(
     r"\s*(?:"
     r"(?P<sign>[+\-−])"
@@ -507,7 +516,7 @@ def parse_element(text: str, g: int) -> Element:
             elif name == "gamma":
                 base = gamma(g)
             else:
-                i = int(name[3:])
+                i = _number(int, name[3:])
                 if not 1 <= i <= 2 * g:
                     raise ElementParseError(f"psi index out of range for genus {g}: {name}")
                 base = Element.psi(g, i)
@@ -534,12 +543,12 @@ def parse_element(text: str, g: int) -> Element:
             if coeff is not None or factors:
                 raise ElementParseError("rational coefficient must precede the factors")
             try:
-                coeff = Fraction(m.group("num").replace(" ", ""))
+                coeff = _number(Fraction, m.group("num").replace(" ", ""))
             except ZeroDivisionError:
                 raise ElementParseError("zero denominator in coefficient") from None
             started = True
         else:
-            factors.append((m.group("name"), int(m.group("exp") or 1)))
+            factors.append((m.group("name"), _number(int, m.group("exp") or "1")))
             started = True
     if started:
         flush()

@@ -129,6 +129,11 @@ def _usage_error(args):
         return "normalization B must be nonzero"
     if args.command == "genfun" and args.rank < 2:
         return "rank must be >= 2"
+    if args.command == "omega" and args.route == "pairing":
+        if args.d:
+            return "the pairing route is defined for d = 0 only"
+        if args.max_coh is not None:
+            return "--max-coh does not apply to --route pairing"
     if args.command == "sl2":
         if args.check in ("adjoint", "closure") and args.d:
             return f"--check {args.check} runs at d = 0 only"
@@ -153,9 +158,6 @@ def _cmd_omega(args, out) -> int:
     d = args.d
     max_coh = args.max_coh if args.max_coh is not None else default_max_coh(g, d)
     if args.route == "pairing":
-        if d != 0:
-            out.write("error: the pairing route is defined for d = 0 only\n")
-            return USAGE_ERROR
         table = omega_from_pairing(g, IntegralConfig(g, args.normalization))
     elif args.route == "closed":
         expansion = gf.omega_closed_form(g, d).series_coefficients(max_coh)
@@ -209,10 +211,9 @@ def _cmd_sl2(args, out) -> int:
     elif args.check == "adjoint":
         report = check_adjointness(g, IntegralConfig(g, args.normalization))
     elif args.check == "descent":
-        report = check_descent(g, args.d, args.max_coh)
+        report = check_descent(g, args.d)
     else:
         report = check_closure(g)
-        report["genus"] = g
     if args.format == "json":
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:

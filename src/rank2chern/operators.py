@@ -1,18 +1,18 @@
 """sl2 operator calculus on the descendent algebra.
 
-Operators are linear maps on elements built from the atoms: multiplication
-by a generator, the partial derivations, and scalars, combined by sum,
-scale and composition (right-to-left).  Each operator carries a parity so
-adjointness checks can apply the super sign rule; every operator used here
-is even.
+Each family (alpha or beta, one triple per destabilizing degree d) acts by
+three differential operators.  With v the family's variable, w the other
+one and c = g + 2d - 1:
 
-The triples come in an alpha family and a beta family (commuting copies of
-sl2, one pair per destabilizing degree d), plus their diagonal sum whose h
-member is the shifted Chern grading.  Commutators, adjointness against the
-graded pairing, the descent identities on relation generators, and the
-f-closure reconstruction of the relation ideal are all checked
-extensionally on monomial slices: slices are small and the arithmetic is
-exact, so no operator normal form is needed.
+    e = v,   h = 2 v d_v + N - c,   f = -v d_v^2 + c d_v - d_v N - (w/4) L,
+
+where N counts psi factors and L = sum_i d_psi_i d_psi_{i+g} is the pair
+Laplacian.  The two families commute; their diagonal sum has h equal to the
+shifted Chern grading.  Commutators, adjointness against the graded
+pairing, the descent identities on relation generators, and the f-closure
+reconstruction of the relation ideal are all checked extensionally on
+monomial slices: slices are small and the arithmetic is exact, so no
+operator normal form is needed.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ _ZERO = Fraction(0)
 class Operator:
     """Linear operator on elements of a fixed-genus descendent algebra."""
 
-    __slots__ = ("g", "parity", "_fn")
+    __slots__ = ("g", "_fn")
 
-    def __init__(self, g: int, parity: int, fn):
+    def __init__(self, g: int, fn):
         check_genus(g)
         self.g = g
-        self.parity = parity & 1
         self._fn = fn
 
     def __call__(self, x: Element) -> Element:
@@ -52,78 +51,47 @@ class Operator:
             raise ValueError("genus mismatch")
         return self._fn(x)
 
-    # combinators -------------------------------------------------------
 
-    def _check(self, other):
-        if self.g != other.g:
-            raise ValueError("genus mismatch")
+def psi_number(x: Element) -> Element:
+    """N = sum_i psi_i d/d psi_i: scales each term by its psi count."""
+    return Element._raw(x.g, {k: c * k[2].bit_count() for k, c in x.terms.items() if k[2]})
 
-    def __add__(self, other):
-        self._check(other)
-        if self.parity != other.parity:
-            raise ValueError("cannot add operators of different parity")
-        return Operator(self.g, self.parity, lambda x, f=self._fn, h=other._fn: f(x) + h(x))
 
-    def __sub__(self, other):
-        return self + (-1) * other
+def pair_laplacian(x: Element) -> Element:
+    """L = sum_{i=1..g} d/d psi_i d/d psi_{i+g} (d/d psi_{i+g} acts first)."""
+    out = Element._raw(x.g, {})
+    for i in range(1, x.g + 1):
+        out = out + d_psi(d_psi(x, i + x.g), i)
+    return out
 
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-            return Operator(self.g, self.parity, lambda x, f=self._fn: f(x).scale(c))
-        return NotImplemented
 
-    def __matmul__(self, other):
-        """Composition: (A @ B)(x) = A(B(x))."""
-        self._check(other)
-        return Operator(
-            self.g,
-            self.parity ^ other.parity,
-            lambda x, f=self._fn, h=other._fn: f(h(x)),
+def _triple(family: str, d: int, g: int):
+    """(e, h, f) of the alpha or beta family as functions of an element."""
+    if family == "alpha":
+        var, other, d_var = Element.alpha(g), Element.beta(g), d_alpha
+    elif family == "beta":
+        var, other, d_var = Element.beta(g), Element.alpha(g), d_beta
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    const = g + 2 * d - 1
+    minus_quarter_other = other.scale(Fraction(-1, 4))
+
+    def e(x):
+        return var * x
+
+    def h(x):
+        return (var * d_var(x)).scale(2) + psi_number(x) - x.scale(const)
+
+    def f(x):
+        dx = d_var(x)
+        return (
+            dx.scale(const)
+            - var * d_var(dx)
+            - d_var(psi_number(x))
+            + minus_quarter_other * pair_laplacian(x)
         )
 
-
-def commutator(A: Operator, B: Operator) -> Operator:
-    return (A @ B) - (B @ A)
-
-
-def mul_op(elem: Element) -> Operator:
-    bd = elem.bidegree()
-    parity = bd.coh & 1 if bd is not None else 0
-    return Operator(elem.g, parity, lambda x, e=elem: e * x)
-
-
-def scalar_op(g: int, c) -> Operator:
-    c = Fraction(c)
-    return Operator(g, 0, lambda x: x.scale(c))
-
-
-def d_alpha_op(g: int) -> Operator:
-    return Operator(g, 0, d_alpha)
-
-
-def d_beta_op(g: int) -> Operator:
-    return Operator(g, 0, d_beta)
-
-
-def d_psi_op(g: int, i: int) -> Operator:
-    return Operator(g, 1, lambda x, j=i: d_psi(x, j))
-
-
-def psi_number_op(g: int) -> Operator:
-    """sum_i psi_i d/d psi_i (counts psi factors)."""
-    out = mul_op(Element.psi(g, 1)) @ d_psi_op(g, 1)
-    for i in range(2, 2 * g + 1):
-        out = out + mul_op(Element.psi(g, i)) @ d_psi_op(g, i)
-    return out
-
-
-def pair_laplacian_op(g: int) -> Operator:
-    """sum_{i=1..g} d/d psi_i d/d psi_{i+g} (rightmost factor acts first)."""
-    out = d_psi_op(g, 1) @ d_psi_op(g, 1 + g)
-    for i in range(2, g + 1):
-        out = out + d_psi_op(g, i) @ d_psi_op(g, i + g)
-    return out
+    return e, h, f
 
 
 def make_sl2(family: str, d: int, g: int):
@@ -136,28 +104,11 @@ def make_sl2(family: str, d: int, g: int):
     if d < 0:
         raise ValueError("d must be >= 0")
     if family == "diagonal":
-        ea, ha, fa = make_sl2("alpha", d, g)
-        eb, hb, fb = make_sl2("beta", d, g)
-        return ea + eb, ha + hb, fa + fb
-    if family == "alpha":
-        var, other = Element.alpha(g), Element.beta(g)
-        d_var = d_alpha_op(g)
-    elif family == "beta":
-        var, other = Element.beta(g), Element.alpha(g)
-        d_var = d_beta_op(g)
+        pairs = zip(_triple("alpha", d, g), _triple("beta", d, g))
+        fns = [lambda x, a=a, b=b: a(x) + b(x) for a, b in pairs]
     else:
-        raise ValueError(f"unknown family {family!r}")
-    const = g + 2 * d - 1
-    N = psi_number_op(g)
-    e = mul_op(var)
-    h = (2 * (mul_op(var) @ d_var)) + N + scalar_op(g, -const)
-    f = (
-        (-1) * (mul_op(var) @ d_var @ d_var)
-        + const * d_var
-        + (-1) * (d_var @ N)
-        + Fraction(-1, 4) * (mul_op(other) @ pair_laplacian_op(g))
-    )
-    return e, h, f
+        fns = _triple(family, d, g)
+    return tuple(Operator(g, fn) for fn in fns)
 
 
 def operator_bidegree_shift(family: str, name: str):
@@ -188,32 +139,9 @@ def _monomials_up_to(g: int, max_coh: int):
     return out
 
 
-def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
-    """[e,f] = h, [e,h] = 2e, [f,h] = -2f for both families, and all nine
-    cross-commutators vanish, verified on every monomial of coh <= max_coh."""
-    if max_coh is None:
-        max_coh = 6 * g - 6
-    ea, ha, fa = make_sl2("alpha", d, g)
-    eb, hb, fb = make_sl2("beta", d, g)
-    triple_checks = []
-    for tag, (e, h, f) in (("alpha", (ea, ha, fa)), ("beta", (eb, hb, fb))):
-        triple_checks.append((f"[e,f]=h ({tag})", commutator(e, f) - h))
-        triple_checks.append((f"[h,e]=2e ({tag})", commutator(h, e) - 2 * e))
-        triple_checks.append((f"[h,f]=-2f ({tag})", commutator(h, f) + 2 * f))
-    cross_checks = []
-    for na, A in (("e_a", ea), ("h_a", ha), ("f_a", fa)):
-        for nb, B in (("e_b", eb), ("h_b", hb), ("f_b", fb)):
-            cross_checks.append((f"[{na},{nb}]=0", commutator(A, B)))
-    failures = []
-    cases = 0
-    for mono in _monomials_up_to(g, max_coh):
-        x = Element.monomial(g, *mono)
-        for label, op in triple_checks + cross_checks:
-            cases += 1
-            if not op(x).is_zero():
-                failures.append({"where": f"{label} on {x}", "expected": "0", "got": str(op(x))})
+def _report(check: str, g: int, d: int, cases: int, failures: list) -> dict:
     return {
-        "check": "relations",
+        "check": check,
         "genus": g,
         "d": d,
         "cases": cases,
@@ -222,11 +150,42 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     }
 
 
+def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
+    """[e,f] = h, [e,h] = 2e, [f,h] = -2f for both families, and all nine
+    cross-commutators vanish, verified on every monomial of coh <= max_coh."""
+    if max_coh is None:
+        max_coh = 6 * g - 6
+    names_a, names_b = ("e_a", "h_a", "f_a"), ("e_b", "h_b", "f_b")
+    ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
+    failures = []
+    cases = 0
+    for mono in _monomials_up_to(g, max_coh):
+        x = Element.monomial(g, *mono)
+        img = {name: op(x) for name, op in ops.items()}
+
+        def bracket(a, b):
+            return ops[a](img[b]) - ops[b](img[a])
+
+        checks = []
+        for tag, (e, h, f) in (("alpha", names_a), ("beta", names_b)):
+            checks.append((f"[e,f]=h ({tag})", bracket(e, f) - img[h]))
+            checks.append((f"[h,e]=2e ({tag})", bracket(h, e) - 2 * img[e]))
+            checks.append((f"[h,f]=-2f ({tag})", bracket(h, f) + 2 * img[f]))
+        for a in names_a:
+            for b in names_b:
+                checks.append((f"[{a},{b}]=0", bracket(a, b)))
+        for label, residual in checks:
+            cases += 1
+            if residual:
+                failures.append({"where": f"{label} on {x}", "expected": "0", "got": str(residual)})
+    return _report("relations", g, d, cases, failures)
+
+
 def operator_adjointness_failures(
     F: Operator, sign: int, shift, g: int, cfg: IntegralConfig, limit: int = 10
 ):
-    """Witnesses against <F(D), D'> = sign * (-1)^(|F||D|) <D, F(D')> over
-    all complementary monomial pairs around the top bidegree."""
+    """Witnesses against <F(D), D'> = sign * <D, F(D')> over all
+    complementary monomial pairs around the top bidegree."""
     top_c, top_ch = top_bidegree(g)
     failures = []
     cases = 0
@@ -236,15 +195,14 @@ def operator_adjointness_failures(
         right = monomial_basis(g, comp)
         if not left or not right:
             continue
+        right = [(E, F(E)) for E in (Element.monomial(g, *m2) for m2 in right)]
         for m1 in left:
             D = Element.monomial(g, *m1)
             FD = F(D)
-            koszul = -1 if (F.parity and (bd.coh & 1)) else 1
-            for m2 in right:
-                E = Element.monomial(g, *m2)
+            for E, FE in right:
                 cases += 1
                 lhs = graded_pairing(FD, E, cfg)
-                rhs = sign * koszul * graded_pairing(D, F(E), cfg)
+                rhs = sign * graded_pairing(D, FE, cfg)
                 if lhs != rhs:
                     failures.append(
                         {"where": f"<F({D}),{E}>", "expected": str(rhs), "got": str(lhs)}
@@ -277,14 +235,7 @@ def check_adjointness(g: int, cfg: IntegralConfig = None) -> dict:
         for f in fails:
             f["where"] = f"{name}: " + f["where"]
         failures.extend(fails)
-    return {
-        "check": "adjoint",
-        "genus": g,
-        "d": 0,
-        "cases": cases,
-        "pass": cases > 0 and not failures,
-        "failures": failures[:10],
-    }
+    return _report("adjoint", g, 0, cases, failures)
 
 
 def check_descent(g: int, d: int, k_max: int = None) -> dict:
@@ -302,57 +253,30 @@ def check_descent(g: int, d: int, k_max: int = None) -> dict:
             sigmas = prim_basis(g, l)
             for m in range(g - l + 1):
                 R_k = rel_generator_poly(g, k, m, l).embed()
-                R_down = rel_generator_poly(g, k - 1, m, l).embed()
-                R_down_m = (
-                    rel_generator_poly(g, k - 1, m - 1, l).embed()
-                    if m >= 1
-                    else Element.zero(g)
+                lowered = (
+                    ("f_alpha", fa, rel_generator_poly(g, k - 1, m, l).embed()),
+                    ("f_beta", fb, rel_generator_poly(g, k - 1, m - 1, l).embed()),
                 )
                 scale = Fraction(2 * g + 2 * d - k)
                 for idx, sigma in enumerate(sigmas):
-                    cases += 2
-                    lhs_a = fa(R_k * sigma)
-                    rhs_a = (R_down * sigma).scale(scale)
-                    if lhs_a != rhs_a:
-                        failures.append(
-                            {
-                                "where": f"f_alpha, k={k}, m={m}, l={l}, sigma#{idx}",
-                                "expected": str(rhs_a),
-                                "got": str(lhs_a),
-                            }
-                        )
-                    lhs_b = fb(R_k * sigma)
-                    rhs_b = (R_down_m * sigma).scale(scale)
-                    if lhs_b != rhs_b:
-                        failures.append(
-                            {
-                                "where": f"f_beta, k={k}, m={m}, l={l}, sigma#{idx}",
-                                "expected": str(rhs_b),
-                                "got": str(lhs_b),
-                            }
-                        )
-    return {
-        "check": "descent",
-        "genus": g,
-        "d": d,
-        "cases": cases,
-        "pass": cases > 0 and not failures,
-        "failures": failures[:10],
-    }
+                    R_sigma = R_k * sigma
+                    for name, f, R_down in lowered:
+                        cases += 1
+                        lhs = f(R_sigma)
+                        rhs = (R_down * sigma).scale(scale)
+                        if lhs != rhs:
+                            failures.append(
+                                {
+                                    "where": f"{name}, k={k}, m={m}, l={l}, sigma#{idx}",
+                                    "expected": str(rhs),
+                                    "got": str(lhs),
+                                }
+                            )
+    return _report("descent", g, d, cases, failures)
 
 
 # ----------------------------------------------------------------------
 # f-closure of the above-top-Chern subspace
-
-
-def _split_by_bidegree(x: Element) -> dict:
-    from .algebra import monomial_bidegree
-
-    parts = {}
-    for mono, c in x.terms.items():
-        bd = tuple(monomial_bidegree(mono))
-        parts.setdefault(bd, {})[mono] = c
-    return {bd: Element(x.g, terms) for bd, terms in parts.items()}
 
 
 def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
@@ -368,7 +292,6 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
         coh_buffer = 4 * g
     window = 6 * g - 6 + coh_buffer
     top_chern = 4 * g - 4
-    _, _, f_diag = make_sl2("diagonal", 0, g)
 
     bds = list(bidegree_cone(g, window))
     bases = {bd: monomial_basis(g, bd) for bd in bds}
@@ -383,8 +306,14 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
                 vec[i] = Fraction(1)
                 spans[bd].add(vec)
 
-    gens = [(Element.alpha(g), (2, 2)), (Element.beta(g), (4, 2))]
-    gens += [(Element.psi(g, i), (3, 2)) for i in range(1, 2 * g + 1)]
+    # multiplication by the generators keeps the subspace an ideal; the
+    # diagonal f acts through its two bihomogeneous parts f_alpha and f_beta
+    ea, _, fa = make_sl2("alpha", 0, g)
+    eb, _, fb = make_sl2("beta", 0, g)
+    shift = operator_bidegree_shift
+    maps = [(ea, shift("alpha", "e")), (eb, shift("beta", "e"))]
+    maps += [(lambda x, p=Element.psi(g, i): p * x, (3, 2)) for i in range(1, 2 * g + 1)]
+    maps += [(fa, shift("alpha", "f")), (fb, shift("beta", "f"))]
 
     order = sorted(bds, key=lambda bd: (-bd.chern, -bd.coh))
     sweeps = 0
@@ -400,24 +329,16 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
             basis = bases[bd]
             for row in span.vectors():
                 elem = Element(g, {mono: c for mono, c in zip(basis, row) if c})
-                for gen, (dc, dch) in gens:
+                for fn, (dc, dch) in maps:
                     target = (bd.coh + dc, bd.chern + dch)
-                    if target[0] > window or target not in spans:
+                    if target not in spans:
                         continue
-                    img = gen * elem
+                    img = fn(elem)
                     if img.is_zero():
                         continue
                     vec = slice_vector(img, indexes[target], len(bases[target]))
                     if spans[target].add(vec):
                         changed = True
-                # the diagonal f mixes two cohomological shifts (-2 and -4),
-                # so its image splits into bihomogeneous parts
-                img = f_diag(elem)
-                for target, part in _split_by_bidegree(img).items():
-                    if target in spans:
-                        vec = slice_vector(part, indexes[target], len(bases[target]))
-                        if spans[target].add(vec):
-                            changed = True
         if changed:
             stable_count = 0
         else:
@@ -467,31 +388,22 @@ def check_closure(g: int, buffers=(None,)) -> dict:
                         "got": str(got),
                     }
                 )
-    return {
-        "check": "closure",
-        "genus": g,
-        "d": 0,
-        "cases": cases,
-        "pass": cases > 0 and not failures,
-        "failures": failures[:10],
-    }
+    return _report("closure", g, 0, cases, failures)
 
 
 def invariant_subring_identities_hold(g: int) -> bool:
     """The psi-counting operator acts as 2 gamma d/d gamma and the pair
     Laplacian as -2 gamma d^2/d gamma^2 + 2g d/d gamma on Q[alpha,beta,gamma],
     checked on alpha^a beta^b gamma^c for all c <= g and small a, b."""
-    N = psi_number_op(g)
-    L = pair_laplacian_op(g)
     for c in range(g + 1):
         for a in range(3):
             for b in range(3):
                 x = Element.monomial(g, a, b, 0) * gamma_power(g, c)
-                lhs_n = N(x)
+                lhs_n = psi_number(x)
                 rhs_n = (Element.monomial(g, a, b, 0) * gamma_power(g, c)).scale(2 * c)
                 if lhs_n != rhs_n:
                     return False
-                lhs_l = L(x)
+                lhs_l = pair_laplacian(x)
                 rhs_l = Element.zero(g)
                 if c >= 1:
                     coeff = Fraction(-2 * c * (c - 1) + 2 * g * c)

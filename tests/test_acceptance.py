@@ -1,15 +1,11 @@
 """Acceptance suite: every criterion checked at exact (zero) tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
-line per criterion.  The two extended computations (genus-4 pairing table,
-genus-3 closure) are opt-in via RANK2CHERN_ACCEPT_OPTIONAL=1.
+line per criterion.
 """
 
-import os
 import random
 from fractions import Fraction as F
-
-import pytest
 
 from rank2chern.algebra import Element, chern_filter_basis, gamma_power
 from rank2chern.genfun import omega_closed_form, omega_closed_polynomial
@@ -30,8 +26,6 @@ from rank2chern.relations import (
     verify_vanishing_corollary,
 )
 
-OPTIONAL = os.environ.get("RANK2CHERN_ACCEPT_OPTIONAL") == "1"
-
 
 def _report(name: str, ok: bool):
     print(f"{'PASS' if ok else 'FAIL'}: {name}")
@@ -50,11 +44,10 @@ def test_criterion_01_stable_closed_form_from_pairing():
     _report("criterion 1: pairing-route tables reproduce the closed form (g=2,3)", ok)
 
 
-@pytest.mark.skipif(not OPTIONAL, reason="optional extended run; set RANK2CHERN_ACCEPT_OPTIONAL=1")
-def test_criterion_01_optional_genus_four():
+def test_criterion_01_pairing_table_genus_four():
     table = omega_from_pairing(4)
     ok = _table_equals_expansion(table, omega_closed_polynomial(4))
-    _report("criterion 1 (optional): pairing-route table at g=4", ok)
+    _report("criterion 1: pairing-route table at g=4", ok)
 
 
 def test_criterion_02_intermediate_closed_forms():
@@ -135,10 +128,9 @@ def test_criterion_09_f_closure_reconstructs_ideal():
     _report("criterion 9: f-closure of the above-top-Chern subspace equals the ideal (g=2)", rep["pass"])
 
 
-@pytest.mark.skipif(not OPTIONAL, reason="optional extended run; set RANK2CHERN_ACCEPT_OPTIONAL=1")
-def test_criterion_09_optional_genus_three():
+def test_criterion_09_closure_genus_three():
     rep = check_closure(3, buffers=(8, 12))
-    _report("criterion 9 (optional): f-closure equals the ideal at g=3", rep["pass"])
+    _report("criterion 9: f-closure equals the ideal at g=3", rep["pass"])
 
 
 def test_criterion_10_generating_series_suite():

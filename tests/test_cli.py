@@ -152,7 +152,13 @@ def test_verify_scale_invariance(capsys):
         "genfun --formula stack --rank 1",
         "genfun --expand -1",
         "integral --genus 2 --normalization 0 gamma",
+        "omega --genus 2 --route pairing --max-coh 5",
+        "omega --genus 2 --route pairing --d 1",
+        "integral --genus 2 alpha^" + "9" * 5000,
+        "integral --genus 2 " + "9" * 5000 + "alpha",
+        "integral --genus 2 psi" + "1" * 5000,
     ],
+    ids=lambda argv: argv[:60],
 )
 def test_invalid_input_exit_2(capsys, argv):
     assert main(argv.split()) == 2

@@ -1,22 +1,19 @@
 import random
 from fractions import Fraction as F
 
-from rank2chern.algebra import Element, gamma, monomial_basis
+from rank2chern.algebra import Element, bidegree_cone, d_alpha, d_psi, gamma, monomial_basis
 from rank2chern.integral import IntegralConfig
 from rank2chern.operators import (
     check_adjointness,
     check_closure,
     check_descent,
     check_sl2_relations,
-    commutator,
-    d_alpha_op,
-    d_psi_op,
     diagonal_h_is_shifted_chern_grading,
     invariant_subring_identities_hold,
     make_sl2,
-    mul_op,
     operator_adjointness_failures,
     operator_bidegree_shift,
+    psi_number,
     sl2_closure,
 )
 from rank2chern.relations import ideal_slice, prim_basis, rel_generator_poly, slice_vector
@@ -44,15 +41,59 @@ def test_operator_values():
         assert fd(Element.alpha(g)) == (g + 2 * d - 1) * Element.one(g)
 
 
+def _pair_laplacian_closed(g, a, b, mask):
+    # L(alpha^a beta^b psi_S) = sum over pairs {i, i+g} in S of
+    # (-1)^(p_i + p_{i+g}) alpha^a beta^b psi_{S - {i, i+g}}, p_k = #{j in S: j < k}
+    out = Element.zero(g)
+    for i in range(1, g + 1):
+        lo, hi = 1 << (i - 1), 1 << (i + g - 1)
+        if mask & lo and mask & hi:
+            p = (mask & (lo - 1)).bit_count() + (mask & (hi - 1)).bit_count()
+            out = out + Element.monomial(g, a, b, mask ^ lo ^ hi, (-1) ** p)
+    return out
+
+
+def test_triples_match_monomial_closed_forms():
+    # on m = v^n w^k psi_S with s = |S| and c = g + 2d - 1:
+    # h(m) = (2n + s - c) m and f(m) = n (c - n + 1 - s) m / v - (w/4) L(m)
+    for g in (2, 3):
+        for d in (0, 1, 2):
+            c = g + 2 * d - 1
+            for family in ("alpha", "beta"):
+                e, h, f = make_sl2(family, d, g)
+                for bd in bidegree_cone(g, 12):
+                    for a, b, mask in monomial_basis(g, bd):
+                        m = Element.monomial(g, a, b, mask)
+                        s = mask.bit_count()
+                        if family == "alpha":
+                            v, w, n, m_over_v = Element.alpha(g), Element.beta(g), a, (a - 1, b, mask)
+                        else:
+                            v, w, n, m_over_v = Element.beta(g), Element.alpha(g), b, (a, b - 1, mask)
+                        lowered = Element.zero(g)
+                        if n:
+                            lowered = Element.monomial(g, *m_over_v, n * (c - n + 1 - s))
+                        laplacian = _pair_laplacian_closed(g, a, b, mask)
+                        assert e(m) == v * m
+                        assert h(m) == m.scale(2 * n + s - c)
+                        assert f(m) == lowered - F(1, 4) * (w * laplacian)
+    rnd = random.Random(5)
+    for g in (2, 3):
+        for _ in range(20):
+            x = _rand_element(rnd, g)
+            old = Element.zero(g)
+            for i in range(1, 2 * g + 1):
+                old = old + Element.psi(g, i) * d_psi(x, i)
+            assert psi_number(x) == old
+
+
 def test_operator_leibniz_consistency():
-    # f(alpha * x) = [f, alpha](x) + alpha * f(x), checked extensionally
+    # f(alpha * x) = [f, alpha](x) + alpha * f(x) with [f, alpha] = -[e, f] = -h
     g = 2
-    _, _, f = make_sl2("alpha", 0, g)
-    bracket = commutator(f, mul_op(Element.alpha(g)))
+    _, h, f = make_sl2("alpha", 0, g)
     rnd = random.Random(2)
     for _ in range(20):
         x = _rand_element(rnd, g)
-        assert f(Element.alpha(g) * x) == bracket(x) + Element.alpha(g) * f(x)
+        assert f(Element.alpha(g) * x) == -h(x) + Element.alpha(g) * f(x)
 
 
 def test_f_psi_commutator_closed_form():
@@ -61,13 +102,12 @@ def test_f_psi_commutator_closed_form():
     for g in (2, 3):
         _, _, f = make_sl2("alpha", 0, g)
         for j in range(1, g + 1):
-            lhs = commutator(f, mul_op(Element.psi(g, j)))
-            rhs = (-1) * (d_alpha_op(g) @ mul_op(Element.psi(g, j))) + F(1, 4) * (
-                mul_op(Element.beta(g)) @ d_psi_op(g, j + g)
-            )
+            psi_j = Element.psi(g, j)
             for _ in range(20):
                 x = _rand_element(rnd, g)
-                assert lhs(x) == rhs(x)
+                lhs = f(psi_j * x) - psi_j * f(x)
+                rhs = -d_alpha(psi_j * x) + F(1, 4) * (Element.beta(g) * d_psi(x, j + g))
+                assert lhs == rhs
 
 
 def test_sl2_relations_pass():
@@ -80,9 +120,12 @@ def test_sl2_relations_negative_control():
     # replacing g+2d-1 by g+2d breaks [e,f] = h
     g = 2
     e, h, f = make_sl2("alpha", 0, g)
-    f_bad = f + 1 * d_alpha_op(g)
-    bad = commutator(e, f_bad) - h
-    assert not bad(Element.one(g)).is_zero()
+
+    def f_bad(x):
+        return f(x) + d_alpha(x)
+
+    one = Element.one(g)
+    assert not (e(f_bad(one)) - f_bad(e(one)) - h(one)).is_zero()
 
 
 def test_invariant_subring_identities():
