@@ -52,7 +52,7 @@ from .relations import (
     rel_generator,
     verify_vanishing_corollary,
 )
-from .series import InvariantPoly, TSeries, phi_coefficients, xi, xi_rs
+from .series import InvariantPoly, phi_series, xi, xi_rs
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "Operator",
     "QMatrix",
     "RowSpan",
-    "TSeries",
     "VerificationError",
     "bidegree_cone",
     "check_adjointness",
@@ -96,7 +95,7 @@ __all__ = [
     "omega_stack",
     "pairing_matrix",
     "parse_element",
-    "phi_coefficients",
+    "phi_series",
     "prim_basis",
     "rel_generator",
     "row_reduce",

@@ -59,13 +59,6 @@ def koszul_sign(mask1: int, mask2: int) -> int:
     return -1 if inv & 1 else 1
 
 
-def merge_masks(mask1: int, mask2: int):
-    """(sign, union) of two psi index sets, or None when they overlap."""
-    if mask1 & mask2:
-        return None
-    return koszul_sign(mask1, mask2), mask1 | mask2
-
-
 def mask_of(indices) -> int:
     """Bitmask from 1-based psi indices."""
     m = 0

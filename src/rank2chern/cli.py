@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--normalization",
                 type=_fraction,
-                default=Fraction(1),
-                help="nonzero rational normalization B of the base integral",
+                default=None,
+                help="nonzero rational normalization B of the base integral (default 1)",
             )
         if fmt:
             p.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -115,6 +115,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The option that selects a path through each subcommand.
+_MODE = {"omega": "route", "sl2": "check", "verify": "suite", "genfun": "formula"}
+
+# Options each path ignores; it refuses any value but the default (0 for --d).
+_IGNORED = {
+    ("omega", "ideal"): ("normalization",),
+    ("omega", "pairing"): ("d", "max_coh"),
+    ("omega", "closed"): ("normalization",),
+    ("relations", None): ("normalization",),
+    ("sl2", "relations"): ("normalization",),
+    ("sl2", "adjoint"): ("d", "max_coh"),
+    ("sl2", "descent"): ("max_coh", "normalization"),
+    ("sl2", "closure"): ("d", "max_coh", "normalization"),
+    ("verify", "main"): ("d", "max_coh"),
+    ("verify", "intermediate"): ("normalization",),
+    ("verify", "pairing"): ("d", "max_coh"),
+    ("verify", "closure"): ("d", "max_coh", "normalization"),
+    ("verify", "genfun"): ("d", "max_coh", "normalization"),
+    ("genfun", "stack"): ("d",),
+    ("genfun", "n21"): ("d",),
+    ("genfun", "rank3"): ("d",),
+}
+
+
 def _usage_error(args):
     """Why the parsed arguments are invalid, or None."""
     try:
@@ -125,20 +149,15 @@ def _usage_error(args):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             return f"--{name.replace('_', '-')} must be >= 0, got {value}"
-    if getattr(args, "normalization", 1) == 0:
+    if getattr(args, "normalization", None) == 0:
         return "normalization B must be nonzero"
     if args.command == "genfun" and args.rank < 2:
         return "rank must be >= 2"
-    if args.command == "omega" and args.route == "pairing":
-        if args.d:
-            return "the pairing route is defined for d = 0 only"
-        if args.max_coh is not None:
-            return "--max-coh does not apply to --route pairing"
-    if args.command == "sl2":
-        if args.check in ("adjoint", "closure") and args.d:
-            return f"--check {args.check} runs at d = 0 only"
-        if args.check != "relations" and args.max_coh is not None:
-            return f"--max-coh does not apply to --check {args.check}"
+    mode = getattr(args, _MODE.get(args.command, ""), None)
+    path = args.command + (f" --{_MODE[args.command]} {mode}" if mode else "")
+    for name in _IGNORED.get((args.command, mode), ()):
+        if getattr(args, name) != (0 if name == "d" else None):
+            return f"--{name.replace('_', '-')} does not apply to {path}"
     return None
 
 
@@ -326,6 +345,8 @@ def main(argv=None) -> int:
     if error is not None:
         sys.stderr.write(f"error: {error}\n")
         return USAGE_ERROR
+    if getattr(args, "normalization", 0) is None:
+        args.normalization = Fraction(1)
     out = sys.stdout
     try:
         if args.command == "omega":

@@ -103,20 +103,6 @@ class BiPoly(Sparse):
                     del t[k]
         return BiPoly._raw(None, t)
 
-    def subst_q(self, value) -> "BiPoly":
-        value = Fraction(value)
-        t = {}
-        for (i, j), v in self.terms.items():
-            c = v * value**i
-            if c:
-                k = (0, j)
-                s = t.get(k, _ZERO) + c
-                if s:
-                    t[k] = s
-                else:
-                    del t[k]
-        return BiPoly._raw(None, t)
-
     def subst_q_equals_t(self) -> "BiPoly":
         """Fold q into t: (i, j) -> t^(i+j)."""
         t = {}

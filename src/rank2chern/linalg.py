@@ -125,10 +125,6 @@ def row_reduce(m: QMatrix):
     return rank, kernel
 
 
-def rank(m: QMatrix) -> int:
-    return row_reduce(m)[0]
-
-
 class RowSpan:
     """Row space kept in reduced echelon form, grown one vector at a time.
 

@@ -30,7 +30,7 @@ from .algebra import (
 )
 from .integral import IntegralConfig, pairing_matrix
 from .linalg import QMatrix, RowSpan, row_reduce
-from .series import InvariantPoly, TSeries, phi_series
+from .series import InvariantPoly, phi_series
 
 _ZERO = Fraction(0)
 
@@ -103,8 +103,10 @@ def _sig_degree(sig: Element) -> int:
 def mumford_relation(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """The relation attached to (k, theta^m * sig) at destabilizing degree d.
 
-    Equal to (-1)^l 2^(2g-m-k) [t^(k+m-g-l)] (Phi_d(t) * F(t)) sigma_l with
+    Equal to (-1)^l 2^(2g-m-k) [t^n] (Phi_d(t) * F(t)) sigma_l, n = k+m-g-l, with
     F(t) = sum_j C(m,j) (g-l-j)_(m-j) (1 - beta t^2)^(m-j) (-2 gamma t^3)^j.
+    Expanding the binomial, [t^n] is the finite sum over 3j + 2s <= n of
+    C(m,j) (g-l-j)_(m-j) C(m-j,s) (-1)^s (-2)^j beta^s gamma^j c_{d,n-3j-2s}.
     A negative t-index gives zero.
     """
     check_genus(g)
@@ -115,21 +117,12 @@ def mumford_relation(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     if n < 0:
         return Element.zero(g)
     phi = phi_series(d, g, n)
-    one_minus_beta_t2 = TSeries.const(g, n, 1)
-    if n >= 2:
-        one_minus_beta_t2.coeffs[2] = InvariantPoly.monomial(g, 0, 1, 0, -1)
-    factor = TSeries.zero(g, n)
-    for j in range(m + 1):
-        if 3 * j > n:
-            break
-        base = one_minus_beta_t2 ** (m - j)
-        gam_pow = InvariantPoly.monomial(g, 0, 0, j, (-2) ** j) if j else InvariantPoly.one(g)
-        shifted = TSeries.zero(g, n)
-        for i in range(n + 1 - 3 * j):
-            shifted.coeffs[i + 3 * j] = base.coeffs[i] * gam_pow
-        weight = math.comb(m, j) * _falling(g - l - j, m - j)
-        factor = factor + shifted * Fraction(weight)
-    coeff = (phi * factor).coeff(n)
+    coeff = InvariantPoly.zero(g)
+    for j in range(min(m, n // 3) + 1):
+        weight = math.comb(m, j) * _falling(g - l - j, m - j) * (-2) ** j
+        for s in range(min(m - j, (n - 3 * j) // 2) + 1):
+            w = weight * math.comb(m - j, s) * (-1) ** s
+            coeff = coeff + phi[n - 3 * j - 2 * s] * InvariantPoly.monomial(g, 0, s, j, w)
     scalar = _two_power(2 * g - m - k) * (-1) ** l
     return coeff.embed() * sig * scalar
 
@@ -167,7 +160,7 @@ def modified_mumford_closed(d: int, k: int, m: int, sig: Element, g: int) -> Ele
             if a < 0:
                 continue
             w = Fraction(math.factorial(g - l - c) * 2**c, math.factorial(b) * math.factorial(c))
-            poly = poly + (phi.coeff(a) * InvariantPoly.monomial(g, 0, b, c, w))
+            poly = poly + (phi[a] * InvariantPoly.monomial(g, 0, b, c, w))
     scalar = _two_power(2 * g - m - k) * Fraction(math.factorial(m), math.factorial(g - l - m)) * (-1) ** l
     return poly.embed() * sig * scalar
 
@@ -401,9 +394,10 @@ def pairing_kernel_matches_ideal(g: int, bd, cfg: IntegralConfig = None) -> bool
     elements = ideal_slice(g, 0, bd)
     if len(elements) != len(basis) - rk:
         return False
+    transpose = matrix.transpose()
     for x in elements:
         vec = slice_vector(x, index, len(basis))
-        image = matrix.transpose().mul_vector(vec)
+        image = transpose.mul_vector(vec)
         if any(image):
             return False
     return True

@@ -1,18 +1,22 @@
-"""Truncated power series over Q[alpha, beta, gamma]/(gamma^{g+1}).
+"""Polynomials in alpha, beta, gamma (gamma^{g+1} = 0) and the Mumford series.
 
-Carries the generating series whose t-coefficients are the building blocks
-of the Mumford relations, together with the xi classes built from them.
+The degree-d generating series Phi_d(t) = sum_n c_{d,n} t^n has a
+coefficient c_{d,n} of cohomological degree 2n, so the t-grading repeats
+the grading of InvariantPoly and the series is kept as the tuple of its
+coefficients; the xi classes are built from them.
 
 The half-integer power (1 - beta t^2)^(d - 3/2) is never expanded with
-square roots: the series is computed through the pole-free rearrangement
+square roots: Phi_d = exp(X) through the pole-free rearrangement
 
-    exp((d - 3/2) log(1 - beta t^2))
-    * exp(alpha * sum_{k>=0} beta^k t^(2k+1) / (2k+1)
-          + 2 gamma * sum_{k>=1} beta^(k-1) t^(2k+1) / (2k+1))
+    X(t) = (d - 3/2) log(1 - beta t^2)
+           + alpha * sum_{k>=0} beta^k t^(2k+1) / (2k+1)
+           + 2 gamma * sum_{k>=1} beta^(k-1) t^(2k+1) / (2k+1),
 
-whose coefficients are honest elements of Q[alpha, beta, gamma].  A one-off
-symbolic oracle over a formal square root of beta lives in the test suite,
-not here.
+and Phi' = X' Phi gives n c_n = sum_{k=1..n} (k X_k) c_{n-k}, where k X_k
+is (3 - 2d) beta^(k/2) for even k and alpha beta^i + 2 gamma beta^(i-1)
+(the last term for i >= 1 only) for k = 2i + 1.  Every coefficient is an
+honest element of Q[alpha, beta, gamma].  A one-off symbolic oracle over a
+formal square root of beta lives in the test suite, not here.
 """
 
 from __future__ import annotations
@@ -48,10 +52,6 @@ class InvariantPoly(Sparse):
                 v = Fraction(v)
                 if v and c <= g:
                     self.terms[(a, b, c)] = v
-
-    @classmethod
-    def const(cls, g, v):
-        return cls(g, {(0, 0, 0): Fraction(v)})
 
     @classmethod
     def gen(cls, g, name):
@@ -113,152 +113,36 @@ class InvariantPoly(Sparse):
         return "InvariantPoly(" + " + ".join(bits) + ")"
 
 
-class TSeries:
-    """Truncated power series in t with InvariantPoly coefficients."""
-
-    __slots__ = ("g", "order", "coeffs")
-
-    def __init__(self, g: int, order: int, coeffs=None):
-        check_genus(g)
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        self.g = g
-        self.order = order
-        if coeffs is None:
-            coeffs = [InvariantPoly.zero(g) for _ in range(order + 1)]
-        else:
-            coeffs = list(coeffs)[: order + 1]
-            while len(coeffs) < order + 1:
-                coeffs.append(InvariantPoly.zero(g))
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, g, order):
-        return cls(g, order)
-
-    @classmethod
-    def const(cls, g, order, v):
-        s = cls(g, order)
-        s.coeffs[0] = InvariantPoly.const(g, v)
-        return s
-
-    def coeff(self, n: int) -> InvariantPoly:
-        if n > self.order:
-            raise ValueError("coefficient beyond truncation order")
-        return self.coeffs[n]
-
-    def _check(self, other):
-        if self.g != other.g or self.order != other.order:
-            raise ValueError("series mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return TSeries(self.g, self.order, [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return TSeries(self.g, self.order, [x - y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TSeries(self.g, self.order, [c.scale(other) for c in self.coeffs])
-        if isinstance(other, InvariantPoly):
-            return TSeries(self.g, self.order, [c * other for c in self.coeffs])
-        self._check(other)
-        out = [InvariantPoly.zero(self.g) for _ in range(self.order + 1)]
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                y = other.coeffs[j]
-                if y.is_zero():
-                    continue
-                out[i + j] = out[i + j] + x * y
-        return TSeries(self.g, self.order, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, InvariantPoly)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = TSeries.const(self.g, self.order, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TSeries)
-            and self.g == other.g
-            and self.order == other.order
-            and all(x == y for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def valuation_positive(self) -> bool:
-        return self.coeffs[0].is_zero()
-
-    def exp(self) -> "TSeries":
-        """exp of a series with zero constant term."""
-        if not self.valuation_positive():
-            raise ValueError("exp needs zero constant term")
-        out = TSeries.const(self.g, self.order, 1)
-        power = TSeries.const(self.g, self.order, 1)
-        fact = 1
-        for k in range(1, self.order + 1):
-            power = power * self
-            fact *= k
-            out = out + power * Fraction(1, fact)
-        return out
-
-
-def default_order(g: int) -> int:
-    """Default truncation: twice the top Chern degree plus 4."""
-    return 8 * g - 4
-
-
 @lru_cache(maxsize=None)
-def phi_series(d: int, g: int, order: int) -> TSeries:
-    """The degree-d Mumford generating series, truncated at t^order.
+def phi_series(d: int, g: int, order: int) -> tuple:
+    """Coefficients c_{d,0} .. c_{d,order} of the degree-d Mumford series.
 
     Coefficient n has cohomological degree 2n and reduces to alpha^n / n!
-    modulo (beta, gamma).
+    modulo (beta, gamma).  Built one coefficient at a time from
+    n c_n = sum_{k=1..n} (k X_k) c_{n-k}, so each is computed once per (d, g).
     """
     check_genus(g)
-    alpha = InvariantPoly.gen(g, "alpha")
-    beta = InvariantPoly.gen(g, "beta")
-    gam = InvariantPoly.gen(g, "gamma")
-
-    # log(1 - beta t^2) = - sum_{j>=1} beta^j t^(2j) / j
-    log_part = TSeries.zero(g, order)
-    for j in range(1, order // 2 + 1):
-        log_part.coeffs[2 * j] = InvariantPoly.monomial(g, 0, j, 0, Fraction(-1, j))
-    half_exponent = Fraction(2 * d - 3, 2)
-
-    odd_part = TSeries.zero(g, order)
-    for k in range(0, (order - 1) // 2 + 1):
-        n = 2 * k + 1
-        coeff = (beta**k * alpha).scale(Fraction(1, n))
-        if k >= 1:
-            coeff = coeff + (beta ** (k - 1) * gam).scale(Fraction(2, n))
-        odd_part.coeffs[n] = coeff
-
-    exponent = log_part * half_exponent + odd_part
-    return exponent.exp()
-
-
-def phi_coefficients(d: int, g: int, order: int):
-    """Coefficients c_{d,0} .. c_{d,order} of the generating series."""
-    return tuple(phi_series(d, g, order).coeffs)
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    if order == 0:
+        return (InvariantPoly.one(g),)
+    head = phi_series(d, g, order - 1)
+    c = InvariantPoly.zero(g)
+    for k in range(1, order + 1):  # k X_k, from the module docstring
+        i = k // 2
+        if k % 2 == 0:
+            kx = InvariantPoly.monomial(g, 0, i, 0, 3 - 2 * d)
+        else:
+            kx = InvariantPoly(g, {(1, i, 0): 1, (0, i - 1, 1): 2} if i else {(1, 0, 0): 1})
+        c = c + kx * head[order - k]
+    return head + (c.scale(Fraction(1, order)),)
 
 
 def xi(r: int, g: int) -> InvariantPoly:
     """xi_r, the t^r coefficient of the d = 1 series; degree 2r."""
     if r < 0:
         raise ValueError("negative index")
-    return phi_series(1, g, r).coeff(r)
+    return phi_series(1, g, r)[r]
 
 
 def xi_rs(r: int, s: int, g: int) -> InvariantPoly:

@@ -157,12 +157,50 @@ def test_verify_scale_invariance(capsys):
         "integral --genus 2 alpha^" + "9" * 5000,
         "integral --genus 2 " + "9" * 5000 + "alpha",
         "integral --genus 2 psi" + "1" * 5000,
+        "omega --genus 2 --route ideal --normalization 7/3",
+        "omega --genus 2 --route closed --normalization 7/3",
+        "relations --genus 2 --normalization 7/3",
+        "relations --genus 2 --normalization 1",
+        "sl2 --check relations --genus 2 --normalization 7/3",
+        "sl2 --check descent --genus 2 --normalization 7/3",
+        "sl2 --check closure --genus 2 --normalization 7/3",
+        "verify --suite intermediate --genus 2 --normalization 7/3",
+        "verify --suite closure --genus 2 --normalization 7/3",
+        "verify --suite genfun --normalization 7/3",
+        "verify --suite main --genus 2 --d 3",
+        "verify --suite pairing --genus 2 --d 1",
+        "verify --suite closure --genus 2 --d 2",
+        "verify --suite genfun --d 1",
+        "verify --suite main --genus 2 --max-coh 4",
+        "verify --suite main --genus 2 --max-coh 0",
+        "verify --suite pairing --genus 2 --max-coh 4",
+        "verify --suite closure --genus 2 --max-coh 4",
+        "verify --suite genfun --max-coh 4",
+        "genfun --check symmetry --d 3",
+        "genfun --formula stack --d 1 --expand 4",
+        "genfun --formula rank3 --d 1 --check tminus1",
     ],
     ids=lambda argv: argv[:60],
 )
 def test_invalid_input_exit_2(capsys, argv):
     assert main(argv.split()) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "omega --genus 2 --route pairing",
+        "sl2 --check adjoint --genus 2",
+        "verify --suite main --genus 2",
+        "verify --suite sl2 --genus 2",
+    ],
+)
+def test_paths_that_use_normalization_accept_it(capsys, argv):
+    # every structural output is invariant under B -> 7/3 B
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert run(capsys, *argv.split(), "--normalization", "7/3") == (code, out)
 
 
 def test_zero_case_report_fails(capsys, monkeypatch):

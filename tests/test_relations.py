@@ -26,7 +26,7 @@ from rank2chern.relations import (
     slice_vector,
     verify_vanishing_corollary,
 )
-from rank2chern.series import phi_coefficients
+from rank2chern.series import phi_series
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_mumford_m0_specialization():
     # MR^d_{k, sigma_l} = (-1)^l 2^(2g-k) c_{d, k-g-l} sigma_l
     g = 2
     for d in (0, 1, 2):
-        coeffs = phi_coefficients(d, g, 6)
+        coeffs = phi_series(d, g, 6)
         for l in (0, 1):
             for sig in prim_basis(g, l):
                 for k in range(g + l, g + l + 4):

@@ -4,12 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from rank2chern.algebra import Element
-from rank2chern.series import InvariantPoly, TSeries, phi_coefficients, xi, xi_rs
+from rank2chern.relations import mumford_relation, prim_basis
+from rank2chern.series import InvariantPoly, phi_series, xi, xi_rs
 
 
 def test_phi_constant_and_linear_coefficients():
     for d in (-1, 0, 1, 2, 5):
-        c = phi_coefficients(d, 2, 2)
+        c = phi_series(d, 2, 2)
         assert c[0] == InvariantPoly.one(2)
         assert c[1] == InvariantPoly.gen(2, "alpha")
 
@@ -17,7 +18,7 @@ def test_phi_constant_and_linear_coefficients():
 def test_phi_quadratic_coefficient():
     # hand expansion: c_{d,2} = alpha^2/2 + (3-2d)/2 beta
     for d in (0, 1, 2):
-        c = phi_coefficients(d, 2, 2)[2]
+        c = phi_series(d, 2, 2)[2]
         expected = InvariantPoly(2, {(2, 0, 0): F(1, 2), (0, 1, 0): F(3 - 2 * d, 2)})
         assert c == expected
 
@@ -51,7 +52,7 @@ def test_xi_rs_chern_bound():
 def test_coefficient_degrees_and_alpha_part():
     for d in (0, 1, 2):
         for g in (2, 3):
-            coeffs = phi_coefficients(d, g, 8)
+            coeffs = phi_series(d, g, 8)
             fact = 1
             for n, c in enumerate(coeffs):
                 if n:
@@ -64,21 +65,14 @@ def test_coefficient_degrees_and_alpha_part():
                     assert bd.chern <= 2 * n
 
 
-def test_exp_coefficients():
-    g, order = 2, 8
-    alpha, gam = InvariantPoly.gen(g, "alpha"), InvariantPoly.gen(g, "gamma")
-    x = TSeries(g, order)
-    x.coeffs[1] = alpha
-    assert x.exp().coeffs == [alpha**n * F(1, math.factorial(n)) for n in range(order + 1)]
-    # exp(gamma t^2) = 1 + gamma t^2 + gamma^2 t^4 / 2, since gamma^3 = 0 at genus 2
-    y = TSeries(g, order)
-    y.coeffs[2] = gam
-    one, zero = InvariantPoly.one(g), InvariantPoly.zero(g)
-    assert y.exp() == TSeries(g, order, [one, zero, gam, zero, gam**2 * F(1, 2)])
-    assert (x + y).exp() == x.exp() * y.exp()
-    s = TSeries.const(g, order, 1)
+def test_phi_series_prefixes_agree():
+    for d in (0, 1, 2):
+        full = phi_series(d, 3, 10)
+        assert len(full) == 11
+        for order in range(10):
+            assert phi_series(d, 3, order) == full[: order + 1]
     with pytest.raises(ValueError):
-        s.exp()
+        phi_series(0, 2, -1)
 
 
 def test_invariant_poly_rejects_negative_exponents():
@@ -188,7 +182,65 @@ def _three_factor_oracle(d, g, order):
 def test_pole_free_rearrangement_matches_three_factor_oracle(d, g):
     order = 8
     oracle = _three_factor_oracle(d, g, order)
-    production = phi_coefficients(d, g, order)
+    production = phi_series(d, g, order)
     for n in range(order + 1):
         expected = {(a, 2 * b, c): v for (a, b, c), v in production[n].terms.items()}
         assert oracle[n] == expected, f"mismatch at d={d}, g={g}, t^{n}"
+
+
+# ----------------------------------------------------------------------
+# second route for the plain Mumford relations at every m: build
+# F(t) = sum_j C(m,j) (g-l-j)_(m-j) (1 - beta t^2)^(m-j) (-2 gamma t^3)^j by
+# its defining product of truncated series, multiply by the phi_series
+# coefficients and read off [t^n], n = k + m - g - l.  Keys are plain
+# (alpha, beta, gamma) exponents here.
+
+
+def _mumford_factor(g, l, m, order):
+    one = [{(0, 0, 0): F(1)}] + [{} for _ in range(order)]
+    one_minus_beta_t2 = [dict(p) for p in one]
+    cube = [{} for _ in range(order + 1)]
+    if order >= 2:
+        one_minus_beta_t2[2] = {(0, 1, 0): F(-1)}
+    if order >= 3:
+        cube[3] = {(0, 0, 1): F(-2)}
+    out = [{} for _ in range(order + 1)]
+    for j in range(m + 1):
+        term = one
+        for _ in range(m - j):
+            term = _ser_mul(term, one_minus_beta_t2, order, g)
+        for _ in range(j):
+            term = _ser_mul(term, cube, order, g)
+        weight = math.comb(m, j) * math.perm(g - l - j, m - j)
+        for n, p in enumerate(term):
+            for key, v in p.items():
+                cur = out[n].get(key, F(0)) + weight * v
+                if cur:
+                    out[n][key] = cur
+                else:
+                    out[n].pop(key, None)
+    return out
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("g", [2, 3])
+def test_mumford_relation_matches_series_product(d, g):
+    cases = 0
+    for l in range(g + 1):
+        basis = prim_basis(g, l)
+        for m in range(g - l + 1):
+            for k in range(2 * g + 2 * d + 5):
+                n = k + m - g - l
+                if n < 0:
+                    want = InvariantPoly.zero(g)
+                else:
+                    phi = [dict(c.terms) for c in phi_series(d, g, n)]
+                    product = _ser_mul(phi, _mumford_factor(g, l, m, n), n, g)
+                    want = InvariantPoly(g, product[n])
+                scalar = (-1) ** l * F(2) ** (2 * g - m - k)
+                embedded = want.embed()
+                for sig in basis:
+                    got = mumford_relation(d, k, m, sig, g)
+                    assert got == embedded * sig * scalar, f"d={d}, g={g}, k={k}, m={m}, l={l}"
+                    cases += 1
+    assert cases
