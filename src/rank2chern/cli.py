@@ -158,6 +158,9 @@ def _usage_error(args):
     for name in _IGNORED.get((args.command, mode), ()):
         if getattr(args, name) != (0 if name == "d" else None):
             return f"--{name.replace('_', '-')} does not apply to {path}"
+    # only the d = 0 adjointness check of the sl2 suite reads B
+    if path == "verify --suite sl2" and args.d and args.normalization is not None:
+        return f"--normalization does not apply to {path} with --d {args.d}"
     return None
 
 

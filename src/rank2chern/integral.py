@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, check_genus, monomial_basis
+from .algebra import Element, check_genus, gamma_power, koszul_sign, monomial_basis
 from .linalg import QMatrix
 
 _ZERO = Fraction(0)
@@ -89,17 +89,12 @@ def graded_pairing(D: Element, E: Element, cfg: IntegralConfig) -> Fraction:
 
 
 def _pair_monomials(g: int, m1, m2) -> Fraction:
-    """B = 1 pairing of two monomial keys, without building Elements."""
+    """B = 1 pairing of two monomial keys with disjoint psi masks, without
+    building Elements."""
     a1, b1, k1 = m1
     a2, b2, k2 = m2
-    if k1 & k2:
-        return _ZERO
-    from .algebra import koszul_sign
-
     v = monomial_integral(g, a1 + a2, b1 + b2, k1 | k2)
-    if not v:
-        return _ZERO
-    return koszul_sign(k1, k2) * v
+    return koszul_sign(k1, k2) * v if v else _ZERO
 
 
 def pairing_matrix(g: int, bd, cfg: IntegralConfig = None) -> QMatrix:
@@ -107,7 +102,8 @@ def pairing_matrix(g: int, bd, cfg: IntegralConfig = None) -> QMatrix:
 
     Rows are indexed by monomial_basis(g, bd), columns by the basis of the
     complementary bidegree; outside the cone that basis is legitimately
-    empty and the matrix has zero columns.
+    empty and the matrix has zero columns.  Only nonzero pairings are
+    stored; monomials sharing a psi index pair to zero.
     """
     if cfg is None:
         cfg = IntegralConfig(g)
@@ -115,13 +111,17 @@ def pairing_matrix(g: int, bd, cfg: IntegralConfig = None) -> QMatrix:
         raise ValueError("genus mismatch")
     coh, chern = bd
     comp = (6 * g - 6 - coh, 4 * g - 4 - chern)
-    rows_basis = monomial_basis(g, bd)
     cols_basis = monomial_basis(g, comp)
-    entries = []
-    for m1 in rows_basis:
-        for m2 in cols_basis:
-            entries.append(_pair_monomials(g, m1, m2) * cfg.B)
-    return QMatrix(len(rows_basis), len(cols_basis), entries)
+    data = []
+    for m1 in monomial_basis(g, bd):
+        row = {}
+        for j, m2 in enumerate(cols_basis):
+            if not m1[2] & m2[2]:
+                v = _pair_monomials(g, m1, m2)
+                if v:
+                    row[j] = v * cfg.B
+        data.append(row)
+    return QMatrix(len(cols_basis), data)
 
 
 def gamma_power_integral_two_routes(g: int, p: int, cfg: IntegralConfig = None):
@@ -135,8 +135,6 @@ def gamma_power_integral_two_routes(g: int, p: int, cfg: IntegralConfig = None):
         cfg = IntegralConfig(g)
     if not 0 <= p <= g - 1:
         raise ValueError("p must satisfy 0 <= p <= g-1")
-    from .algebra import gamma_power
-
     n = g - 1 - p
     elem = Element.monomial(g, n, n, 0) * gamma_power(g, p)
     route_expand = graded_integral(elem, cfg)

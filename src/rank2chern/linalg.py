@@ -1,9 +1,15 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Everything runs on `fractions.Fraction`: no floating point, no rounding.
-Matrices here are small (the bidegree slices at genus <= 4 have at most a
-few thousand columns), so plain pivoted Gauss-Jordan elimination is used
-throughout.
+Everything runs on `fractions.Fraction`: no floating point, no rounding and
+no modular shortcut.  Matrices and vectors are sparse rows
+``{column: Fraction}`` with zeros absent; the pairing matrices and relation
+slices are 1-2% dense, so only their nonzero entries are ever touched.
+
+`row_reduce` and `RowSpan` share one elimination step, `_insert`: a row is
+reduced against the fully reduced pivot rows, its lowest nonzero column
+becomes its pivot, and it is normalised and back-substituted.  This is
+Gauss-Jordan with the usual pivot rule, so the pivot rows are always the
+unique reduced row echelon form of the rows inserted so far.
 """
 
 from __future__ import annotations
@@ -14,56 +20,94 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _sparse(vec, ncols: int) -> dict:
+    """Copy of a sparse vector with Fraction values, zeros dropped and every
+    column checked against ``ncols``."""
+    out = {}
+    for c, x in vec.items():
+        if not 0 <= c < ncols:
+            raise ValueError(f"column {c} outside 0..{ncols - 1}")
+        if x:
+            out[c] = Fraction(x)
+    return out
+
+
+def _eliminate(row: dict, c: int, pivot_row: dict) -> None:
+    """row -= row[c] * pivot_row in place, where pivot_row has a 1 at c."""
+    neg = -row.pop(c)
+    for j, x in pivot_row.items():
+        if j != c:
+            y = row.get(j)
+            if y is None:
+                row[j] = neg * x
+            else:
+                y += neg * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+
+
+def _reduce(pivots: dict, v: dict) -> dict:
+    """Reduce v in place against the pivot rows {pivot column: row}.
+
+    The pivot rows are fully reduced against each other, so eliminating one
+    pivot column never brings back another: one pass is enough.
+    """
+    for c in [c for c in v if c in pivots]:
+        _eliminate(v, c, pivots[c])
+    return v
+
+
+def _insert(pivots: dict, v: dict) -> bool:
+    """The elimination step: reduce v, make its lowest nonzero column a new
+    pivot, normalise it there and clear that column from the other pivot
+    rows.  Returns False (and adds nothing) when v reduces to zero."""
+    if not _reduce(pivots, v):
+        return False
+    p = min(v)
+    lead = v[p]
+    if lead != _ONE:
+        for j in v:
+            v[j] /= lead
+    for row in pivots.values():
+        if p in row:
+            _eliminate(row, p, v)
+    pivots[p] = v
+    return True
+
+
 class QMatrix:
-    """Dense rational matrix with row-major storage."""
+    """Sparse rational matrix of shape ``rows`` x ``cols``; ``data[i]`` is
+    row i as {column: Fraction} with zeros absent."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, entries):
-        if rows < 0 or cols < 0:
+    def __init__(self, cols: int, data=()):
+        if cols < 0:
             raise ValueError("negative matrix dimension")
-        entries = [Fraction(e) for e in entries]
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
+        self.data = [_sparse(row, cols) for row in data]
+        self.rows = len(self.data)
         self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, row_lists, cols=None) -> "QMatrix":
-        nrows = len(row_lists)
-        if nrows == 0:
-            return cls(0, 0 if cols is None else cols, [])
-        if cols is None:
-            cols = len(row_lists[0])
-        flat = []
-        for row in row_lists:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(nrows, cols, flat)
-
-    def row(self, i: int):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return self.data[i].get(j, _ZERO)
 
     def transpose(self) -> "QMatrix":
-        flat = [self.at(i, j) for j in range(self.cols) for i in range(self.rows)]
-        return QMatrix(self.cols, self.rows, flat)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                out[j][i] = x
+        return QMatrix(self.rows, out)
 
-    def mul_vector(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = _ZERO
-            for j, v in enumerate(vec):
-                if v:
-                    acc += self.entries[base + j] * v
-            out.append(acc)
+    def mul_vector(self, vec) -> dict:
+        """The product with a sparse column vector, as {row: value}."""
+        vec = _sparse(vec, self.cols)
+        out = {}
+        for i, row in enumerate(self.data):
+            acc = sum((x * vec[j] for j, x in row.items() if j in vec), _ZERO)
+            if acc:
+                out[i] = acc
         return out
 
     def __eq__(self, other):
@@ -71,7 +115,7 @@ class QMatrix:
             isinstance(other, QMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.data == other.data
         )
 
     def __repr__(self):
@@ -81,52 +125,27 @@ class QMatrix:
 def row_reduce(m: QMatrix):
     """Exact rank and a basis of the right kernel of ``m`` over the rationals.
 
-    Returns ``(rank, kernel_basis)`` where each kernel vector ``k`` is a
-    tuple of Fractions with ``m . k = 0`` exactly.  The kernel basis has
-    ``cols - rank`` members.
+    Returns ``(rank, kernel_basis)``: one dense tuple of Fractions per free
+    column, in increasing order, with a 1 there and ``m . k = 0`` exactly.
     """
-    rows = [m.row(i) for i in range(m.rows)]
-    ncols = m.cols
-    pivots = []  # pivot column of row r, in order
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        if lead != _ONE:
-            rows[r] = [x / lead for x in rows[r]]
-        pr = rows[r]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                ri = rows[i]
-                rows[i] = [a - f * b for a, b in zip(ri, pr)]
-        pivots.append(c)
-        r += 1
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][free]
-        kernel.append(tuple(v))
-    return rank, kernel
+    pivots = {}
+    for row in m.data:
+        _insert(pivots, dict(row))
+    kernel = {}
+    for free in range(m.cols):
+        if free not in pivots:
+            v = kernel[free] = [_ZERO] * m.cols
+            v[free] = _ONE
+    for pc, row in pivots.items():
+        for j, x in row.items():
+            if j != pc:
+                kernel[j][pc] = -x
+    return len(pivots), [tuple(v) for v in kernel.values()]
 
 
 class RowSpan:
-    """Row space kept in reduced echelon form, grown one vector at a time.
+    """Span of sparse vectors {column: value}, kept in reduced row echelon
+    form and grown one vector at a time.
 
     Used by the closure computations: supports cheap membership tests and
     reports whether adding a vector actually enlarged the space.
@@ -142,38 +161,13 @@ class RowSpan:
     def rank(self) -> int:
         return len(self._pivot_rows)
 
-    def _reduced(self, vec):
-        v = [Fraction(x) for x in vec]
-        # stored rows are fully reduced against each other, so one pass is enough
-        for c, row in self._pivot_rows.items():
-            f = v[c]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
     def add(self, vec) -> bool:
         """Add a vector; returns True when the rank increased."""
-        v = self._reduced(vec)
-        piv = None
-        for c, x in enumerate(v):
-            if x:
-                piv = c
-                break
-        if piv is None:
-            return False
-        lead = v[piv]
-        if lead != _ONE:
-            v = [x / lead for x in v]
-        for c, row in list(self._pivot_rows.items()):
-            f = row[piv]
-            if f:
-                self._pivot_rows[c] = [a - f * b for a, b in zip(row, v)]
-        self._pivot_rows[piv] = v
-        return True
+        return _insert(self._pivot_rows, _sparse(vec, self.ncols))
 
     def contains(self, vec) -> bool:
-        return not any(self._reduced(vec))
+        return not _reduce(self._pivot_rows, _sparse(vec, self.ncols))
 
     def vectors(self):
-        """Current echelon rows, ordered by pivot column."""
-        return [row for _, row in sorted(self._pivot_rows.items())]
+        """Copies of the echelon rows, ordered by pivot column."""
+        return [dict(row) for _, row in sorted(self._pivot_rows.items())]

@@ -33,8 +33,6 @@ from .integral import IntegralConfig, graded_pairing, top_bidegree
 from .linalg import RowSpan
 from .relations import ideal_slice, prim_basis, rel_generator_poly, slice_vector
 
-_ZERO = Fraction(0)
-
 
 class Operator:
     """Linear operator on elements of a fixed-genus descendent algebra."""
@@ -300,11 +298,8 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
 
     for bd in bds:
         if bd.chern > top_chern:
-            n = len(bases[bd])
-            for i in range(n):
-                vec = [_ZERO] * n
-                vec[i] = Fraction(1)
-                spans[bd].add(vec)
+            for i in range(len(bases[bd])):
+                spans[bd].add({i: Fraction(1)})
 
     # multiplication by the generators keeps the subspace an ideal; the
     # diagonal f acts through its two bihomogeneous parts f_alpha and f_beta
@@ -328,16 +323,16 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
                 continue
             basis = bases[bd]
             for row in span.vectors():
-                elem = Element(g, {mono: c for mono, c in zip(basis, row) if c})
+                elem = Element(g, {basis[j]: c for j, c in row.items()})
                 for fn, (dc, dch) in maps:
                     target = (bd.coh + dc, bd.chern + dch)
-                    if target not in spans:
+                    # a full span rejects every add
+                    if target not in spans or spans[target].rank == len(bases[target]):
                         continue
                     img = fn(elem)
                     if img.is_zero():
                         continue
-                    vec = slice_vector(img, indexes[target], len(bases[target]))
-                    if spans[target].add(vec):
+                    if spans[target].add(slice_vector(img, indexes[target])):
                         changed = True
         if changed:
             stable_count = 0

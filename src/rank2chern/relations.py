@@ -32,8 +32,6 @@ from .integral import IntegralConfig, pairing_matrix
 from .linalg import QMatrix, RowSpan, row_reduce
 from .series import InvariantPoly, phi_series
 
-_ZERO = Fraction(0)
-
 
 class VerificationError(RuntimeError):
     """Two routes to the same exact object disagree."""
@@ -69,15 +67,12 @@ def prim_basis(g: int, l: int):
     cod = exterior_basis(g, 2 * g - l + 2)
     cod_index = {m: j for j, m in enumerate(cod)}
     power = theta_power(g, g - l + 1)
-    rows = []
-    for mask in dom:
+    rows = [{} for _ in cod]  # the matrix of x -> x * power, dom -> cod
+    for j, mask in enumerate(dom):
         image = Element.monomial(g, 0, 0, mask) * power
-        row = [_ZERO] * len(cod)
         for (_, _, m), c in image.terms.items():
-            row[cod_index[m]] = c
-        rows.append(row)
-    matrix = QMatrix.from_rows(rows, cols=len(cod)).transpose()
-    _, kernel = row_reduce(matrix)
+            rows[cod_index[m]][j] = c
+    _, kernel = row_reduce(QMatrix(len(dom), rows))
     basis = []
     for vec in kernel:
         basis.append(Element(g, {(0, 0, mask): v for mask, v in zip(dom, vec) if v}))
@@ -212,12 +207,10 @@ def rel_generator(k: int, m: int, sig: Element, g: int) -> Element:
 # ideal slices and dimension tables
 
 
-def slice_vector(x: Element, basis_index: dict, ncols: int):
-    """Coordinates of a homogeneous element over an indexed monomial basis."""
-    vec = [_ZERO] * ncols
-    for mono, c in x.terms.items():
-        vec[basis_index[mono]] = c
-    return vec
+def slice_vector(x: Element, basis_index: dict) -> dict:
+    """Sparse coordinates {index: coeff} of a homogeneous element over an
+    indexed monomial basis."""
+    return {basis_index[mono]: c for mono, c in x.terms.items()}
 
 
 def ideal_slice_keys(g: int, d: int, bd):
@@ -262,8 +255,7 @@ def ideal_slice(g: int, d: int, bd, check_independent: bool = True):
     if check_independent and elements:
         basis = monomial_basis(g, bd)
         index = {mono: i for i, mono in enumerate(basis)}
-        rows = [slice_vector(x, index, len(basis)) for x in elements]
-        rk, _ = row_reduce(QMatrix.from_rows(rows, cols=len(basis)))
+        rk, _ = row_reduce(QMatrix(len(basis), [slice_vector(x, index) for x in elements]))
         if rk != len(elements):
             raise VerificationError(f"relation family dependent at g={g}, d={d}, bd={bd}")
     return elements
@@ -395,12 +387,7 @@ def pairing_kernel_matches_ideal(g: int, bd, cfg: IntegralConfig = None) -> bool
     if len(elements) != len(basis) - rk:
         return False
     transpose = matrix.transpose()
-    for x in elements:
-        vec = slice_vector(x, index, len(basis))
-        image = transpose.mul_vector(vec)
-        if any(image):
-            return False
-    return True
+    return not any(transpose.mul_vector(slice_vector(x, index)) for x in elements)
 
 
 def ideal_multiplicative_closure_holds(g: int, d: int, max_coh: int = None) -> bool:
@@ -424,11 +411,11 @@ def ideal_multiplicative_closure_holds(g: int, d: int, max_coh: int = None) -> b
             index = {mono: i for i, mono in enumerate(basis)}
             span = RowSpan(len(basis))
             for y in ideal_slice(g, d, target, check_independent=False):
-                span.add(slice_vector(y, index, len(basis)))
+                span.add(slice_vector(y, index))
             for x in elements:
                 prod = gen * x
                 if prod.is_zero():
                     continue
-                if not span.contains(slice_vector(prod, index, len(basis))):
+                if not span.contains(slice_vector(prod, index)):
                     return False
     return True

@@ -176,6 +176,7 @@ def test_verify_scale_invariance(capsys):
         "verify --suite pairing --genus 2 --max-coh 4",
         "verify --suite closure --genus 2 --max-coh 4",
         "verify --suite genfun --max-coh 4",
+        "verify --suite sl2 --genus 2 --d 1 --normalization 7/3",
         "genfun --check symmetry --d 3",
         "genfun --formula stack --d 1 --expand 4",
         "genfun --formula rank3 --d 1 --check tminus1",

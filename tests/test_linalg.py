@@ -1,18 +1,101 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rank2chern.linalg import QMatrix, RowSpan, row_reduce
+
+SPARSE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _dense_row_reduce(rows, ncols):
+    """Reference oracle: dense pivoted Gauss-Jordan on lists of Fractions.
+
+    Returns (rank, kernel, rref) with the kernel in the format of
+    `row_reduce` and rref the nonzero rows of the reduced echelon form.
+    """
+    rows = [[F(x) for x in row] for row in rows]
+    pivots = []  # pivot column of row r, in order
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        pr = rows[r]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        pivots.append(c)
+        r += 1
+    kernel = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[free] = F(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -rows[ri][free]
+        kernel.append(tuple(v))
+    return len(pivots), kernel, rows[: len(pivots)]
+
+
+def _sparse(dense_row):
+    return {j: F(x) for j, x in enumerate(dense_row) if x}
+
+
+def _dense(sparse_row, ncols):
+    return [sparse_row.get(j, F(0)) for j in range(ncols)]
+
+
+def _matrix(dense_rows, ncols=None):
+    if ncols is None:
+        ncols = len(dense_rows[0])
+    return QMatrix(ncols, [_sparse(row) for row in dense_rows])
+
+
+FRACTIONS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(ncols, rows): sparse rational rows with zero rows, repeated and
+    proportional rows, non-unit leads and empty shapes."""
+    ncols = draw(st.integers(0, 7))
+    columns = st.integers(0, max(ncols - 1, 0))
+    rows = [
+        draw(st.dictionaries(columns, FRACTIONS, max_size=ncols)) if ncols else {}
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            f = draw(FRACTIONS.filter(bool))
+            rows.append({j: f * x for j, x in draw(st.sampled_from(rows)).items()})
+        else:
+            rows.append({})
+    return ncols, draw(st.permutations(rows))
 
 
 def test_identity_has_full_rank_empty_kernel():
-    m = QMatrix.from_rows([[1, 0], [0, 1]])
+    m = _matrix([[1, 0], [0, 1]])
     rank, kernel = row_reduce(m)
     assert rank == 2
     assert kernel == []
 
 
 def test_proportional_rows():
-    m = QMatrix.from_rows([[1, 1], [2, 2]])
+    m = _matrix([[1, 1], [2, 2]])
     rank, kernel = row_reduce(m)
     assert rank == 1
     assert kernel == [(F(-1), F(1))]
@@ -34,21 +117,35 @@ def test_pairing_line_kernel():
     assert rank == 1
     assert len(kernel) == len(basis) - 1
     rel = Element.alpha(2) * Element.beta(2) + gamma(2)
-    vec = [rel.terms.get(mono, F(0)) for mono in basis]
-    assert m.mul_vector(vec) == [F(0)]
+    vec = {j: rel.terms[mono] for j, mono in enumerate(basis) if mono in rel.terms}
+    assert m.mul_vector(vec) == {}
 
 
 def test_empty_matrix_allowed():
-    rank, kernel = row_reduce(QMatrix(0, 3, []))
+    rank, kernel = row_reduce(QMatrix(3))
     assert rank == 0
     assert len(kernel) == 3
-    rank, kernel = row_reduce(QMatrix(2, 0, []))
+    rank, kernel = row_reduce(QMatrix(0, [{}, {}]))
     assert rank == 0
     assert kernel == []
 
 
+def test_entries_are_sparse_fractions():
+    m = QMatrix(3, [{0: 2, 1: 0, 2: F(1, 2)}])
+    assert m.data == [{0: F(2), 2: F(1, 2)}]
+    assert all(type(x) is F for x in m.data[0].values())
+    assert m.at(0, 1) == 0 and m.at(0, 2) == F(1, 2)
+    for bad in ({3: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match="outside"):
+            QMatrix(3, [bad])
+        with pytest.raises(ValueError, match="outside"):
+            RowSpan(3).add(bad)
+    with pytest.raises(ValueError, match="negative"):
+        QMatrix(-1)
+
+
 def _random_matrix(rnd, rows, cols):
-    return QMatrix.from_rows(
+    return _matrix(
         [[F(rnd.randrange(-4, 5), rnd.choice([1, 1, 2, 3])) for _ in range(cols)] for _ in range(rows)]
     )
 
@@ -67,27 +164,61 @@ def test_kernel_vectors_multiply_to_zero():
         rank, kernel = row_reduce(m)
         assert rank + len(kernel) == m.cols
         for k in kernel:
-            assert all(x == 0 for x in m.mul_vector(list(k)))
+            assert m.mul_vector(dict(enumerate(k))) == {}
 
 
 def test_rank_invariant_under_row_permutation_and_scaling():
     rnd = random.Random(56)
     for _ in range(20):
         rows = [[F(rnd.randrange(-3, 4)) for _ in range(4)] for _ in range(4)]
-        base = row_reduce(QMatrix.from_rows(rows))[0]
+        base = row_reduce(_matrix(rows))[0]
         perm = rows[:]
         rnd.shuffle(perm)
-        assert row_reduce(QMatrix.from_rows(perm))[0] == base
+        assert row_reduce(_matrix(perm))[0] == base
         factors = [F(rnd.choice([1, 2, -3, 5])) for _ in rows]
         scaled = [[f * x for x in row] for f, row in zip(factors, rows)]
-        assert row_reduce(QMatrix.from_rows(scaled))[0] == base
+        assert row_reduce(_matrix(scaled))[0] == base
+
+
+@SPARSE
+@given(shape_rows=sparse_matrices())
+def test_row_reduce_matches_dense_oracle(shape_rows):
+    ncols, rows = shape_rows
+    dense = [_dense(row, ncols) for row in rows]
+    rank, kernel, _ = _dense_row_reduce(dense, ncols)
+    m = QMatrix(ncols, rows)
+    assert (m.rows, m.cols) == (len(rows), ncols)
+    assert row_reduce(m) == (rank, kernel)
+    assert m.transpose().transpose() == m
+
+
+@SPARSE
+@given(shape_rows=sparse_matrices(), data=st.data())
+def test_row_span_matches_dense_oracle(shape_rows, data):
+    ncols, rows = shape_rows
+    span = RowSpan(ncols)
+    seen = []
+    for row in rows:
+        before = _dense_row_reduce(seen, ncols)[0]
+        seen.append(_dense(row, ncols))
+        rank, _, rref = _dense_row_reduce(seen, ncols)
+        assert span.add(row) == (rank > before)
+        assert span.rank == rank
+        assert span.vectors() == [_sparse(r) for r in rref]
+        probe = data.draw(st.sampled_from(rows)) if data.draw(st.booleans()) else {}
+        if ncols and data.draw(st.booleans()):
+            probe = dict(probe)
+            probe[data.draw(st.integers(0, ncols - 1))] = data.draw(FRACTIONS)
+        grown = _dense_row_reduce(seen + [_dense(probe, ncols)], ncols)[0]
+        assert span.contains(probe) == (grown == rank)
 
 
 def test_row_span_membership_and_rank():
     span = RowSpan(3)
-    assert span.add([F(1), F(2), F(0)])
-    assert not span.add([F(2), F(4), F(0)])
-    assert span.add([F(0), F(1), F(1)])
+    assert span.add({0: F(1), 1: F(2)})
+    assert not span.add({0: F(2), 1: F(4)})
+    assert span.add({1: F(1), 2: F(1)})
     assert span.rank == 2
-    assert span.contains([F(1), F(3), F(1)])
-    assert not span.contains([F(0), F(0), F(1)])
+    assert span.contains({0: F(1), 1: F(3), 2: F(1)})
+    assert not span.contains({2: F(1)})
+    assert span.vectors() == [{0: F(1), 2: F(-2)}, {1: F(1), 2: F(1)}]

@@ -217,5 +217,5 @@ def test_closure_preserves_d_ideal():
                     index = {mono: i for i, mono in enumerate(basis)}
                     span = RowSpan(len(basis))
                     for y in ideal_slice(g, d, target, check_independent=False):
-                        span.add(slice_vector(y, index, len(basis)))
-                    assert span.contains(slice_vector(img, index, len(basis)))
+                        span.add(slice_vector(y, index))
+                    assert span.contains(slice_vector(img, index))

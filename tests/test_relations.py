@@ -217,9 +217,9 @@ def test_ideal_slice_examples():
 
     span = RowSpan(len(basis))
     for x in s64:
-        span.add(slice_vector(x, index, len(basis)))
+        span.add(slice_vector(x, index))
     rel = 2 * (Element.alpha(g) * Element.beta(g)) + 2 * gamma(g)
-    assert span.contains(slice_vector(rel, index, len(basis)))
+    assert span.contains(slice_vector(rel, index))
     assert len(basis) - span.rank == 1  # gr-dimension drops to 1
 
     assert ideal_slice(g, 1, (4, 4)) == []
