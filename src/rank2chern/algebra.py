@@ -214,10 +214,6 @@ class Element(Sparse):
     # constructors
 
     @classmethod
-    def scalar(cls, g: int, c) -> "Element":
-        return cls(g, {(0, 0, 0): Fraction(c)})
-
-    @classmethod
     def alpha(cls, g: int) -> "Element":
         return cls(g, {(1, 0, 0): _ONE})
 
@@ -396,24 +392,7 @@ def monomial_basis(g: int, bd) -> list:
 def chern_filter_basis(g: int, coh: int, ell: int) -> list:
     """All monomials of cohomological degree ``coh`` and Chern degree <= ell."""
     check_genus(g)
-    out = []
-    if coh < 0:
-        return out
-    for s in range(0, min(2 * g, coh // 3) + 1):
-        rem = coh - 3 * s
-        if rem < 0 or rem % 2:
-            continue
-        for b in range(rem // 4 + 1):
-            a2 = rem - 4 * b
-            a = a2 // 2
-            if a2 % 2:
-                continue
-            if 2 * (a + b + s) > ell:
-                continue
-            for combo in itertools.combinations(range(2 * g), s):
-                out.append((a, b, mask_of(i + 1 for i in combo)))
-    out.sort()
-    return out
+    return sorted(m for chern in range(0, ell + 1, 2) for m in monomial_basis(g, (coh, chern)))
 
 
 def bidegree_cone(g: int, max_coh: int):
@@ -436,11 +415,10 @@ def theta(g: int) -> Element:
 
 @lru_cache(maxsize=None)
 def theta_power(g: int, c: int) -> Element:
+    """theta^c = (-1)^c gamma^c."""
     if c < 0:
         raise ValueError("negative theta power")
-    if c == 0:
-        return Element.one(g)
-    return theta_power(g, c - 1) * theta(g)
+    return -gamma_power(g, c) if c % 2 else gamma_power(g, c)
 
 
 def exterior_basis(g: int, degree: int) -> list:
@@ -500,7 +478,7 @@ def parse_element(text: str, g: int) -> Element:
             return
         if coeff is None and not factors:
             raise ElementParseError("empty term")
-        term = Element.scalar(g, (coeff if coeff is not None else _ONE) * sign)
+        term = Element.one(g).scale((coeff if coeff is not None else _ONE) * sign)
         for name, exp in factors:
             if name == "alpha":
                 base = Element.alpha(g)
@@ -550,10 +528,6 @@ def parse_element(text: str, g: int) -> Element:
     return result
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_element(x: Element) -> str:
     """Deterministic rendering in the element grammar."""
     if not x.terms:
@@ -569,7 +543,7 @@ def format_element(x: Element) -> str:
             factors.append(f"psi{i}")
         mag = abs(c)
         if mag != 1 or not factors:
-            factors.insert(0, _format_coeff(mag))
+            factors.insert(0, str(mag))
         body = " ".join(factors)
         if not parts:
             parts.append(("-" if c < 0 else "") + body)

@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, d_flag=True, max_coh=True, norm=True, fmt=True):
+    # only omega and genfun have a CSV renderer
+    def common(p, d_flag=True, max_coh=True, norm=True, formats=("json", "text")):
         p.add_argument("--genus", type=int, default=2, help="curve genus, 2..8")
         if d_flag:
             p.add_argument("--d", type=int, default=0, help="destabilizing degree bound")
@@ -68,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="nonzero rational normalization B of the base integral (default 1)",
             )
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
 
     p_omega = sub.add_parser("omega", help="emit a refined dimension table")
-    common(p_omega)
+    common(p_omega, formats=("json", "csv", "text"))
     p_omega.add_argument(
         "--route",
         choices=("ideal", "pairing", "closed"),
@@ -81,14 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_int = sub.add_parser("integral", help="graded integral of an element")
-    common(p_int, d_flag=False, max_coh=False, fmt=False)
+    common(p_int, d_flag=False, max_coh=False, formats=())
     p_int.add_argument("element", help="element in the text grammar, e.g. 'gamma'")
 
     p_rel = sub.add_parser("relations", help="dump relation-ideal slices")
     common(p_rel)
 
     p_sl2 = sub.add_parser("sl2", help="operator checks")
-    common(p_sl2, fmt=True)
+    common(p_sl2)
     p_sl2.add_argument(
         "--check",
         choices=("relations", "adjoint", "descent", "closure"),
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_gen = sub.add_parser("genfun", help="generating-series identities")
-    common(p_gen, max_coh=False, norm=False)
+    common(p_gen, max_coh=False, norm=False, formats=("json", "csv", "text"))
     p_gen.add_argument(
         "--formula", choices=("stack", "n21", "intermediate", "rank3"), default="n21"
     )
@@ -161,6 +162,13 @@ def _usage_error(args):
     # only the d = 0 adjointness check of the sl2 suite reads B
     if path == "verify --suite sl2" and args.d and args.normalization is not None:
         return f"--normalization does not apply to {path} with --d {args.d}"
+    if args.command == "genfun" and args.check is not None:
+        applies = _genfun_checks(args)
+        where = f"{path} --d {args.d}" if args.d else path
+        if not applies:
+            return f"no --check applies to {where}"
+        if args.check not in (*applies, "all"):
+            return f"--check {args.check} does not apply to {where}"
     return None
 
 
@@ -205,7 +213,7 @@ def _cmd_relations(args, out) -> int:
     max_coh = args.max_coh if args.max_coh is not None else default_max_coh(g, d)
     slices = []
     for bd in bidegree_cone(g, max_coh):
-        elements = ideal_slice(g, d, bd, check_independent=False)
+        elements = ideal_slice(g, d, bd)
         if elements:
             slices.append((tuple(bd), [format_element(x) for x in elements]))
     if args.format == "json":
@@ -257,37 +265,43 @@ def _genfun_formula(args):
     return gf.omega_rank3(args.genus), 3
 
 
+def _genfun_checks(args) -> dict:
+    """{name: check} for the identities that concern the chosen formula.
+
+    The intermediate series is the n21 closed form at --d 0; none of the
+    checks is about it at --d >= 1.
+    """
+    g = args.genus
+    formula = "n21" if args.formula == "intermediate" and not args.d else args.formula
+    if formula == "intermediate":
+        return {}
+    checks = {"symmetry": lambda: gf.check_shift_symmetry(*_genfun_formula(args), g)}
+    if formula == "stack":
+        checks["tminus1"] = lambda: gf.stack_t_minus_one_matches(args.rank, g)
+    elif formula == "rank3":
+        checks["tminus1"] = lambda: gf.rank3_t_minus_one_matches(g)
+    else:
+        checks["tminus1"] = lambda: gf.closed_form_t_minus_one_matches(g)
+        checks["unimodal"] = lambda: gf.check_unimodality(g)
+        checks["zagier"] = lambda: (
+            gf.zagier_combinatorial_omega(g).terms == gf.omega_closed_polynomial(g).terms
+        )
+    return checks
+
+
 def _cmd_genfun(args, out) -> int:
     g = args.genus
-    formula, rank = _genfun_formula(args)
     rows = []
     ok = True
     if args.check is not None:
-        checks = (
-            ["symmetry", "tminus1", "unimodal", "zagier"] if args.check == "all" else [args.check]
-        )
-        for name in checks:
-            if name == "symmetry":
-                result = gf.check_shift_symmetry(formula, rank, g)
-            elif name == "tminus1":
-                if args.formula == "stack":
-                    result = gf.stack_t_minus_one_matches(args.rank, g)
-                elif args.formula == "rank3":
-                    result = gf.rank3_t_minus_one_matches(g)
-                else:
-                    result = gf.closed_form_t_minus_one_matches(g)
-            elif name == "unimodal":
-                result = gf.check_unimodality(g)
-            else:
-                result = (
-                    gf.zagier_combinatorial_omega(g).terms
-                    == gf.omega_closed_polynomial(g).terms
-                )
+        checks = _genfun_checks(args)
+        for name in checks if args.check == "all" else [args.check]:
+            result = checks[name]()
             ok = ok and result
             rows.append({"check": name, "formula": args.formula, "genus": g,
                          "d": args.d, "pass": result})
     if args.expand is not None:
-        series = formula.series_coefficients(args.expand)
+        series = _genfun_formula(args)[0].series_coefficients(args.expand)
         expansion = [
             {"qExp": i, "tExp": j, "coeff": str(v)} for (i, j), v in sorted(series.terms.items())
         ]

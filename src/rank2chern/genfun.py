@@ -173,16 +173,10 @@ class BiRational:
         return BiRational(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
-        if isinstance(other, BiPoly):
-            other = BiRational(other)
-        if self.den.terms == other.den.terms:
-            return BiRational(self.num - other.num, self.den)
-        return BiRational(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiRational(self.num * other, self.den)
-        if isinstance(other, BiPoly):
+        if isinstance(other, (int, Fraction, BiPoly)):
             return BiRational(self.num * other, self.den)
         return BiRational(self.num * other.num, self.den * other.den)
 
@@ -219,10 +213,6 @@ class BiRational:
 
     def subst_q_equals_t(self) -> "BiRational":
         return BiRational(self.num.subst_q_equals_t(), self.den.subst_q_equals_t())
-
-    def as_polynomial(self) -> BiPoly:
-        """Exact quotient; raises when the function is not a polynomial."""
-        return self.num.divide_exact(self.den)
 
     def series_coefficients(self, max_total: int) -> BiPoly:
         """Power series expansion up to total degree max_total.

@@ -50,9 +50,7 @@ def _virasoro_line(g: int):
     check_genus(g)
     vals = [Fraction(1)]
     for p in range(g - 1):
-        den = 2 * (g - 1 - p)
-        assert den != 0
-        vals.append(Fraction(-(g - p), den) * vals[-1])
+        vals.append(Fraction(-(g - p), 2 * (g - 1 - p)) * vals[-1])
     return tuple(vals)
 
 

@@ -7,12 +7,13 @@ one and c = g + 2d - 1:
     e = v,   h = 2 v d_v + N - c,   f = -v d_v^2 + c d_v - d_v N - (w/4) L,
 
 where N counts psi factors and L = sum_i d_psi_i d_psi_{i+g} is the pair
-Laplacian.  The two families commute; their diagonal sum has h equal to the
-shifted Chern grading.  Commutators, adjointness against the graded
-pairing, the descent identities on relation generators, and the f-closure
-reconstruction of the relation ideal are all checked extensionally on
-monomial slices: slices are small and the arithmetic is exact, so no
-operator normal form is needed.
+Laplacian.  e adds the bidegree of v, f subtracts it and h keeps it; each
+Operator carries that shift.  The two families commute; their diagonal sum
+has h equal to the shifted Chern grading.  Commutators, adjointness against
+the graded pairing, the descent identities on relation generators, and the
+f-closure reconstruction of the relation ideal are all checked
+extensionally on monomial slices: slices are small and the arithmetic is
+exact, so no operator normal form is needed.
 """
 
 from __future__ import annotations
@@ -31,18 +32,23 @@ from .algebra import (
 )
 from .integral import IntegralConfig, graded_pairing, top_bidegree
 from .linalg import RowSpan
-from .relations import ideal_slice, prim_basis, rel_generator_poly, slice_vector
+from .relations import ideal_slice_keys, prim_basis, rel_generator_poly, report, slice_vector
 
 
 class Operator:
-    """Linear operator on elements of a fixed-genus descendent algebra."""
+    """Linear operator on elements of a fixed-genus descendent algebra.
 
-    __slots__ = ("g", "_fn")
+    ``shift`` is the (coh, chern) bidegree it adds to every homogeneous
+    element, or None when it is not bihomogeneous.
+    """
 
-    def __init__(self, g: int, fn):
+    __slots__ = ("g", "_fn", "shift")
+
+    def __init__(self, g: int, fn, shift):
         check_genus(g)
         self.g = g
         self._fn = fn
+        self.shift = shift
 
     def __call__(self, x: Element) -> Element:
         if x.g != self.g:
@@ -64,7 +70,8 @@ def pair_laplacian(x: Element) -> Element:
 
 
 def _triple(family: str, d: int, g: int):
-    """(e, h, f) of the alpha or beta family as functions of an element."""
+    """(e, h, f) of the alpha or beta family; e shifts the bidegree by that
+    of the family's variable, f by minus it and h not at all."""
     if family == "alpha":
         var, other, d_var = Element.alpha(g), Element.beta(g), d_alpha
     elif family == "beta":
@@ -89,63 +96,31 @@ def _triple(family: str, d: int, g: int):
             + minus_quarter_other * pair_laplacian(x)
         )
 
-    return e, h, f
+    coh, chern = var.bidegree()
+    return Operator(g, e, (coh, chern)), Operator(g, h, (0, 0)), Operator(g, f, (-coh, -chern))
 
 
 def make_sl2(family: str, d: int, g: int):
     """The (e, h, f) triple for the alpha, beta, or diagonal family.
 
     The parameter d >= 0 replaces the constant g-1 by g+2d-1; the diagonal
-    family is the componentwise sum of the alpha and beta families.
+    family is the componentwise sum of the alpha and beta families, so only
+    its h is bihomogeneous (the parts of e and f shift differently).
     """
     check_genus(g)
     if d < 0:
         raise ValueError("d must be >= 0")
-    if family == "diagonal":
-        pairs = zip(_triple("alpha", d, g), _triple("beta", d, g))
-        fns = [lambda x, a=a, b=b: a(x) + b(x) for a, b in pairs]
-    else:
-        fns = _triple(family, d, g)
-    return tuple(Operator(g, fn) for fn in fns)
-
-
-def operator_bidegree_shift(family: str, name: str):
-    """(coh, chern) shift of the named triple member.
-
-    The e and f operators of the beta family move cohomological degree by
-    4, not 2; only the Chern shift is the same for both families.
-    """
-    shifts = {
-        ("alpha", "e"): (2, 2),
-        ("alpha", "h"): (0, 0),
-        ("alpha", "f"): (-2, -2),
-        ("beta", "e"): (4, 2),
-        ("beta", "h"): (0, 0),
-        ("beta", "f"): (-4, -2),
-    }
-    return shifts[(family, name)]
+    if family != "diagonal":
+        return _triple(family, d, g)
+    pairs = zip(_triple("alpha", d, g), _triple("beta", d, g))
+    return tuple(
+        Operator(g, lambda x, a=a, b=b: a(x) + b(x), a.shift if a.shift == b.shift else None)
+        for a, b in pairs
+    )
 
 
 # ----------------------------------------------------------------------
 # extensional checks
-
-
-def _monomials_up_to(g: int, max_coh: int):
-    out = []
-    for bd in bidegree_cone(g, max_coh):
-        out.extend(monomial_basis(g, bd))
-    return out
-
-
-def _report(check: str, g: int, d: int, cases: int, failures: list) -> dict:
-    return {
-        "check": check,
-        "genus": g,
-        "d": d,
-        "cases": cases,
-        "pass": cases > 0 and not failures,
-        "failures": failures[:10],
-    }
 
 
 def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
@@ -157,7 +132,7 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
     failures = []
     cases = 0
-    for mono in _monomials_up_to(g, max_coh):
+    for mono in (m for bd in bidegree_cone(g, max_coh) for m in monomial_basis(g, bd)):
         x = Element.monomial(g, *mono)
         img = {name: op(x) for name, op in ops.items()}
 
@@ -176,19 +151,22 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
             cases += 1
             if residual:
                 failures.append({"where": f"{label} on {x}", "expected": "0", "got": str(residual)})
-    return _report("relations", g, d, cases, failures)
+    return report("check", "relations", g, d, cases, failures)
 
 
 def operator_adjointness_failures(
-    F: Operator, sign: int, shift, g: int, cfg: IntegralConfig, limit: int = 10
+    F: Operator, sign: int, g: int, cfg: IntegralConfig, limit: int = 10
 ):
     """Witnesses against <F(D), D'> = sign * <D, F(D')> over all
     complementary monomial pairs around the top bidegree."""
+    if F.shift is None:
+        raise ValueError("adjointness needs a bihomogeneous operator")
     top_c, top_ch = top_bidegree(g)
+    dc, dch = F.shift
     failures = []
     cases = 0
     for bd in bidegree_cone(g, 6 * g - 6):
-        comp = (top_c - bd.coh - shift[0], top_ch - bd.chern - shift[1])
+        comp = (top_c - bd.coh - dc, top_ch - bd.chern - dch)
         left = monomial_basis(g, bd)
         right = monomial_basis(g, comp)
         if not left or not right:
@@ -218,22 +196,22 @@ def check_adjointness(g: int, cfg: IntegralConfig = None) -> dict:
     ea, ha, fa = make_sl2("alpha", 0, g)
     eb, hb, fb = make_sl2("beta", 0, g)
     plan = [
-        ("e_alpha", ea, 1, operator_bidegree_shift("alpha", "e")),
-        ("e_beta", eb, 1, operator_bidegree_shift("beta", "e")),
-        ("f_alpha", fa, 1, operator_bidegree_shift("alpha", "f")),
-        ("f_beta", fb, 1, operator_bidegree_shift("beta", "f")),
-        ("h_alpha", ha, -1, operator_bidegree_shift("alpha", "h")),
-        ("h_beta", hb, -1, operator_bidegree_shift("beta", "h")),
+        ("e_alpha", ea, 1),
+        ("e_beta", eb, 1),
+        ("f_alpha", fa, 1),
+        ("f_beta", fb, 1),
+        ("h_alpha", ha, -1),
+        ("h_beta", hb, -1),
     ]
     cases = 0
     failures = []
-    for name, op, sign, shift in plan:
-        n, fails = operator_adjointness_failures(op, sign, shift, g, cfg)
+    for name, op, sign in plan:
+        n, fails = operator_adjointness_failures(op, sign, g, cfg)
         cases += n
         for f in fails:
             f["where"] = f"{name}: " + f["where"]
         failures.extend(fails)
-    return _report("adjoint", g, 0, cases, failures)
+    return report("check", "adjoint", g, 0, cases, failures)
 
 
 def check_descent(g: int, d: int, k_max: int = None) -> dict:
@@ -270,7 +248,7 @@ def check_descent(g: int, d: int, k_max: int = None) -> dict:
                                     "got": str(lhs),
                                 }
                             )
-    return _report("descent", g, d, cases, failures)
+    return report("check", "descent", g, d, cases, failures)
 
 
 # ----------------------------------------------------------------------
@@ -305,14 +283,11 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
     # diagonal f acts through its two bihomogeneous parts f_alpha and f_beta
     ea, _, fa = make_sl2("alpha", 0, g)
     eb, _, fb = make_sl2("beta", 0, g)
-    shift = operator_bidegree_shift
-    maps = [(ea, shift("alpha", "e")), (eb, shift("beta", "e"))]
-    maps += [(lambda x, p=Element.psi(g, i): p * x, (3, 2)) for i in range(1, 2 * g + 1)]
-    maps += [(fa, shift("alpha", "f")), (fb, shift("beta", "f"))]
+    psis = [Element.psi(g, i) for i in range(1, 2 * g + 1)]
+    maps = [ea, eb] + [Operator(g, lambda x, p=p: p * x, p.bidegree()) for p in psis] + [fa, fb]
 
     order = sorted(bds, key=lambda bd: (-bd.chern, -bd.coh))
     sweeps = 0
-    stable_count = 0
     converged = False
     while sweeps < max_sweeps:
         sweeps += 1
@@ -324,23 +299,20 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
             basis = bases[bd]
             for row in span.vectors():
                 elem = Element(g, {basis[j]: c for j, c in row.items()})
-                for fn, (dc, dch) in maps:
-                    target = (bd.coh + dc, bd.chern + dch)
+                for op in maps:
+                    target = (bd.coh + op.shift[0], bd.chern + op.shift[1])
                     # a full span rejects every add
                     if target not in spans or spans[target].rank == len(bases[target]):
                         continue
-                    img = fn(elem)
+                    img = op(elem)
                     if img.is_zero():
                         continue
                     if spans[target].add(slice_vector(img, indexes[target])):
                         changed = True
-        if changed:
-            stable_count = 0
-        else:
-            stable_count += 1
-            if stable_count >= 2:
-                converged = True
-                break
+        # a sweep that adds nothing leaves every span as it was: a fixpoint
+        if not changed:
+            converged = True
+            break
     dims = {
         tuple(bd): spans[bd].rank
         for bd in bds
@@ -354,7 +326,7 @@ def check_closure(g: int, buffers=(None,)) -> dict:
     every bidegree with coh <= 6g-6, across the given buffer sweep."""
     ideal_dims = {}
     for bd in bidegree_cone(g, 6 * g - 6):
-        n = len(ideal_slice(g, 0, bd, check_independent=False))
+        n = len(ideal_slice_keys(g, 0, bd))
         if n:
             ideal_dims[tuple(bd)] = n
     cases = 0
@@ -383,7 +355,7 @@ def check_closure(g: int, buffers=(None,)) -> dict:
                         "got": str(got),
                     }
                 )
-    return _report("closure", g, 0, cases, failures)
+    return report("check", "closure", g, 0, cases, failures)
 
 
 def invariant_subring_identities_hold(g: int) -> bool:
@@ -394,9 +366,7 @@ def invariant_subring_identities_hold(g: int) -> bool:
         for a in range(3):
             for b in range(3):
                 x = Element.monomial(g, a, b, 0) * gamma_power(g, c)
-                lhs_n = psi_number(x)
-                rhs_n = (Element.monomial(g, a, b, 0) * gamma_power(g, c)).scale(2 * c)
-                if lhs_n != rhs_n:
+                if psi_number(x) != x.scale(2 * c):
                     return False
                 lhs_l = pair_laplacian(x)
                 rhs_l = Element.zero(g)

@@ -37,15 +37,27 @@ class VerificationError(RuntimeError):
     """Two routes to the same exact object disagree."""
 
 
+def report(kind: str, name: str, genus: int, d: int, cases: int, failures: list) -> dict:
+    """The verdict of a check (kind "check") or a suite (kind "suite").
+
+    It passes only when it ran at least one case and none failed; the first
+    ten failures are kept as witnesses.
+    """
+    return {
+        kind: name,
+        "genus": genus,
+        "d": d,
+        "cases": cases,
+        "pass": cases > 0 and not failures,
+        "failures": failures[:10],
+    }
+
+
 def _falling(x: int, j: int) -> int:
     out = 1
     for t in range(j):
         out *= x - t
     return out
-
-
-def _two_power(e: int) -> Fraction:
-    return Fraction(2**e) if e >= 0 else Fraction(1, 2**(-e))
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +130,7 @@ def mumford_relation(d: int, k: int, m: int, sig: Element, g: int) -> Element:
         for s in range(min(m - j, (n - 3 * j) // 2) + 1):
             w = weight * math.comb(m - j, s) * (-1) ** s
             coeff = coeff + phi[n - 3 * j - 2 * s] * InvariantPoly.monomial(g, 0, s, j, w)
-    scalar = _two_power(2 * g - m - k) * (-1) ** l
+    scalar = Fraction(2) ** (2 * g - m - k) * (-1) ** l
     return coeff.embed() * sig * scalar
 
 
@@ -136,6 +148,18 @@ def modified_mumford_sum(d: int, k: int, m: int, sig: Element, g: int) -> Elemen
     return out
 
 
+def _generator_terms(g: int, k: int, m: int, l: int):
+    """(a, b, c, (g-l-c)! 2^c / (b! c!)) over b + c = m, a + b + 2c = k-g-l,
+    a >= 0: the index set shared by R_{k,m,l} and the closed modified
+    relation.  Empty when m < 0."""
+    for c in range(m + 1):
+        b = m - c
+        a = k - g - l - b - 2 * c
+        if a >= 0:
+            w = Fraction(math.factorial(g - l - c) * 2**c, math.factorial(b) * math.factorial(c))
+            yield a, b, c, w
+
+
 def modified_mumford_closed(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """Modified relation from its closed form
 
@@ -145,18 +169,10 @@ def modified_mumford_closed(d: int, k: int, m: int, sig: Element, g: int) -> Ele
     l = _sig_degree(sig)
     if l + m > g:
         raise ValueError("need l + m <= g")
-    n_max = k - g - l
     poly = InvariantPoly.zero(g)
-    if n_max >= 0:
-        phi = phi_series(d, g, n_max)
-        for c in range(m + 1):
-            b = m - c
-            a = k - g - l - b - 2 * c
-            if a < 0:
-                continue
-            w = Fraction(math.factorial(g - l - c) * 2**c, math.factorial(b) * math.factorial(c))
-            poly = poly + (phi[a] * InvariantPoly.monomial(g, 0, b, c, w))
-    scalar = _two_power(2 * g - m - k) * Fraction(math.factorial(m), math.factorial(g - l - m)) * (-1) ** l
+    for a, b, c, w in _generator_terms(g, k, m, l):
+        poly = poly + phi_series(d, g, a)[a] * InvariantPoly.monomial(g, 0, b, c, w)
+    scalar = Fraction(2) ** (2 * g - m - k) * Fraction(math.factorial(m), math.factorial(g - l - m)) * (-1) ** l
     return poly.embed() * sig * scalar
 
 
@@ -182,18 +198,8 @@ def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
     if l < 0 or l > g or l + m > g:
         raise ValueError("need 0 <= l and l + m <= g")
     out = InvariantPoly.zero(g)
-    if m < 0:
-        return out
-    for c in range(m + 1):
-        b = m - c
-        a = k - g - l - b - 2 * c
-        if a < 0:
-            continue
-        w = Fraction(
-            math.factorial(g - l - c) * 2**c,
-            math.factorial(a) * math.factorial(b) * math.factorial(c),
-        )
-        out = out + InvariantPoly.monomial(g, a, b, c, w)
+    for a, b, c, w in _generator_terms(g, k, m, l):
+        out = out + InvariantPoly.monomial(g, a, b, c, w / math.factorial(a))
     return out
 
 
@@ -238,11 +244,11 @@ def ideal_slice_keys(g: int, d: int, bd):
     return keys
 
 
-def ideal_slice(g: int, d: int, bd, check_independent: bool = True):
+def ideal_slice(g: int, d: int, bd):
     """All beta^ell R_{k,m,l} sigma landing in bidegree bd.
 
     The returned family is linearly independent (the freeness of the ideal
-    as a Q[beta]-module); this is asserted unless disabled.
+    as a Q[beta]-module); this is asserted.
     """
     check_genus(g)
     if d < 0:
@@ -252,7 +258,7 @@ def ideal_slice(g: int, d: int, bd, check_independent: bool = True):
     for ell, k, m, l, idx in ideal_slice_keys(g, d, bd):
         sig = prim_basis(g, l)[idx]
         elements.append(beta**ell * rel_generator(k, m, sig, g))
-    if check_independent and elements:
+    if elements:
         basis = monomial_basis(g, bd)
         index = {mono: i for i, mono in enumerate(basis)}
         rk, _ = row_reduce(QMatrix(len(basis), [slice_vector(x, index) for x in elements]))
@@ -397,20 +403,20 @@ def ideal_multiplicative_closure_holds(g: int, d: int, max_coh: int = None) -> b
     if max_coh is None:
         max_coh = default_max_coh(g, d)
     gens = [Element.alpha(g), Element.beta(g)] + [Element.psi(g, i) for i in range(1, 2 * g + 1)]
-    shifts = [(2, 2), (4, 2)] + [(3, 2)] * (2 * g)
     for bd in bidegree_cone(g, max_coh):
         elements = ideal_slice(g, d, bd)
         if not elements:
             continue
         coh, chern = bd
-        for gen, (dc, dch) in zip(gens, shifts):
+        for gen in gens:
+            dc, dch = gen.bidegree()
             target = (coh + dc, chern + dch)
             if target[0] > max_coh:
                 continue
             basis = monomial_basis(g, target)
             index = {mono: i for i, mono in enumerate(basis)}
             span = RowSpan(len(basis))
-            for y in ideal_slice(g, d, target, check_independent=False):
+            for y in ideal_slice(g, d, target):
                 span.add(slice_vector(y, index))
             for x in elements:
                 prod = gen * x

@@ -1,6 +1,6 @@
 """Named verification suites behind the command-line `verify` subcommand.
 
-Every suite returns a report dict
+Every suite returns a ``relations.report`` dict
 
     {"suite", "genus", "d", "pass", "cases", "failures": [{"where",
      "expected", "got"}, ...]}
@@ -23,19 +23,9 @@ from .relations import (
     omega_from_ideal,
     omega_from_pairing,
     pairing_kernel_matches_ideal,
+    report,
     verify_vanishing_corollary,
 )
-
-
-def _report(suite, genus, d, cases, failures):
-    return {
-        "suite": suite,
-        "genus": genus,
-        "d": d,
-        "pass": cases > 0 and not failures,
-        "cases": cases,
-        "failures": failures[:10],
-    }
 
 
 def _table_matches_expansion(table: OmegaTable, expansion) -> list:
@@ -89,7 +79,7 @@ def suite_main(genus: int, B=Fraction(1)) -> dict:
         )
     if not verify_vanishing_corollary(table):
         failures.append({"where": "vanishing corollary", "expected": "pass", "got": "fail"})
-    return _report("main", genus, 0, cases, failures)
+    return report("suite", "main", genus, 0, cases, failures)
 
 
 def suite_intermediate(genus: int, d: int, max_coh: int = None) -> dict:
@@ -100,7 +90,7 @@ def suite_intermediate(genus: int, d: int, max_coh: int = None) -> dict:
     table = omega_from_ideal(genus, d, max_coh)
     expansion = genfun.omega_closed_form(genus, d).series_coefficients(max_coh)
     failures = _table_matches_expansion(table, expansion)
-    return _report("intermediate", genus, d, len(expansion.terms), failures)
+    return report("suite", "intermediate", genus, d, len(expansion.terms), failures)
 
 
 def suite_pairing(genus: int, B=Fraction(1)) -> dict:
@@ -126,7 +116,7 @@ def suite_pairing(genus: int, B=Fraction(1)) -> dict:
             failures.append(
                 {"where": f"kernel match at bd={tuple(bd)}", "expected": "match", "got": "mismatch"}
             )
-    return _report("pairing", genus, 0, cases, failures)
+    return report("suite", "pairing", genus, 0, cases, failures)
 
 
 def suite_sl2(genus: int, d: int = 0, max_coh: int = None, B=Fraction(1)) -> dict:
@@ -143,12 +133,12 @@ def suite_sl2(genus: int, d: int = 0, max_coh: int = None, B=Fraction(1)) -> dic
             f = dict(f)
             f["where"] = f"{rep['check']}: {f['where']}"
             failures.append(f)
-    return _report("sl2", genus, d, cases, failures)
+    return report("suite", "sl2", genus, d, cases, failures)
 
 
 def suite_closure(genus: int, buffers=(None,)) -> dict:
     rep = check_closure(genus, buffers)
-    return _report("closure", genus, 0, rep["cases"], rep["failures"])
+    return report("suite", "closure", genus, 0, rep["cases"], rep["failures"])
 
 
 def suite_genfun(max_genus: int = 8) -> dict:
@@ -203,7 +193,7 @@ def suite_genfun(max_genus: int = 8) -> dict:
             )
         for d in range(0, 3):
             note(genfun.full_stack_telescoping_qt(g, d), f"q=t stack telescoping, g={g}, d={d}")
-    return _report("genfun", 0, 0, cases, failures)
+    return report("suite", "genfun", 0, 0, cases, failures)
 
 
 SUITES = ("main", "intermediate", "sl2", "pairing", "closure", "genfun", "all")

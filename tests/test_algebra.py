@@ -250,14 +250,19 @@ def test_chern_filter_basis_examples():
     assert chern_filter_basis(2, 0, 0) == [(0, 0, 0)]
 
 
-def test_chern_filter_matches_bidegree_union():
-    g = 2
-    for coh in range(9):
-        for ell in range(0, 2 * coh + 1, 2):
-            union = []
-            for chern in range(0, ell + 1, 2):
-                union.extend(monomial_basis(g, (coh, chern)))
-            assert sorted(union) == chern_filter_basis(g, coh, ell)
+def test_chern_filter_matches_brute_force():
+    # every (a, b, psi mask) with 2a + 4b + 3s = coh, kept when 2(a + b + s) <= ell
+    for g in (2, 3):
+        for coh in range(-1, 13):
+            for ell in range(-1, 2 * coh + 2):
+                want = []
+                for mask in range(1 << (2 * g)):
+                    s = mask.bit_count()
+                    for b in range(max(coh, 0) // 4 + 1):
+                        rest = coh - 4 * b - 3 * s
+                        if rest >= 0 and rest % 2 == 0 and 2 * (rest // 2 + b + s) <= ell:
+                            want.append((rest // 2, b, mask))
+                assert chern_filter_basis(g, coh, ell) == sorted(want), (g, coh, ell)
 
 
 # ----------------------------------------------------------------------

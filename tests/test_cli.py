@@ -3,6 +3,7 @@ import json
 import pytest
 
 import rank2chern.cli as cli
+import rank2chern.relations as relations
 from rank2chern.algebra import ElementParseError
 from rank2chern.cli import main
 from rank2chern.operators import check_descent
@@ -115,12 +116,11 @@ def test_genfun_check_and_expand(capsys):
     assert out.splitlines()[0] == "qExp,tExp,coeff"
 
 
-def test_genfun_symmetry_failure_exit_1(capsys):
-    code, _ = run(
-        capsys, "genfun", "--formula", "intermediate", "--genus", "2", "--d", "1",
-        "--check", "symmetry",
-    )
+def test_genfun_symmetry_failure_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli.gf, "check_shift_symmetry", lambda *args: False)
+    code, out = run(capsys, "genfun", "--formula", "n21", "--genus", "2", "--check", "symmetry")
     assert code == 1
+    assert out == "symmetry (n21, genus 2): FAIL\n"
 
 
 def test_verify_main_suite(capsys):
@@ -180,6 +180,16 @@ def test_verify_scale_invariance(capsys):
         "genfun --check symmetry --d 3",
         "genfun --formula stack --d 1 --expand 4",
         "genfun --formula rank3 --d 1 --check tminus1",
+        "genfun --formula stack --rank 3 --check unimodal",
+        "genfun --formula stack --check zagier",
+        "genfun --formula rank3 --check unimodal",
+        "genfun --formula rank3 --check zagier",
+        "genfun --formula intermediate --d 2 --check tminus1",
+        "genfun --formula intermediate --d 2 --check symmetry",
+        "genfun --formula intermediate --d 1 --check all",
+        "relations --genus 2 --format csv",
+        "sl2 --check relations --genus 2 --format csv",
+        "verify --suite genfun --format csv",
     ],
     ids=lambda argv: argv[:60],
 )
@@ -211,6 +221,33 @@ def test_zero_case_report_fails(capsys, monkeypatch):
     code, out = run(capsys, "sl2", "--check", "descent", "--genus", "2")
     assert code == 1
     assert out.startswith("descent: genus=2 d=0 cases=0 FAIL")
+
+
+@pytest.mark.parametrize(
+    "argv,checks",
+    [
+        ("genfun --formula stack --rank 3 --check all", ["symmetry", "tminus1"]),
+        ("genfun --formula rank3 --check all", ["symmetry", "tminus1"]),
+        ("genfun --formula n21 --check all", ["symmetry", "tminus1", "unimodal", "zagier"]),
+        ("genfun --formula intermediate --check all", ["symmetry", "tminus1", "unimodal", "zagier"]),
+    ],
+)
+def test_genfun_check_all_runs_the_checks_that_apply(capsys, argv, checks):
+    code, out = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert [row["check"] for row in json.loads(out)["checks"]] == checks
+
+
+def test_dependent_relation_family_fails(capsys, monkeypatch):
+    # a primitive basis that repeats a class makes every slice using it dependent
+    original = relations.prim_basis
+    monkeypatch.setattr(relations, "prim_basis", lambda g, l: original(g, l) + original(g, l)[:1])
+    with pytest.raises(VerificationError, match="dependent"):
+        relations.ideal_slice(2, 0, (4, 4))
+    assert main(["relations", "--genus", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "relation family dependent" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from rank2chern.algebra import Element, bidegree_cone, d_alpha, d_psi, gamma, monomial_basis
 from rank2chern.integral import IntegralConfig
 from rank2chern.operators import (
@@ -12,7 +14,6 @@ from rank2chern.operators import (
     invariant_subring_identities_hold,
     make_sl2,
     operator_adjointness_failures,
-    operator_bidegree_shift,
     psi_number,
     sl2_closure,
 )
@@ -150,10 +151,36 @@ def test_adjointness_negative_control():
     # not self-adjoint for the d = 0 pairing
     g = 2
     _, _, f1 = make_sl2("alpha", 1, g)
-    _, fails = operator_adjointness_failures(
-        f1, 1, operator_bidegree_shift("alpha", "f"), g, IntegralConfig(g)
-    )
+    _, fails = operator_adjointness_failures(f1, 1, g, IntegralConfig(g))
     assert fails
+
+
+def test_adjointness_refuses_an_operator_without_a_shift():
+    # the diagonal e and f add (2, 2) on one part and (4, 2) on the other
+    e, h, f = make_sl2("diagonal", 0, 2)
+    assert (e.shift, h.shift, f.shift) == (None, (0, 0), None)
+    with pytest.raises(ValueError, match="bihomogeneous"):
+        operator_adjointness_failures(e, 1, 2, IntegralConfig(2))
+
+
+def test_members_shift_by_their_bidegree():
+    # each triple member maps every monomial of bd into bd + op.shift
+    for g in (2, 3):
+        for d in (0, 1, 2):
+            for family, (coh, chern) in (("alpha", (2, 2)), ("beta", (4, 2))):
+                e, h, f = make_sl2(family, d, g)
+                assert (e.shift, h.shift, f.shift) == ((coh, chern), (0, 0), (-coh, -chern))
+                landed = 0
+                for bd in bidegree_cone(g, 12):
+                    for mono in monomial_basis(g, bd):
+                        x = Element.monomial(g, *mono)
+                        for op in (e, h, f):
+                            img = op(x)
+                            if img:
+                                want = (bd.coh + op.shift[0], bd.chern + op.shift[1])
+                                assert img.bidegree() == want, (family, d, x, op.shift)
+                                landed += 1
+                assert landed
 
 
 def test_descent_passes():
@@ -199,6 +226,14 @@ def test_closure_membership_witnesses():
     assert (3, 2) not in result["dims"]
 
 
+def test_closure_stops_at_the_first_sweep_that_adds_nothing():
+    for g, buf in ((2, 8), (3, 8)):
+        result = sl2_closure(g, buf)
+        assert result["converged"] and result["sweeps"] == 2
+        # the sweep before the idle one still added vectors
+        assert not sl2_closure(g, buf, max_sweeps=1)["converged"]
+
+
 def test_closure_preserves_d_ideal():
     # f^d maps an ideal slice into the span of the target ideal slice
     from rank2chern.linalg import RowSpan
@@ -207,15 +242,15 @@ def test_closure_preserves_d_ideal():
         _, _, fa = make_sl2("alpha", d, g)
         _, _, fb = make_sl2("beta", d, g)
         for bd in [(2 * k, 2 * k) for k in range(g, g + 3)]:
-            for x in ideal_slice(g, d, bd, check_independent=False):
-                for op, shift in ((fa, (-2, -2)), (fb, (-4, -2))):
+            for x in ideal_slice(g, d, bd):
+                for op in (fa, fb):
                     img = op(x)
                     if img.is_zero():
                         continue
-                    target = (bd[0] + shift[0], bd[1] + shift[1])
+                    target = (bd[0] + op.shift[0], bd[1] + op.shift[1])
                     basis = monomial_basis(g, target)
                     index = {mono: i for i, mono in enumerate(basis)}
                     span = RowSpan(len(basis))
-                    for y in ideal_slice(g, d, target, check_independent=False):
+                    for y in ideal_slice(g, d, target):
                         span.add(slice_vector(y, index))
                     assert span.contains(slice_vector(img, index))

@@ -312,6 +312,17 @@ def test_omega_table_json_roundtrip():
     assert csv.splitlines()[0] == "coh,chern,dim"
 
 
+def test_report_policy():
+    # a check or suite passes only with cases and no failures; ten witnesses kept
+    failures = [{"where": str(i), "expected": "0", "got": "1"} for i in range(12)]
+    assert rel.report("check", "descent", 2, 1, 0, [])["pass"] is False
+    assert rel.report("suite", "main", 2, 0, 3, []) == {
+        "suite": "main", "genus": 2, "d": 0, "cases": 3, "pass": True, "failures": []
+    }
+    rep = rel.report("check", "relations", 3, 0, 12, failures)
+    assert rep["pass"] is False and rep["failures"] == failures[:10]
+
+
 def test_route_disagreements_raise_verification_error(monkeypatch):
     g = 2
     assert len(ideal_slice(g, 0, (4, 4))) == 1  # warms the prim_basis cache
