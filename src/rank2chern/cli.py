@@ -268,13 +268,13 @@ def _genfun_formula(args):
 def _genfun_checks(args) -> dict:
     """{name: check} for the identities that concern the chosen formula.
 
-    The intermediate series is the n21 closed form at --d 0; none of the
-    checks is about it at --d >= 1.
+    The intermediate series is the n21 closed form at --d 0; at --d >= 1
+    only its t = -1 specialization is an identity.
     """
     g = args.genus
     formula = "n21" if args.formula == "intermediate" and not args.d else args.formula
     if formula == "intermediate":
-        return {}
+        return {"tminus1": lambda: gf.closed_form_t_minus_one_matches(g, args.d)}
     checks = {"symmetry": lambda: gf.check_shift_symmetry(*_genfun_formula(args), g)}
     if formula == "stack":
         checks["tminus1"] = lambda: gf.stack_t_minus_one_matches(args.rank, g)

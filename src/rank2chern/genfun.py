@@ -358,9 +358,10 @@ def stack_t_minus_one_matches(r: int, g: int) -> bool:
     return f.num.terms == (target * f.den).terms
 
 
-def closed_form_t_minus_one_matches(g: int) -> bool:
-    """t = -1 specialization of the d = 0 closed form equals (1-q^2)^(2g-2)."""
-    f = omega_closed_form(g, 0).subst_t(-1)
+def closed_form_t_minus_one_matches(g: int, d: int = 0) -> bool:
+    """t = -1 specialization of the degree-d closed form equals
+    (1-q^2)^(2g-2), for every d >= 0."""
+    f = omega_closed_form(g, d).subst_t(-1)
     target = (BiPoly.one() - _q(2, 0)) ** (2 * g - 2)
     return f.num.terms == (target * f.den).terms
 

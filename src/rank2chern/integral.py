@@ -101,7 +101,10 @@ def pairing_matrix(g: int, bd, cfg: IntegralConfig = None) -> QMatrix:
     Rows are indexed by monomial_basis(g, bd), columns by the basis of the
     complementary bidegree; outside the cone that basis is legitimately
     empty and the matrix has zero columns.  Only nonzero pairings are
-    stored; monomials sharing a psi index pair to zero.
+    stored.  A row pairs only with the columns whose psi mask is disjoint
+    from its own and completes the union to whole pairs (i, i+g): the
+    missing halves of its broken pairs plus any set of pairs it does not
+    touch.  Those partners are the only columns visited.
     """
     if cfg is None:
         cfg = IntegralConfig(g)
@@ -110,15 +113,26 @@ def pairing_matrix(g: int, bd, cfg: IntegralConfig = None) -> QMatrix:
     coh, chern = bd
     comp = (6 * g - 6 - coh, 4 * g - 4 - chern)
     cols_basis = monomial_basis(g, comp)
+    # within one bidegree a psi mask fixes the exponents of alpha and beta
+    col_of_mask = {m2[2]: j for j, m2 in enumerate(cols_basis)}
+    low = (1 << g) - 1
     data = []
     for m1 in monomial_basis(g, bd):
+        lower, upper = m1[2] & low, m1[2] >> g
+        forced = (upper & ~lower) | ((lower & ~upper) << g)
+        free = low & ~(lower | upper)
         row = {}
-        for j, m2 in enumerate(cols_basis):
-            if not m1[2] & m2[2]:
-                v = _pair_monomials(g, m1, m2)
+        sub = free
+        while True:  # every submask of the untouched pairs
+            j = col_of_mask.get(forced | sub | (sub << g))
+            if j is not None:
+                v = _pair_monomials(g, m1, cols_basis[j])
                 if v:
                     row[j] = v * cfg.B
-        data.append(row)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        data.append(dict(sorted(row.items())))
     return QMatrix(len(cols_basis), data)
 
 

@@ -10,6 +10,15 @@ Three layers live here:
 * per-bidegree slices of the relation ideals and the resulting refined
   dimension tables, by the ideal route (any d >= 0) and by the pairing
   route (d = 0).
+
+Both table routes work per Lefschetz summand.  The ring is the direct sum
+over l of Prim_l (x) Q[alpha, beta, gamma]/(gamma^(g-l+1)), with Prim_l of
+dimension C(2g, l) - C(2g, l-2), and both the relation ideal and the
+pairing respect that sum.  So a bidegree's dimension is a sum over l of
+dim Prim_l times a rank over the few monomials alpha^a beta^b gamma^c of
+summand l, never over the 2^(2g) psi monomials.  The full-monomial slices
+stay in ideal_slice and pairing_matrix for the kernel match and the closure
+check.
 """
 
 from __future__ import annotations
@@ -25,10 +34,11 @@ from .algebra import (
     bidegree_cone,
     check_genus,
     exterior_basis,
+    gamma_power,
     monomial_basis,
     theta_power,
 )
-from .integral import IntegralConfig, pairing_matrix
+from .integral import IntegralConfig, graded_integral, pairing_matrix
 from .linalg import QMatrix, RowSpan, row_reduce
 from .series import InvariantPoly, phi_series
 
@@ -64,13 +74,18 @@ def _falling(x: int, j: int) -> int:
 # primitive classes
 
 
+def prim_dim(g: int, l: int) -> int:
+    """dim of the degree-l primitive part: C(2g, l) - C(2g, l-2)."""
+    return math.comb(2 * g, l) - (math.comb(2 * g, l - 2) if l >= 2 else 0)
+
+
 @lru_cache(maxsize=None)
 def prim_basis(g: int, l: int):
     """Basis of the degree-l primitive part: kernel of theta^(g-l+1).
 
     Computed as an exact kernel, never from a closed-form combinatorial
     basis: the pair-free psi monomials undercount the kernel for l >= 2.
-    Size is C(2g, l) - C(2g, l-2).
+    Size is prim_dim(g, l).
     """
     check_genus(g)
     if not 0 <= l <= g:
@@ -88,7 +103,7 @@ def prim_basis(g: int, l: int):
     basis = []
     for vec in kernel:
         basis.append(Element(g, {(0, 0, mask): v for mask, v in zip(dom, vec) if v}))
-    expected = math.comb(2 * g, l) - (math.comb(2 * g, l - 2) if l >= 2 else 0)
+    expected = prim_dim(g, l)
     if len(basis) != expected:
         raise VerificationError(
             f"primitive basis size mismatch at g={g}, l={l}: got {len(basis)}, expected {expected}"
@@ -219,13 +234,12 @@ def slice_vector(x: Element, basis_index: dict) -> dict:
     return {basis_index[mono]: c for mono, c in x.terms.items()}
 
 
-def ideal_slice_keys(g: int, d: int, bd):
-    """Lexicographic (ell, k, m, l, primIndex) keys of the spanning family
-    of the degree-d graded relation ideal landing in bidegree bd."""
+def _slice_families(g: int, d: int, bd):
+    """(ell, k, m, l) of every beta^ell R_{k,m,l} sigma_l of the degree-d
+    relation ideal landing in bidegree bd, sigma_l primitive of degree l."""
     coh, chern = bd
-    keys = []
     if chern % 2:
-        return keys
+        return
     for k in range(2 * g + 2 * d, g + chern // 2 + 1):
         ell2 = chern + 2 * g - 2 * k
         if ell2 < 0 or ell2 % 2:
@@ -236,12 +250,18 @@ def ideal_slice_keys(g: int, d: int, bd):
             continue
         for l in range(rest % 2, min(g, rest) + 1, 2):
             m = (rest - l) // 2
-            if m < 0 or l + m > g:
-                continue
-            for idx in range(len(prim_basis(g, l))):
-                keys.append((ell, k, m, l, idx))
-    keys.sort()
-    return keys
+            if m >= 0 and l + m <= g:
+                yield ell, k, m, l
+
+
+def ideal_slice_keys(g: int, d: int, bd):
+    """Lexicographic (ell, k, m, l, primIndex) keys of the spanning family
+    of the degree-d graded relation ideal landing in bidegree bd."""
+    return sorted(
+        (ell, k, m, l, idx)
+        for ell, k, m, l in _slice_families(g, d, bd)
+        for idx in range(len(prim_basis(g, l)))
+    )
 
 
 def ideal_slice(g: int, d: int, bd):
@@ -335,36 +355,109 @@ def default_max_coh(g: int, d: int) -> int:
     return 6 * g - 6 + 4 * d
 
 
+def summand_basis(g: int, l: int, bd) -> list:
+    """Monomials (a, b, c), c <= g - l, such that alpha^a beta^b gamma^c
+    sigma_l lies in bidegree bd for sigma_l primitive of degree l.
+
+    The ring is the direct sum over l of Prim_l (x) Q[alpha, beta,
+    gamma]/(gamma^(g-l+1)), so bidegree bd holds prim_dim(g, l) copies of
+    this basis per summand l.
+    """
+    coh, chern = bd[0] - 3 * l, bd[1] - 2 * l
+    if coh < 0 or chern < 0 or chern % 2 or (coh - chern) % 2:
+        return []
+    out = []
+    for c in range(g - l + 1):
+        b = (coh - chern) // 2 - c  # coh - chern = 2b + 2c
+        a = chern // 2 - b - 2 * c
+        if b < 0:
+            break
+        if a >= 0:
+            out.append((a, b, c))
+    return out
+
+
 def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
-    """dims[bd] = #monomials - rank of the relation slice, per bidegree."""
+    """dims[bd] = sum over summands l of prim_dim(g, l) * (#summand
+    monomials - rank of the summand relations).
+
+    The summand-l relations are the beta^ell R_{k,m,l} of the slice,
+    truncated at gamma^(g-l); their freeness is asserted per summand.
+    """
     check_genus(g)
     if max_coh is None:
         max_coh = default_max_coh(g, d)
     dims = {}
     for bd in bidegree_cone(g, max_coh):
-        total = len(monomial_basis(g, bd))
-        if total == 0:
-            continue
-        cut = len(ideal_slice(g, d, bd))
-        if total - cut:
-            dims[tuple(bd)] = total - cut
+        families = {}
+        for ell, k, m, l in _slice_families(g, d, bd):
+            families.setdefault(l, []).append((ell, k, m))
+        n = 0
+        for l in range(min(g, bd[0] // 3) + 1):
+            basis = summand_basis(g, l, bd)
+            index = {mono: i for i, mono in enumerate(basis)}
+            rows = [
+                {
+                    index[(a, b + ell, c)]: v
+                    for (a, b, c), v in rel_generator_poly(g, k, m, l).terms.items()
+                    if c <= g - l
+                }
+                for ell, k, m in families.get(l, ())
+            ]
+            rk = row_reduce(QMatrix(len(basis), rows))[0] if rows else 0
+            if rk != len(rows):
+                raise VerificationError(
+                    f"relation family dependent at g={g}, d={d}, bd={bd}, summand l={l}"
+                )
+            n += prim_dim(g, l) * (len(basis) - rk)
+        if n:
+            dims[tuple(bd)] = n
     return OmegaTable(g, d, max_coh, dims)
 
 
+def lefschetz_pair(g: int, l: int):
+    """psi masks of sigma = psi_1..psi_l and sigma* = psi_{g+1}..psi_{g+l}:
+    primitive classes of degree l whose product pairs each i <= l with i+g."""
+    sigma = (1 << l) - 1
+    return sigma, sigma << g
+
+
 def omega_from_pairing(g: int, cfg: IntegralConfig = None) -> OmegaTable:
-    """d = 0 table from ranks of the graded pairing matrices."""
+    """d = 0 table from ranks of the graded pairing, summand by summand.
+
+    rank = sum over l of prim_dim(g, l) * rank M_l, where M_l[p, q] is the
+    integral of p q sigma sigma* for p, q in the summand-l bases of bd and
+    of its complementary bidegree.
+    """
     check_genus(g)
     if cfg is None:
         cfg = IntegralConfig(g)
     max_coh = 6 * g - 6
+    values = {}  # (l, a, b, c) -> integral of alpha^a beta^b gamma^c sigma sigma*
+
+    def value(l, p, q):
+        a, b, c = (x + y for x, y in zip(p, q))
+        key = (l, a, b, c)
+        if key not in values:
+            sigma, dual = lefschetz_pair(g, l)
+            x = Element.monomial(g, a, b, sigma) * Element.monomial(g, 0, 0, dual)
+            values[key] = graded_integral(x * gamma_power(g, c), cfg) if c <= g - l else 0
+        return values[key]
+
     dims = {}
     for bd in bidegree_cone(g, max_coh):
-        matrix = pairing_matrix(g, bd, cfg)
-        if matrix.rows == 0 or matrix.cols == 0:
-            continue
-        rk, _ = row_reduce(matrix)
-        if rk:
-            dims[tuple(bd)] = rk
+        comp = (max_coh - bd[0], 4 * g - 4 - bd[1])
+        n = 0
+        for l in range(min(g, bd[0] // 3) + 1):
+            cols = summand_basis(g, l, comp)
+            rows = [
+                {j: v for j, q in enumerate(cols) if (v := value(l, p, q))}
+                for p in summand_basis(g, l, bd)
+            ]
+            if rows and cols:
+                n += prim_dim(g, l) * row_reduce(QMatrix(len(cols), rows))[0]
+        if n:
+            dims[tuple(bd)] = n
     return OmegaTable(g, 0, max_coh, dims)
 
 

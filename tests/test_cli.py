@@ -184,9 +184,7 @@ def test_verify_scale_invariance(capsys):
         "genfun --formula stack --check zagier",
         "genfun --formula rank3 --check unimodal",
         "genfun --formula rank3 --check zagier",
-        "genfun --formula intermediate --d 2 --check tminus1",
         "genfun --formula intermediate --d 2 --check symmetry",
-        "genfun --formula intermediate --d 1 --check all",
         "relations --genus 2 --format csv",
         "sl2 --check relations --genus 2 --format csv",
         "verify --suite genfun --format csv",
@@ -236,6 +234,23 @@ def test_genfun_check_all_runs_the_checks_that_apply(capsys, argv, checks):
     code, out = run(capsys, *argv.split(), "--format", "json")
     assert code == 0
     assert [row["check"] for row in json.loads(out)["checks"]] == checks
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "genfun --formula intermediate --d 1 --check all",
+        "genfun --formula intermediate --d 2 --check tminus1",
+    ],
+)
+def test_genfun_tminus1_at_d(capsys, argv):
+    # at every d the t = -1 value of the intermediate series is (1-q^2)^(2g-2)
+    code, out = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    d = int(argv.split()[4])
+    assert json.loads(out)["checks"] == [
+        {"check": "tminus1", "formula": "intermediate", "genus": 2, "d": d, "pass": True}
+    ]
 
 
 def test_dependent_relation_family_fails(capsys, monkeypatch):

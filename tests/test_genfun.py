@@ -101,6 +101,14 @@ def test_t_minus_one_identities():
         assert rank3_t_minus_one_matches(g)
 
 
+def test_intermediate_t_minus_one_at_every_d():
+    # the degree-d series differ, yet all specialize at t = -1 to (1-q^2)^(2g-2)
+    for g in range(2, 6):
+        for d in range(4):
+            assert closed_form_t_minus_one_matches(g, d), (g, d)
+        assert omega_closed_form(g, 1) != omega_closed_form(g, 0)
+
+
 def test_rank3_stack_t_minus_one():
     # r=3 stack: (1-q^2)^(2g-2) (1+q^3)^(2g-2)
     g = 3

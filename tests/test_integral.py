@@ -116,6 +116,29 @@ def test_pairing_matrix_examples():
             assert val == 0
 
 
+def _brute_pairing_matrix(g, bd, cfg):
+    """Oracle: every (row, column) pair of monomials, paired as Elements."""
+    comp = (6 * g - 6 - bd[0], 4 * g - 4 - bd[1])
+    cols = [Element.monomial(g, *mono) for mono in monomial_basis(g, comp)]
+    data = []
+    for mono in monomial_basis(g, bd):
+        x = Element.monomial(g, *mono)
+        pairs = ((j, graded_pairing(x, y, cfg)) for j, y in enumerate(cols))
+        data.append({j: v for j, v in pairs if v})
+    return data, len(cols)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_pairing_matrix_visits_only_partners(g):
+    # same columns, same entries and the same column order in every row
+    cfg = IntegralConfig(g, F(-7, 3))
+    for bd in bidegree_cone(g, 6 * g - 6):
+        m = pairing_matrix(g, bd, cfg)
+        data, ncols = _brute_pairing_matrix(g, bd, cfg)
+        assert m.cols == ncols and m.data == data, bd
+        assert [list(row) for row in m.data] == [list(row) for row in data], bd
+
+
 def test_pairing_matrix_outside_cone_is_empty():
     m = pairing_matrix(2, (7, 6))  # complement has negative Chern degree
     assert m.cols == 0

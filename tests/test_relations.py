@@ -7,7 +7,8 @@ import pytest
 import rank2chern.relations as rel
 from rank2chern.algebra import Element, bidegree_cone, gamma, monomial_basis, theta_power
 from rank2chern.genfun import omega_closed_form
-from rank2chern.integral import IntegralConfig
+from rank2chern.integral import IntegralConfig, pairing_matrix
+from rank2chern.linalg import row_reduce
 from rank2chern.relations import (
     OmegaTable,
     VerificationError,
@@ -22,8 +23,10 @@ from rank2chern.relations import (
     omega_from_pairing,
     pairing_kernel_matches_ideal,
     prim_basis,
+    prim_dim,
     rel_generator,
     slice_vector,
+    summand_basis,
     verify_vanishing_corollary,
 )
 from rank2chern.series import phi_series
@@ -256,6 +259,82 @@ def test_omega_ideal_matches_closed_series_d1():
     table = omega_from_ideal(g, d)
     expansion = omega_closed_form(g, d).series_coefficients(table.max_coh)
     assert table.to_coeff_dict() == {k: int(v) for k, v in expansion.terms.items()}
+
+
+# Oracles: the tables over every psi monomial of a bidegree.
+
+
+def _omega_from_ideal_full(g, d):
+    max_coh = rel.default_max_coh(g, d)
+    dims = {}
+    for bd in bidegree_cone(g, max_coh):
+        n = len(monomial_basis(g, bd)) - len(ideal_slice(g, d, bd))
+        if n:
+            dims[tuple(bd)] = n
+    return OmegaTable(g, d, max_coh, dims)
+
+
+def _omega_from_pairing_full(g, cfg):
+    dims = {}
+    for bd in bidegree_cone(g, 6 * g - 6):
+        rk, _ = row_reduce(pairing_matrix(g, bd, cfg))
+        if rk:
+            dims[tuple(bd)] = rk
+    return OmegaTable(g, 0, 6 * g - 6, dims)
+
+
+def _matches_closed_form(table):
+    expansion = omega_closed_form(table.g, table.d).series_coefficients(table.max_coh)
+    return table.to_coeff_dict() == {k: int(v) for k, v in expansion.terms.items()}
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_summand_routes_match_full_monomial_oracles(g):
+    for d in (0, 1, 2):
+        assert omega_from_ideal(g, d).dims == _omega_from_ideal_full(g, d).dims, d
+    cfg = IntegralConfig(g, F(-5, 2))
+    assert omega_from_pairing(g, cfg).dims == _omega_from_pairing_full(g, cfg).dims
+
+
+@pytest.mark.parametrize("g", [5, 6, 7, 8])
+def test_summand_routes_reproduce_closed_form(g):
+    for d in (0, 1, 2):
+        assert _matches_closed_form(omega_from_ideal(g, d)), d
+    assert _matches_closed_form(omega_from_pairing(g))
+
+
+def test_summands_count_every_monomial():
+    # sum over l of dim Prim_l * #summand monomials is the size of the slice
+    for g in (2, 3, 4):
+        for bd in bidegree_cone(g, rel.default_max_coh(g, 2)):
+            count = sum(prim_dim(g, l) * len(summand_basis(g, l, bd)) for l in range(g + 1))
+            assert count == len(monomial_basis(g, bd)), (g, bd)
+        assert [prim_dim(g, l) for l in range(g + 1)] == [len(prim_basis(g, l)) for l in range(g + 1)]
+
+
+def test_pairing_with_a_dual_from_the_wrong_summand_disagrees(monkeypatch):
+    g = 3
+    assert _matches_closed_form(omega_from_pairing(g))
+    pair = rel.lefschetz_pair
+
+    def misplaced(g, l):  # sigma of summand l against the sigma* of summand l - 1
+        return pair(g, l)[0], pair(g, max(l - 1, 0))[1]
+
+    monkeypatch.setattr(rel, "lefschetz_pair", misplaced)
+    assert not _matches_closed_form(omega_from_pairing(g))
+
+
+def test_duplicated_summand_relation_is_dependent(monkeypatch):
+    families = rel._slice_families
+    assert _matches_closed_form(omega_from_ideal(2, 0))
+
+    def repeat_first(g, d, bd):  # the first relation of each slice, twice
+        found = list(families(g, d, bd))
+        return found + found[:1]
+
+    monkeypatch.setattr(rel, "_slice_families", repeat_first)
+    with pytest.raises(VerificationError, match="relation family dependent at .* summand l=0"):
+        omega_from_ideal(2, 0)
 
 
 def test_omega_pairing_normalization_invariance():
