@@ -356,13 +356,9 @@ def default_max_coh(g: int, d: int) -> int:
 
 
 def summand_basis(g: int, l: int, bd) -> list:
-    """Monomials (a, b, c), c <= g - l, such that alpha^a beta^b gamma^c
-    sigma_l lies in bidegree bd for sigma_l primitive of degree l.
-
-    The ring is the direct sum over l of Prim_l (x) Q[alpha, beta,
-    gamma]/(gamma^(g-l+1)), so bidegree bd holds prim_dim(g, l) copies of
-    this basis per summand l.
-    """
+    """Monomials (a, b, c), c <= g - l, with alpha^a beta^b gamma^c sigma_l
+    in bidegree bd for a primitive sigma_l of degree l; bd holds
+    prim_dim(g, l) copies of them."""
     coh, chern = bd[0] - 3 * l, bd[1] - 2 * l
     if coh < 0 or chern < 0 or chern % 2 or (coh - chern) % 2:
         return []
@@ -381,8 +377,9 @@ def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
     """dims[bd] = sum over summands l of prim_dim(g, l) * (#summand
     monomials - rank of the summand relations).
 
-    The summand-l relations are the beta^ell R_{k,m,l} of the slice,
-    truncated at gamma^(g-l); their freeness is asserted per summand.
+    The summand-l relations are the beta^ell R_{k,m,l} of the slice; R has
+    gamma degree <= m <= g - l, so it needs no truncation.  Their freeness
+    is asserted per summand.
     """
     check_genus(g)
     if max_coh is None:
@@ -396,14 +393,10 @@ def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
         for l in range(min(g, bd[0] // 3) + 1):
             basis = summand_basis(g, l, bd)
             index = {mono: i for i, mono in enumerate(basis)}
-            rows = [
-                {
-                    index[(a, b + ell, c)]: v
-                    for (a, b, c), v in rel_generator_poly(g, k, m, l).terms.items()
-                    if c <= g - l
-                }
-                for ell, k, m in families.get(l, ())
-            ]
+            rows = []
+            for ell, k, m in families.get(l, ()):
+                terms = rel_generator_poly(g, k, m, l).terms
+                rows.append({index[(a, b + ell, c)]: v for (a, b, c), v in terms.items()})
             rk = row_reduce(QMatrix(len(basis), rows))[0] if rows else 0
             if rk != len(rows):
                 raise VerificationError(

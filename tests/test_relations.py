@@ -309,7 +309,7 @@ def test_summands_count_every_monomial():
         for bd in bidegree_cone(g, rel.default_max_coh(g, 2)):
             count = sum(prim_dim(g, l) * len(summand_basis(g, l, bd)) for l in range(g + 1))
             assert count == len(monomial_basis(g, bd)), (g, bd)
-        assert [prim_dim(g, l) for l in range(g + 1)] == [len(prim_basis(g, l)) for l in range(g + 1)]
+        assert all(prim_dim(g, l) == len(prim_basis(g, l)) for l in range(g + 1))
 
 
 def test_pairing_with_a_dual_from_the_wrong_summand_disagrees(monkeypatch):
