@@ -28,6 +28,8 @@ GOLDEN = [
     ("sl2 --check closure --genus 2", "f958a55c8aef89ccc859b7debde7f8fe63cb26683d66021d72db723555e8cd51", 0),
     ("genfun --check all --expand 12", "d3c205f66efd06dd1d3bf88ba447996d60cd74c476aca2fbdc33420a49c88d54", 0),
     ("verify --suite all --genus 2", "e9737ebd198a319d549af8566ebb373e209b5192f528ec2f18f5dbc2ee08dd0d", 0),
+    ("verify --suite pairing --genus 3", "11cfed4cab7ff4164e49ed6b60299d1a697f1a899930b8fb540bf78f36c24d54", 0),
+    ("verify --suite pairing --genus 4 --format json", "f5d504e07617b0a0048d2511bcd4c2e1d001d3cba0400505ed11045c5080fff6", 0),
 ]
 
 
