@@ -90,9 +90,6 @@ class QMatrix:
         self.rows = len(self.data)
         self.cols = cols
 
-    def at(self, i: int, j: int) -> Fraction:
-        return self.data[i].get(j, _ZERO)
-
     def transpose(self) -> "QMatrix":
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.data):

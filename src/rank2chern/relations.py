@@ -16,9 +16,9 @@ over l of Prim_l (x) Q[alpha, beta, gamma]/(gamma^(g-l+1)), with Prim_l of
 dimension C(2g, l) - C(2g, l-2), and both the relation ideal and the
 pairing respect that sum.  So a bidegree's dimension is a sum over l of
 dim Prim_l times a rank over the few monomials alpha^a beta^b gamma^c of
-summand l, never over the 2^(2g) psi monomials.  The full-monomial slices
-stay in ideal_slice and pairing_matrix for the kernel match and the closure
-check.
+summand l, never over the 2^(2g) psi monomials.  The d = 0 kernel match
+runs per summand too; the full-monomial slices stay in ideal_slice for the
+relations dump and the multiplicative-closure guard.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .algebra import (
     monomial_basis,
     theta_power,
 )
-from .integral import IntegralConfig, graded_integral, pairing_matrix
+from .integral import IntegralConfig, graded_integral
 from .linalg import QMatrix, RowSpan, row_reduce
 from .series import InvariantPoly, phi_series
 
@@ -260,7 +260,7 @@ def ideal_slice_keys(g: int, d: int, bd):
     return sorted(
         (ell, k, m, l, idx)
         for ell, k, m, l in _slice_families(g, d, bd)
-        for idx in range(len(prim_basis(g, l)))
+        for idx in range(prim_dim(g, l))
     )
 
 
@@ -373,39 +373,19 @@ def summand_basis(g: int, l: int, bd) -> list:
     return out
 
 
-def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
-    """dims[bd] = sum over summands l of prim_dim(g, l) * (#summand
-    monomials - rank of the summand relations).
-
-    The summand-l relations are the beta^ell R_{k,m,l} of the slice; R has
-    gamma degree <= m <= g - l, so it needs no truncation.  Their freeness
-    is asserted per summand.
-    """
-    check_genus(g)
-    if max_coh is None:
-        max_coh = default_max_coh(g, d)
-    dims = {}
-    for bd in bidegree_cone(g, max_coh):
-        families = {}
-        for ell, k, m, l in _slice_families(g, d, bd):
-            families.setdefault(l, []).append((ell, k, m))
-        n = 0
-        for l in range(min(g, bd[0] // 3) + 1):
-            basis = summand_basis(g, l, bd)
-            index = {mono: i for i, mono in enumerate(basis)}
-            rows = []
-            for ell, k, m in families.get(l, ()):
-                terms = rel_generator_poly(g, k, m, l).terms
-                rows.append({index[(a, b + ell, c)]: v for (a, b, c), v in terms.items()})
-            rk = row_reduce(QMatrix(len(basis), rows))[0] if rows else 0
-            if rk != len(rows):
-                raise VerificationError(
-                    f"relation family dependent at g={g}, d={d}, bd={bd}, summand l={l}"
-                )
-            n += prim_dim(g, l) * (len(basis) - rk)
-        if n:
-            dims[tuple(bd)] = n
-    return OmegaTable(g, d, max_coh, dims)
+def _summand_relations(g: int, d: int, bd, l: int) -> list:
+    """Rows of the summand-l relations beta^ell R_{k,m,l} of the slice over
+    summand_basis(g, l, bd); their freeness is asserted.  R has gamma
+    degree <= m <= g - l, so it needs no truncation."""
+    index = {mono: i for i, mono in enumerate(summand_basis(g, l, bd))}
+    rows = [
+        {index[(a, b + ell, c)]: v for (a, b, c), v in rel_generator_poly(g, k, m, l).terms.items()}
+        for ell, k, m, ll in _slice_families(g, d, bd)
+        if ll == l
+    ]
+    if rows and row_reduce(QMatrix(len(index), rows))[0] != len(rows):
+        raise VerificationError(f"relation family dependent at g={g}, d={d}, bd={bd}, summand l={l}")
+    return rows
 
 
 def lefschetz_pair(g: int, l: int):
@@ -415,43 +395,60 @@ def lefschetz_pair(g: int, l: int):
     return sigma, sigma << g
 
 
-def omega_from_pairing(g: int, cfg: IntegralConfig = None) -> OmegaTable:
-    """d = 0 table from ranks of the graded pairing, summand by summand.
+def _summand_pairing(g: int, l: int, bd, cfg: IntegralConfig, values: dict) -> QMatrix:
+    """M_l(bd)[p, q] = integral of p q sigma sigma*, for p, q in the summand-l
+    bases of bd and of its complementary bidegree.  ``values`` memoises the
+    integrals by (l, a, b, c) across the calls of one route."""
+    sigma, dual = lefschetz_pair(g, l)
+    cols = summand_basis(g, l, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
 
-    rank = sum over l of prim_dim(g, l) * rank M_l, where M_l[p, q] is the
-    integral of p q sigma sigma* for p, q in the summand-l bases of bd and
-    of its complementary bidegree.
-    """
+    def value(p, q):
+        a, b, c = (x + y for x, y in zip(p, q))
+        if (l, a, b, c) not in values:
+            x = Element.monomial(g, a, b, sigma) * Element.monomial(g, 0, 0, dual)
+            values[l, a, b, c] = graded_integral(x * gamma_power(g, c), cfg) if c <= g - l else 0
+        return values[l, a, b, c]
+
+    rows = [{j: v for j, q in enumerate(cols) if (v := value(p, q))} for p in summand_basis(g, l, bd)]
+    return QMatrix(len(cols), rows)
+
+
+def _lefschetz_dims(g: int, max_coh: int, count) -> dict:
+    """dims[bd] = sum over summands l of prim_dim(g, l) * count(l, bd), zeros
+    dropped: bd holds prim_dim(g, l) copies of the summand-l monomials."""
+    dims = {}
+    for bd in bidegree_cone(g, max_coh):
+        n = sum(prim_dim(g, l) * count(l, bd) for l in range(g + 1))
+        if n:
+            dims[tuple(bd)] = n
+    return dims
+
+
+def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
+    """dims[bd] = sum over summands l of prim_dim(g, l) * (#summand
+    monomials - #summand relations)."""
+    check_genus(g)
+    if max_coh is None:
+        max_coh = default_max_coh(g, d)
+
+    def count(l, bd):
+        return len(summand_basis(g, l, bd)) - len(_summand_relations(g, d, bd, l))
+
+    return OmegaTable(g, d, max_coh, _lefschetz_dims(g, max_coh, count))
+
+
+def omega_from_pairing(g: int, cfg: IntegralConfig = None) -> OmegaTable:
+    """d = 0 table from ranks of the graded pairing: rank = sum over
+    summands l of prim_dim(g, l) * rank M_l."""
     check_genus(g)
     if cfg is None:
         cfg = IntegralConfig(g)
-    max_coh = 6 * g - 6
-    values = {}  # (l, a, b, c) -> integral of alpha^a beta^b gamma^c sigma sigma*
+    values = {}
 
-    def value(l, p, q):
-        a, b, c = (x + y for x, y in zip(p, q))
-        key = (l, a, b, c)
-        if key not in values:
-            sigma, dual = lefschetz_pair(g, l)
-            x = Element.monomial(g, a, b, sigma) * Element.monomial(g, 0, 0, dual)
-            values[key] = graded_integral(x * gamma_power(g, c), cfg) if c <= g - l else 0
-        return values[key]
+    def count(l, bd):
+        return row_reduce(_summand_pairing(g, l, bd, cfg, values))[0]
 
-    dims = {}
-    for bd in bidegree_cone(g, max_coh):
-        comp = (max_coh - bd[0], 4 * g - 4 - bd[1])
-        n = 0
-        for l in range(min(g, bd[0] // 3) + 1):
-            cols = summand_basis(g, l, comp)
-            rows = [
-                {j: v for j, q in enumerate(cols) if (v := value(l, p, q))}
-                for p in summand_basis(g, l, bd)
-            ]
-            if rows and cols:
-                n += prim_dim(g, l) * row_reduce(QMatrix(len(cols), rows))[0]
-        if n:
-            dims[tuple(bd)] = n
-    return OmegaTable(g, 0, max_coh, dims)
+    return OmegaTable(g, 0, 6 * g - 6, _lefschetz_dims(g, 6 * g - 6, count))
 
 
 def verify_vanishing_corollary(table: OmegaTable) -> bool:
@@ -465,21 +462,21 @@ def verify_vanishing_corollary(table: OmegaTable) -> bool:
 
 
 def pairing_kernel_matches_ideal(g: int, bd, cfg: IntegralConfig = None) -> bool:
-    """d = 0 coincidence on one bidegree: the relation slice spans exactly
-    the kernel of the pairing matrix (containment plus dimension count)."""
+    """d = 0 coincidence on one bidegree, summand by summand: the summand-l
+    relations span exactly the left kernel of M_l(bd) (containment plus
+    dimension count)."""
     if cfg is None:
         cfg = IntegralConfig(g)
-    basis = monomial_basis(g, bd)
-    if not basis:
-        return True
-    index = {mono: i for i, mono in enumerate(basis)}
-    matrix = pairing_matrix(g, bd, cfg)
-    rk, _ = row_reduce(matrix)
-    elements = ideal_slice(g, 0, bd)
-    if len(elements) != len(basis) - rk:
-        return False
-    transpose = matrix.transpose()
-    return not any(transpose.mul_vector(slice_vector(x, index)) for x in elements)
+    values = {}
+    for l in range(g + 1):
+        rows = _summand_relations(g, 0, bd, l)
+        matrix = _summand_pairing(g, l, bd, cfg, values)
+        if len(rows) != matrix.rows - row_reduce(matrix)[0]:
+            return False
+        transpose = matrix.transpose()
+        if any(transpose.mul_vector(r) for r in rows):
+            return False
+    return True
 
 
 def ideal_multiplicative_closure_holds(g: int, d: int, max_coh: int = None) -> bool:

@@ -138,6 +138,14 @@ def test_verify_scale_invariance(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("genus", [5, 6, 7, 8])
+def test_verify_pairing_suite_to_genus_8(capsys, genus):
+    # the table routes and the kernel match all run per Lefschetz summand
+    code, out = run(capsys, "verify", "--suite", "pairing", "--genus", str(genus))
+    assert code == 0
+    assert out.startswith("pass: suite=pairing")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -254,11 +262,12 @@ def test_genfun_tminus1_at_d(capsys, argv):
 
 
 def test_dependent_relation_family_fails(capsys, monkeypatch):
-    # a primitive basis that repeats a class makes every slice using it dependent
+    # a primitive basis whose last class repeats its first makes every slice
+    # using it dependent; at g = 2 the slice (5, 4) holds alpha^2 sigma_1
     original = relations.prim_basis
-    monkeypatch.setattr(relations, "prim_basis", lambda g, l: original(g, l) + original(g, l)[:1])
+    monkeypatch.setattr(relations, "prim_basis", lambda g, l: original(g, l)[:-1] + original(g, l)[:1])
     with pytest.raises(VerificationError, match="dependent"):
-        relations.ideal_slice(2, 0, (4, 4))
+        relations.ideal_slice(2, 0, (5, 4))
     assert main(["relations", "--genus", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -134,7 +134,7 @@ def test_entries_are_sparse_fractions():
     m = QMatrix(3, [{0: 2, 1: 0, 2: F(1, 2)}])
     assert m.data == [{0: F(2), 2: F(1, 2)}]
     assert all(type(x) is F for x in m.data[0].values())
-    assert m.at(0, 1) == 0 and m.at(0, 2) == F(1, 2)
+    assert m.data[0].get(1, 0) == 0 and m.data[0].get(2, 0) == F(1, 2)
     for bad in ({3: 1}, {-1: 1}):
         with pytest.raises(ValueError, match="outside"):
             QMatrix(3, [bad])

@@ -29,7 +29,7 @@ from rank2chern.relations import (
     summand_basis,
     verify_vanishing_corollary,
 )
-from rank2chern.series import phi_series
+from rank2chern.series import InvariantPoly, phi_series
 
 
 # ----------------------------------------------------------------------
@@ -283,6 +283,20 @@ def _omega_from_pairing_full(g, cfg):
     return OmegaTable(g, 0, 6 * g - 6, dims)
 
 
+def _pairing_kernel_matches_ideal_full(g, bd, cfg):
+    basis = monomial_basis(g, bd)
+    if not basis:
+        return True
+    index = {mono: i for i, mono in enumerate(basis)}
+    matrix = pairing_matrix(g, bd, cfg)
+    rk, _ = row_reduce(matrix)
+    elements = ideal_slice(g, 0, bd)
+    if len(elements) != len(basis) - rk:
+        return False
+    transpose = matrix.transpose()
+    return not any(transpose.mul_vector(slice_vector(x, index)) for x in elements)
+
+
 def _matches_closed_form(table):
     expansion = omega_closed_form(table.g, table.d).series_coefficients(table.max_coh)
     return table.to_coeff_dict() == {k: int(v) for k, v in expansion.terms.items()}
@@ -322,6 +336,7 @@ def test_pairing_with_a_dual_from_the_wrong_summand_disagrees(monkeypatch):
 
     monkeypatch.setattr(rel, "lefschetz_pair", misplaced)
     assert not _matches_closed_form(omega_from_pairing(g))
+    assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
 
 
 def test_duplicated_summand_relation_is_dependent(monkeypatch):
@@ -375,6 +390,46 @@ def test_kernel_coincidence_g2():
     cfg = IntegralConfig(2)
     for bd in bidegree_cone(2, 6):
         assert pairing_kernel_matches_ideal(2, bd, cfg)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_summand_kernel_match_equals_full_monomial_oracle(g):
+    cfg = IntegralConfig(g, F(-5, 2))
+    for bd in bidegree_cone(g, 6 * g - 6):
+        got = pairing_kernel_matches_ideal(g, bd, cfg)
+        assert got == _pairing_kernel_matches_ideal_full(g, bd, cfg), bd
+        assert got, bd
+
+
+def test_kernel_match_without_a_relation_family_fails(monkeypatch):
+    g = 3
+    cfg = IntegralConfig(g)
+    families = rel._slice_families
+
+    def drop_first(g, d, bd):  # every slice loses its first relation family
+        return list(families(g, d, bd))[1:]
+
+    monkeypatch.setattr(rel, "_slice_families", drop_first)
+    bds = list(bidegree_cone(g, 6 * g - 6))
+    got = [pairing_kernel_matches_ideal(g, bd, cfg) for bd in bds]
+    assert not all(got)
+    # the full-monomial oracle loses the same family on the same bidegrees
+    assert got == [_pairing_kernel_matches_ideal_full(g, bd, cfg) for bd in bds]
+
+
+def test_kernel_match_with_a_perturbed_relation_fails(monkeypatch):
+    # same count of free relations, but some of them leave the kernel
+    g = 3
+    original = rel.rel_generator_poly
+
+    def perturbed(g, k, m, l):  # the first term of each relation, doubled
+        terms = dict(original(g, k, m, l).terms)
+        for key in list(terms)[:1]:
+            terms[key] *= 2
+        return InvariantPoly(g, terms)
+
+    monkeypatch.setattr(rel, "rel_generator_poly", perturbed)
+    assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
 
 
 def test_ideal_multiplicative_closure_g2():
