@@ -373,7 +373,7 @@ def summand_basis(g: int, l: int, bd) -> list:
     return out
 
 
-def _summand_relations(g: int, d: int, bd, l: int) -> list:
+def _summand_relations(g: int, d: int, l: int, bd) -> list:
     """Rows of the summand-l relations beta^ell R_{k,m,l} of the slice over
     summand_basis(g, l, bd); their freeness is asserted.  R has gamma
     degree <= m <= g - l, so it needs no truncation."""
@@ -432,7 +432,7 @@ def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
         max_coh = default_max_coh(g, d)
 
     def count(l, bd):
-        return len(summand_basis(g, l, bd)) - len(_summand_relations(g, d, bd, l))
+        return len(summand_basis(g, l, bd)) - len(_summand_relations(g, d, l, bd))
 
     return OmegaTable(g, d, max_coh, _lefschetz_dims(g, max_coh, count))
 
@@ -469,7 +469,7 @@ def pairing_kernel_matches_ideal(g: int, bd, cfg: IntegralConfig = None) -> bool
         cfg = IntegralConfig(g)
     values = {}
     for l in range(g + 1):
-        rows = _summand_relations(g, 0, bd, l)
+        rows = _summand_relations(g, 0, l, bd)
         matrix = _summand_pairing(g, l, bd, cfg, values)
         if len(rows) != matrix.rows - row_reduce(matrix)[0]:
             return False
