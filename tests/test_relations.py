@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import rank2chern.relations as rel
-from rank2chern.algebra import Element, bidegree_cone, gamma, monomial_basis, theta_power
+from rank2chern.algebra import Element, bidegree_cone, format_element, gamma, monomial_basis, theta_power
 from rank2chern.genfun import omega_closed_form
 from rank2chern.integral import IntegralConfig, pairing_matrix
 from rank2chern.linalg import row_reduce
@@ -132,6 +133,31 @@ def test_modified_mumford_chern_bound():
                         rel = modified_mumford(d, k, m, sig, g)
                         for mono in rel.terms:
                             assert Element.monomial(g, *mono).bidegree().chern <= 2 * k - 2 * g
+
+
+MODIFIED_DIGESTS = {
+    (2, 0): "9878a792e021e49a19a396d346daeeddc5053cb433d2b614cc640a54e49f3721",
+    (2, 1): "300872df47960ae10b88faa858d00a06c6352776284143ef96579548d4f8c285",
+    (2, 2): "6a366bb8e9b894310983643af294e2917544fc51ab7db2aefd40d50885c5d6ee",
+    (3, 0): "e358111a91415829ccf3f30666c7694fc714ab5855f1cfb83e74b7ce96a43414",
+    (3, 1): "ce7bee1bbc602c45289b7f647ecbb21446aafca3fcd59bfeb9993b9800b84f16",
+    (3, 2): "708c5295fbd87ec8930e74f92616f2c5d6ebe6ca3cd02d5672480a880b297161",
+}
+
+
+@pytest.mark.parametrize("g,d", sorted(MODIFIED_DIGESTS))
+def test_modified_mumford_golden_digest(g, d):
+    # every primitive class, every m <= g - l and k <= 2g + 2d + 4, in the
+    # key order of the benchmark's series workload (same g = 3 digests)
+    lines = [
+        format_element(modified_mumford(d, k, m, sig, g))
+        for l in range(g + 1)
+        for m in range(g - l + 1)
+        for k in range(2 * g + 2 * d + 5)
+        for sig in prim_basis(g, l)
+    ]
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == MODIFIED_DIGESTS[g, d]
 
 
 def test_modified_mumford_validates_l_plus_m():
