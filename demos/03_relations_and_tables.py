@@ -30,7 +30,7 @@ print("== relation generators ==")
 one = Element.one(g)  # the degree-0 primitive class
 print("R_{4,0,0}        =", rel_generator(4, 0, one, g))
 print("R_{4,1,0}        =", rel_generator(4, 1, one, g))
-print("MR^1_{4,1}       =", mumford_relation(1, 4, 0, one, g))
+print("MR^1_{4,1}       =", mumford_relation(1, 4, 0, 0, g).embed())  # coefficient of sigma_0 = 1
 mm = modified_mumford(1, 5, 1, one, g)  # asserts its two defining routes agree
 print("modified MR^1_{5, theta} =", mm)
 

@@ -6,7 +6,9 @@ Three layers live here:
   exact kernels of multiplication by a theta power;
 * the Mumford relations (explicit t-coefficient formula), their modified
   recombination with the improved Chern-degree bound, and the graded
-  relation generators R_{k,m,l};
+  relation generators R_{k,m,l}, each built as the coefficient in
+  Q[alpha, beta, gamma] of a primitive class sigma_l of degree l;
+  modified_mumford compares its two routes there and applies sigma once;
 * per-bidegree slices of the relation ideals and the resulting refined
   dimension tables, by the ideal route (any d >= 0) and by the pairing
   route (d = 0).
@@ -79,6 +81,13 @@ def prim_dim(g: int, l: int) -> int:
     return math.comb(2 * g, l) - (math.comb(2 * g, l - 2) if l >= 2 else 0)
 
 
+def _check_degrees(g: int, l: int, m: int = 0) -> None:
+    """The range of a summand-l relation: 0 <= l <= g and l + m <= g."""
+    check_genus(g)
+    if not 0 <= l <= g or l + m > g:
+        raise ValueError(f"need 0 <= l <= g and l + m <= g, got l={l}, m={m}")
+
+
 @lru_cache(maxsize=None)
 def prim_basis(g: int, l: int):
     """Basis of the degree-l primitive part: kernel of theta^(g-l+1).
@@ -87,9 +96,7 @@ def prim_basis(g: int, l: int):
     basis: the pair-free psi monomials undercount the kernel for l >= 2.
     Size is prim_dim(g, l).
     """
-    check_genus(g)
-    if not 0 <= l <= g:
-        raise ValueError(f"primitive degree must satisfy 0 <= l <= g, got {l}")
+    _check_degrees(g, l)
     dom = exterior_basis(g, l)
     cod = exterior_basis(g, 2 * g - l + 2)
     cod_index = {m: j for j, m in enumerate(cod)}
@@ -122,44 +129,39 @@ def _sig_degree(sig: Element) -> int:
     return degs.pop()
 
 
-def mumford_relation(d: int, k: int, m: int, sig: Element, g: int) -> Element:
-    """The relation attached to (k, theta^m * sig) at destabilizing degree d.
+def mumford_relation(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
+    """The coefficient of sigma_l in the relation attached to (k, theta^m
+    sigma_l) at destabilizing degree d, sigma_l primitive of degree l.
 
-    Equal to (-1)^l 2^(2g-m-k) [t^n] (Phi_d(t) * F(t)) sigma_l, n = k+m-g-l, with
+    Equal to (-1)^l 2^(2g-m-k) [t^n] (Phi_d(t) * F(t)), n = k+m-g-l, with
     F(t) = sum_j C(m,j) (g-l-j)_(m-j) (1 - beta t^2)^(m-j) (-2 gamma t^3)^j.
     Expanding the binomial, [t^n] is the finite sum over 3j + 2s <= n of
     C(m,j) (g-l-j)_(m-j) C(m-j,s) (-1)^s (-2)^j beta^s gamma^j c_{d,n-3j-2s}.
     A negative t-index gives zero.
     """
-    check_genus(g)
-    if sig.g != g:
-        raise ValueError("genus mismatch")
-    l = _sig_degree(sig)
+    _check_degrees(g, l)
     n = k + m - g - l
-    if n < 0:
-        return Element.zero(g)
-    phi = phi_series(d, g, n)
     coeff = InvariantPoly.zero(g)
+    if n < 0:
+        return coeff
+    phi = phi_series(d, g, n)
     for j in range(min(m, n // 3) + 1):
         weight = math.comb(m, j) * _falling(g - l - j, m - j) * (-2) ** j
         for s in range(min(m - j, (n - 3 * j) // 2) + 1):
             w = weight * math.comb(m - j, s) * (-1) ** s
             coeff = coeff + phi[n - 3 * j - 2 * s] * InvariantPoly.monomial(g, 0, s, j, w)
-    scalar = Fraction(2) ** (2 * g - m - k) * (-1) ** l
-    return coeff.embed() * sig * scalar
+    return coeff.scale(Fraction(2) ** (2 * g - m - k) * (-1) ** l)
 
 
-def modified_mumford_sum(d: int, k: int, m: int, sig: Element, g: int) -> Element:
-    """Modified relation as the alternating combination of plain relations."""
-    l = _sig_degree(sig)
-    if l + m > g:
-        raise ValueError("need l + m <= g")
-    out = Element.zero(g)
+def modified_mumford_sum(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
+    """sigma_l coefficient of the modified relation as the alternating
+    combination of plain relations."""
+    _check_degrees(g, l, m)
+    out = InvariantPoly.zero(g)
     for s in range(m + 1):
         weight = (-1) ** s * math.comb(m, s) * _falling(g - l - s, m - s)
-        if weight == 0:
-            continue
-        out = out + mumford_relation(d, k + m - s, s, sig, g) * Fraction(weight)
+        if weight:
+            out = out + mumford_relation(d, k + m - s, s, l, g).scale(weight)
     return out
 
 
@@ -175,31 +177,29 @@ def _generator_terms(g: int, k: int, m: int, l: int):
             yield a, b, c, w
 
 
-def modified_mumford_closed(d: int, k: int, m: int, sig: Element, g: int) -> Element:
-    """Modified relation from its closed form
+def modified_mumford_closed(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
+    """sigma_l coefficient of the modified relation from its closed form
 
     (-1)^l 2^(2g-m-k) m!/(g-l-m)! *
-        sum_{b+c=m, a+b+2c=k-g-l} (g-l-c)! c_{d,a} beta^b/b! (2 gamma)^c/c! sigma_l.
+        sum_{b+c=m, a+b+2c=k-g-l} (g-l-c)! c_{d,a} beta^b/b! (2 gamma)^c/c!.
     """
-    l = _sig_degree(sig)
-    if l + m > g:
-        raise ValueError("need l + m <= g")
+    _check_degrees(g, l, m)
     poly = InvariantPoly.zero(g)
     for a, b, c, w in _generator_terms(g, k, m, l):
         poly = poly + phi_series(d, g, a)[a] * InvariantPoly.monomial(g, 0, b, c, w)
     scalar = Fraction(2) ** (2 * g - m - k) * Fraction(math.factorial(m), math.factorial(g - l - m)) * (-1) ** l
-    return poly.embed() * sig * scalar
+    return poly.scale(scalar)
 
 
 def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
-    """Modified Mumford relation; asserts the two defining routes agree."""
-    by_sum = modified_mumford_sum(d, k, m, sig, g)
-    by_closed = modified_mumford_closed(d, k, m, sig, g)
-    if by_sum != by_closed:
-        raise VerificationError(
-            f"modified relation routes disagree at d={d}, k={k}, m={m}, g={g}"
-        )
-    return by_closed
+    """Modified Mumford relation attached to (k, theta^m sig); asserts that
+    the two defining routes give the same sigma_l coefficient in
+    Q[alpha, beta, gamma], then applies sig once."""
+    l = _sig_degree(sig)
+    by_closed = modified_mumford_closed(d, k, m, l, g)
+    if modified_mumford_sum(d, k, m, l, g) != by_closed:
+        raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, g={g}")
+    return by_closed.embed() * sig
 
 
 @lru_cache(maxsize=None)
@@ -209,9 +209,7 @@ def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
     An out-of-range index set (negative m, or k < g + l) gives the empty
     sum, i.e. zero.
     """
-    check_genus(g)
-    if l < 0 or l > g or l + m > g:
-        raise ValueError("need 0 <= l and l + m <= g")
+    _check_degrees(g, l, m)
     out = InvariantPoly.zero(g)
     for a, b, c, w in _generator_terms(g, k, m, l):
         out = out + InvariantPoly.monomial(g, a, b, c, w / math.factorial(a))

@@ -79,7 +79,7 @@ def test_mumford_m0_specialization():
         for l in (0, 1):
             for sig in prim_basis(g, l):
                 for k in range(g + l, g + l + 4):
-                    got = mumford_relation(d, k, 0, sig, g)
+                    got = mumford_relation(d, k, 0, l, g).embed() * sig
                     scalar = F((-1) ** l) * (F(2) ** (2 * g - k) if 2 * g >= k else F(1, 2 ** (k - 2 * g)))
                     want = coeffs[k - g - l].embed() * sig * scalar
                     assert got == want
@@ -88,15 +88,15 @@ def test_mumford_m0_specialization():
 def test_mumford_negative_index_is_zero():
     g = 2
     one = Element.one(g)
-    assert mumford_relation(1, 1, 0, one, g).is_zero()  # k + m < g + l
+    assert (mumford_relation(1, 1, 0, 0, g).embed() * one).is_zero()  # k + m < g + l
     sig = prim_basis(g, 1)[0]
-    assert mumford_relation(0, 2, 0, sig, g).is_zero()
+    assert (mumford_relation(0, 2, 0, 1, g).embed() * sig).is_zero()
 
 
 def test_mumford_explicit_value():
     # g=2, d=1, k=4, m=0: 2^0 c_{1,2} = alpha^2/2 + beta/2
     g = 2
-    got = mumford_relation(1, 4, 0, Element.one(g), g)
+    got = mumford_relation(1, 4, 0, 0, g).embed() * Element.one(g)
     want = F(1, 2) * Element.alpha(g) ** 2 + F(1, 2) * Element.beta(g)
     assert got == want
 
@@ -106,7 +106,7 @@ def test_modified_mumford_m0_equals_plain():
     one = Element.one(g)
     for d in (0, 1):
         for k in (3, 4, 5, 6):
-            assert modified_mumford(d, k, 0, one, g) == mumford_relation(d, k, 0, one, g)
+            assert modified_mumford(d, k, 0, one, g) == mumford_relation(d, k, 0, 0, g).embed() * one
 
 
 def test_modified_mumford_two_routes_small():
@@ -117,9 +117,10 @@ def test_modified_mumford_two_routes_small():
                 for m in range(g - l + 1):
                     for k in range(2 * g + 2 * d + 1):
                         for sig in basis[:2]:
-                            a = modified_mumford_sum(d, k, m, sig, g)
-                            b = modified_mumford_closed(d, k, m, sig, g)
+                            a = modified_mumford_sum(d, k, m, l, g)
+                            b = modified_mumford_closed(d, k, m, l, g)
                             assert a == b, (g, d, k, m, l)
+                            assert a.embed() * sig == b.embed() * sig, (g, d, k, m, l)
 
 
 def test_modified_mumford_chern_bound():
@@ -165,6 +166,13 @@ def test_modified_mumford_validates_l_plus_m():
     sig = prim_basis(g, 1)[0]
     with pytest.raises(ValueError):
         modified_mumford(1, 6, 2, sig, g)
+    for build in (modified_mumford_sum, modified_mumford_closed):
+        with pytest.raises(ValueError):
+            build(1, 6, 2, 1, g)
+    for l in (-1, g + 1):  # the primitive degree lies in 0..g
+        for build in (mumford_relation, modified_mumford_sum, modified_mumford_closed):
+            with pytest.raises(ValueError):
+                build(1, 6, 0, l, g)
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +209,7 @@ def test_rel_generator_is_top_chern_part_of_modified():
                 sig = prim_basis(g, l)[0]
                 for m in range(g - l + 1):
                     for k in range(2 * g, 2 * g + 4):
-                        rel = modified_mumford_closed(d + 1, k, m, sig, g)
+                        rel = modified_mumford_closed(d + 1, k, m, l, g).embed() * sig
                         top = rel.chern_component(2 * k - 2 * g)
                         scalar = (
                             F((-1) ** l)
@@ -486,7 +494,7 @@ def test_report_policy():
 def test_route_disagreements_raise_verification_error(monkeypatch):
     g = 2
     assert len(ideal_slice(g, 0, (4, 4))) == 1  # warms the prim_basis cache
-    monkeypatch.setattr(rel, "modified_mumford_sum", lambda *args: Element.one(g))
+    monkeypatch.setattr(rel, "modified_mumford_sum", lambda *args: InvariantPoly.one(g))
     with pytest.raises(VerificationError, match="routes disagree"):
         modified_mumford(0, 5, 0, Element.one(g), g)
     monkeypatch.setattr(rel, "row_reduce", lambda matrix: (0, []))

@@ -240,7 +240,7 @@ def test_mumford_relation_matches_series_product(d, g):
                 scalar = (-1) ** l * F(2) ** (2 * g - m - k)
                 embedded = want.embed()
                 for sig in basis:
-                    got = mumford_relation(d, k, m, sig, g)
+                    got = mumford_relation(d, k, m, l, g).embed() * sig
                     assert got == embedded * sig * scalar, f"d={d}, g={g}, k={k}, m={m}, l={l}"
                     cases += 1
     assert cases
