@@ -122,11 +122,16 @@ def prim_basis(g: int, l: int):
 # Mumford relations
 
 
-def _sig_degree(sig: Element) -> int:
+def _sig_degree(sig: Element, g: int) -> int:
+    """Degree l of a primitive class sigma_l: a homogeneous nonzero psi-only
+    element with l <= g and theta^(g-l+1) sigma_l = 0."""
     degs = {mask.bit_count() if not (a or b) else None for a, b, mask in sig.terms}
     if len(degs) != 1 or None in degs:
         raise ValueError("primitive class argument must be a homogeneous nonzero psi-only element")
-    return degs.pop()
+    l = degs.pop()
+    if l > g or (sig * theta_power(g, g - l + 1)).terms:
+        raise ValueError(f"the psi class of degree {l} is not primitive at g={g}")
+    return l
 
 
 def mumford_relation(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
@@ -195,7 +200,7 @@ def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """Modified Mumford relation attached to (k, theta^m sig); asserts that
     the two defining routes give the same sigma_l coefficient in
     Q[alpha, beta, gamma], then applies sig once."""
-    l = _sig_degree(sig)
+    l = _sig_degree(sig, g)
     by_closed = modified_mumford_closed(d, k, m, l, g)
     if modified_mumford_sum(d, k, m, l, g) != by_closed:
         raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, g={g}")
@@ -218,7 +223,7 @@ def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
 
 def rel_generator(k: int, m: int, sig: Element, g: int) -> Element:
     """R_{k,m,l} * sigma_l; homogeneous of bidegree (2k-2g+2m+l, 2k-2g)."""
-    l = _sig_degree(sig)
+    l = _sig_degree(sig, g)
     return rel_generator_poly(g, k, m, l).embed() * sig
 
 

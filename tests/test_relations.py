@@ -175,6 +175,20 @@ def test_modified_mumford_validates_l_plus_m():
                 build(1, 6, 0, l, g)
 
 
+def test_relations_reject_a_sigma_that_is_not_primitive():
+    g = 2
+    psi13 = Element.psi(g, 1) * Element.psi(g, 3)  # theta * psi1 psi3 != 0
+    psi123 = psi13 * Element.psi(g, 2)  # degree 3 > g
+    for sig in (psi13, psi123):
+        with pytest.raises(ValueError, match="not primitive"):
+            modified_mumford(0, 5, 0, sig, g)
+        with pytest.raises(ValueError, match="not primitive"):
+            rel_generator(4, 0, sig, g)
+    for g in (2, 3):
+        for l in range(g + 1):
+            assert all(rel._sig_degree(sig, g) == l for sig in prim_basis(g, l)), (g, l)
+
+
 # ----------------------------------------------------------------------
 # relation generators
 
