@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # only omega and genfun have a CSV renderer
     def common(p, d_flag=True, max_coh=True, norm=True, formats=("json", "text")):
-        p.add_argument("--genus", type=int, default=2, help="curve genus, 2..8")
+        p.add_argument("--genus", type=int, default=None, help="curve genus, 2..8 (default 2)")
         if d_flag:
             p.add_argument("--d", type=int, default=0, help="destabilizing degree bound")
         if max_coh:
@@ -133,7 +133,7 @@ _IGNORED = {
     ("verify", "intermediate"): ("normalization",),
     ("verify", "pairing"): ("d", "max_coh"),
     ("verify", "closure"): ("d", "max_coh", "normalization"),
-    ("verify", "genfun"): ("d", "max_coh", "normalization"),
+    ("verify", "genfun"): ("genus", "d", "max_coh", "normalization"),
     ("genfun", "stack"): ("d",),
     ("genfun", "n21"): ("d",),
     ("genfun", "rank3"): ("d",),
@@ -143,7 +143,7 @@ _IGNORED = {
 def _usage_error(args):
     """Why the parsed arguments are invalid, or None."""
     try:
-        check_genus(args.genus)
+        check_genus(2 if args.genus is None else args.genus)
     except ValueError as exc:
         return str(exc)
     for name in ("d", "max_coh", "expand"):
@@ -362,6 +362,8 @@ def main(argv=None) -> int:
     if error is not None:
         sys.stderr.write(f"error: {error}\n")
         return USAGE_ERROR
+    if args.genus is None:
+        args.genus = 2
     if getattr(args, "normalization", 0) is None:
         args.normalization = Fraction(1)
     out = sys.stdout

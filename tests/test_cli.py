@@ -196,6 +196,7 @@ def test_verify_pairing_suite_to_genus_8(capsys, genus):
         "relations --genus 2 --format csv",
         "sl2 --check relations --genus 2 --format csv",
         "verify --suite genfun --format csv",
+        "verify --suite genfun --genus 5",
     ],
     ids=lambda argv: argv[:60],
 )
