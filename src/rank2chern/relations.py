@@ -129,7 +129,7 @@ def _sig_degree(sig: Element, g: int) -> int:
     if len(degs) != 1 or None in degs:
         raise ValueError("primitive class argument must be a homogeneous nonzero psi-only element")
     l = degs.pop()
-    if l > g or (sig * theta_power(g, g - l + 1)).terms:
+    if l > g or not (sig * theta_power(g, g - l + 1)).is_zero():
         raise ValueError(f"the psi class of degree {l} is not primitive at g={g}")
     return l
 
