@@ -144,7 +144,7 @@ def mumford_relation(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
     C(m,j) (g-l-j)_(m-j) C(m-j,s) (-1)^s (-2)^j beta^s gamma^j c_{d,n-3j-2s}.
     A negative t-index gives zero.
     """
-    _check_degrees(g, l)
+    _check_degrees(g, l, m)
     n = k + m - g - l
     coeff = InvariantPoly.zero(g)
     if n < 0:

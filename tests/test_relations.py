@@ -166,9 +166,11 @@ def test_modified_mumford_validates_l_plus_m():
     sig = prim_basis(g, 1)[0]
     with pytest.raises(ValueError):
         modified_mumford(1, 6, 2, sig, g)
-    for build in (modified_mumford_sum, modified_mumford_closed):
+    for build in (mumford_relation, modified_mumford_sum, modified_mumford_closed):
         with pytest.raises(ValueError):
             build(1, 6, 2, 1, g)
+    with pytest.raises(ValueError):  # theta sigma_2 = 0 at g = 2
+        mumford_relation(0, 6, 1, 2, g)
     for l in (-1, g + 1):  # the primitive degree lies in 0..g
         for build in (mumford_relation, modified_mumford_sum, modified_mumford_closed):
             with pytest.raises(ValueError):
