@@ -3,21 +3,80 @@ from fractions import Fraction as F
 
 import pytest
 
-from rank2chern.algebra import Element, bidegree_cone, d_alpha, d_psi, gamma, monomial_basis
+from rank2chern import operators
+from rank2chern.algebra import (
+    Element,
+    bidegree_cone,
+    d_alpha,
+    d_beta,
+    d_psi,
+    gamma,
+    gamma_power,
+    monomial_basis,
+)
 from rank2chern.integral import IntegralConfig
 from rank2chern.operators import (
+    Operator,
     check_adjointness,
     check_closure,
     check_descent,
     check_sl2_relations,
-    diagonal_h_is_shifted_chern_grading,
-    invariant_subring_identities_hold,
     make_sl2,
     operator_adjointness_failures,
-    psi_number,
     sl2_closure,
 )
 from rank2chern.relations import ideal_slice, prim_basis, rel_generator_poly, slice_vector
+
+
+# ----------------------------------------------------------------------
+# the defining formulas, composed from derivations and products: the
+# reference that the monomial maps of make_sl2 are checked against
+
+
+def psi_number(x):
+    """N = sum_i psi_i d/d psi_i: scales each term by its psi count."""
+    return Element._raw(x.g, {k: c * k[2].bit_count() for k, c in x.terms.items() if k[2]})
+
+
+def pair_laplacian(x):
+    """L = sum_{i=1..g} d/d psi_i d/d psi_{i+g} (d/d psi_{i+g} acts first)."""
+    out = Element.zero(x.g)
+    for i in range(1, x.g + 1):
+        out = out + d_psi(d_psi(x, i + x.g), i)
+    return out
+
+
+def reference_triple(family, d, g, const_shift=0, laplacian=True):
+    """e = v, h = 2 v d_v + N - c, f = -v d_v^2 + c d_v - d_v N - (w/4) L as
+    maps of elements; f takes the constant c + const_shift, and drops its
+    L term unless ``laplacian``."""
+    if family == "alpha":
+        var, other, d_var = Element.alpha(g), Element.beta(g), d_alpha
+    else:
+        var, other, d_var = Element.beta(g), Element.alpha(g), d_beta
+    c = g + 2 * d - 1
+
+    def e(x):
+        return var * x
+
+    def h(x):
+        return (var * d_var(x)).scale(2) + psi_number(x) - x.scale(c)
+
+    def f(x):
+        dx = d_var(x)
+        out = dx.scale(c + const_shift) - var * d_var(dx) - d_var(psi_number(x))
+        if laplacian:
+            out = out - F(1, 4) * (other * pair_laplacian(x))
+        return out
+
+    return e, h, f
+
+
+def reference_sl2(family, d, g):
+    if family != "diagonal":
+        return reference_triple(family, d, g)
+    pairs = zip(reference_triple("alpha", d, g), reference_triple("beta", d, g))
+    return tuple(lambda x, a=a, b=b: a(x) + b(x) for a, b in pairs)
 
 
 def _rand_element(rnd, g, nterms=3):
@@ -87,6 +146,29 @@ def test_triples_match_monomial_closed_forms():
             assert psi_number(x) == old
 
 
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_operators_match_the_defining_formulas(g):
+    # every member of the alpha, beta and diagonal triples, on every monomial
+    # of coh <= 12 and on random multi-term elements (linearity); each image
+    # keeps the Sparse contract: nonzero Fraction coefficients only
+    rnd = random.Random(g)
+    monomials = [Element.monomial(g, *m) for bd in bidegree_cone(g, 12) for m in monomial_basis(g, bd)]
+    elements = monomials + [_rand_element(rnd, g, 6) for _ in range(10)]
+    for d in (0, 1, 2):
+        for family in ("alpha", "beta", "diagonal"):
+            for op, ref in zip(make_sl2(family, d, g), reference_sl2(family, d, g)):
+                for x in elements:
+                    img = op(x)
+                    assert img == ref(x), (family, d, x)
+                    assert all(type(c) is F and c for c in img.terms.values()), (family, d, x)
+
+
+def test_operator_refuses_an_element_of_another_genus():
+    for op in make_sl2("alpha", 0, 2) + make_sl2("diagonal", 0, 2):
+        with pytest.raises(ValueError, match="genus mismatch"):
+            op(Element.one(3))
+
+
 def test_operator_leibniz_consistency():
     # f(alpha * x) = [f, alpha](x) + alpha * f(x) with [f, alpha] = -[e, f] = -h
     g = 2
@@ -129,15 +211,77 @@ def test_sl2_relations_negative_control():
     assert not (e(f_bad(one)) - f_bad(e(one)) - h(one)).is_zero()
 
 
+def _patch_triple(monkeypatch, families, **perturbation):
+    """Replace the triples of ``families`` by the reference formulas with the
+    given perturbation of f, applied through Operator as the checks do."""
+    original = operators._triple
+
+    def triple(family, d, g):
+        ops = original(family, d, g)
+        if family not in families:
+            return ops
+        refs = reference_triple(family, d, g, **perturbation)
+        return tuple(
+            Operator(g, lambda a, b, mask, r=r: r(Element.monomial(g, a, b, mask)).terms, op.shift)
+            for r, op in zip(refs, ops)
+        )
+
+    monkeypatch.setattr(operators, "_triple", triple)
+
+
+def _assert_fails_with_witnesses(rep):
+    assert not rep["pass"] and rep["cases"] > 0
+    assert rep["failures"]
+    for witness in rep["failures"]:
+        assert witness["where"] and witness["expected"] != witness["got"]
+
+
+@pytest.mark.parametrize(
+    "families, perturbation",
+    [
+        (("alpha", "beta"), {"const_shift": 1}),  # f with the constant c + 1
+        (("alpha",), {"laplacian": False}),  # f_alpha without -(beta/4) L
+    ],
+)
+def test_checks_fail_on_a_perturbed_f(monkeypatch, families, perturbation):
+    _patch_triple(monkeypatch, families, **perturbation)
+    _assert_fails_with_witnesses(check_sl2_relations(2, 0, 6))
+    _assert_fails_with_witnesses(check_descent(2, 0))
+
+
+def test_descent_sees_the_laplacian_that_the_relations_cannot(monkeypatch):
+    # without L in both families the triples still satisfy every bracket
+    # (L couples the families, and each family alone commutes with it), so
+    # only the descent identities notice that f is wrong
+    _patch_triple(monkeypatch, ("alpha", "beta"), laplacian=False)
+    assert check_sl2_relations(2, 0, 6)["pass"]
+    _assert_fails_with_witnesses(check_descent(2, 0))
+
+
 def test_invariant_subring_identities():
-    assert invariant_subring_identities_hold(2)
-    assert invariant_subring_identities_hold(3)
-    assert invariant_subring_identities_hold(4)
+    # on Q[alpha, beta, gamma], N acts as 2 gamma d/d gamma and L as
+    # -2 gamma d^2/d gamma^2 + 2g d/d gamma: checked on alpha^a beta^b gamma^c
+    for g in (2, 3, 4):
+        for c in range(g + 1):
+            for a in range(3):
+                for b in range(3):
+                    x = Element.monomial(g, a, b, 0) * gamma_power(g, c)
+                    assert psi_number(x) == x.scale(2 * c)
+                    want = Element.zero(g)
+                    if c >= 1:
+                        coeff = -2 * c * (c - 1) + 2 * g * c
+                        want = (Element.monomial(g, a, b, 0) * gamma_power(g, c - 1)).scale(coeff)
+                    assert pair_laplacian(x) == want, (g, a, b, c)
 
 
 def test_diagonal_h_is_shifted_chern_grading():
-    assert diagonal_h_is_shifted_chern_grading(2)
-    assert diagonal_h_is_shifted_chern_grading(3, 8)
+    # h_diagonal acts on a homogeneous element as chern - (2g - 2)
+    for g, max_coh in ((2, 6), (3, 8)):
+        _, h, _ = make_sl2("diagonal", 0, g)
+        for bd in bidegree_cone(g, max_coh):
+            for mono in monomial_basis(g, bd):
+                x = Element.monomial(g, *mono)
+                assert h(x) == x.scale(bd.chern - (2 * g - 2)), (g, x)
 
 
 def test_adjointness_passes_and_is_scale_invariant():
