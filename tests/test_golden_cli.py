@@ -27,6 +27,9 @@ GOLDEN = [
     ("sl2 --check descent --genus 3", "75fc33cd0ef0b97c6109af598de3435380ef3e760fbbc7851fb5dc180bc9156f", 0),
     ("sl2 --check closure --genus 2", "f958a55c8aef89ccc859b7debde7f8fe63cb26683d66021d72db723555e8cd51", 0),
     ("genfun --check all --expand 12", "d3c205f66efd06dd1d3bf88ba447996d60cd74c476aca2fbdc33420a49c88d54", 0),
+    ("genfun --formula rank3 --genus 3 --expand 16 --format json", "1ef1a95b5bfc691e50231e9ab062c7ce5c3b825c99c5bf3f5e0aca7c43b8386a", 0),
+    ("genfun --formula stack --rank 3 --genus 2 --expand 12 --format csv", "a2f986284388bf1f2e0a7cd0c187f707d1100a44d1a4d86e9bea01f42b26bf0e", 0),
+    ("genfun --formula intermediate --genus 3 --d 1 --expand 14 --format json", "10521bd743a23ddfc0d0efc9ee04e3be7aca0c9a8bc8fb20b45e3f699a3a7e2c", 0),
     ("verify --suite all --genus 2", "e9737ebd198a319d549af8566ebb373e209b5192f528ec2f18f5dbc2ee08dd0d", 0),
     ("verify --suite pairing --genus 3", "11cfed4cab7ff4164e49ed6b60299d1a697f1a899930b8fb540bf78f36c24d54", 0),
     ("verify --suite pairing --genus 4 --format json", "f5d504e07617b0a0048d2511bcd4c2e1d001d3cba0400505ed11045c5080fff6", 0),
