@@ -52,7 +52,7 @@ from .relations import (
     rel_generator,
     verify_vanishing_corollary,
 )
-from .series import InvariantPoly, phi_series, xi, xi_rs
+from .series import InvariantPoly, phi_series
 
 __version__ = "0.1.0"
 
@@ -103,7 +103,5 @@ __all__ = [
     "theta",
     "theta_power",
     "verify_vanishing_corollary",
-    "xi",
-    "xi_rs",
     "zagier_combinatorial_omega",
 ]

@@ -92,11 +92,14 @@ class Sparse:
     multiplicative identity, and its own ``__mul__``, which applies the key
     law.  ``g`` is the genus, or None for a class without one.  Values are
     treated as immutable: operations build new values and never mutate
-    ``terms`` in place.
+    ``terms`` in place.  ``_zero`` and ``_one`` are the coefficient zero and
+    one, of the type the class stores (Fraction here; ``BiPoly`` overrides).
     """
 
     __slots__ = ("g", "terms")
     _unit = None
+    _zero = _ZERO
+    _one = _ONE
 
     @classmethod
     def _raw(cls, g, terms: dict):
@@ -112,7 +115,7 @@ class Sparse:
 
     @classmethod
     def one(cls, *g):
-        return cls(*g, {cls._unit: _ONE})
+        return cls(*g, {cls._unit: cls._one})
 
     def _coerce(self, other):
         """``other`` as an operand of ``+``, ``-`` and ``==``, else NotImplemented."""
@@ -126,8 +129,9 @@ class Sparse:
         if self.g != other.g:
             raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
         t = dict(self.terms)
+        zero = self._zero
         for k, v in other.terms.items():
-            s = t.get(k, _ZERO) + v
+            s = t.get(k, zero) + v
             if s:
                 t[k] = s
             else:
@@ -164,7 +168,7 @@ class Sparse:
         """Square-and-multiply; stops as soon as a square vanishes."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = self._raw(self.g, {self._unit: _ONE})
+        out = self._raw(self.g, {self._unit: self._one})
         base = self
         while n:
             if n & 1:

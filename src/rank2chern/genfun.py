@@ -7,11 +7,13 @@ them (shift symmetry, t = -1 specializations, unimodality of the Chern
 specialization, the block-combinatorial sum, and the telescoping of the
 stratification).
 
-Rational-function equality is decided by cross-multiplication of exact
-polynomials.  Equality first tries two exact shortcuts (identical numerator
-and denominator, or both proportional with the same ratio) before falling
-back to the full cross product; both paths are exact, the shortcuts just
-keep the large-genus checks fast.
+Coefficients are exact rationals, held as ``int`` when integral (every
+closed form here has integer coefficients) and as ``Fraction`` otherwise;
+no float ever appears.  Rational-function equality is decided by
+cross-multiplication of exact polynomials.  Equality first tries two exact
+shortcuts (identical numerator and denominator, or both proportional with
+the same ratio) before falling back to the full cross product; both paths
+are exact, the shortcuts just keep the large-genus checks fast.
 """
 
 from __future__ import annotations
@@ -21,7 +23,15 @@ from fractions import Fraction
 
 from .algebra import Sparse
 
-_ZERO = Fraction(0)
+
+def exact(v):
+    """An int or Fraction v as an int when it is integral, else as a
+    Fraction.  Anything else, a float in particular, is refused."""
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, int):
+        return int(v)
+    raise TypeError(f"not an exact rational: {v!r}")
 
 
 class BiPoly(Sparse):
@@ -30,28 +40,40 @@ class BiPoly(Sparse):
     Keys are integer exponent pairs (qExp, tExp); negative exponents are
     permitted only inside symmetry checks, all stored closed forms use
     non-negative exponents.  Rational scalars act as constants in ``+``,
-    ``-`` and ``==``.
+    ``-`` and ``==``.  Every constructor holds an integral coefficient as an
+    int (``exact``), so integer polynomials multiply in int arithmetic.
     """
 
     __slots__ = ()
     _unit = (0, 0)
+    _zero = 0
+    _one = 1
 
     def __init__(self, terms=None):
         self.g = None
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                v = Fraction(v)
+                v = exact(Fraction(v))
                 if v:
                     self.terms[k] = v
 
     @classmethod
+    def _raw(cls, g, terms: dict):
+        """Unchecked constructor; integral Fractions in ``terms`` become ints
+        and a float is refused (``exact``)."""
+        for k, v in terms.items():
+            if v.__class__ is not int:
+                terms[k] = exact(v)
+        return super()._raw(g, terms)
+
+    @classmethod
     def const(cls, v):
-        return cls({(0, 0): Fraction(v)})
+        return cls({(0, 0): v})
 
     @classmethod
     def monomial(cls, i, j, coeff=1):
-        return cls({(i, j): Fraction(coeff)})
+        return cls({(i, j): coeff})
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -65,15 +87,15 @@ class BiPoly(Sparse):
         for (i1, j1), v1 in self.terms.items():
             for (i2, j2), v2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                s = t.get(k, _ZERO) + v1 * v2
+                s = t.get(k, 0) + v1 * v2
                 if s:
                     t[k] = s
                 else:
                     del t[k]
         return BiPoly._raw(None, t)
 
-    def coeff(self, i, j) -> Fraction:
-        return self.terms.get((i, j), _ZERO)
+    def coeff(self, i, j):
+        return self.terms.get((i, j), 0)
 
     def max_q_degree(self):
         return max((i for i, _ in self.terms), default=None)
@@ -90,13 +112,13 @@ class BiPoly(Sparse):
 
     def subst_t(self, value) -> "BiPoly":
         """Substitute a rational value for t."""
-        value = Fraction(value)
+        value = exact(Fraction(value))
         t = {}
         for (i, j), v in self.terms.items():
-            c = v * value**j
+            c = v * (value**j if j >= 0 else Fraction(1, value**-j))
             if c:
                 k = (i, 0)
-                s = t.get(k, _ZERO) + c
+                s = t.get(k, 0) + c
                 if s:
                     t[k] = s
                 else:
@@ -108,7 +130,7 @@ class BiPoly(Sparse):
         t = {}
         for (i, j), v in self.terms.items():
             k = (0, i + j)
-            s = t.get(k, _ZERO) + v
+            s = t.get(k, 0) + v
             if s:
                 t[k] = s
             else:
@@ -134,11 +156,11 @@ class BiPoly(Sparse):
             qk = (k[0] - lt_key[0], k[1] - lt_key[1])
             if qk[0] < 0 or qk[1] < 0:
                 raise ValueError("division is not exact")
-            c = rem[k] / lt_val
-            quo[qk] = quo.get(qk, _ZERO) + c
+            c = exact(Fraction(rem[k], lt_val))
+            quo[qk] = quo.get(qk, 0) + c
             for dk, dv in den.terms.items():
                 kk = (qk[0] + dk[0], qk[1] + dk[1])
-                s = rem.get(kk, _ZERO) - c * dv
+                s = rem.get(kk, 0) - c * dv
                 if s:
                     rem[kk] = s
                 else:
@@ -245,7 +267,7 @@ def _proportionality_ratio(p1: BiPoly, p2: BiPoly):
     k = max(p1.terms)
     if k not in p2.terms:
         return None
-    c = p2.terms[k] / p1.terms[k]
+    c = exact(Fraction(p2.terms[k], p1.terms[k]))
     for key, v in p1.terms.items():
         if p2.terms.get(key) != c * v:
             return None
@@ -400,7 +422,7 @@ def zagier_combinatorial_omega(g: int) -> BiPoly:
 
     def put(i, j, v):
         k = (i, j)
-        s = out.get(k, _ZERO) + v
+        s = out.get(k, 0) + v
         if s:
             out[k] = s
         else:
@@ -412,7 +434,7 @@ def zagier_combinatorial_omega(g: int) -> BiPoly:
             for r in range(n - 2 * p - l + 1):
                 for s in range(n - 2 * p - l - r + 1):
                     h = n - 2 * p - l - r - s
-                    w = Fraction(2**h * math.comb(g, h) * math.comb(g - h, p))
+                    w = 2**h * math.comb(g, h) * math.comb(g - h, p)
                     qe = 2 * r + 2 * s + 2 * h + 4 * p
                     te = 2 * s + h + 2 * p
                     if l == 0:

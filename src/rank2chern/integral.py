@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, check_genus, gamma_power, koszul_sign, monomial_basis
+from .algebra import Element, check_genus, koszul_sign, monomial_basis
 from .linalg import QMatrix
 
 _ZERO = Fraction(0)
@@ -135,20 +135,3 @@ def pairing_matrix(g: int, bd, cfg: IntegralConfig = None) -> QMatrix:
         data.append(dict(sorted(row.items())))
     return QMatrix(len(cols_basis), data)
 
-
-def gamma_power_integral_two_routes(g: int, p: int, cfg: IntegralConfig = None):
-    """Integral of alpha^(g-1-p) beta^(g-1-p) gamma^p by two routes.
-
-    Route one expands gamma^p monomially in the full algebra and sums the
-    pairwise reductions; route two scales the Virasoro value directly.  The
-    two must agree exactly for every p <= g - 1.
-    """
-    if cfg is None:
-        cfg = IntegralConfig(g)
-    if not 0 <= p <= g - 1:
-        raise ValueError("p must satisfy 0 <= p <= g-1")
-    n = g - 1 - p
-    elem = Element.monomial(g, n, n, 0) * gamma_power(g, p)
-    route_expand = graded_integral(elem, cfg)
-    route_recursion = _virasoro_line(g)[p] * cfg.B
-    return route_expand, route_recursion

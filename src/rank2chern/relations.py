@@ -8,7 +8,9 @@ Three layers live here:
   recombination with the improved Chern-degree bound, and the graded
   relation generators R_{k,m,l}, each built as the coefficient in
   Q[alpha, beta, gamma] of a primitive class sigma_l of degree l;
-  modified_mumford compares its two routes there and applies sigma once;
+  modified_mumford compares its two routes there, once per
+  (d, k, m, l, g) (the checked coefficient is memoised), and applies
+  sigma once per call;
 * per-bidegree slices of the relation ideals and the resulting refined
   dimension tables, by the ideal route (any d >= 0) and by the pairing
   route (d = 0).
@@ -20,7 +22,7 @@ pairing respect that sum.  So a bidegree's dimension is a sum over l of
 dim Prim_l times a rank over the few monomials alpha^a beta^b gamma^c of
 summand l, never over the 2^(2g) psi monomials.  The d = 0 kernel match
 runs per summand too; the full-monomial slices stay in ideal_slice for the
-relations dump and the multiplicative-closure guard.
+relations dump.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .algebra import (
     theta_power,
 )
 from .integral import IntegralConfig, graded_integral
-from .linalg import QMatrix, RowSpan, row_reduce
+from .linalg import QMatrix, row_reduce
 from .series import InvariantPoly, phi_series
 
 
@@ -63,13 +65,6 @@ def report(kind: str, name: str, genus: int, d: int, cases: int, failures: list)
         "pass": cases > 0 and not failures,
         "failures": failures[:10],
     }
-
-
-def _falling(x: int, j: int) -> int:
-    out = 1
-    for t in range(j):
-        out *= x - t
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +146,7 @@ def mumford_relation(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
         return coeff
     phi = phi_series(d, g, n)
     for j in range(min(m, n // 3) + 1):
-        weight = math.comb(m, j) * _falling(g - l - j, m - j) * (-2) ** j
+        weight = math.comb(m, j) * math.perm(g - l - j, m - j) * (-2) ** j
         for s in range(min(m - j, (n - 3 * j) // 2) + 1):
             w = weight * math.comb(m - j, s) * (-1) ** s
             coeff = coeff + phi[n - 3 * j - 2 * s] * InvariantPoly.monomial(g, 0, s, j, w)
@@ -164,7 +159,7 @@ def modified_mumford_sum(d: int, k: int, m: int, l: int, g: int) -> InvariantPol
     _check_degrees(g, l, m)
     out = InvariantPoly.zero(g)
     for s in range(m + 1):
-        weight = (-1) ** s * math.comb(m, s) * _falling(g - l - s, m - s)
+        weight = (-1) ** s * math.comb(m, s) * math.perm(g - l - s, m - s)
         if weight:
             out = out + mumford_relation(d, k + m - s, s, l, g).scale(weight)
     return out
@@ -196,15 +191,22 @@ def modified_mumford_closed(d: int, k: int, m: int, l: int, g: int) -> Invariant
     return poly.scale(scalar)
 
 
-def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
-    """Modified Mumford relation attached to (k, theta^m sig); asserts that
-    the two defining routes give the same sigma_l coefficient in
-    Q[alpha, beta, gamma], then applies sig once."""
-    l = _sig_degree(sig, g)
+@lru_cache(maxsize=None)
+def _checked_coefficient(d: int, k: int, m: int, l: int, g: int) -> Element:
+    """The embedded sigma_l coefficient of the modified relation, after
+    asserting that its two defining routes agree in Q[alpha, beta, gamma].
+    The check does not depend on sigma, so it runs once per key."""
     by_closed = modified_mumford_closed(d, k, m, l, g)
     if modified_mumford_sum(d, k, m, l, g) != by_closed:
         raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, g={g}")
-    return by_closed.embed() * sig
+    return by_closed.embed()
+
+
+def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
+    """Modified Mumford relation attached to (k, theta^m sig): the checked
+    sigma_l coefficient times sig, sig checked primitive on every call."""
+    l = _sig_degree(sig, g)
+    return _checked_coefficient(d, k, m, l, g) * sig
 
 
 @lru_cache(maxsize=None)
@@ -481,33 +483,3 @@ def pairing_kernel_matches_ideal(g: int, bd, cfg: IntegralConfig = None) -> bool
             return False
     return True
 
-
-def ideal_multiplicative_closure_holds(g: int, d: int, max_coh: int = None) -> bool:
-    """Guard on the ideal property: multiplying any slice generator by a
-    ring generator stays inside the slice of the target bidegree."""
-    check_genus(g)
-    if max_coh is None:
-        max_coh = default_max_coh(g, d)
-    gens = [Element.alpha(g), Element.beta(g)] + [Element.psi(g, i) for i in range(1, 2 * g + 1)]
-    for bd in bidegree_cone(g, max_coh):
-        elements = ideal_slice(g, d, bd)
-        if not elements:
-            continue
-        coh, chern = bd
-        for gen in gens:
-            dc, dch = gen.bidegree()
-            target = (coh + dc, chern + dch)
-            if target[0] > max_coh:
-                continue
-            basis = monomial_basis(g, target)
-            index = {mono: i for i, mono in enumerate(basis)}
-            span = RowSpan(len(basis))
-            for y in ideal_slice(g, d, target):
-                span.add(slice_vector(y, index))
-            for x in elements:
-                prod = gen * x
-                if prod.is_zero():
-                    continue
-                if not span.contains(slice_vector(prod, index)):
-                    return False
-    return True

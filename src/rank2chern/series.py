@@ -3,7 +3,7 @@
 The degree-d generating series Phi_d(t) = sum_n c_{d,n} t^n has a
 coefficient c_{d,n} of cohomological degree 2n, so the t-grading repeats
 the grading of InvariantPoly and the series is kept as the tuple of its
-coefficients; the xi classes are built from them.
+coefficients.
 
 The half-integer power (1 - beta t^2)^(d - 3/2) is never expanded with
 square roots: Phi_d = exp(X) through the pole-free rearrangement
@@ -21,7 +21,6 @@ formal square root of beta lives in the test suite, not here.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -82,20 +81,6 @@ class InvariantPoly(Sparse):
                     del t[k]
         return InvariantPoly._raw(g, t)
 
-    def coh_degree(self):
-        """Common cohomological degree 2a + 4b + 6c, or None."""
-        degs = {2 * a + 4 * b + 6 * c for a, b, c in self.terms}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
-    def alpha_part(self) -> "InvariantPoly":
-        """Terms free of beta and gamma (the top-Chern-degree part of a
-        coefficient of cohomological degree 2n)."""
-        return InvariantPoly._raw(
-            self.g, {k: v for k, v in self.terms.items() if k[1] == 0 and k[2] == 0}
-        )
-
     def embed(self) -> Element:
         """Expand gamma powers into the full descendent algebra."""
         g = self.g
@@ -136,27 +121,3 @@ def phi_series(d: int, g: int, order: int) -> tuple:
             kx = InvariantPoly(g, {(1, i, 0): 1, (0, i - 1, 1): 2} if i else {(1, 0, 0): 1})
         c = c + kx * head[order - k]
     return head + (c.scale(Fraction(1, order)),)
-
-
-def xi(r: int, g: int) -> InvariantPoly:
-    """xi_r, the t^r coefficient of the d = 1 series; degree 2r."""
-    if r < 0:
-        raise ValueError("negative index")
-    return phi_series(1, g, r)[r]
-
-
-def xi_rs(r: int, s: int, g: int) -> InvariantPoly:
-    """xi_{r,s} = sum_{l} C(r+s-l, r) beta^(s-l) (2 gamma)^l / l! * xi_{r-l}.
-
-    Cohomological degree 2r + 4s; Chern degree of the embedded element is
-    at most 2r + 2s.
-    """
-    if r < 0 or s < 0:
-        raise ValueError("negative index")
-    beta = InvariantPoly.gen(g, "beta")
-    gam = InvariantPoly.gen(g, "gamma")
-    out = InvariantPoly.zero(g)
-    for l in range(min(r, s) + 1):
-        c = Fraction(math.comb(r + s - l, r), math.factorial(l))
-        out = out + (beta ** (s - l) * (gam.scale(2)) ** l * xi(r - l, g)).scale(c)
-    return out

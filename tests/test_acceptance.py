@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 from rank2chern.algebra import Element, chern_filter_basis, gamma_power
 from rank2chern.genfun import omega_closed_form, omega_closed_polynomial
-from rank2chern.integral import IntegralConfig, gamma_power_integral_two_routes, graded_integral
+from rank2chern.integral import IntegralConfig, graded_integral
 from rank2chern.operators import (
     check_adjointness,
     check_closure,
@@ -17,7 +17,6 @@ from rank2chern.operators import (
     check_sl2_relations,
 )
 from rank2chern.relations import (
-    ideal_multiplicative_closure_holds,
     modified_mumford_closed,
     modified_mumford_sum,
     omega_from_ideal,
@@ -25,6 +24,8 @@ from rank2chern.relations import (
     prim_basis,
     verify_vanishing_corollary,
 )
+from test_integral import gamma_power_integral_two_routes
+from test_relations import ideal_multiplicative_closure_holds
 
 
 def _report(name: str, ok: bool):

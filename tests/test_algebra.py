@@ -164,6 +164,16 @@ def test_power_is_repeated_product(kind, data, n):
     assert x**n == expected
 
 
+@pytest.mark.parametrize("kind", ["Element", "InvariantPoly"])
+@LAWS
+@given(data=st.data(), c=st.integers(-3, 3), n=st.integers(0, 3))
+def test_algebra_coefficients_stay_fractions(kind, data, c, n):
+    # only BiPoly holds integral coefficients as int
+    x, y = (data.draw(VALUES[kind]) for _ in range(2))
+    for r in (x + y, x - y, x * y, x**n, x.scale(c), c * x, ONE[kind]):
+        assert all(type(v) is F for v in r.terms.values())
+
+
 @LAWS
 @given(s=st.integers(0, 63), t=st.integers(0, 63))
 def test_koszul_sign_of_psi_products(s, t):

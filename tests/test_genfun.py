@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rank2chern.genfun import (
     BiPoly,
@@ -169,3 +171,81 @@ def test_series_coefficients_d1_low_order():
         if i + j <= 3:
             assert series.coeff(i, j) == v
     assert series.coeff(4, 0) == 1  # new stratum class at q^4
+
+
+# ----------------------------------------------------------------------
+# exact coefficients: int when integral, Fraction otherwise, never float
+
+EXACT = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+SCALARS = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
+NONZERO = SCALARS.filter(bool)
+
+
+def _bipolys(lo):
+    keys = st.tuples(st.integers(lo, 3), st.integers(lo, 3))
+    return st.dictionaries(keys, NONZERO, max_size=4).map(BiPoly)
+
+
+def _exact(p: BiPoly) -> bool:
+    return all(
+        v.__class__ is int or (v.__class__ is F and v.denominator != 1) for v in p.terms.values()
+    )
+
+
+@EXACT
+@given(x=_bipolys(-2), y=_bipolys(-2), c=SCALARS, v=NONZERO, n=st.integers(0, 4), i=st.integers(-2, 2))
+def test_bipoly_results_hold_exact_coefficients(x, y, c, v, n, i):
+    assert _exact(x) and _exact(y)
+    results = [x + y, x - y, x * y, x**n, x.scale(c), c * x, x + c, x.reflect(3, i), x.shift(i, -i)]
+    results.append(x.subst_t(v))
+    if y:  # shifted to non-negative exponents: divide_exact is polynomial division
+        x2, y2 = x.shift(2, 2), y.shift(2, 2)
+        results.append((x2 * y2).divide_exact(y2))
+        assert results[-1] == x2
+    for r in results:
+        assert _exact(r), r
+
+
+@EXACT
+@given(x=_bipolys(0), z=_bipolys(0), c0=NONZERO, top=st.integers(0, 6))
+def test_bipoly_series_coefficients_hold_exact_coefficients(x, z, c0, top):
+    den = BiPoly.const(c0) + z * BiPoly.monomial(1, 0)
+    series = BiRational(x, den).series_coefficients(top)
+    assert _exact(series)
+    assert (series * den).truncate_total(top) == x.truncate_total(top)
+
+
+def test_exact_division_and_ratios():
+    q = BiPoly.monomial(1, 0)
+    half = q.divide_exact(2 * q)
+    assert half == F(1, 2) and half.terms == {(0, 0): F(1, 2)}
+    assert (q + q).terms == {(1, 0): 2} and type((q * F(1, 2) + q * F(1, 2)).coeff(1, 0)) is int
+    # 3q / ((3n+1) q^2) and q / (n q^2) differ, but the float ratios 1/3 and
+    # n / (3n+1) of their numerators and denominators round to the same float
+    n = 10**20
+    a = BiRational(3 * q, (3 * n + 1) * q**2)
+    b = BiRational(q, n * q**2)
+    assert a != b and not (a == b)
+    assert a == BiRational(6 * q, (6 * n + 2) * q**2)
+    with pytest.raises(TypeError):
+        BiPoly._raw(None, {(0, 0): 0.5})
+    assert BiRational((1 + q) * 2, 3 - 3 * q) == BiRational((1 + q) * 4, 6 - 6 * q)
+    assert BiRational((1 + q) * 2, 3 - 3 * q) != BiRational((1 + q) * 4, 3 - 3 * q)
+
+
+def test_closed_forms_hold_int_coefficients():
+    def ints(*polys):
+        return all(type(v) is int for p in polys for v in p.terms.values())
+
+    for g in range(2, 9):
+        for r in range(2, 6):
+            f = omega_stack(r, g)
+            assert ints(f.num, f.den, f.subst_t(-1).num), (r, g)
+        for d in range(4):
+            f = omega_closed_form(g, d)
+            assert ints(f.num, f.den, f.subst_t(-1).num, f.subst_q_equals_t().num), (g, d)
+        assert ints(omega_closed_polynomial(g), zagier_combinatorial_omega(g)), g
+        if g <= 5:
+            f = omega_rank3(g)
+            assert ints(f.num, f.den), g

@@ -4,15 +4,33 @@ from fractions import Fraction as F
 
 import pytest
 
-from rank2chern.algebra import Element, bidegree_cone, gamma, mask_of, monomial_basis
+from rank2chern.algebra import Element, bidegree_cone, gamma, gamma_power, mask_of, monomial_basis
 from rank2chern.integral import (
     IntegralConfig,
-    gamma_power_integral_two_routes,
+    _virasoro_line,
     graded_integral,
     graded_pairing,
     pairing_matrix,
     top_bidegree,
 )
+
+
+def gamma_power_integral_two_routes(g: int, p: int, cfg: IntegralConfig = None):
+    """Integral of alpha^(g-1-p) beta^(g-1-p) gamma^p by two routes.
+
+    Route one expands gamma^p monomially in the full algebra and sums the
+    pairwise reductions; route two scales the Virasoro value directly.  The
+    two must agree exactly for every p <= g - 1.
+    """
+    if cfg is None:
+        cfg = IntegralConfig(g)
+    if not 0 <= p <= g - 1:
+        raise ValueError("p must satisfy 0 <= p <= g-1")
+    n = g - 1 - p
+    elem = Element.monomial(g, n, n, 0) * gamma_power(g, p)
+    route_expand = graded_integral(elem, cfg)
+    route_recursion = _virasoro_line(g)[p] * cfg.B
+    return route_expand, route_recursion
 
 
 def cfg2(B=1):

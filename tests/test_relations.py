@@ -6,14 +6,22 @@ from fractions import Fraction as F
 import pytest
 
 import rank2chern.relations as rel
-from rank2chern.algebra import Element, bidegree_cone, format_element, gamma, monomial_basis, theta_power
+from rank2chern.algebra import (
+    Element,
+    bidegree_cone,
+    check_genus,
+    format_element,
+    gamma,
+    monomial_basis,
+    theta_power,
+)
 from rank2chern.genfun import omega_closed_form
 from rank2chern.integral import IntegralConfig, pairing_matrix
-from rank2chern.linalg import row_reduce
+from rank2chern.linalg import RowSpan, row_reduce
 from rank2chern.relations import (
     OmegaTable,
     VerificationError,
-    ideal_multiplicative_closure_holds,
+    default_max_coh,
     ideal_slice,
     ideal_slice_keys,
     modified_mumford,
@@ -31,6 +39,37 @@ from rank2chern.relations import (
     verify_vanishing_corollary,
 )
 from rank2chern.series import InvariantPoly, phi_series
+
+
+def ideal_multiplicative_closure_holds(g: int, d: int, max_coh: int = None) -> bool:
+    """Guard on the ideal property: multiplying any slice generator by a
+    ring generator stays inside the slice of the target bidegree."""
+    check_genus(g)
+    if max_coh is None:
+        max_coh = default_max_coh(g, d)
+    gens = [Element.alpha(g), Element.beta(g)] + [Element.psi(g, i) for i in range(1, 2 * g + 1)]
+    for bd in bidegree_cone(g, max_coh):
+        elements = ideal_slice(g, d, bd)
+        if not elements:
+            continue
+        coh, chern = bd
+        for gen in gens:
+            dc, dch = gen.bidegree()
+            target = (coh + dc, chern + dch)
+            if target[0] > max_coh:
+                continue
+            basis = monomial_basis(g, target)
+            index = {mono: i for i, mono in enumerate(basis)}
+            span = RowSpan(len(basis))
+            for y in ideal_slice(g, d, target):
+                span.add(slice_vector(y, index))
+            for x in elements:
+                prod = gen * x
+                if prod.is_zero():
+                    continue
+                if not span.contains(slice_vector(prod, index)):
+                    return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -510,6 +549,7 @@ def test_report_policy():
 def test_route_disagreements_raise_verification_error(monkeypatch):
     g = 2
     assert len(ideal_slice(g, 0, (4, 4))) == 1  # warms the prim_basis cache
+    rel._checked_coefficient.cache_clear()  # else a memoised key skips the comparison
     monkeypatch.setattr(rel, "modified_mumford_sum", lambda *args: InvariantPoly.one(g))
     with pytest.raises(VerificationError, match="routes disagree"):
         modified_mumford(0, 5, 0, Element.one(g), g)
@@ -518,3 +558,16 @@ def test_route_disagreements_raise_verification_error(monkeypatch):
         ideal_slice(g, 0, (4, 4))
     with pytest.raises(VerificationError, match="size mismatch"):
         prim_basis.__wrapped__(g, 1)
+
+
+def test_route_disagreement_is_checked_per_call_and_never_memoised(monkeypatch):
+    g, l = 2, 1
+    first, second = prim_basis(g, l)[:2]
+    assert modified_mumford(0, 7, 1, first, g)  # the honest routes agree and fill the memo
+    rel._checked_coefficient.cache_clear()
+    monkeypatch.setattr(rel, "modified_mumford_closed", lambda *args: InvariantPoly.one(g))
+    for sig in (first, second):
+        with pytest.raises(VerificationError, match="routes disagree"):
+            modified_mumford(0, 7, 1, sig, g)
+    info = rel._checked_coefficient.cache_info()
+    assert info.misses == 2 and info.currsize == 0
