@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import Sparse
 
 
-def exact(v):
+def _exact(v):
     """An int or Fraction v as an int when it is integral, else as a
     Fraction.  Anything else, a float in particular, is refused."""
     if isinstance(v, Fraction):
@@ -41,7 +41,7 @@ class BiPoly(Sparse):
     permitted only inside symmetry checks, all stored closed forms use
     non-negative exponents.  Rational scalars act as constants in ``+``,
     ``-`` and ``==``.  Every constructor holds an integral coefficient as an
-    int (``exact``), so integer polynomials multiply in int arithmetic.
+    int (``_exact``), so integer polynomials multiply in int arithmetic.
     """
 
     __slots__ = ()
@@ -54,17 +54,17 @@ class BiPoly(Sparse):
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                v = exact(Fraction(v))
+                v = _exact(Fraction(v))
                 if v:
                     self.terms[k] = v
 
     @classmethod
     def _raw(cls, g, terms: dict):
         """Unchecked constructor; integral Fractions in ``terms`` become ints
-        and a float is refused (``exact``)."""
+        and a float is refused (``_exact``)."""
         for k, v in terms.items():
             if v.__class__ is not int:
-                terms[k] = exact(v)
+                terms[k] = _exact(v)
         return super()._raw(g, terms)
 
     @classmethod
@@ -112,7 +112,7 @@ class BiPoly(Sparse):
 
     def subst_t(self, value) -> "BiPoly":
         """Substitute a rational value for t."""
-        value = exact(Fraction(value))
+        value = _exact(Fraction(value))
         t = {}
         for (i, j), v in self.terms.items():
             c = v * (value**j if j >= 0 else Fraction(1, value**-j))
@@ -156,7 +156,7 @@ class BiPoly(Sparse):
             qk = (k[0] - lt_key[0], k[1] - lt_key[1])
             if qk[0] < 0 or qk[1] < 0:
                 raise ValueError("division is not exact")
-            c = exact(Fraction(rem[k], lt_val))
+            c = _exact(Fraction(rem[k], lt_val))
             quo[qk] = quo.get(qk, 0) + c
             for dk, dv in den.terms.items():
                 kk = (qk[0] + dk[0], qk[1] + dk[1])
@@ -267,7 +267,7 @@ def _proportionality_ratio(p1: BiPoly, p2: BiPoly):
     k = max(p1.terms)
     if k not in p2.terms:
         return None
-    c = exact(Fraction(p2.terms[k], p1.terms[k]))
+    c = _exact(Fraction(p2.terms[k], p1.terms[k]))
     for key, v in p1.terms.items():
         if p2.terms.get(key) != c * v:
             return None
