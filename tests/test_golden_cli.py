@@ -33,6 +33,8 @@ GOLDEN = [
     ("verify --suite all --genus 2", "e9737ebd198a319d549af8566ebb373e209b5192f528ec2f18f5dbc2ee08dd0d", 0),
     ("verify --suite pairing --genus 3", "11cfed4cab7ff4164e49ed6b60299d1a697f1a899930b8fb540bf78f36c24d54", 0),
     ("verify --suite pairing --genus 4 --format json", "f5d504e07617b0a0048d2511bcd4c2e1d001d3cba0400505ed11045c5080fff6", 0),
+    ("verify --suite pairing --genus 8 --format json", "97fb77b51da661b2693cd16bddaa6b4cd3f8cd67cf28b2c23bcce3b5468e2b25", 0),
+    ("omega --genus 8 --route pairing --format csv", "f20b2824175df3733d846d8757ae16271ea1c03bf2d17aec6d5ae47b0c3eea24", 0),
 ]
 
 
