@@ -404,13 +404,11 @@ def rank3_t_minus_one_matches(g: int) -> bool:
     return lhs_num.terms == (target * lhs_den).terms
 
 
-def rank3_qt_series_nonnegative(g: int, max_deg: int = None) -> bool:
+def rank3_qt_series_nonnegative(g: int) -> bool:
     """q = t specialization of the rank-three formula expands with
-    non-negative integer coefficients (sanity property, not a theorem)."""
-    if max_deg is None:
-        max_deg = 16 * (g - 1)
-    f = omega_rank3(g).subst_q_equals_t()
-    series = f.series_coefficients(max_deg)
+    non-negative integer coefficients up to degree 16(g-1) (sanity
+    property, not a theorem)."""
+    series = omega_rank3(g).subst_q_equals_t().series_coefficients(16 * (g - 1))
     return all(v.denominator == 1 and v >= 0 for v in series.terms.values())
 
 

@@ -13,6 +13,11 @@ integral of a monomial alpha^n beta^m psi_S is pinned down by two rules:
 The overall normalization B = I_0 is a free nonzero rational; every
 structural output downstream (ranks, kernels, dimension tables) is invariant
 under rescaling it.
+
+summand_integral evaluates the two rules in closed form on
+alpha^a beta^b gamma^c sigma sigma*, the entries of the per-summand pairing
+matrices, without building an element; monomial_integral is its c = 0
+case.  This module is the only place an integral is evaluated.
 """
 
 from __future__ import annotations
@@ -56,18 +61,28 @@ def _virasoro_line(g: int):
 
 def monomial_integral(g: int, a: int, b: int, mask: int) -> Fraction:
     """B = 1 integral of the monomial alpha^a beta^b psi_mask."""
-    s = mask.bit_count()
-    if 2 * a + 4 * b + 3 * s != 6 * g - 6 or 2 * (a + b + s) != 4 * g - 4:
-        return _ZERO
     lower = mask & ((1 << g) - 1)
-    upper = mask >> g
-    if lower != upper:
+    if lower != mask >> g:
         return _ZERO
-    # top bidegree forces a = b = g - 1 - p, so I_p is always available;
-    # sorting psi_{i1} psi_{i1+g} ... psi_{ip} psi_{ip+g} takes p(p-1)/2 swaps
-    p = lower.bit_count()
-    value = _virasoro_line(g)[p] / (Fraction((-2) ** p) * math.perm(g, p))
-    return -value if (p * (p - 1) // 2) & 1 else value
+    # psi_mask is psi_{i1}..psi_{ip} psi_{i1+g}..psi_{ip+g}: by monodromy
+    # invariance it integrates like sigma sigma* of summand p
+    return summand_integral(g, lower.bit_count(), a, b, 0)
+
+
+def summand_integral(g: int, l: int, a: int, b: int, c: int) -> Fraction:
+    """B = 1 integral of alpha^a beta^b gamma^c sigma sigma*, with
+    sigma = psi_1..psi_l and sigma* = psi_{g+1}..psi_{g+l}.
+
+    Only a = b = g-1-l-c reaches the top bidegree.  There gamma^c is c! times
+    the sum over c-sets of pairs -2 psi_i psi_{i+g}; the C(g-l, c) sets that
+    miss sigma each give the value of l + c whole pairs, and
+    c! C(g-l, c) / perm(g, l+c) = 1 / perm(g, l).
+    """
+    if a != b or a + l + c != g - 1 or a < 0 or c < 0:
+        return _ZERO
+    # sorting sigma sigma* into the pairs psi_i psi_{i+g} takes l(l-1)/2 swaps
+    value = _virasoro_line(g)[l + c] / (Fraction((-2) ** l) * math.perm(g, l))
+    return -value if (l * (l - 1) // 2) & 1 else value
 
 
 def graded_integral(D: Element, cfg: IntegralConfig) -> Fraction:
@@ -101,37 +116,16 @@ def pairing_matrix(g: int, bd, cfg: IntegralConfig = None) -> QMatrix:
     Rows are indexed by monomial_basis(g, bd), columns by the basis of the
     complementary bidegree; outside the cone that basis is legitimately
     empty and the matrix has zero columns.  Only nonzero pairings are
-    stored.  A row pairs only with the columns whose psi mask is disjoint
-    from its own and completes the union to whole pairs (i, i+g): the
-    missing halves of its broken pairs plus any set of pairs it does not
-    touch.  Those partners are the only columns visited.
+    stored; columns whose psi mask overlaps the row's are skipped.
     """
     if cfg is None:
         cfg = IntegralConfig(g)
     if cfg.g != g:
         raise ValueError("genus mismatch")
     coh, chern = bd
-    comp = (6 * g - 6 - coh, 4 * g - 4 - chern)
-    cols_basis = monomial_basis(g, comp)
-    # within one bidegree a psi mask fixes the exponents of alpha and beta
-    col_of_mask = {m2[2]: j for j, m2 in enumerate(cols_basis)}
-    low = (1 << g) - 1
+    cols_basis = monomial_basis(g, (6 * g - 6 - coh, 4 * g - 4 - chern))
     data = []
     for m1 in monomial_basis(g, bd):
-        lower, upper = m1[2] & low, m1[2] >> g
-        forced = (upper & ~lower) | ((lower & ~upper) << g)
-        free = low & ~(lower | upper)
-        row = {}
-        sub = free
-        while True:  # every submask of the untouched pairs
-            j = col_of_mask.get(forced | sub | (sub << g))
-            if j is not None:
-                v = _pair_monomials(g, m1, cols_basis[j])
-                if v:
-                    row[j] = v * cfg.B
-            if not sub:
-                break
-            sub = (sub - 1) & free
-        data.append(dict(sorted(row.items())))
+        pairs = ((j, _pair_monomials(g, m1, m2)) for j, m2 in enumerate(cols_basis) if not m1[2] & m2[2])
+        data.append({j: v * cfg.B for j, v in pairs if v})
     return QMatrix(len(cols_basis), data)
-

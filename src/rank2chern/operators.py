@@ -180,11 +180,10 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     return report("check", "relations", g, d, cases, failures)
 
 
-def operator_adjointness_failures(
-    F: Operator, sign: int, g: int, cfg: IntegralConfig, limit: int = 10
-):
+def operator_adjointness_failures(F: Operator, sign: int, g: int, cfg: IntegralConfig):
     """Witnesses against <F(D), D'> = sign * <D, F(D')> over all
-    complementary monomial pairs around the top bidegree."""
+    complementary monomial pairs around the top bidegree; it stops at the
+    ten witnesses a report keeps."""
     if F.shift is None:
         raise ValueError("adjointness needs a bihomogeneous operator")
     top_c, top_ch = top_bidegree(g)
@@ -209,7 +208,7 @@ def operator_adjointness_failures(
                     failures.append(
                         {"where": f"<F({D}),{E}>", "expected": str(rhs), "got": str(lhs)}
                     )
-                    if len(failures) >= limit:
+                    if len(failures) >= 10:
                         return cases, failures
     return cases, failures
 

@@ -20,9 +20,11 @@ over l of Prim_l (x) Q[alpha, beta, gamma]/(gamma^(g-l+1)), with Prim_l of
 dimension C(2g, l) - C(2g, l-2), and both the relation ideal and the
 pairing respect that sum.  So a bidegree's dimension is a sum over l of
 dim Prim_l times a rank over the few monomials alpha^a beta^b gamma^c of
-summand l, never over the 2^(2g) psi monomials.  The d = 0 kernel match
-runs per summand too; the full-monomial slices stay in ideal_slice for the
-relations dump.
+summand l, never over the 2^(2g) psi monomials.  The pairing route fills
+each summand's matrix M_l(bd) from integral.summand_integral, a closed
+form on the Virasoro line, so no integrand is built and nothing is
+memoised.  The d = 0 kernel match runs per summand too; the full-monomial
+slices stay in ideal_slice for the relations dump.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ from .algebra import (
     bidegree_cone,
     check_genus,
     exterior_basis,
-    gamma_power,
     monomial_basis,
     theta_power,
 )
-from .integral import IntegralConfig, graded_integral
+from .integral import IntegralConfig, summand_integral
 from .linalg import QMatrix, row_reduce
 from .series import InvariantPoly, phi_series
 
@@ -393,28 +394,14 @@ def _summand_relations(g: int, d: int, l: int, bd) -> list:
     return rows
 
 
-def lefschetz_pair(g: int, l: int):
-    """psi masks of sigma = psi_1..psi_l and sigma* = psi_{g+1}..psi_{g+l}:
-    primitive classes of degree l whose product pairs each i <= l with i+g."""
-    sigma = (1 << l) - 1
-    return sigma, sigma << g
-
-
-def _summand_pairing(g: int, l: int, bd, cfg: IntegralConfig, values: dict) -> QMatrix:
-    """M_l(bd)[p, q] = integral of p q sigma sigma*, for p, q in the summand-l
-    bases of bd and of its complementary bidegree.  ``values`` memoises the
-    integrals by (l, a, b, c) across the calls of one route."""
-    sigma, dual = lefschetz_pair(g, l)
+def _summand_pairing(g: int, l: int, bd, cfg: IntegralConfig) -> QMatrix:
+    """M_l(bd)[p, q] = integral of p q sigma sigma* (summand_integral), for
+    p, q in the summand-l bases of bd and of its complementary bidegree."""
     cols = summand_basis(g, l, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
-
-    def value(p, q):
-        a, b, c = (x + y for x, y in zip(p, q))
-        if (l, a, b, c) not in values:
-            x = Element.monomial(g, a, b, sigma) * Element.monomial(g, 0, 0, dual)
-            values[l, a, b, c] = graded_integral(x * gamma_power(g, c), cfg) if c <= g - l else 0
-        return values[l, a, b, c]
-
-    rows = [{j: v for j, q in enumerate(cols) if (v := value(p, q))} for p in summand_basis(g, l, bd)]
+    rows = []
+    for p in summand_basis(g, l, bd):
+        entries = ((j, summand_integral(g, l, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
+        rows.append({j: v * cfg.B for j, v in entries if v})
     return QMatrix(len(cols), rows)
 
 
@@ -448,10 +435,9 @@ def omega_from_pairing(g: int, cfg: IntegralConfig = None) -> OmegaTable:
     check_genus(g)
     if cfg is None:
         cfg = IntegralConfig(g)
-    values = {}
 
     def count(l, bd):
-        return row_reduce(_summand_pairing(g, l, bd, cfg, values))[0]
+        return row_reduce(_summand_pairing(g, l, bd, cfg))[0]
 
     return OmegaTable(g, 0, 6 * g - 6, _lefschetz_dims(g, 6 * g - 6, count))
 
@@ -472,10 +458,9 @@ def pairing_kernel_matches_ideal(g: int, bd, cfg: IntegralConfig = None) -> bool
     dimension count)."""
     if cfg is None:
         cfg = IntegralConfig(g)
-    values = {}
     for l in range(g + 1):
         rows = _summand_relations(g, 0, l, bd)
-        matrix = _summand_pairing(g, l, bd, cfg, values)
+        matrix = _summand_pairing(g, l, bd, cfg)
         if len(rows) != matrix.rows - row_reduce(matrix)[0]:
             return False
         transpose = matrix.transpose()

@@ -11,6 +11,7 @@ from rank2chern.integral import (
     graded_integral,
     graded_pairing,
     pairing_matrix,
+    summand_integral,
     top_bidegree,
 )
 
@@ -147,7 +148,7 @@ def _brute_pairing_matrix(g, bd, cfg):
 
 
 @pytest.mark.parametrize("g", [2, 3])
-def test_pairing_matrix_visits_only_partners(g):
+def test_pairing_matrix_matches_element_pairing(g):
     # same columns, same entries and the same column order in every row
     cfg = IntegralConfig(g, F(-7, 3))
     for bd in bidegree_cone(g, 6 * g - 6):
@@ -155,6 +156,23 @@ def test_pairing_matrix_visits_only_partners(g):
         data, ncols = _brute_pairing_matrix(g, bd, cfg)
         assert m.cols == ncols and m.data == data, bd
         assert [list(row) for row in m.data] == [list(row) for row in data], bd
+
+
+def test_summand_integral_matches_the_built_integrand():
+    # the closed form against alpha^a beta^b psi_sigma psi_sigma* gamma^c
+    # built and integrated in the full algebra
+    cases = 0
+    for g in range(2, 9):
+        cfg = IntegralConfig(g)
+        for l in range(g + 1):
+            sigma = (1 << l) - 1
+            for c in range(g - l + 1):
+                for a, b in itertools.product(range(g), repeat=2):
+                    x = Element.monomial(g, a, b, sigma) * Element.monomial(g, 0, 0, sigma << g)
+                    expected = graded_integral(x * gamma_power(g, c), cfg)
+                    assert summand_integral(g, l, a, b, c) == expected, (g, l, a, b, c)
+                    cases += 1
+    assert cases == 6531
 
 
 def test_pairing_matrix_outside_cone_is_empty():

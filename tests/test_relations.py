@@ -415,16 +415,28 @@ def test_summands_count_every_monomial():
         assert all(prim_dim(g, l) == len(prim_basis(g, l)) for l in range(g + 1))
 
 
-def test_pairing_with_a_dual_from_the_wrong_summand_disagrees(monkeypatch):
+def test_pairing_read_from_the_wrong_summand_disagrees(monkeypatch):
     g = 3
     assert _matches_closed_form(omega_from_pairing(g))
-    pair = rel.lefschetz_pair
+    integral = rel.summand_integral
 
-    def misplaced(g, l):  # sigma of summand l against the sigma* of summand l - 1
-        return pair(g, l)[0], pair(g, max(l - 1, 0))[1]
+    def misplaced(g, l, a, b, c):  # summand l reads the value of summand l - 1
+        return integral(g, max(l - 1, 0), a, b, c)
 
-    monkeypatch.setattr(rel, "lefschetz_pair", misplaced)
+    monkeypatch.setattr(rel, "summand_integral", misplaced)
     assert not _matches_closed_form(omega_from_pairing(g))
+    assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
+
+
+def test_kernel_match_catches_what_the_table_cannot(monkeypatch):
+    g = 3
+    integral = rel.summand_integral
+
+    def scaled(g, l, a, b, c):  # every gamma-term three times too large
+        return integral(g, l, a, b, c) * (3 if c else 1)
+
+    monkeypatch.setattr(rel, "summand_integral", scaled)
+    assert _matches_closed_form(omega_from_pairing(g))
     assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
 
 
