@@ -17,7 +17,9 @@ machine-word sized for every supported genus.
 The psi-only elements form the exterior algebra modelling the cohomology of
 the Picard variety; its theta class is ``-gamma``.  :class:`Sparse` holds the
 linear structure that :class:`Element` shares with the other sparse
-polynomial classes of the package.
+polynomial classes of the package, and :func:`_exact` their one coefficient
+rule: an exact rational is held as an ``int`` when it is integral and as a
+``Fraction`` otherwise, and a float is refused.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 MAX_GENUS = 8
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Bidegree(NamedTuple):
@@ -83,6 +82,16 @@ def monomial_bidegree(mono) -> Bidegree:
     return Bidegree(2 * a + 4 * b + 3 * s, 2 * (a + b + s))
 
 
+def _exact(v):
+    """An int or Fraction v as an int when it is integral, else as a
+    Fraction.  Anything else, a float in particular, is refused."""
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, int):
+        return int(v)
+    raise TypeError(f"not an exact rational: {v!r}")
+
+
 class Sparse:
     """Sparse map from monomial keys to nonzero exact rationals.
 
@@ -92,18 +101,21 @@ class Sparse:
     multiplicative identity, and its own ``__mul__``, which applies the key
     law.  ``g`` is the genus, or None for a class without one.  Values are
     treated as immutable: operations build new values and never mutate
-    ``terms`` in place.  ``_zero`` and ``_one`` are the coefficient zero and
-    one, of the type the class stores (Fraction here; ``BiPoly`` overrides).
+    ``terms`` in place.  Every coefficient follows :func:`_exact`, so
+    integral values multiply in int arithmetic.
     """
 
     __slots__ = ("g", "terms")
     _unit = None
-    _zero = _ZERO
-    _one = _ONE
 
     @classmethod
     def _raw(cls, g, terms: dict):
-        """Unchecked constructor; ``terms`` must hold nonzero Fractions."""
+        """Unchecked constructor for a fresh dict of nonzero ``terms``; each
+        non-int value is put in the form of ``_exact``, which refuses a
+        float."""
+        for k, v in terms.items():
+            if v.__class__ is not int:
+                terms[k] = _exact(v)
         x = object.__new__(cls)
         x.g = g
         x.terms = terms
@@ -115,7 +127,7 @@ class Sparse:
 
     @classmethod
     def one(cls, *g):
-        return cls(*g, {cls._unit: cls._one})
+        return cls(*g, {cls._unit: 1})
 
     def _coerce(self, other):
         """``other`` as an operand of ``+``, ``-`` and ``==``, else NotImplemented."""
@@ -129,9 +141,8 @@ class Sparse:
         if self.g != other.g:
             raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
         t = dict(self.terms)
-        zero = self._zero
         for k, v in other.terms.items():
-            s = t.get(k, zero) + v
+            s = t.get(k, 0) + v
             if s:
                 t[k] = s
             else:
@@ -159,7 +170,7 @@ class Sparse:
         return NotImplemented
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return self._raw(self.g, {})
         return self._raw(self.g, {k: c * v for k, v in self.terms.items()})
@@ -168,7 +179,7 @@ class Sparse:
         """Square-and-multiply; stops as soon as a square vanishes."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = self._raw(self.g, {self._unit: self._one})
+        out = self._raw(self.g, {self._unit: 1})
         base = self
         while n:
             if n & 1:
@@ -210,7 +221,7 @@ class Element(Sparse):
                     raise ValueError(
                         f"invalid monomial (alpha^{a}, beta^{b}, psi mask {mask:#x}) at genus {g}"
                     )
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     self.terms[(a, b, mask)] = c
 
@@ -219,22 +230,22 @@ class Element(Sparse):
 
     @classmethod
     def alpha(cls, g: int) -> "Element":
-        return cls(g, {(1, 0, 0): _ONE})
+        return cls(g, {(1, 0, 0): 1})
 
     @classmethod
     def beta(cls, g: int) -> "Element":
-        return cls(g, {(0, 1, 0): _ONE})
+        return cls(g, {(0, 1, 0): 1})
 
     @classmethod
     def psi(cls, g: int, i: int) -> "Element":
         check_genus(g)
         if not 1 <= i <= 2 * g:
             raise ValueError(f"psi index must be in [1, {2 * g}], got {i}")
-        return cls(g, {(0, 0, 1 << (i - 1)): _ONE})
+        return cls(g, {(0, 0, 1 << (i - 1)): 1})
 
     @classmethod
     def monomial(cls, g: int, a: int, b: int, mask: int, coeff=1) -> "Element":
-        return cls(g, {(a, b, mask): Fraction(coeff)})
+        return cls(g, {(a, b, mask): coeff})
 
     # ------------------------------------------------------------------
     # ring structure
@@ -256,7 +267,7 @@ class Element(Sparse):
                 c = c1 * c2
                 if sign < 0:
                     c = -c
-                s = t.get(mono, _ZERO) + c
+                s = t.get(mono, 0) + c
                 if s:
                     t[mono] = s
                 else:
@@ -351,7 +362,7 @@ def gamma(g: int) -> Element:
     check_genus(g)
     terms = {}
     for i in range(g):
-        terms[(0, 0, (1 << i) | (1 << (i + g)))] = Fraction(-2)
+        terms[(0, 0, (1 << i) | (1 << (i + g)))] = -2
     return Element._raw(g, terms)
 
 
@@ -482,7 +493,7 @@ def parse_element(text: str, g: int) -> Element:
             return
         if coeff is None and not factors:
             raise ElementParseError("empty term")
-        term = Element.one(g).scale((coeff if coeff is not None else _ONE) * sign)
+        term = Element.one(g).scale((coeff if coeff is not None else 1) * sign)
         for name, exp in factors:
             if name == "alpha":
                 base = Element.alpha(g)

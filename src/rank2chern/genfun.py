@@ -7,9 +7,9 @@ them (shift symmetry, t = -1 specializations, unimodality of the Chern
 specialization, the block-combinatorial sum, and the telescoping of the
 stratification).
 
-Coefficients are exact rationals, held as ``int`` when integral (every
-closed form here has integer coefficients) and as ``Fraction`` otherwise;
-no float ever appears.  Rational-function equality is decided by
+Coefficients follow the package's one rule (``algebra._exact``): every
+closed form here has integer coefficients, so they multiply in int
+arithmetic.  Rational-function equality is decided by
 cross-multiplication of exact polynomials.  Equality first tries two exact
 shortcuts (identical numerator and denominator, or both proportional with
 the same ratio) before falling back to the full cross product; both paths
@@ -21,17 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import Sparse
-
-
-def _exact(v):
-    """An int or Fraction v as an int when it is integral, else as a
-    Fraction.  Anything else, a float in particular, is refused."""
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else v
-    if isinstance(v, int):
-        return int(v)
-    raise TypeError(f"not an exact rational: {v!r}")
+from .algebra import Sparse, _exact
 
 
 class BiPoly(Sparse):
@@ -40,32 +30,20 @@ class BiPoly(Sparse):
     Keys are integer exponent pairs (qExp, tExp); negative exponents are
     permitted only inside symmetry checks, all stored closed forms use
     non-negative exponents.  Rational scalars act as constants in ``+``,
-    ``-`` and ``==``.  Every constructor holds an integral coefficient as an
-    int (``_exact``), so integer polynomials multiply in int arithmetic.
+    ``-`` and ``==``.
     """
 
     __slots__ = ()
     _unit = (0, 0)
-    _zero = 0
-    _one = 1
 
     def __init__(self, terms=None):
         self.g = None
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                v = _exact(Fraction(v))
+                v = _exact(v)
                 if v:
                     self.terms[k] = v
-
-    @classmethod
-    def _raw(cls, g, terms: dict):
-        """Unchecked constructor; integral Fractions in ``terms`` become ints
-        and a float is refused (``_exact``)."""
-        for k, v in terms.items():
-            if v.__class__ is not int:
-                terms[k] = _exact(v)
-        return super()._raw(g, terms)
 
     @classmethod
     def const(cls, v):
@@ -112,7 +90,7 @@ class BiPoly(Sparse):
 
     def subst_t(self, value) -> "BiPoly":
         """Substitute a rational value for t."""
-        value = _exact(Fraction(value))
+        value = _exact(value)
         t = {}
         for (i, j), v in self.terms.items():
             c = v * (value**j if j >= 0 else Fraction(1, value**-j))

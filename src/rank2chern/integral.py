@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, check_genus, koszul_sign, monomial_basis
+from .algebra import Element, _exact, check_genus, koszul_sign, monomial_basis
 from .linalg import QMatrix
 
 _ZERO = Fraction(0)
@@ -40,7 +40,7 @@ class IntegralConfig:
 
     def __post_init__(self):
         check_genus(self.g)
-        object.__setattr__(self, "B", Fraction(self.B))
+        object.__setattr__(self, "B", Fraction(_exact(self.B)))
         if self.B == 0:
             raise ValueError("normalization B must be nonzero")
 

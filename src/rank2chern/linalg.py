@@ -1,9 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything runs on `fractions.Fraction`: no floating point, no rounding and
-no modular shortcut.  Matrices and vectors are sparse rows
-``{column: Fraction}`` with zeros absent; the pairing matrices and relation
-slices are 1-2% dense, so only their nonzero entries are ever touched.
+no modular shortcut.  Unlike the sparse polynomial classes, which hold an
+integral coefficient as an int, entries stay Fractions here because
+elimination divides and int / int would give a float.  Matrices and vectors
+are sparse rows ``{column: Fraction}`` with zeros absent; the pairing
+matrices and relation slices are 1-2% dense, so only their nonzero entries
+are ever touched.
 
 `row_reduce` and `RowSpan` share one elimination step, `_insert`: a row is
 reduced against the fully reduced pivot rows, its lowest nonzero column
@@ -16,19 +19,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebra import _exact
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def _sparse(vec, ncols: int) -> dict:
     """Copy of a sparse vector with Fraction values, zeros dropped and every
-    column checked against ``ncols``."""
+    column checked against ``ncols``; a float value is refused."""
     out = {}
     for c, x in vec.items():
         if not 0 <= c < ncols:
             raise ValueError(f"column {c} outside 0..{ncols - 1}")
         if x:
-            out[c] = Fraction(x)
+            out[c] = Fraction(_exact(x))
     return out
 
 

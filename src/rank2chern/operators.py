@@ -32,7 +32,8 @@ from fractions import Fraction
 from .algebra import Element, bidegree_cone, check_genus, koszul_sign, monomial_basis
 from .integral import IntegralConfig, graded_pairing, top_bidegree
 from .linalg import RowSpan
-from .relations import ideal_slice_keys, prim_basis, rel_generator_poly, report, slice_vector
+from .relations import _lefschetz_dims, _summand_relations, prim_basis, rel_generator_poly
+from .relations import report, slice_vector
 
 _QUARTERS = (Fraction(-1, 4), Fraction(1, 4))  # -(1/4) (-1)^p, by p & 1
 
@@ -41,7 +42,8 @@ class Operator:
     """Linear operator on elements of a fixed-genus descendent algebra.
 
     ``action(a, b, mask)`` is the image of the monomial alpha^a beta^b psi_S
-    as ``{key: coefficient}`` with nonzero exact rational coefficients.
+    as ``{key: coefficient}`` with nonzero int or Fraction coefficients; the
+    image element holds them in the form of ``algebra._exact``.
     ``shift`` is the (coh, chern) bidegree it adds to every homogeneous
     element, or None when it is not bihomogeneous.
     """
@@ -258,7 +260,7 @@ def check_descent(g: int, d: int, k_max: int = None) -> dict:
                     ("f_alpha", fa, rel_generator_poly(g, k - 1, m, l).embed()),
                     ("f_beta", fb, rel_generator_poly(g, k - 1, m - 1, l).embed()),
                 )
-                scale = Fraction(2 * g + 2 * d - k)
+                scale = 2 * g + 2 * d - k
                 for idx, sigma in enumerate(sigmas):
                     R_sigma = R_k * sigma
                     for name, f, R_down in lowered:
@@ -302,7 +304,7 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
     for bd in bds:
         if bd.chern > top_chern:
             for i in range(len(bases[bd])):
-                spans[bd].add({i: Fraction(1)})
+                spans[bd].add({i: 1})
 
     # multiplication by the generators keeps the subspace an ideal; the
     # diagonal f acts through its two bihomogeneous parts f_alpha and f_beta
@@ -352,12 +354,10 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
 
 def check_closure(g: int, buffers=(None,)) -> dict:
     """Compare the f-closure dimensions with the relation-ideal slices for
-    every bidegree with coh <= 6g-6, across the given buffer sweep."""
-    ideal_dims = {}
-    for bd in bidegree_cone(g, 6 * g - 6):
-        n = len(ideal_slice_keys(g, 0, bd))
-        if n:
-            ideal_dims[tuple(bd)] = n
+    every bidegree with coh <= 6g-6, across the given buffer sweep.  The
+    ideal dimensions are summand relation counts, whose freeness
+    _summand_relations asserts."""
+    ideal_dims = _lefschetz_dims(g, 6 * g - 6, lambda l, bd: len(_summand_relations(g, 0, l, bd)))
     cases = 0
     failures = []
     for buf in buffers:

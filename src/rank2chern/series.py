@@ -24,17 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, Sparse, check_genus, gamma_power
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .algebra import Element, Sparse, _exact, check_genus, gamma_power
 
 
 class InvariantPoly(Sparse):
     """Polynomial in alpha, beta, gamma with gamma^(g+1) = 0.
 
     Keys are exponent triples (a, b, c) with c <= g; coefficients are exact
-    rationals.  Embeds into the full descendent algebra by expanding gamma.
+    rationals in the form of ``algebra._exact``.  Embeds into the full
+    descendent algebra by expanding gamma.
     """
 
     __slots__ = ()
@@ -48,18 +46,18 @@ class InvariantPoly(Sparse):
             for (a, b, c), v in terms.items():
                 if a < 0 or b < 0 or c < 0:
                     raise ValueError(f"negative exponent in alpha^{a} beta^{b} gamma^{c}")
-                v = Fraction(v)
+                v = _exact(v)
                 if v and c <= g:
                     self.terms[(a, b, c)] = v
 
     @classmethod
     def gen(cls, g, name):
         key = {"alpha": (1, 0, 0), "beta": (0, 1, 0), "gamma": (0, 0, 1)}[name]
-        return cls(g, {key: _ONE})
+        return cls(g, {key: 1})
 
     @classmethod
     def monomial(cls, g, a, b, c, coeff=1):
-        return cls(g, {(a, b, c): Fraction(coeff)})
+        return cls(g, {(a, b, c): coeff})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -74,7 +72,7 @@ class InvariantPoly(Sparse):
                 if c > g:
                     continue
                 k = (a1 + a2, b1 + b2, c)
-                s = t.get(k, _ZERO) + v1 * v2
+                s = t.get(k, 0) + v1 * v2
                 if s:
                     t[k] = s
                 else:

@@ -164,14 +164,40 @@ def test_power_is_repeated_product(kind, data, n):
     assert x**n == expected
 
 
+def _exact_form(v) -> bool:
+    """The one coefficient rule: an int when integral, a Fraction otherwise."""
+    return v.__class__ is int or (v.__class__ is F and v.denominator != 1)
+
+
 @pytest.mark.parametrize("kind", ["Element", "InvariantPoly"])
 @LAWS
-@given(data=st.data(), c=st.integers(-3, 3), n=st.integers(0, 3))
-def test_algebra_coefficients_stay_fractions(kind, data, c, n):
-    # only BiPoly holds integral coefficients as int
+@given(data=st.data(), c=st.one_of(st.integers(-3, 3), COEFFS), n=st.integers(0, 3))
+def test_algebra_coefficients_hold_the_exact_form(kind, data, c, n):
+    # the rule BiPoly keeps too (tests/test_genfun.py)
     x, y = (data.draw(VALUES[kind]) for _ in range(2))
-    for r in (x + y, x - y, x * y, x**n, x.scale(c), c * x, ONE[kind]):
-        assert all(type(v) is F for v in r.terms.values())
+    for r in (x, x + y, x - y, x * y, x**n, x.scale(c), c * x, ONE[kind]):
+        assert all(_exact_form(v) for v in r.terms.values()), r
+
+
+def test_floats_are_refused_where_coefficients_are_built():
+    x = Element.alpha(2)
+    builders = (
+        lambda: Element(2, {(0, 0, 0): 0.5}),
+        lambda: Element.monomial(2, 0, 0, 0, 0.1),
+        lambda: InvariantPoly(2, {(0, 0, 0): 0.5}),
+        lambda: InvariantPoly.monomial(2, 0, 0, 0, 0.1),
+        lambda: BiPoly({(0, 0): 0.1}),
+        lambda: BiPoly.const(0.5),
+        lambda: BiPoly.monomial(1, 0, 0.5),
+        lambda: x.scale(0.5),
+        lambda: Element._raw(2, {(0, 0, 0): 0.5}),
+    )
+    for build in builders:
+        with pytest.raises(TypeError, match="not an exact rational"):
+            build()
+    for bad in (lambda: x * 0.5, lambda: 0.5 * x):
+        with pytest.raises(TypeError):
+            bad()
 
 
 @LAWS

@@ -230,6 +230,9 @@ def test_exact_division_and_ratios():
     assert a == BiRational(6 * q, (6 * n + 2) * q**2)
     with pytest.raises(TypeError):
         BiPoly._raw(None, {(0, 0): 0.5})
+    for bad in (lambda: (1 + q).subst_t(0.5), lambda: BiRational(q, 1 - q).subst_t(0.5)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            bad()
     assert BiRational((1 + q) * 2, 3 - 3 * q) == BiRational((1 + q) * 4, 6 - 6 * q)
     assert BiRational((1 + q) * 2, 3 - 3 * q) != BiRational((1 + q) * 4, 3 - 3 * q)
 

@@ -81,6 +81,8 @@ def test_invalid_config():
         IntegralConfig(2, 0)
     with pytest.raises(ValueError):
         IntegralConfig(9)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        IntegralConfig(2, 0.1)
 
 
 def test_pairing_examples():

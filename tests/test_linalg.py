@@ -142,6 +142,14 @@ def test_entries_are_sparse_fractions():
             RowSpan(3).add(bad)
     with pytest.raises(ValueError, match="negative"):
         QMatrix(-1)
+    for bad in (
+        lambda: QMatrix(2, [{0: 0.1}]),
+        lambda: RowSpan(2).add({0: 0.5}),
+        lambda: RowSpan(2).contains({1: 0.5}),
+        lambda: m.mul_vector({0: 0.5}),
+    ):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            bad()
 
 
 def _random_matrix(rnd, rows, cols):
