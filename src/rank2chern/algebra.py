@@ -92,21 +92,54 @@ def _exact(v):
     raise TypeError(f"not an exact rational: {v!r}")
 
 
+def _accumulate(pairs, out: dict) -> dict:
+    """Add each nonzero ``(key, value)`` of ``pairs`` into ``out`` in place,
+    dropping a key whose sum cancels; returns ``out``."""
+    for k, v in pairs:
+        s = out.get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
 class Sparse:
     """Sparse map from monomial keys to nonzero exact rationals.
 
-    The linear structure shared by :class:`Element`, ``InvariantPoly`` and
-    ``BiPoly``: sums, negation, scalar multiples, equality and powers.  A
-    subclass supplies its constructors, the key ``_unit`` of its
-    multiplicative identity, and its own ``__mul__``, which applies the key
-    law.  ``g`` is the genus, or None for a class without one.  Values are
-    treated as immutable: operations build new values and never mutate
-    ``terms`` in place.  Every coefficient follows :func:`_exact`, so
+    The one home of the term arithmetic of :class:`Element`,
+    ``InvariantPoly`` and ``BiPoly``: the constructor loop, sums (through
+    :func:`_accumulate`), negation, scalars, the termwise linear map
+    ``_map``, equality, powers and ``repr``.  A subclass supplies ``_admit``
+    for its keys, the key ``_unit`` of its identity, the ``_letters`` that
+    name a key's exponents, and its own ``__mul__``, which applies the key
+    law and hands any other operand to ``__rmul__`` (int or Fraction scalars
+    only).  The product loops stay per class: one shared loop calling a
+    key-combining function per pair of terms was slower in every benchmark
+    run, by 2% on the sl2 workload and 7% on the series workload (median of
+    4 pairs each).  ``g`` is the genus, or None for a class without one.
+    Values are treated as immutable: operations build new values and never
+    mutate ``terms`` in place.  Every coefficient follows :func:`_exact`, so
     integral values multiply in int arithmetic.
     """
 
     __slots__ = ("g", "terms")
     _unit = None
+
+    def __init__(self, g, terms=None):
+        if g is not None:
+            check_genus(g)
+        self.g = g
+        self.terms = {}
+        for k, v in (terms or {}).items():
+            keep = self._admit(k)
+            v = _exact(v)
+            if v and keep:
+                self.terms[k] = v
+
+    def _admit(self, key) -> bool:
+        """Whether ``key`` is stored; raises ValueError on an invalid key."""
+        return True
 
     @classmethod
     def _raw(cls, g, terms: dict):
@@ -140,14 +173,7 @@ class Sparse:
                 return NotImplemented
         if self.g != other.g:
             raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            s = t.get(k, 0) + v
-            if s:
-                t[k] = s
-            else:
-                del t[k]
-        return self._raw(self.g, t)
+        return self._raw(self.g, _accumulate(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -155,11 +181,7 @@ class Sparse:
         return self._raw(self.g, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if other.__class__ is not self.__class__:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self + (-other)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -174,6 +196,23 @@ class Sparse:
         if not c:
             return self._raw(self.g, {})
         return self._raw(self.g, {k: c * v for k, v in self.terms.items()})
+
+    def _map(self, action):
+        """The linear map sending each key to ``action(*key)``, a dict of
+        nonzero coefficients by image key; images that cancel leave no key."""
+        out = {}
+        for key, c in self.terms.items():
+            for k, v in action(*key).items():
+                prev = out.get(k)
+                if prev is None:
+                    out[k] = c * v
+                else:
+                    s = prev + c * v
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return self._raw(self.g, out)
 
     def __pow__(self, n: int):
         """Square-and-multiply; stops as soon as a square vanishes."""
@@ -204,6 +243,11 @@ class Sparse:
     def __bool__(self):
         return bool(self.terms)
 
+    def __repr__(self):
+        terms = sorted(self.terms.items())
+        bits = [f"{v}*" + "".join(map("{}^{}".format, self._letters, k)) for k, v in terms]
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
 
 class Element(Sparse):
     """Exact element of the descendent algebra at a fixed genus."""
@@ -211,19 +255,13 @@ class Element(Sparse):
     __slots__ = ()
     _unit = (0, 0, 0)
 
-    def __init__(self, g: int, terms=None):
-        check_genus(g)
-        self.g = g
-        self.terms = {}
-        if terms:
-            for (a, b, mask), c in terms.items():
-                if a < 0 or b < 0 or mask < 0 or mask >> (2 * g):
-                    raise ValueError(
-                        f"invalid monomial (alpha^{a}, beta^{b}, psi mask {mask:#x}) at genus {g}"
-                    )
-                c = _exact(c)
-                if c:
-                    self.terms[(a, b, mask)] = c
+    def _admit(self, key) -> bool:
+        a, b, mask = key
+        if a < 0 or b < 0 or mask < 0 or mask >> (2 * self.g):
+            raise ValueError(
+                f"invalid monomial (alpha^{a}, beta^{b}, psi mask {mask:#x}) at genus {self.g}"
+            )
+        return True
 
     # ------------------------------------------------------------------
     # constructors
@@ -251,10 +289,8 @@ class Element(Sparse):
     # ring structure
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Element):
-            return NotImplemented
+        if other.__class__ is not Element:
+            return self.__rmul__(other)
         if self.g != other.g:
             raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
         t = {}
@@ -331,30 +367,22 @@ class Element(Sparse):
 
 
 def d_alpha(x: Element) -> Element:
-    t = {}
-    for (a, b, m), c in x.terms.items():
-        if a:
-            t[(a - 1, b, m)] = c * a
-    return Element._raw(x.g, t)
+    return x._map(lambda a, b, m: {(a - 1, b, m): a} if a else {})
 
 
 def d_beta(x: Element) -> Element:
-    t = {}
-    for (a, b, m), c in x.terms.items():
-        if b:
-            t[(a, b - 1, m)] = c * b
-    return Element._raw(x.g, t)
+    return x._map(lambda a, b, m: {(a, b - 1, m): b} if b else {})
 
 
 def d_psi(x: Element, i: int) -> Element:
     bit = 1 << (i - 1)
     below = bit - 1
-    t = {}
-    for (a, b, m), c in x.terms.items():
-        if m & bit:
-            sign = -1 if (m & below).bit_count() & 1 else 1
-            t[(a, b, m ^ bit)] = c * sign
-    return Element._raw(x.g, t)
+
+    def image(a, b, m):
+        sign = -1 if (m & below).bit_count() & 1 else 1
+        return {(a, b, m ^ bit): sign} if m & bit else {}
+
+    return x._map(image)
 
 
 def gamma(g: int) -> Element:
@@ -520,8 +548,6 @@ def parse_element(text: str, g: int) -> Element:
         if m.group("sign"):
             if started:
                 flush()
-            elif coeff is not None or factors:  # pragma: no cover - defensive
-                raise ElementParseError("misplaced sign")
             if m.group("sign") != "+":
                 sign = -sign
             started = True

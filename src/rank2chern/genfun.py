@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import Sparse, _exact
+from .algebra import Sparse, _accumulate, _exact
 
 
 class BiPoly(Sparse):
@@ -35,15 +35,10 @@ class BiPoly(Sparse):
 
     __slots__ = ()
     _unit = (0, 0)
+    _letters = "qt"
 
     def __init__(self, terms=None):
-        self.g = None
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                v = _exact(v)
-                if v:
-                    self.terms[k] = v
+        super().__init__(None, terms)
 
     @classmethod
     def const(cls, v):
@@ -59,8 +54,8 @@ class BiPoly(Sparse):
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if other.__class__ is not BiPoly:
+            return self.__rmul__(other)
         t = {}
         for (i1, j1), v1 in self.terms.items():
             for (i2, j2), v2 in other.terms.items():
@@ -91,29 +86,16 @@ class BiPoly(Sparse):
     def subst_t(self, value) -> "BiPoly":
         """Substitute a rational value for t."""
         value = _exact(value)
-        t = {}
-        for (i, j), v in self.terms.items():
-            c = v * (value**j if j >= 0 else Fraction(1, value**-j))
-            if c:
-                k = (i, 0)
-                s = t.get(k, 0) + c
-                if s:
-                    t[k] = s
-                else:
-                    del t[k]
-        return BiPoly._raw(None, t)
+
+        def image(i, j):
+            c = value**j if j >= 0 else Fraction(1, value**-j)
+            return {(i, 0): c} if c else {}
+
+        return self._map(image)
 
     def subst_q_equals_t(self) -> "BiPoly":
         """Fold q into t: (i, j) -> t^(i+j)."""
-        t = {}
-        for (i, j), v in self.terms.items():
-            k = (0, i + j)
-            s = t.get(k, 0) + v
-            if s:
-                t[k] = s
-            else:
-                del t[k]
-        return BiPoly._raw(None, t)
+        return self._map(lambda i, j: {(0, i + j): 1})
 
     def truncate_total(self, max_deg: int) -> "BiPoly":
         return BiPoly._raw(None, {k: v for k, v in self.terms.items() if k[0] + k[1] <= max_deg})
@@ -134,22 +116,11 @@ class BiPoly(Sparse):
             qk = (k[0] - lt_key[0], k[1] - lt_key[1])
             if qk[0] < 0 or qk[1] < 0:
                 raise ValueError("division is not exact")
-            c = _exact(Fraction(rem[k], lt_val))
-            quo[qk] = quo.get(qk, 0) + c
-            for dk, dv in den.terms.items():
-                kk = (qk[0] + dk[0], qk[1] + dk[1])
-                s = rem.get(kk, 0) - c * dv
-                if s:
-                    rem[kk] = s
-                else:
-                    rem.pop(kk, None)
-        return BiPoly._raw(None, {k: v for k, v in quo.items() if v})
-
-    def __repr__(self):
-        if not self.terms:
-            return "BiPoly(0)"
-        bits = [f"{v}*q^{i}t^{j}" for (i, j), v in sorted(self.terms.items())]
-        return "BiPoly(" + " + ".join(bits) + ")"
+            # each step removes the leading key and adds smaller ones only
+            c = quo[qk] = _exact(Fraction(rem[k], lt_val))
+            step = (((qk[0] + i, qk[1] + j), -c * v) for (i, j), v in den.terms.items())
+            _accumulate(step, rem)
+        return BiPoly._raw(None, quo)
 
 
 class BiRational:
@@ -168,17 +139,21 @@ class BiRational:
     def __add__(self, other):
         if isinstance(other, BiPoly):
             other = BiRational(other)
+        elif not isinstance(other, BiRational):
+            return NotImplemented
         if self.den.terms == other.den.terms:
             return BiRational(self.num + other.num, self.den)
         return BiRational(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, (BiRational, BiPoly)) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, BiPoly)):
             return BiRational(self.num * other, self.den)
-        return BiRational(self.num * other.num, self.den * other.den)
+        if isinstance(other, BiRational):
+            return BiRational(self.num * other.num, self.den * other.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -188,7 +163,7 @@ class BiRational:
     def __eq__(self, other):
         if isinstance(other, BiPoly):
             other = BiRational(other)
-        if not isinstance(other, BiRational):
+        elif not isinstance(other, BiRational):
             return NotImplemented
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if n1.is_zero():
@@ -394,31 +369,22 @@ def zagier_combinatorial_omega(g: int) -> BiPoly:
     """The block-count sum over tuples (p, l, r, s, h) with
     2p + l + r + s + h = g - 1 of
     2^h C(g,h) C(g-h,p) q^(2r+2s+2h+4p) t^(2s+h+2p) (1 + q^(4l) t^(2l) - [l=0])."""
-    out = {}
-
-    def put(i, j, v):
-        k = (i, j)
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-
     n = g - 1
-    for p in range(n // 2 + 1):
-        for l in range(n - 2 * p + 1):
-            for r in range(n - 2 * p - l + 1):
-                for s in range(n - 2 * p - l - r + 1):
-                    h = n - 2 * p - l - r - s
-                    w = 2**h * math.comb(g, h) * math.comb(g - h, p)
-                    qe = 2 * r + 2 * s + 2 * h + 4 * p
-                    te = 2 * s + h + 2 * p
-                    if l == 0:
-                        put(qe, te, w)
-                    else:
-                        put(qe, te, w)
-                        put(qe + 4 * l, te + 2 * l, w)
-    return BiPoly._raw(None, out)
+
+    def terms():
+        for p in range(n // 2 + 1):
+            for l in range(n - 2 * p + 1):
+                for r in range(n - 2 * p - l + 1):
+                    for s in range(n - 2 * p - l - r + 1):
+                        h = n - 2 * p - l - r - s
+                        w = 2**h * math.comb(g, h) * math.comb(g - h, p)
+                        qe = 2 * r + 2 * s + 2 * h + 4 * p
+                        te = 2 * s + h + 2 * p
+                        yield (qe, te), w
+                        if l:
+                            yield (qe + 4 * l, te + 2 * l), w
+
+    return BiPoly._raw(None, _accumulate(terms(), {}))
 
 
 def is_centered_unimodal(seq) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, bidegree_cone, check_genus, koszul_sign, monomial_basis
+from .algebra import Element, _accumulate, bidegree_cone, check_genus, koszul_sign, monomial_basis
 from .integral import IntegralConfig, graded_pairing, top_bidegree
 from .linalg import RowSpan
 from .relations import _lefschetz_dims, _summand_relations, prim_basis, rel_generator_poly
@@ -59,20 +59,7 @@ class Operator:
     def __call__(self, x: Element) -> Element:
         if x.g != self.g:
             raise ValueError("genus mismatch")
-        action = self.action
-        out = {}
-        for key, c in x.terms.items():
-            for k, v in action(*key).items():
-                prev = out.get(k)
-                if prev is None:
-                    out[k] = c * v
-                else:
-                    s = prev + c * v
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return Element._raw(self.g, out)
+        return x._map(self.action)
 
 
 def _triple(family: str, d: int, g: int):
@@ -114,18 +101,7 @@ def _triple(family: str, d: int, g: int):
 
 def _sum_action(p, q):
     """The termwise sum of two monomial actions."""
-
-    def action(a, b, mask):
-        out = p(a, b, mask)
-        for k, v in q(a, b, mask).items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return out
-
-    return action
+    return lambda a, b, mask: _accumulate(q(a, b, mask).items(), p(a, b, mask))
 
 
 def make_sl2(family: str, d: int, g: int):

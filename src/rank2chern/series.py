@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, Sparse, _exact, check_genus, gamma_power
+from .algebra import Element, Sparse, check_genus, gamma_power
 
 
 class InvariantPoly(Sparse):
@@ -37,18 +37,14 @@ class InvariantPoly(Sparse):
 
     __slots__ = ()
     _unit = (0, 0, 0)
+    _letters = "abg"
 
-    def __init__(self, g: int, terms=None):
-        check_genus(g)
-        self.g = g
-        self.terms = {}
-        if terms:
-            for (a, b, c), v in terms.items():
-                if a < 0 or b < 0 or c < 0:
-                    raise ValueError(f"negative exponent in alpha^{a} beta^{b} gamma^{c}")
-                v = _exact(v)
-                if v and c <= g:
-                    self.terms[(a, b, c)] = v
+    def _admit(self, key) -> bool:
+        """Refuses a negative exponent; drops a key above gamma^g."""
+        a, b, c = key
+        if a < 0 or b < 0 or c < 0:
+            raise ValueError(f"negative exponent in alpha^{a} beta^{b} gamma^{c}")
+        return c <= self.g
 
     @classmethod
     def gen(cls, g, name):
@@ -60,8 +56,8 @@ class InvariantPoly(Sparse):
         return cls(g, {(a, b, c): coeff})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if other.__class__ is not InvariantPoly:
+            return self.__rmul__(other)
         g = self.g
         if g != other.g:
             raise ValueError(f"genus mismatch: {g} vs {other.g}")
@@ -86,14 +82,6 @@ class InvariantPoly(Sparse):
         for (a, b, c), v in self.terms.items():
             out = out + Element._raw(g, {(a, b, 0): v}) * gamma_power(g, c)
         return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "InvariantPoly(0)"
-        bits = []
-        for (a, b, c), v in sorted(self.terms.items()):
-            bits.append(f"{v}*a^{a}b^{b}g^{c}")
-        return "InvariantPoly(" + " + ".join(bits) + ")"
 
 
 @lru_cache(maxsize=None)

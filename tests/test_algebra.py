@@ -195,7 +195,8 @@ def test_floats_are_refused_where_coefficients_are_built():
     for build in builders:
         with pytest.raises(TypeError, match="not an exact rational"):
             build()
-    for bad in (lambda: x * 0.5, lambda: 0.5 * x):
+    p, q = InvariantPoly.gen(2, "alpha"), BiPoly.monomial(1, 0)
+    for bad in (lambda: x * 0.5, lambda: 0.5 * x, lambda: p * 0.5, lambda: q * 0.5, lambda: 0.5 * q):
         with pytest.raises(TypeError):
             bad()
 
@@ -222,6 +223,27 @@ def test_operand_types():
     assert 1 + q == q + 1 == BiPoly({(0, 0): 1, (1, 0): 1})
     assert 1 - q == -(q - 1)
     assert BiPoly.const(3) == 3
+
+
+def test_products_and_sums_across_sparse_classes_are_refused():
+    # each class multiplies only its own class and int or Fraction scalars:
+    # alpha * psi1 at g = 3 must not come back as alpha * gamma
+    x, p, q = Element.psi(3, 1), InvariantPoly.gen(3, "alpha"), BiPoly.monomial(1, 0)
+    for u, v in ((p, x), (x, p), (q, x), (x, q), (p, q), (q, p)):
+        for bad in (lambda: u * v, lambda: u + v, lambda: u - v):
+            with pytest.raises(TypeError):
+                bad()
+    assert p * F(1, 2) == F(1, 2) * p == InvariantPoly.monomial(3, 1, 0, 0, F(1, 2))
+    assert x * 2 == 2 * x == Element.monomial(3, 0, 0, 1, 2)
+
+
+def test_repr_names_every_exponent():
+    assert repr(InvariantPoly(3, {(1, 0, 2): F(1, 2), (0, 1, 0): -3})) == (
+        "InvariantPoly(-3*a^0b^1g^0 + 1/2*a^1b^0g^2)"
+    )
+    assert repr(BiPoly({(1, 2): 3, (0, -1): F(2, 3)})) == "BiPoly(2/3*q^0t^-1 + 3*q^1t^2)"
+    assert repr(InvariantPoly.zero(2)) == "InvariantPoly(0)" and repr(BiPoly()) == "BiPoly(0)"
+    assert repr(Element.alpha(2) - 1 * Element.beta(2)) == "Element(g=2, alpha - beta)"
 
 
 def test_constructors_reject_invalid_keys():

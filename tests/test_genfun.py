@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rank2chern.algebra import Element
 from rank2chern.genfun import (
     BiPoly,
     BiRational,
@@ -35,6 +36,15 @@ def test_bipoly_arithmetic_and_division():
     assert quotient == 1 + q
     with pytest.raises(ValueError):
         (1 + q + t).divide_exact(1 - q)
+    # substitution maps termwise: at t = 0 the t^0 terms stay (0^0 = 1) and
+    # no zero coefficient is stored; terms that cancel leave no key; a
+    # negative t-exponent has no value at 0
+    p = 3 * q + 5 * q * t**2 + t - 2 * q**2
+    assert p.subst_t(0).terms == {(1, 0): 3, (2, 0): -2}
+    assert (q - q * t).subst_t(1).terms == {} and (q - t).subst_q_equals_t().terms == {}
+    assert BiPoly({(1, -1): 2, (0, 1): 1}).subst_t(F(1, 2)).terms == {(1, 0): 4, (0, 0): F(1, 2)}
+    with pytest.raises(ZeroDivisionError):
+        BiPoly({(1, -1): 2, (0, 0): 1}).subst_t(0)
 
 
 def test_birational_equality_cross_multiplication():
@@ -235,6 +245,31 @@ def test_exact_division_and_ratios():
             bad()
     assert BiRational((1 + q) * 2, 3 - 3 * q) == BiRational((1 + q) * 4, 6 - 6 * q)
     assert BiRational((1 + q) * 2, 3 - 3 * q) != BiRational((1 + q) * 4, 3 - 3 * q)
+
+
+def test_birational_operands():
+    # a BiRational combines with a BiRational or a BiPoly, and multiplies by
+    # an int or Fraction; anything else is a TypeError
+    q = BiPoly.monomial(1, 0)
+    r = BiRational(q, 1 - q)
+    assert r * 2 == 2 * r == r * BiPoly.const(2) == BiRational(2 * q, 1 - q)
+    assert q * r == r * q == BiRational(q * q, 1 - q)
+    assert r + q == BiRational(2 * q - q * q, 1 - q)
+    assert r - r == BiRational(BiPoly.zero(), 1 - q) and r == BiRational(-q, q - 1)
+    x = Element.alpha(2)
+    for bad in (
+        lambda: r * 0.5,
+        lambda: 0.5 * r,
+        lambda: r + 0.5,
+        lambda: r - 0.5,
+        lambda: r + 1,
+        lambda: r * x,
+        lambda: x * r,
+        lambda: r + x,
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    assert r != 0.5 and not (r == x)
 
 
 def test_closed_forms_hold_int_coefficients():

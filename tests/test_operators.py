@@ -277,13 +277,20 @@ def test_invariant_subring_identities():
 
 
 def test_diagonal_h_is_shifted_chern_grading():
-    # h_diagonal acts on a homogeneous element as chern - (2g - 2)
+    # h_diagonal acts on a homogeneous element as chern - (2g - 2); at chern
+    # 2g - 2 the nonzero images of h_alpha and h_beta cancel and leave no key
     for g, max_coh in ((2, 6), (3, 8)):
         _, h, _ = make_sl2("diagonal", 0, g)
+        _, h_a, _ = make_sl2("alpha", 0, g)
+        cancelled = 0
         for bd in bidegree_cone(g, max_coh):
             for mono in monomial_basis(g, bd):
                 x = Element.monomial(g, *mono)
                 assert h(x) == x.scale(bd.chern - (2 * g - 2)), (g, x)
+                image = h.action(*mono)
+                assert all(image.values()) and (image == {}) == (bd.chern == 2 * g - 2), (g, x)
+                cancelled += not image and bool(h_a.action(*mono))
+        assert cancelled, g
 
 
 def test_adjointness_passes_and_is_scale_invariant():
