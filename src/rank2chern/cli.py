@@ -191,12 +191,19 @@ def _cmd_omega(args, out) -> int:
         table = omega_from_pairing(g, IntegralConfig(g, args.normalization))
     elif args.route == "closed":
         expansion = gf.omega_closed_form(g, d).series_coefficients(max_coh)
-        dims = {(i + j, i): int(v) for (i, j), v in expansion.terms.items()}
-        table = OmegaTable(g, d, max_coh, dims)
+        table = OmegaTable.from_expansion(g, d, max_coh, expansion)
     else:
         table = omega_from_ideal(g, d, max_coh)
     _emit_table(table, args.format, out)
     return 0
+
+
+def _emit_report(rep: dict, head: str, out) -> None:
+    """The text of a report: the ``head`` template filled from its fields
+    and its status, then one line per failure witness."""
+    out.write(head.format(status="pass" if rep["pass"] else "FAIL", **rep) + "\n")
+    for f in rep["failures"]:
+        out.write(f"  failure at {f['where']}: expected {f['expected']}, got {f['got']}\n")
 
 
 def _cmd_integral(args, out) -> int:
@@ -247,11 +254,7 @@ def _cmd_sl2(args, out) -> int:
     if args.format == "json":
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
-        status = "pass" if report["pass"] else "FAIL"
-        out.write(f"{report['check']}: genus={report['genus']} d={report['d']} "
-                  f"cases={report['cases']} {status}\n")
-        for f in report["failures"]:
-            out.write(f"  failure at {f['where']}: expected {f['expected']}, got {f['got']}\n")
+        _emit_report(report, "{check}: genus={genus} d={d} cases={cases} {status}", out)
     return 0 if report["pass"] else CHECK_FAILED
 
 
@@ -340,16 +343,18 @@ def _cmd_verify(args, out) -> int:
         out.write(json.dumps(reports, indent=2, sort_keys=True) + "\n")
     else:
         for rep in reports:
-            status = "pass" if rep["pass"] else "FAIL"
-            out.write(
-                f"{status}: suite={rep['suite']} genus={rep['genus']} d={rep['d']} "
-                f"cases={rep['cases']}\n"
-            )
-            for f in rep["failures"]:
-                out.write(
-                    f"  failure at {f['where']}: expected {f['expected']}, got {f['got']}\n"
-                )
+            _emit_report(rep, "{status}: suite={suite} genus={genus} d={d} cases={cases}", out)
     return 0 if all(r["pass"] for r in reports) else CHECK_FAILED
+
+
+_COMMANDS = {
+    "omega": _cmd_omega,
+    "integral": _cmd_integral,
+    "relations": _cmd_relations,
+    "sl2": _cmd_sl2,
+    "genfun": _cmd_genfun,
+    "verify": _cmd_verify,
+}
 
 
 def main(argv=None) -> int:
@@ -366,28 +371,14 @@ def main(argv=None) -> int:
         args.genus = 2
     if getattr(args, "normalization", 0) is None:
         args.normalization = Fraction(1)
-    out = sys.stdout
     try:
-        if args.command == "omega":
-            return _cmd_omega(args, out)
-        if args.command == "integral":
-            return _cmd_integral(args, out)
-        if args.command == "relations":
-            return _cmd_relations(args, out)
-        if args.command == "sl2":
-            return _cmd_sl2(args, out)
-        if args.command == "genfun":
-            return _cmd_genfun(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, sys.stdout)
     except ElementParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except VerificationError as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return CHECK_FAILED
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -402,7 +402,7 @@ def chern_specialization_coefficients(g: int):
     """Coefficients of q^0, q^2, ..., q^(4g-4) in the t = 1 specialization
     of the d = 0 closed form (all odd coefficients vanish)."""
     poly = omega_closed_polynomial(g).subst_t(1)
-    return [int(poly.coeff(2 * i, 0)) for i in range(2 * g - 1)]
+    return [poly.coeff(2 * i, 0) for i in range(2 * g - 1)]
 
 
 def check_unimodality(g: int) -> bool:

@@ -33,7 +33,7 @@ from .algebra import Element, _accumulate, bidegree_cone, check_genus, koszul_si
 from .integral import IntegralConfig, graded_pairing, top_bidegree
 from .linalg import RowSpan
 from .relations import _lefschetz_dims, _summand_relations, prim_basis, rel_generator_poly
-from .relations import report, slice_vector
+from .relations import dims_mismatches, merged_report, report, slice_vector
 
 _QUARTERS = (Fraction(-1, 4), Fraction(1, 4))  # -(1/4) (-1)^p, by p & 1
 
@@ -57,6 +57,8 @@ class Operator:
         self.shift = shift
 
     def __call__(self, x: Element) -> Element:
+        if not isinstance(x, Element):
+            raise TypeError(f"an Operator maps an Element, not {type(x).__name__}")
         if x.g != self.g:
             raise ValueError("genus mismatch")
         return x._map(self.action)
@@ -206,15 +208,8 @@ def check_adjointness(g: int, cfg: IntegralConfig = None) -> dict:
         ("h_alpha", ha, -1),
         ("h_beta", hb, -1),
     ]
-    cases = 0
-    failures = []
-    for name, op, sign in plan:
-        n, fails = operator_adjointness_failures(op, sign, g, cfg)
-        cases += n
-        for f in fails:
-            f["where"] = f"{name}: " + f["where"]
-        failures.extend(fails)
-    return report("check", "adjoint", g, 0, cases, failures)
+    parts = [(name, *operator_adjointness_failures(op, sign, g, cfg)) for name, op, sign in plan]
+    return merged_report("check", "adjoint", g, 0, parts)
 
 
 def check_descent(g: int, d: int, k_max: int = None) -> dict:
@@ -347,17 +342,7 @@ def check_closure(g: int, buffers=(None,)) -> dict:
                 }
             )
             continue
-        keys = set(result["dims"]) | set(ideal_dims)
-        for bd in sorted(keys):
-            cases += 1
-            got = result["dims"].get(bd, 0)
-            want = ideal_dims.get(bd, 0)
-            if got != want:
-                failures.append(
-                    {
-                        "where": f"buffer={result['buffer']}, bd={bd}",
-                        "expected": str(want),
-                        "got": str(got),
-                    }
-                )
+        n, fails = dims_mismatches(result["dims"], ideal_dims, f"buffer={result['buffer']}, ")
+        cases += n
+        failures.extend(fails)
     return report("check", "closure", g, 0, cases, failures)

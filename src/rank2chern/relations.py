@@ -56,7 +56,8 @@ def report(kind: str, name: str, genus: int, d: int, cases: int, failures: list)
     """The verdict of a check (kind "check") or a suite (kind "suite").
 
     It passes only when it ran at least one case and none failed; the first
-    ten failures are kept as witnesses.
+    ten failures are kept as witnesses, each ``{"where", "expected", "got"}``.
+    Every check and suite builds its verdict here.
     """
     return {
         kind: name,
@@ -66,6 +67,27 @@ def report(kind: str, name: str, genus: int, d: int, cases: int, failures: list)
         "pass": cases > 0 and not failures,
         "failures": failures[:10],
     }
+
+
+def merged_report(kind: str, name: str, genus: int, d: int, parts) -> dict:
+    """One report over labelled ``(label, cases, failures)`` parts: the
+    cases add up, and each witness's ``where`` is prefixed ``"label: "``."""
+    failures = [{**f, "where": f"{label}: {f['where']}"} for label, _, fails in parts for f in fails]
+    return report(kind, name, genus, d, sum(n for _, n, _ in parts), failures)
+
+
+def dims_mismatches(got: dict, want: dict, where: str = ""):
+    """(cases, witnesses) of the comparison of two ``{bd: dim}`` tables: one
+    case per bidegree of either table, an absent one read as 0, and a
+    witness ``{"where": f"{where}bd={bd}", "expected", "got"}`` per
+    mismatch, in bidegree order.  The one table diff of every route check."""
+    keys = sorted(set(got) | set(want))
+    witnesses = [
+        {"where": f"{where}bd={bd}", "expected": str(want.get(bd, 0)), "got": str(got.get(bd, 0))}
+        for bd in keys
+        if got.get(bd, 0) != want.get(bd, 0)
+    ]
+    return len(keys), witnesses
 
 
 # ----------------------------------------------------------------------
@@ -306,15 +328,25 @@ class OmegaTable:
     max_coh: int
     dims: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_expansion(cls, g: int, d: int, max_coh: int, expansion) -> "OmegaTable":
+        """The table of a closed-form expansion: q^i t^j, q tracking the
+        Chern degree, is bidegree (i + j, i).  A coefficient that is not a
+        non-negative int is no dimension, and raises VerificationError."""
+        dims = {}
+        for (i, j), v in expansion.terms.items():
+            if not isinstance(v, int) or v < 0:
+                raise VerificationError(
+                    f"closed form at g={g}, d={d}: coefficient {v} of q^{i} t^{j} is no dimension"
+                )
+            dims[(i + j, i)] = v
+        return cls(g, d, max_coh, dims)
+
     def dim(self, coh: int, chern: int) -> int:
         return self.dims.get((coh, chern), 0)
 
     def nonzero(self):
         return sorted((bd, n) for bd, n in self.dims.items() if n)
-
-    def to_coeff_dict(self):
-        """Monomial dict {(qExp, tExp): dim} with q tracking Chern degree."""
-        return {(chern, coh - chern): n for (coh, chern), n in self.dims.items() if n}
 
     def poincare_coefficients(self):
         """q = t specialization: cohomological-degree Betti numbers."""

@@ -20,6 +20,8 @@ from .operators import check_adjointness, check_closure, check_descent, check_sl
 from .relations import (
     OmegaTable,
     default_max_coh,
+    dims_mismatches,
+    merged_report,
     omega_from_ideal,
     omega_from_pairing,
     pairing_kernel_matches_ideal,
@@ -28,30 +30,14 @@ from .relations import (
 )
 
 
-def _table_matches_expansion(table: OmegaTable, expansion) -> list:
-    got = table.to_coeff_dict()
-    want = {k: int(v) for k, v in expansion.terms.items()}
-    failures = []
-    for key in sorted(set(got) | set(want)):
-        if got.get(key, 0) != want.get(key, 0):
-            failures.append(
-                {
-                    "where": f"q^{key[0]} t^{key[1]}",
-                    "expected": str(want.get(key, 0)),
-                    "got": str(got.get(key, 0)),
-                }
-            )
-    return failures
-
-
 def suite_main(genus: int, B=Fraction(1)) -> dict:
     """The d = 0 table from the pairing route against the closed form,
     plus the top-degree structure and the nonvanishing witness integral."""
     cfg = IntegralConfig(genus, B)
     table = omega_from_pairing(genus, cfg)
-    closed = genfun.omega_closed_polynomial(genus)
-    failures = _table_matches_expansion(table, closed)
-    cases = len(closed.terms) + 3
+    expansion = genfun.omega_closed_polynomial(genus)
+    closed = OmegaTable.from_expansion(genus, 0, table.max_coh, expansion)
+    cases, failures = dims_mismatches(table.dims, closed.dims)
 
     top_coh = 6 * genus - 6
     top_chern = 4 * genus - 4
@@ -79,7 +65,7 @@ def suite_main(genus: int, B=Fraction(1)) -> dict:
         )
     if not verify_vanishing_corollary(table):
         failures.append({"where": "vanishing corollary", "expected": "pass", "got": "fail"})
-    return report("suite", "main", genus, 0, cases, failures)
+    return report("suite", "main", genus, 0, cases + 3, failures)
 
 
 def suite_intermediate(genus: int, d: int, max_coh: int = None) -> dict:
@@ -89,8 +75,9 @@ def suite_intermediate(genus: int, d: int, max_coh: int = None) -> dict:
         max_coh = default_max_coh(genus, d)
     table = omega_from_ideal(genus, d, max_coh)
     expansion = genfun.omega_closed_form(genus, d).series_coefficients(max_coh)
-    failures = _table_matches_expansion(table, expansion)
-    return report("suite", "intermediate", genus, d, len(expansion.terms), failures)
+    closed = OmegaTable.from_expansion(genus, d, max_coh, expansion)
+    cases, failures = dims_mismatches(table.dims, closed.dims)
+    return report("suite", "intermediate", genus, d, cases, failures)
 
 
 def suite_pairing(genus: int, B=Fraction(1)) -> dict:
@@ -98,18 +85,7 @@ def suite_pairing(genus: int, B=Fraction(1)) -> dict:
     cfg = IntegralConfig(genus, B)
     by_ideal = omega_from_ideal(genus, 0, 6 * genus - 6)
     by_pairing = omega_from_pairing(genus, cfg)
-    failures = []
-    keys = set(by_ideal.dims) | set(by_pairing.dims)
-    for bd in sorted(keys):
-        if by_ideal.dims.get(bd, 0) != by_pairing.dims.get(bd, 0):
-            failures.append(
-                {
-                    "where": f"bd={bd}",
-                    "expected": str(by_pairing.dims.get(bd, 0)),
-                    "got": str(by_ideal.dims.get(bd, 0)),
-                }
-            )
-    cases = len(keys)
+    cases, failures = dims_mismatches(by_ideal.dims, by_pairing.dims)
     for bd in bidegree_cone(genus, 6 * genus - 6):
         cases += 1
         if not pairing_kernel_matches_ideal(genus, bd, cfg):
@@ -125,15 +101,8 @@ def suite_sl2(genus: int, d: int = 0, max_coh: int = None, B=Fraction(1)) -> dic
     if d == 0:
         reports.append(check_adjointness(genus, IntegralConfig(genus, B)))
     reports.append(check_descent(genus, d))
-    failures = []
-    cases = 0
-    for rep in reports:
-        cases += rep["cases"]
-        for f in rep["failures"]:
-            f = dict(f)
-            f["where"] = f"{rep['check']}: {f['where']}"
-            failures.append(f)
-    return report("suite", "sl2", genus, d, cases, failures)
+    parts = [(rep["check"], rep["cases"], rep["failures"]) for rep in reports]
+    return merged_report("suite", "sl2", genus, d, parts)
 
 
 def suite_closure(genus: int, buffers=(None,)) -> dict:

@@ -17,6 +17,7 @@ from rank2chern.operators import (
     check_sl2_relations,
 )
 from rank2chern.relations import (
+    OmegaTable,
     modified_mumford_closed,
     modified_mumford_sum,
     omega_from_ideal,
@@ -34,7 +35,7 @@ def _report(name: str, ok: bool):
 
 
 def _table_equals_expansion(table, expansion) -> bool:
-    return table.to_coeff_dict() == {k: int(v) for k, v in expansion.terms.items()}
+    return OmegaTable.from_expansion(table.g, table.d, table.max_coh, expansion) == table
 
 
 def test_criterion_01_stable_closed_form_from_pairing():

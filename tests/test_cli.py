@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,8 @@ import rank2chern.relations as relations
 from rank2chern.algebra import ElementParseError
 from rank2chern.cli import main
 from rank2chern.operators import check_descent
-from rank2chern.relations import OmegaTable, VerificationError, omega_from_ideal
+from rank2chern.genfun import BiPoly, BiRational
+from rank2chern.relations import OmegaTable, VerificationError, omega_from_ideal, report
 
 
 def run(capsys, *argv):
@@ -121,6 +123,25 @@ def test_genfun_symmetry_failure_exit_1(capsys, monkeypatch):
     code, out = run(capsys, "genfun", "--formula", "n21", "--genus", "2", "--check", "symmetry")
     assert code == 1
     assert out == "symmetry (n21, genus 2): FAIL\n"
+
+
+def test_omega_closed_refuses_a_coefficient_that_is_no_dimension(monkeypatch, capsys):
+    half = BiRational(BiPoly.const(Fraction(1, 2)))
+    monkeypatch.setattr(cli.gf, "omega_closed_form", lambda g, d=0: half)
+    code = main(["omega", "--route", "closed"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failed: ") and "q^0 t^0" in err
+
+
+def test_sl2_and_verify_print_one_witness_text(monkeypatch, capsys):
+    witness = {"where": "bd=(2, 2)", "expected": "1", "got": "2"}
+    monkeypatch.setattr(cli, "check_descent", lambda g, d: report("check", "descent", g, d, 5, [witness]))
+    monkeypatch.setattr(cli, "run_suites", lambda *args: [report("suite", "main", 2, 0, 8, [witness])])
+    line = "  failure at bd=(2, 2): expected 1, got 2\n"
+    assert run(capsys, "sl2", "--check", "descent") == (1, "descent: genus=2 d=0 cases=5 FAIL\n" + line)
+    assert run(capsys, "verify", "--suite", "main") == (1, "FAIL: suite=main genus=2 d=0 cases=8\n" + line)
 
 
 def test_verify_main_suite(capsys):

@@ -26,6 +26,7 @@ from rank2chern.operators import (
     sl2_closure,
 )
 from rank2chern.relations import ideal_slice, prim_basis, rel_generator_poly, slice_vector
+from rank2chern.series import InvariantPoly
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +170,12 @@ def test_operator_refuses_an_element_of_another_genus():
     for op in make_sl2("alpha", 0, 2) + make_sl2("diagonal", 0, 2):
         with pytest.raises(ValueError, match="genus mismatch"):
             op(Element.one(3))
+
+
+def test_operator_refuses_a_value_that_is_not_an_element():
+    # h_alpha(gamma) is 0; read as an Element key, gamma's exponent would be a psi mask
+    with pytest.raises(TypeError, match="InvariantPoly"):
+        make_sl2("alpha", 0, 3)[1](InvariantPoly.gen(3, "gamma"))
 
 
 def test_operator_leibniz_consistency():

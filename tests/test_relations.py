@@ -15,15 +15,17 @@ from rank2chern.algebra import (
     monomial_basis,
     theta_power,
 )
-from rank2chern.genfun import omega_closed_form
+from rank2chern.genfun import BiPoly, omega_closed_form
 from rank2chern.integral import IntegralConfig, pairing_matrix
 from rank2chern.linalg import RowSpan, row_reduce
 from rank2chern.relations import (
     OmegaTable,
     VerificationError,
     default_max_coh,
+    dims_mismatches,
     ideal_slice,
     ideal_slice_keys,
+    merged_report,
     modified_mumford,
     modified_mumford_closed,
     modified_mumford_sum,
@@ -347,7 +349,35 @@ def test_omega_ideal_matches_closed_series_d1():
     g, d = 2, 1
     table = omega_from_ideal(g, d)
     expansion = omega_closed_form(g, d).series_coefficients(table.max_coh)
-    assert table.to_coeff_dict() == {k: int(v) for k, v in expansion.terms.items()}
+    assert OmegaTable.from_expansion(g, d, table.max_coh, expansion) == table
+
+
+def test_from_expansion_reads_q_as_the_chern_degree():
+    table = OmegaTable.from_expansion(2, 0, 6, BiPoly({(0, 0): 1, (2, 1): 4}))
+    assert table.dims == {(0, 0): 1, (3, 2): 4}
+
+
+@pytest.mark.parametrize("coeff", [F(1, 2), -1])
+def test_from_expansion_refuses_a_coefficient_that_is_no_dimension(coeff):
+    with pytest.raises(VerificationError, match=r"q\^1 t\^2"):
+        OmegaTable.from_expansion(2, 0, 6, BiPoly({(0, 0): 1, (1, 2): coeff}))
+
+
+def test_merged_report_prefixes_each_witness_with_its_label():
+    witness = {"where": "bd=(0, 0)", "expected": "1", "got": "0"}
+    rep = merged_report("check", "adjoint", 2, 0, [("e_alpha", 3, [witness]), ("h_beta", 4, [])])
+    assert rep["cases"] == 7 and rep["pass"] is False
+    assert rep["failures"] == [{**witness, "where": "e_alpha: bd=(0, 0)"}]
+    assert witness["where"] == "bd=(0, 0)"
+
+
+def test_dims_mismatches_reads_an_absent_bidegree_as_zero():
+    cases, witnesses = dims_mismatches({(0, 0): 1, (2, 2): 1}, {(2, 2): 1, (3, 2): 4}, "x, ")
+    assert cases == 3
+    assert witnesses == [
+        {"where": "x, bd=(0, 0)", "expected": "0", "got": "1"},
+        {"where": "x, bd=(3, 2)", "expected": "4", "got": "0"},
+    ]
 
 
 # Oracles: the tables over every psi monomial of a bidegree.
@@ -388,7 +418,7 @@ def _pairing_kernel_matches_ideal_full(g, bd, cfg):
 
 def _matches_closed_form(table):
     expansion = omega_closed_form(table.g, table.d).series_coefficients(table.max_coh)
-    return table.to_coeff_dict() == {k: int(v) for k, v in expansion.terms.items()}
+    return OmegaTable.from_expansion(table.g, table.d, table.max_coh, expansion) == table
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
