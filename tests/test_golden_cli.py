@@ -25,6 +25,9 @@ GOLDEN = [
     ("sl2 --check relations --genus 3", "79fb521e39b7b8b6711e5c775eb8367b91eb627c8088bb9c9b97dcdf20df9e39", 0),
     ("sl2 --check adjoint --genus 3", "2b26e7272b879f062c906e77b3e4bb6c9ff0f77a1a00e0e3dceb7cdec2c54598", 0),
     ("sl2 --check descent --genus 3", "75fc33cd0ef0b97c6109af598de3435380ef3e760fbbc7851fb5dc180bc9156f", 0),
+    ("sl2 --check relations --genus 4 --d 1", "faf6c832273d0a092609d399b5fec02a1bc44f3feedb907e220c072c0cae0fa9", 0),
+    ("sl2 --check descent --genus 4 --d 2", "aa03c43764e5963ea364d47596cdcbaa33ac9d18bacb02175a8ad654f9446dd2", 0),
+    ("sl2 --check adjoint --genus 4 --normalization=7/3", "cb7ab1f9db9edd9175c52d8efaaf6def179b22b655692d8c94310da732cf074d", 0),
     ("sl2 --check closure --genus 2", "f958a55c8aef89ccc859b7debde7f8fe63cb26683d66021d72db723555e8cd51", 0),
     ("genfun --check all --expand 12", "d3c205f66efd06dd1d3bf88ba447996d60cd74c476aca2fbdc33420a49c88d54", 0),
     ("genfun --formula rank3 --genus 3 --expand 16 --format json", "1ef1a95b5bfc691e50231e9ab062c7ce5c3b825c99c5bf3f5e0aca7c43b8386a", 0),
