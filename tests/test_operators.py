@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,7 +15,7 @@ from rank2chern.algebra import (
     gamma_power,
     monomial_basis,
 )
-from rank2chern.integral import IntegralConfig
+from rank2chern.integral import IntegralConfig, graded_pairing, top_bidegree
 from rank2chern.operators import (
     Operator,
     check_adjointness,
@@ -25,7 +26,7 @@ from rank2chern.operators import (
     operator_adjointness_failures,
     sl2_closure,
 )
-from rank2chern.relations import ideal_slice, prim_basis, rel_generator_poly, slice_vector
+from rank2chern.relations import ideal_slice, merged_report, prim_basis, rel_generator_poly, report, slice_vector
 from rank2chern.series import InvariantPoly
 
 
@@ -236,6 +237,149 @@ def _patch_triple(monkeypatch, families, **perturbation):
         )
 
     monkeypatch.setattr(operators, "_triple", triple)
+
+
+# ----------------------------------------------------------------------
+# oracles: the three sl2 checks with one Element per operator application
+# and a full product per pairing, as they were first written; the checks
+# on term dicts must return the same report byte for byte
+
+
+def oracle_sl2_relations(g, d, max_coh=None):
+    if max_coh is None:
+        max_coh = 6 * g - 6
+    names_a, names_b = ("e_a", "h_a", "f_a"), ("e_b", "h_b", "f_b")
+    ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
+    failures = []
+    cases = 0
+    for mono in (m for bd in bidegree_cone(g, max_coh) for m in monomial_basis(g, bd)):
+        x = Element.monomial(g, *mono)
+        img = {name: op(x) for name, op in ops.items()}
+
+        def bracket(a, b):
+            return ops[a](img[b]) - ops[b](img[a])
+
+        checks = []
+        for tag, (e, h, f) in (("alpha", names_a), ("beta", names_b)):
+            checks.append((f"[e,f]=h ({tag})", bracket(e, f) - img[h]))
+            checks.append((f"[h,e]=2e ({tag})", bracket(h, e) - 2 * img[e]))
+            checks.append((f"[h,f]=-2f ({tag})", bracket(h, f) + 2 * img[f]))
+        for a in names_a:
+            for b in names_b:
+                checks.append((f"[{a},{b}]=0", bracket(a, b)))
+        for label, residual in checks:
+            cases += 1
+            if residual:
+                failures.append({"where": f"{label} on {x}", "expected": "0", "got": str(residual)})
+    return report("check", "relations", g, d, cases, failures)
+
+
+def oracle_adjointness_failures(F, sign, g, cfg):
+    top_c, top_ch = top_bidegree(g)
+    dc, dch = F.shift
+    failures = []
+    cases = 0
+    for bd in bidegree_cone(g, 6 * g - 6):
+        comp = (top_c - bd.coh - dc, top_ch - bd.chern - dch)
+        left = monomial_basis(g, bd)
+        right = monomial_basis(g, comp)
+        if not left or not right:
+            continue
+        right = [(E, F(E)) for E in (Element.monomial(g, *m2) for m2 in right)]
+        for m1 in left:
+            D = Element.monomial(g, *m1)
+            FD = F(D)
+            for E, FE in right:
+                cases += 1
+                lhs = graded_pairing(FD, E, cfg)
+                rhs = sign * graded_pairing(D, FE, cfg)
+                if lhs != rhs:
+                    failures.append({"where": f"<F({D}),{E}>", "expected": str(rhs), "got": str(lhs)})
+                    if len(failures) >= 10:
+                        return cases, failures
+    return cases, failures
+
+
+def oracle_adjointness(g, cfg=None):
+    if cfg is None:
+        cfg = IntegralConfig(g)
+    (ea, ha, fa), (eb, hb, fb) = make_sl2("alpha", 0, g), make_sl2("beta", 0, g)
+    plan = [("e_alpha", ea, 1), ("e_beta", eb, 1), ("f_alpha", fa, 1), ("f_beta", fb, 1)]
+    plan += [("h_alpha", ha, -1), ("h_beta", hb, -1)]
+    parts = [(name, *oracle_adjointness_failures(op, sign, g, cfg)) for name, op, sign in plan]
+    return merged_report("check", "adjoint", g, 0, parts)
+
+
+def oracle_descent(g, d, k_max=None):
+    if k_max is None:
+        k_max = 2 * g + 2 * d + 4
+    _, _, fa = make_sl2("alpha", d, g)
+    _, _, fb = make_sl2("beta", d, g)
+    cases = 0
+    failures = []
+    for k in range(2 * g + 2 * d, k_max + 1):
+        for l in range(g + 1):
+            sigmas = prim_basis(g, l)
+            for m in range(g - l + 1):
+                R_k = rel_generator_poly(g, k, m, l).embed()
+                lowered = (
+                    ("f_alpha", fa, rel_generator_poly(g, k - 1, m, l).embed()),
+                    ("f_beta", fb, rel_generator_poly(g, k - 1, m - 1, l).embed()),
+                )
+                scale = 2 * g + 2 * d - k
+                for idx, sigma in enumerate(sigmas):
+                    R_sigma = R_k * sigma
+                    for name, f, R_down in lowered:
+                        cases += 1
+                        lhs = f(R_sigma)
+                        rhs = (R_down * sigma).scale(scale)
+                        if lhs != rhs:
+                            where = f"{name}, k={k}, m={m}, l={l}, sigma#{idx}"
+                            failures.append({"where": where, "expected": str(rhs), "got": str(lhs)})
+    return report("check", "descent", g, d, cases, failures)
+
+
+def _checks_match_oracles(g, ds):
+    """The reports of the three checks at genus g and each d of ds, each
+    asserted equal to its oracle's as JSON text."""
+    pairs = [(check_adjointness(g), oracle_adjointness(g))]
+    for d in ds:
+        pairs.append((check_sl2_relations(g, d), oracle_sl2_relations(g, d)))
+        pairs.append((check_descent(g, d), oracle_descent(g, d)))
+    for got, want in pairs:
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    return [got for got, _ in pairs]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_checks_match_their_element_oracles(g):
+    assert all(rep["pass"] for rep in _checks_match_oracles(g, (0, 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "families, perturbation",
+    [
+        (("alpha", "beta"), {"const_shift": 1}),
+        (("alpha",), {"laplacian": False}),
+        (("alpha", "beta"), {"laplacian": False}),
+    ],
+)
+def test_checks_match_their_element_oracles_on_a_perturbed_f(monkeypatch, families, perturbation):
+    # the failing reports carry witnesses, so their text is compared too
+    _patch_triple(monkeypatch, families, **perturbation)
+    reports = _checks_match_oracles(2, (0, 1, 2))
+    assert [rep["check"] for rep in reports if rep["failures"]]
+
+
+def test_adjointness_witnesses_match_the_oracle_at_another_normalization():
+    # with the sign flipped every member fails, and each witness prints
+    # both pairings at B = 7/3
+    for g in (2, 3):
+        cfg = IntegralConfig(g, F(7, 3))
+        e, h, f = make_sl2("beta", 0, g)
+        for op, sign in ((e, 1), (h, -1), (f, 1)):
+            got = operator_adjointness_failures(op, -sign, g, cfg)
+            assert got[1] and got == oracle_adjointness_failures(op, -sign, g, cfg)
 
 
 def _assert_fails_with_witnesses(rep):
