@@ -104,6 +104,25 @@ def _accumulate(pairs, out: dict) -> dict:
     return out
 
 
+def _apply(action, terms: dict) -> dict:
+    """The fresh term dict of the linear map sending each key of ``terms`` to
+    ``action(*key)``, a dict of nonzero coefficients; images that cancel
+    leave no key, and neither ``terms`` nor an image is mutated."""
+    out = {}
+    for key, c in terms.items():
+        for k, v in action(*key).items():
+            prev = out.get(k)
+            if prev is None:
+                out[k] = c * v
+            else:
+                s = prev + c * v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
+
+
 class Sparse:
     """Sparse map from monomial keys to nonzero exact rationals.
 
@@ -198,21 +217,8 @@ class Sparse:
         return self._raw(self.g, {k: c * v for k, v in self.terms.items()})
 
     def _map(self, action):
-        """The linear map sending each key to ``action(*key)``, a dict of
-        nonzero coefficients by image key; images that cancel leave no key."""
-        out = {}
-        for key, c in self.terms.items():
-            for k, v in action(*key).items():
-                prev = out.get(k)
-                if prev is None:
-                    out[k] = c * v
-                else:
-                    s = prev + c * v
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return self._raw(self.g, out)
+        """The linear map sending each key to ``action(*key)`` (see :func:`_apply`)."""
+        return self._raw(self.g, _apply(action, self.terms))
 
     def __pow__(self, n: int):
         """Square-and-multiply; stops as soon as a square vanishes."""
@@ -234,7 +240,7 @@ class Sparse:
         if other.__class__ is not self.__class__:
             other = self._coerce(other)
             if other is NotImplemented:
-                return False
+                return NotImplemented
         return self.g == other.g and self.terms == other.terms
 
     def is_zero(self) -> bool:

@@ -145,8 +145,13 @@ class BiRational:
             return BiRational(self.num + other.num, self.den)
         return BiRational(self.num * other.den + other.num * self.den, self.den * other.den)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-other) if isinstance(other, (BiRational, BiPoly)) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other if isinstance(other, BiPoly) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, BiPoly)):

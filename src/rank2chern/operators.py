@@ -23,14 +23,20 @@ graded pairing, the descent identities on relation generators, and the
 f-closure reconstruction of the relation ideal are all checked
 extensionally on monomial slices: slices are small and the arithmetic is
 exact, so no operator normal form is needed.
+
+The brackets and pairings run on term dicts (algebra._apply on an image
+dict, integral._pair_monomials on monomial keys), with an Element only for
+a failure witness; descent reads R sigma as alpha^a beta^b shifts of the
+gamma^c sigma it forms once per primitive sigma.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, _accumulate, bidegree_cone, check_genus, koszul_sign, monomial_basis
-from .integral import IntegralConfig, graded_pairing, top_bidegree
+from .algebra import Element, _accumulate, _apply, bidegree_cone, check_genus, gamma_power
+from .algebra import koszul_sign, monomial_basis
+from .integral import IntegralConfig, _pair_monomials, top_bidegree
 from .linalg import RowSpan
 from .relations import _lefschetz_dims, _summand_relations, prim_basis, rel_generator_poly
 from .relations import dims_mismatches, merged_report, report, slice_vector
@@ -135,35 +141,40 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     if max_coh is None:
         max_coh = 6 * g - 6
     names_a, names_b = ("e_a", "h_a", "f_a"), ("e_b", "h_b", "f_b")
-    ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
+    ops = zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g))
+    actions = {name: op.action for name, op in ops}
     failures = []
     cases = 0
     for mono in (m for bd in bidegree_cone(g, max_coh) for m in monomial_basis(g, bd)):
-        x = Element.monomial(g, *mono)
-        img = {name: op(x) for name, op in ops.items()}
+        img = {name: act(*mono) for name, act in actions.items()}
 
-        def bracket(a, b):
-            return ops[a](img[b]) - ops[b](img[a])
+        def residual(a, b, name=None, k=0):
+            """[a, b] on the monomial, plus k times the image under name."""
+            out = _apply(actions[a], img[b])
+            _accumulate(((key, -v) for key, v in _apply(actions[b], img[a]).items()), out)
+            return _accumulate(((key, k * v) for key, v in img[name].items()), out) if k else out
 
         checks = []
         for tag, (e, h, f) in (("alpha", names_a), ("beta", names_b)):
-            checks.append((f"[e,f]=h ({tag})", bracket(e, f) - img[h]))
-            checks.append((f"[h,e]=2e ({tag})", bracket(h, e) - 2 * img[e]))
-            checks.append((f"[h,f]=-2f ({tag})", bracket(h, f) + 2 * img[f]))
+            checks.append((f"[e,f]=h ({tag})", residual(e, f, h, -1)))
+            checks.append((f"[h,e]=2e ({tag})", residual(h, e, e, -2)))
+            checks.append((f"[h,f]=-2f ({tag})", residual(h, f, f, 2)))
         for a in names_a:
             for b in names_b:
-                checks.append((f"[{a},{b}]=0", bracket(a, b)))
-        for label, residual in checks:
+                checks.append((f"[{a},{b}]=0", residual(a, b)))
+        for label, terms in checks:
             cases += 1
-            if residual:
-                failures.append({"where": f"{label} on {x}", "expected": "0", "got": str(residual)})
+            if terms:
+                where = f"{label} on {Element.monomial(g, *mono)}"
+                failures.append({"where": where, "expected": "0", "got": str(Element._raw(g, terms))})
     return report("check", "relations", g, d, cases, failures)
 
 
 def operator_adjointness_failures(F: Operator, sign: int, g: int, cfg: IntegralConfig):
     """Witnesses against <F(D), D'> = sign * <D, F(D')> over all
     complementary monomial pairs around the top bidegree; it stops at the
-    ten witnesses a report keeps."""
+    ten witnesses a report keeps.  Both sides are compared at B = 1, which
+    rescales them alike; a witness prints them at cfg.B."""
     if F.shift is None:
         raise ValueError("adjointness needs a bihomogeneous operator")
     top_c, top_ch = top_bidegree(g)
@@ -176,17 +187,17 @@ def operator_adjointness_failures(F: Operator, sign: int, g: int, cfg: IntegralC
         right = monomial_basis(g, comp)
         if not left or not right:
             continue
-        right = [(E, F(E)) for E in (Element.monomial(g, *m2) for m2 in right)]
+        right = [(m2, F.action(*m2).items()) for m2 in right]
         for m1 in left:
-            D = Element.monomial(g, *m1)
-            FD = F(D)
-            for E, FE in right:
+            FD = F.action(*m1).items()
+            for m2, FE in right:
                 cases += 1
-                lhs = graded_pairing(FD, E, cfg)
-                rhs = sign * graded_pairing(D, FE, cfg)
+                lhs = sum(c * _pair_monomials(g, k, m2) for k, c in FD if not k[2] & m2[2])
+                rhs = sign * sum(c * _pair_monomials(g, m1, k) for k, c in FE if not m1[2] & k[2])
                 if lhs != rhs:
+                    D, E = Element.monomial(g, *m1), Element.monomial(g, *m2)
                     failures.append(
-                        {"where": f"<F({D}),{E}>", "expected": str(rhs), "got": str(lhs)}
+                        {"where": f"<F({D}),{E}>", "expected": str(rhs * cfg.B), "got": str(lhs * cfg.B)}
                     )
                     if len(failures) >= 10:
                         return cases, failures
@@ -220,24 +231,36 @@ def check_descent(g: int, d: int, k_max: int = None) -> dict:
         k_max = 2 * g + 2 * d + 4
     _, _, fa = make_sl2("alpha", d, g)
     _, _, fb = make_sl2("beta", d, g)
+    # gamma^c sigma of each primitive sigma of degree l (0 for c > g - l):
+    # R sigma is their alpha^a beta^b shifts, alpha and beta being central
+    classes = {
+        l: [[(gamma_power(g, c) * sigma).terms for c in range(g - l + 1)] for sigma in prim_basis(g, l)]
+        for l in range(g + 1)
+    }
+
+    def times(R, gs):
+        out = {}
+        for (a, b, c), v in R.terms.items():
+            _accumulate((((a + x, b + y, mask), v * w) for (x, y, mask), w in gs[c].items()), out)
+        return out
+
     cases = 0
     failures = []
     for k in range(2 * g + 2 * d, k_max + 1):
         for l in range(g + 1):
-            sigmas = prim_basis(g, l)
             for m in range(g - l + 1):
-                R_k = rel_generator_poly(g, k, m, l).embed()
+                R_k = rel_generator_poly(g, k, m, l)
                 lowered = (
-                    ("f_alpha", fa, rel_generator_poly(g, k - 1, m, l).embed()),
-                    ("f_beta", fb, rel_generator_poly(g, k - 1, m - 1, l).embed()),
+                    ("f_alpha", fa, rel_generator_poly(g, k - 1, m, l)),
+                    ("f_beta", fb, rel_generator_poly(g, k - 1, m - 1, l)),
                 )
                 scale = 2 * g + 2 * d - k
-                for idx, sigma in enumerate(sigmas):
-                    R_sigma = R_k * sigma
+                for idx, gs in enumerate(classes[l]):
+                    R_sigma = Element._raw(g, times(R_k, gs))
                     for name, f, R_down in lowered:
                         cases += 1
                         lhs = f(R_sigma)
-                        rhs = (R_down * sigma).scale(scale)
+                        rhs = Element._raw(g, times(R_down.scale(scale), gs))
                         if lhs != rhs:
                             failures.append(
                                 {

@@ -225,6 +225,14 @@ def test_operand_types():
     assert BiPoly.const(3) == 3
 
 
+def test_equality_with_an_uncoercible_operand_is_false_in_both_orders():
+    # __eq__ leaves such an operand to the reflected side, and both sides decline
+    x, p, b = Element.alpha(2), InvariantPoly.gen(2, "alpha"), BiPoly.const(1)
+    for u, v in ((x, p), (b, 1.0), (x, b), (p, b), (x, "alpha")):
+        assert not (u == v) and not (v == u) and u != v and v != u
+    assert InvariantPoly.one(2) != Element.one(2) and BiPoly.one() == 1 == BiPoly.one()
+
+
 def test_products_and_sums_across_sparse_classes_are_refused():
     # each class multiplies only its own class and int or Fraction scalars:
     # alpha * psi1 at g = 3 must not come back as alpha * gamma

@@ -272,6 +272,18 @@ def test_birational_operands():
     assert r != 0.5 and not (r == x)
 
 
+def test_birational_sums_and_equality_in_both_orders():
+    # a BiPoly on the left reaches the reflected BiRational operator
+    q = BiPoly.monomial(1, 0)
+    r = BiRational(q, 1 - q)
+    assert q + r == r + q == BiRational(2 * q - q * q, 1 - q)
+    assert q - r == -(r - q) == BiRational(-q * q, 1 - q)
+    assert isinstance(q + r, BiRational) and isinstance(q - r, BiRational)
+    assert BiPoly.one() == BiRational(BiPoly.one()) and BiRational(BiPoly.one()) == BiPoly.one()
+    assert BiPoly.one() != BiRational(q) and BiRational(q) != BiPoly.one()
+    assert not (q == BiRational(BiPoly.one(), 1 - q)) and not (BiRational(BiPoly.one(), 1 - q) == q)
+
+
 def test_closed_forms_hold_int_coefficients():
     def ints(*polys):
         return all(type(v) is int for p in polys for v in p.terms.values())
