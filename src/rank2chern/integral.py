@@ -15,9 +15,9 @@ structural output downstream (ranks, kernels, dimension tables) is invariant
 under rescaling it.
 
 summand_integral evaluates the two rules in closed form on
-alpha^a beta^b gamma^c sigma sigma*, the entries of the per-summand pairing
-matrices, without building an element; monomial_integral is its c = 0
-case.  This module is the only place an integral is evaluated.
+alpha^a beta^b gamma^c sigma sigma*, without building an element; the
+table routes read its l = 0 case, monomial_integral its c = 0 case.  This
+module is the only place an integral is evaluated.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, _exact, check_genus, koszul_sign, monomial_basis
+from .algebra import MAX_GENUS, Element, _exact, check_genus, koszul_sign, monomial_basis
 from .linalg import QMatrix
 
 _ZERO = Fraction(0)
@@ -51,8 +51,9 @@ def top_bidegree(g: int):
 
 @lru_cache(maxsize=None)
 def _virasoro_line(g: int):
-    """I_0 .. I_{g-1} with I_0 = 1 (the B = 1 normalization)."""
-    check_genus(g)
+    """I_0 .. I_{g-1} with I_0 = 1 (the B = 1 normalization), from g = 0."""
+    if not 0 <= g <= MAX_GENUS:
+        raise ValueError(f"genus must be in [0, {MAX_GENUS}], got {g!r}")
     vals = [Fraction(1)]
     for p in range(g - 1):
         vals.append(Fraction(-(g - p), 2 * (g - 1 - p)) * vals[-1])

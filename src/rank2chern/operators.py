@@ -38,7 +38,7 @@ from .algebra import Element, _accumulate, _apply, bidegree_cone, check_genus, g
 from .algebra import koszul_sign, monomial_basis
 from .integral import IntegralConfig, _pair_monomials, top_bidegree
 from .linalg import RowSpan
-from .relations import _lefschetz_dims, _summand_relations, prim_basis, rel_generator_poly
+from .relations import _invariant_relations, _lefschetz_dims, prim_basis, rel_generator_poly
 from .relations import dims_mismatches, merged_report, report, slice_vector
 
 _QUARTERS = (Fraction(-1, 4), Fraction(1, 4))  # -(1/4) (-1)^p, by p & 1
@@ -349,9 +349,9 @@ def sl2_closure(g: int, coh_buffer: int = None, max_sweeps: int = 60) -> dict:
 def check_closure(g: int, buffers=(None,)) -> dict:
     """Compare the f-closure dimensions with the relation-ideal slices for
     every bidegree with coh <= 6g-6, across the given buffer sweep.  The
-    ideal dimensions are summand relation counts, whose freeness
-    _summand_relations asserts."""
-    ideal_dims = _lefschetz_dims(g, 6 * g - 6, lambda l, bd: len(_summand_relations(g, 0, l, bd)))
+    ideal dimensions are the relation counts of the invariant rings of
+    genus g - l, whose freeness _invariant_relations asserts."""
+    ideal_dims = _lefschetz_dims(g, 6 * g - 6, lambda gl, bd: len(_invariant_relations(gl, 0, bd)))
     cases = 0
     failures = []
     for buf in buffers:

@@ -15,16 +15,16 @@ Three layers live here:
   dimension tables, by the ideal route (any d >= 0) and by the pairing
   route (d = 0).
 
-Both table routes work per Lefschetz summand.  The ring is the direct sum
-over l of Prim_l (x) Q[alpha, beta, gamma]/(gamma^(g-l+1)), with Prim_l of
-dimension C(2g, l) - C(2g, l-2), and both the relation ideal and the
-pairing respect that sum.  So a bidegree's dimension is a sum over l of
-dim Prim_l times a rank over the few monomials alpha^a beta^b gamma^c of
-summand l, never over the 2^(2g) psi monomials.  The pairing route fills
-each summand's matrix M_l(bd) from integral.summand_integral, a closed
-form on the Virasoro line, so no integrand is built and nothing is
-memoised.  The d = 0 kernel match runs per summand too; the full-monomial
-slices stay in ideal_slice for the relations dump.
+Both table routes work on one core, the invariant ring
+Q[alpha, beta, gamma]/I_g' of a genus 0 <= g' <= MAX_GENUS.  H*(N_g) is
+the sum over l of Prim_l (x) Q[alpha, beta, gamma]/I_{g-l} (King-Newstead),
+dim Prim_l = prim_dim(g, l), so summand l of genus g is the core at
+g' = g - l, read at bd - (3l, 2l) (R_{k,m,l} there is R_{k-2l,m,0}).  No
+step enumerates the 2^(2g) psi monomials.  The pairing reads
+integral.summand_integral at l = 0, one nonzero scalar off summand l's, so
+ranks and kernels agree; nothing is built or memoised.  The d = 0 kernel
+match runs on the same core; ideal_slice keeps the full-monomial slices
+for the relations dump.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
+    MAX_GENUS,
     Element,
     bidegree_cone,
     check_genus,
@@ -262,32 +263,35 @@ def slice_vector(x: Element, basis_index: dict) -> dict:
     return {basis_index[mono]: c for mono, c in x.terms.items()}
 
 
-def _slice_families(g: int, d: int, bd):
-    """(ell, k, m, l) of every beta^ell R_{k,m,l} sigma_l of the degree-d
-    relation ideal landing in bidegree bd, sigma_l primitive of degree l."""
+def _invariant_families(g: int, d: int, bd):
+    """(ell, k, m) of every beta^ell R_{k,m,0} of the degree-d relation ideal
+    of the invariant ring of genus g landing in bidegree bd."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
     coh, chern = bd
     if chern % 2:
         return
     for k in range(2 * g + 2 * d, g + chern // 2 + 1):
-        ell2 = chern + 2 * g - 2 * k
-        if ell2 < 0 or ell2 % 2:
-            continue
-        ell = ell2 // 2
-        rest = coh - 4 * ell - 2 * k + 2 * g  # equals 2m + l
-        if rest < 0:
-            continue
-        for l in range(rest % 2, min(g, rest) + 1, 2):
-            m = (rest - l) // 2
-            if m >= 0 and l + m <= g:
-                yield ell, k, m, l
+        ell = g + chern // 2 - k
+        m, odd = divmod(coh - 4 * ell - 2 * k + 2 * g, 2)
+        if 0 <= m <= g and not odd:
+            yield ell, k, m
+
+
+def _summands(g: int, bd):
+    """(l, g - l, bd - (3l, 2l)) per Lefschetz summand l: summand l of genus g
+    at bd is prim_dim(g, l) copies of the invariant ring of genus g - l at
+    bd - (3l, 2l), its relation R_{k,m,l} being R_{k-2l,m,0} there."""
+    return [(l, g - l, (bd[0] - 3 * l, bd[1] - 2 * l)) for l in range(g + 1)]
 
 
 def ideal_slice_keys(g: int, d: int, bd):
     """Lexicographic (ell, k, m, l, primIndex) keys of the spanning family
     of the degree-d graded relation ideal landing in bidegree bd."""
     return sorted(
-        (ell, k, m, l, idx)
-        for ell, k, m, l in _slice_families(g, d, bd)
+        (ell, k + 2 * l, m, l, idx)
+        for l, gl, sbd in _summands(g, bd)
+        for ell, k, m in _invariant_families(gl, d, sbd)
         for idx in range(prim_dim(g, l))
     )
 
@@ -299,8 +303,6 @@ def ideal_slice(g: int, d: int, bd):
     as a Q[beta]-module); this is asserted.
     """
     check_genus(g)
-    if d < 0:
-        raise ValueError("d must be >= 0")
     elements = []
     beta = Element.beta(g)
     for ell, k, m, l, idx in ideal_slice_keys(g, d, bd):
@@ -393,85 +395,83 @@ def default_max_coh(g: int, d: int) -> int:
     return 6 * g - 6 + 4 * d
 
 
-def summand_basis(g: int, l: int, bd) -> list:
-    """Monomials (a, b, c), c <= g - l, with alpha^a beta^b gamma^c sigma_l
-    in bidegree bd for a primitive sigma_l of degree l; bd holds
-    prim_dim(g, l) copies of them."""
-    coh, chern = bd[0] - 3 * l, bd[1] - 2 * l
-    if coh < 0 or chern < 0 or chern % 2 or (coh - chern) % 2:
+def invariant_basis(g: int, bd) -> list:
+    """Monomials (a, b, c), c <= g, with alpha^a beta^b gamma^c in bidegree
+    bd, for the invariant ring Q[alpha, beta, gamma]/I_g of any genus
+    0 <= g <= MAX_GENUS: summands l = g, g - 1 of genus g read genus 0, 1."""
+    if not 0 <= g <= MAX_GENUS:
+        raise ValueError(f"invariant ring genus must be in [0, {MAX_GENUS}], got {g!r}")
+    coh, chern = bd
+    if chern % 2 or coh % 2:
         return []
-    out = []
-    for c in range(g - l + 1):
-        b = (coh - chern) // 2 - c  # coh - chern = 2b + 2c
-        a = chern // 2 - b - 2 * c
-        if b < 0:
-            break
-        if a >= 0:
-            out.append((a, b, c))
-    return out
+    n = (coh - chern) // 2  # b + c
+    return [(chern // 2 - n - c, n - c, c) for c in range(min(g, n) + 1) if chern // 2 >= n + c]
 
 
-def _summand_relations(g: int, d: int, l: int, bd) -> list:
-    """Rows of the summand-l relations beta^ell R_{k,m,l} of the slice over
-    summand_basis(g, l, bd); their freeness is asserted.  R has gamma
-    degree <= m <= g - l, so it needs no truncation."""
-    index = {mono: i for i, mono in enumerate(summand_basis(g, l, bd))}
+def _invariant_relations(g: int, d: int, bd) -> list:
+    """Rows of the relations beta^ell R_{k,m,0} of genus g over
+    invariant_basis(g, bd); their freeness is asserted.  R has gamma degree
+    <= m <= g, so it needs no truncation."""
+    index = {mono: i for i, mono in enumerate(invariant_basis(g, bd))}
     rows = [
-        {index[(a, b + ell, c)]: v for (a, b, c), v in rel_generator_poly(g, k, m, l).terms.items()}
-        for ell, k, m, ll in _slice_families(g, d, bd)
-        if ll == l
+        {index[(a, b + ell, c)]: w / math.factorial(a) for a, b, c, w in _generator_terms(g, k, m, 0)}
+        for ell, k, m in _invariant_families(g, d, bd)
     ]
     if rows and row_reduce(QMatrix(len(index), rows))[0] != len(rows):
-        raise VerificationError(f"relation family dependent at g={g}, d={d}, bd={bd}, summand l={l}")
+        raise VerificationError(f"relation family dependent at g={g}, d={d}, bd={bd}, summand l=0")
     return rows
 
 
-def _summand_pairing(g: int, l: int, bd, cfg: IntegralConfig) -> QMatrix:
-    """M_l(bd)[p, q] = integral of p q sigma sigma* (summand_integral), for
-    p, q in the summand-l bases of bd and of its complementary bidegree."""
-    cols = summand_basis(g, l, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
+def _invariant_pairing(g: int, bd, B) -> QMatrix:
+    """M(bd)[p, q] = B * integral of p q at genus g (summand_integral at
+    l = 0), for p, q in the invariant bases of bd and of its complementary
+    bidegree.  Summand l of genus g + l pairs by a nonzero multiple of it."""
+    cols = invariant_basis(g, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
     rows = []
-    for p in summand_basis(g, l, bd):
-        entries = ((j, summand_integral(g, l, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
-        rows.append({j: v * cfg.B for j, v in entries if v})
+    for p in invariant_basis(g, bd):
+        entries = ((j, summand_integral(g, 0, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
+        rows.append({j: v * B for j, v in entries if v})
     return QMatrix(len(cols), rows)
 
 
 def _lefschetz_dims(g: int, max_coh: int, count) -> dict:
-    """dims[bd] = sum over summands l of prim_dim(g, l) * count(l, bd), zeros
-    dropped: bd holds prim_dim(g, l) copies of the summand-l monomials."""
+    """dims[bd] = sum over summands l of prim_dim(g, l) * count(g - l,
+    bd - (3l, 2l)), zeros dropped, count reading an invariant ring."""
     dims = {}
     for bd in bidegree_cone(g, max_coh):
-        n = sum(prim_dim(g, l) * count(l, bd) for l in range(g + 1))
+        n = sum(prim_dim(g, l) * count(gl, sbd) for l, gl, sbd in _summands(g, bd))
         if n:
             dims[tuple(bd)] = n
     return dims
 
 
+def _config(g: int, cfg: IntegralConfig) -> IntegralConfig:
+    """cfg, by default IntegralConfig(g); a config of another genus is refused."""
+    cfg = cfg or IntegralConfig(g)
+    if cfg.g != g:
+        raise ValueError(f"genus mismatch: config of genus {cfg.g} at g={g}")
+    return cfg
+
+
 def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
-    """dims[bd] = sum over summands l of prim_dim(g, l) * (#summand
-    monomials - #summand relations)."""
+    """dims[bd] = sum over summands l of prim_dim(g, l) * (#monomials -
+    #relations) of the invariant ring of genus g - l at bd - (3l, 2l)."""
     check_genus(g)
     if max_coh is None:
         max_coh = default_max_coh(g, d)
 
-    def count(l, bd):
-        return len(summand_basis(g, l, bd)) - len(_summand_relations(g, d, l, bd))
+    def count(gl, bd):
+        return len(invariant_basis(gl, bd)) - len(_invariant_relations(gl, d, bd))
 
     return OmegaTable(g, d, max_coh, _lefschetz_dims(g, max_coh, count))
 
 
 def omega_from_pairing(g: int, cfg: IntegralConfig = None) -> OmegaTable:
     """d = 0 table from ranks of the graded pairing: rank = sum over
-    summands l of prim_dim(g, l) * rank M_l."""
-    check_genus(g)
-    if cfg is None:
-        cfg = IntegralConfig(g)
-
-    def count(l, bd):
-        return row_reduce(_summand_pairing(g, l, bd, cfg))[0]
-
-    return OmegaTable(g, 0, 6 * g - 6, _lefschetz_dims(g, 6 * g - 6, count))
+    summands l of prim_dim(g, l) * the pairing rank of genus g - l."""
+    B = _config(g, cfg).B
+    dims = _lefschetz_dims(g, 6 * g - 6, lambda gl, bd: row_reduce(_invariant_pairing(gl, bd, B))[0])
+    return OmegaTable(g, 0, 6 * g - 6, dims)
 
 
 def verify_vanishing_corollary(table: OmegaTable) -> bool:
@@ -485,18 +485,16 @@ def verify_vanishing_corollary(table: OmegaTable) -> bool:
 
 
 def pairing_kernel_matches_ideal(g: int, bd, cfg: IntegralConfig = None) -> bool:
-    """d = 0 coincidence on one bidegree, summand by summand: the summand-l
-    relations span exactly the left kernel of M_l(bd) (containment plus
-    dimension count)."""
-    if cfg is None:
-        cfg = IntegralConfig(g)
-    for l in range(g + 1):
-        rows = _summand_relations(g, 0, l, bd)
-        matrix = _summand_pairing(g, l, bd, cfg)
+    """d = 0 coincidence on one bidegree, summand by summand: the relations
+    of each invariant ring span exactly the left kernel of its pairing
+    matrix (containment plus dimension count)."""
+    B = _config(g, cfg).B
+    for _, gl, sbd in _summands(g, bd):
+        rows = _invariant_relations(gl, 0, sbd)
+        matrix = _invariant_pairing(gl, sbd, B)
         if len(rows) != matrix.rows - row_reduce(matrix)[0]:
             return False
         transpose = matrix.transpose()
         if any(transpose.mul_vector(r) for r in rows):
             return False
     return True
-

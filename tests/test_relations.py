@@ -16,7 +16,7 @@ from rank2chern.algebra import (
     theta_power,
 )
 from rank2chern.genfun import BiPoly, omega_closed_form
-from rank2chern.integral import IntegralConfig, pairing_matrix
+from rank2chern.integral import IntegralConfig, _virasoro_line, pairing_matrix, summand_integral
 from rank2chern.linalg import RowSpan, row_reduce
 from rank2chern.relations import (
     OmegaTable,
@@ -36,8 +36,8 @@ from rank2chern.relations import (
     prim_basis,
     prim_dim,
     rel_generator,
+    invariant_basis,
     slice_vector,
-    summand_basis,
     verify_vanishing_corollary,
 )
 from rank2chern.series import InvariantPoly, phi_series
@@ -416,6 +416,74 @@ def _pairing_kernel_matches_ideal_full(g, bd, cfg):
     return not any(transpose.mul_vector(slice_vector(x, index)) for x in elements)
 
 
+# Oracles: the per-(g, l) summand builders, each summand l of genus g built
+# in its own right rather than as the invariant ring of genus g - l.
+
+
+def _summand_basis(g, l, bd):
+    coh, chern = bd[0] - 3 * l, bd[1] - 2 * l
+    if coh < 0 or chern < 0 or chern % 2 or (coh - chern) % 2:
+        return []
+    out = []
+    for c in range(g - l + 1):
+        b = (coh - chern) // 2 - c
+        a = chern // 2 - b - 2 * c
+        if b < 0:
+            break
+        if a >= 0:
+            out.append((a, b, c))
+    return out
+
+
+def _slice_families(g, d, bd):
+    coh, chern = bd
+    if chern % 2:
+        return
+    for k in range(2 * g + 2 * d, g + chern // 2 + 1):
+        ell = (chern + 2 * g - 2 * k) // 2
+        rest = coh - 4 * ell - 2 * k + 2 * g  # equals 2m + l
+        for l in range(rest % 2, min(g, rest) + 1, 2):
+            m = (rest - l) // 2
+            if l + m <= g:
+                yield ell, k, m, l
+
+
+def _summand_relations(g, d, l, bd):
+    index = {mono: i for i, mono in enumerate(_summand_basis(g, l, bd))}
+    return [
+        {index[(a, b + ell, c)]: v for (a, b, c), v in rel.rel_generator_poly(g, k, m, l).terms.items()}
+        for ell, k, m, ll in _slice_families(g, d, bd)
+        if ll == l
+    ]
+
+
+def _summand_pairing(g, l, bd, B):
+    cols = _summand_basis(g, l, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
+    rows = []
+    for p in _summand_basis(g, l, bd):
+        entries = ((j, summand_integral(g, l, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
+        rows.append({j: v * B for j, v in entries if v})
+    return rel.QMatrix(len(cols), rows)
+
+
+def _decomposition_mismatches(g, d, shift):
+    """(cases, mismatches) of the invariant-ring core at genus g - l, read at
+    bd - shift(l), against the per-(g, l) oracles on every bidegree and l."""
+    cases, bad = 0, []
+    for bd in bidegree_cone(g, rel.default_max_coh(g, d)):
+        for l in range(g + 1):
+            gl, sbd = g - l, (bd[0] - shift(l)[0], bd[1] - shift(l)[1])
+            got = (invariant_basis(gl, sbd), rel._invariant_relations(gl, d, sbd))
+            want = (_summand_basis(g, l, bd), _summand_relations(g, d, l, bd))
+            if d == 0:
+                got += (row_reduce(rel._invariant_pairing(gl, sbd, F(-5, 2)))[0],)
+                want += (row_reduce(_summand_pairing(g, l, bd, F(-5, 2)))[0],)
+            cases += 1
+            if got != want:
+                bad.append((bd, l))
+    return cases, bad
+
+
 def _matches_closed_form(table):
     expansion = omega_closed_form(table.g, table.d).series_coefficients(table.max_coh)
     return OmegaTable.from_expansion(table.g, table.d, table.max_coh, expansion) == table
@@ -436,11 +504,88 @@ def test_summand_routes_reproduce_closed_form(g):
     assert _matches_closed_form(omega_from_pairing(g))
 
 
+@pytest.mark.parametrize("g", range(2, 9))
+def test_summand_l_is_the_invariant_ring_of_genus_g_minus_l(g):
+    # same bases, relation rows and pairing ranks at every bidegree and every
+    # l, l = g - 1 and l = g (invariant genus 1 and 0) included
+    for d in (0, 1, 2):
+        cases, bad = _decomposition_mismatches(g, d, lambda l: (3 * l, 2 * l))
+        assert cases > 0 and bad == [], (d, bad[:5])
+
+
+def test_a_wrong_summand_shift_disagrees():
+    for g in (3, 4):
+        for d in (0, 1):
+            assert _decomposition_mismatches(g, d, lambda l: (3 * l, l))[1], (g, d)
+
+
+def test_invariant_pairings_are_proportional_to_the_summand_pairings():
+    # M_l(bd) of genus g is kappa(g, l) times the genus g - l pairing at bd - (3l, 2l)
+    for g in (3, 4, 5):
+        for l in range(g + 1):
+            ratios = set()
+            for bd in bidegree_cone(g, 6 * g - 6):
+                sbd = (bd[0] - 3 * l, bd[1] - 2 * l)
+                want = _summand_pairing(g, l, bd, 1).data
+                got = rel._invariant_pairing(g - l, sbd, 1).data
+                assert [set(r) for r in got] == [set(r) for r in want], (g, l, bd)
+                ratios |= {w[j] / r[j] for r, w in zip(got, want) for j in r}
+            assert len(ratios) <= 1 and 0 not in ratios, (g, l, ratios)
+
+
+def test_the_invariant_core_has_its_own_genus_bound():
+    assert invariant_basis(0, (0, 0)) == [(0, 0, 0)] and _virasoro_line(0) == (1,)
+    assert invariant_basis(1, (6, 4)) == [(1, 1, 0), (0, 0, 1)] and _virasoro_line(1) == (1,)
+    for g in (-1, 9):
+        with pytest.raises(ValueError, match="genus"):
+            invariant_basis(g, (0, 0))
+        with pytest.raises(ValueError, match="genus"):
+            _virasoro_line(g)
+    with pytest.raises(ValueError, match="genus"):
+        check_genus(1)
+
+
+def test_a_negative_d_is_refused_where_the_relation_family_is_built():
+    bd = (8, 8)
+    for call in (lambda: omega_from_ideal(3, -1), lambda: ideal_slice_keys(3, -1, bd), lambda: ideal_slice(3, -1, bd)):
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            call()
+
+
+def test_a_config_of_another_genus_is_refused():
+    with pytest.raises(ValueError, match="genus mismatch"):
+        omega_from_pairing(3, IntegralConfig(2))
+    with pytest.raises(ValueError, match="genus mismatch"):
+        pairing_kernel_matches_ideal(3, (4, 4), IntegralConfig(2))
+    assert pairing_kernel_matches_ideal(3, (4, 4), IntegralConfig(3, F(7, 3)))
+
+
+def test_the_table_routes_read_only_invariant_rings(monkeypatch):
+    # no psi monomial, primitive class or exterior basis, and no integral at l > 0
+    def refused(*args):
+        raise AssertionError("a summand route read the full algebra")
+
+    integral = rel.summand_integral
+
+    def invariant_only(g, l, a, b, c):
+        if l:
+            raise AssertionError("a summand route read an integral at l > 0")
+        return integral(g, l, a, b, c)
+
+    for name in ("monomial_basis", "prim_basis", "exterior_basis"):
+        monkeypatch.setattr(rel, name, refused)
+    monkeypatch.setattr(rel, "summand_integral", invariant_only)
+    for d in (0, 1, 2):
+        assert _matches_closed_form(omega_from_ideal(6, d)), d
+    assert _matches_closed_form(omega_from_pairing(6))
+    assert all(pairing_kernel_matches_ideal(4, bd) for bd in bidegree_cone(4, 18))
+
+
 def test_summands_count_every_monomial():
-    # sum over l of dim Prim_l * #summand monomials is the size of the slice
+    # sum over l of dim Prim_l * #invariant monomials of genus g - l is the size of the slice
     for g in (2, 3, 4):
         for bd in bidegree_cone(g, rel.default_max_coh(g, 2)):
-            count = sum(prim_dim(g, l) * len(summand_basis(g, l, bd)) for l in range(g + 1))
+            count = sum(prim_dim(g, l) * len(invariant_basis(g - l, (bd[0] - 3 * l, bd[1] - 2 * l))) for l in range(g + 1))
             assert count == len(monomial_basis(g, bd)), (g, bd)
         assert all(prim_dim(g, l) == len(prim_basis(g, l)) for l in range(g + 1))
 
@@ -450,8 +595,8 @@ def test_pairing_read_from_the_wrong_summand_disagrees(monkeypatch):
     assert _matches_closed_form(omega_from_pairing(g))
     integral = rel.summand_integral
 
-    def misplaced(g, l, a, b, c):  # summand l reads the value of summand l - 1
-        return integral(g, max(l - 1, 0), a, b, c)
+    def misplaced(g, l, a, b, c):  # genus g - l reads the value of genus g - l + 1
+        return integral(g + 1, l, a, b, c)
 
     monkeypatch.setattr(rel, "summand_integral", misplaced)
     assert not _matches_closed_form(omega_from_pairing(g))
@@ -471,14 +616,14 @@ def test_kernel_match_catches_what_the_table_cannot(monkeypatch):
 
 
 def test_duplicated_summand_relation_is_dependent(monkeypatch):
-    families = rel._slice_families
+    families = rel._invariant_families
     assert _matches_closed_form(omega_from_ideal(2, 0))
 
-    def repeat_first(g, d, bd):  # the first relation of each slice, twice
+    def repeat_first(g, d, bd):  # the first relation of each invariant slice, twice
         found = list(families(g, d, bd))
         return found + found[:1]
 
-    monkeypatch.setattr(rel, "_slice_families", repeat_first)
+    monkeypatch.setattr(rel, "_invariant_families", repeat_first)
     with pytest.raises(VerificationError, match="relation family dependent at .* summand l=0"):
         omega_from_ideal(2, 0)
 
@@ -535,12 +680,12 @@ def test_summand_kernel_match_equals_full_monomial_oracle(g):
 def test_kernel_match_without_a_relation_family_fails(monkeypatch):
     g = 3
     cfg = IntegralConfig(g)
-    families = rel._slice_families
+    families = rel._invariant_families
 
-    def drop_first(g, d, bd):  # every slice loses its first relation family
+    def drop_first(g, d, bd):  # every invariant slice loses its first relation family
         return list(families(g, d, bd))[1:]
 
-    monkeypatch.setattr(rel, "_slice_families", drop_first)
+    monkeypatch.setattr(rel, "_invariant_families", drop_first)
     bds = list(bidegree_cone(g, 6 * g - 6))
     got = [pairing_kernel_matches_ideal(g, bd, cfg) for bd in bds]
     assert not all(got)
@@ -551,15 +696,13 @@ def test_kernel_match_without_a_relation_family_fails(monkeypatch):
 def test_kernel_match_with_a_perturbed_relation_fails(monkeypatch):
     # same count of free relations, but some of them leave the kernel
     g = 3
-    original = rel.rel_generator_poly
+    original = rel._generator_terms
 
     def perturbed(g, k, m, l):  # the first term of each relation, doubled
-        terms = dict(original(g, k, m, l).terms)
-        for key in list(terms)[:1]:
-            terms[key] *= 2
-        return InvariantPoly(g, terms)
+        terms = list(original(g, k, m, l))
+        return [(a, b, c, 2 * w if i == 0 else w) for i, (a, b, c, w) in enumerate(terms)]
 
-    monkeypatch.setattr(rel, "rel_generator_poly", perturbed)
+    monkeypatch.setattr(rel, "_generator_terms", perturbed)
     assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
 
 
