@@ -440,11 +440,16 @@ def _slice_families(g, d, bd):
     if chern % 2:
         return
     for k in range(2 * g + 2 * d, g + chern // 2 + 1):
-        ell = (chern + 2 * g - 2 * k) // 2
+        ell2 = chern + 2 * g - 2 * k
+        if ell2 < 0 or ell2 % 2:
+            continue
+        ell = ell2 // 2
         rest = coh - 4 * ell - 2 * k + 2 * g  # equals 2m + l
+        if rest < 0:
+            continue
         for l in range(rest % 2, min(g, rest) + 1, 2):
             m = (rest - l) // 2
-            if l + m <= g:
+            if m >= 0 and l + m <= g:
                 yield ell, k, m, l
 
 
