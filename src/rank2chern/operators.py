@@ -16,6 +16,9 @@ the monomial map it induces: on m = v^n w^k psi_S with s = |S|,
 
 where p_k counts the indices of S below k and the sum runs over the pairs
 {i, i+g} inside S; an element is mapped term by term in one sparse pass.
+Each action returns den times these coefficients, as integers over one
+positive denominator: den = 1 for e and h, and den = 4 for f, whose
+action gives 4 n (c - n + 1 - s) and -(-1)^(p_i + p_{i+g}).
 e adds the bidegree of v, f subtracts it and h keeps it; each Operator
 carries that shift.  The two families commute; their diagonal sum has h
 equal to the shifted Chern grading.  Commutators, adjointness against the
@@ -25,49 +28,63 @@ extensionally on monomial slices: slices are small and the arithmetic is
 exact, so no operator normal form is needed.
 
 The brackets and pairings run on term dicts (algebra._apply on an image
-dict, integral._pair_monomials on monomial keys), with an Element only for
-a failure witness; descent reads R sigma as alpha^a beta^b shifts of the
-gamma^c sigma it forms once per primitive sigma.
+dict, integral._pair_monomials on monomial keys) of the integer actions,
+each identity multiplied through by the denominators, with an Element only
+for a failure witness, rebuilt at the unscaled values; descent reads R sigma
+as alpha^a beta^b shifts of the gamma^c sigma it forms once per primitive
+sigma, and multiplies R_{k,m,l} by (k - g - l)! to clear its 1/(a! b! c!).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .algebra import Element, _accumulate, _apply, bidegree_cone, check_genus, gamma_power
+from .algebra import Element, _accumulate, _apply, _exact, bidegree_cone, check_genus, gamma_power
 from .algebra import koszul_sign, monomial_basis
 from .integral import IntegralConfig, _pair_monomials, top_bidegree
 from .linalg import RowSpan
 from .relations import _invariant_relations, _lefschetz_dims, prim_basis, rel_generator_poly
 from .relations import dims_mismatches, merged_report, report, slice_vector
 
-_QUARTERS = (Fraction(-1, 4), Fraction(1, 4))  # -(1/4) (-1)^p, by p & 1
+
+def _divide(terms: dict, den: int) -> dict:
+    """``terms`` with each coefficient divided exactly by ``den``, in place:
+    an int quotient of an int stays an int, and ``Sparse._raw`` puts any
+    other in the form of ``_exact``."""
+    if den != 1:
+        for k, v in terms.items():
+            terms[k] = v // den if v.__class__ is int and not v % den else Fraction(v, den)
+    return terms
 
 
 class Operator:
     """Linear operator on elements of a fixed-genus descendent algebra.
 
-    ``action(a, b, mask)`` is the image of the monomial alpha^a beta^b psi_S
-    as ``{key: coefficient}`` with nonzero int or Fraction coefficients; the
-    image element holds them in the form of ``algebra._exact``.
+    ``action(a, b, mask)`` is ``den`` times the image of the monomial
+    alpha^a beta^b psi_S, as ``{key: coefficient}`` with nonzero int or
+    Fraction coefficients; ``den`` is a positive int, so an action can keep
+    to integers.  Calling the operator divides by ``den``, and the image
+    element holds its coefficients in the form of ``algebra._exact``.
     ``shift`` is the (coh, chern) bidegree it adds to every homogeneous
     element, or None when it is not bihomogeneous.
     """
 
-    __slots__ = ("g", "action", "shift")
+    __slots__ = ("g", "action", "shift", "den")
 
-    def __init__(self, g: int, action, shift):
+    def __init__(self, g: int, action, shift, den: int = 1):
         check_genus(g)
         self.g = g
         self.action = action
         self.shift = shift
+        self.den = den
 
     def __call__(self, x: Element) -> Element:
         if not isinstance(x, Element):
             raise TypeError(f"an Operator maps an Element, not {type(x).__name__}")
         if x.g != self.g:
             raise ValueError("genus mismatch")
-        return x._map(self.action)
+        return Element._raw(self.g, _divide(_apply(self.action, x.terms), self.den))
 
 
 def _triple(family: str, d: int, g: int):
@@ -90,21 +107,21 @@ def _triple(family: str, d: int, g: int):
         k = 2 * (a * da + b * db) + mask.bit_count() - const
         return {(a, b, mask): k} if k else {}
 
-    def f(a, b, mask):
+    def f(a, b, mask):  # 4 f: its -(w/4) L term has the coefficients -(-1)^p
         out = {}
         n = a * da + b * db
         if n:
-            k = n * (const - n + 1 - mask.bit_count())
+            k = 4 * n * (const - n + 1 - mask.bit_count())
             if k:
                 out[(a - da, b - db, mask)] = k
         for lo, hi in pairs:
             if mask & lo and mask & hi:
                 p = (mask & (lo - 1)).bit_count() + (mask & (hi - 1)).bit_count()
-                out[(a + db, b + da, mask ^ lo ^ hi)] = _QUARTERS[p & 1]
+                out[(a + db, b + da, mask ^ lo ^ hi)] = 1 if p & 1 else -1
         return out
 
     coh, chern = Element.monomial(g, da, db, 0).bidegree()
-    return Operator(g, e, (coh, chern)), Operator(g, h, (0, 0)), Operator(g, f, (-coh, -chern))
+    return Operator(g, e, (coh, chern)), Operator(g, h, (0, 0)), Operator(g, f, (-coh, -chern), 4)
 
 
 def _sum_action(p, q):
@@ -117,7 +134,8 @@ def make_sl2(family: str, d: int, g: int):
 
     The parameter d >= 0 replaces the constant g-1 by g+2d-1; the diagonal
     family is the componentwise sum of the alpha and beta families, so only
-    its h is bihomogeneous (the parts of e and f shift differently).
+    its h is bihomogeneous (the parts of e and f shift differently); the two
+    summed actions share their den.
     """
     check_genus(g)
     if d < 0:
@@ -125,10 +143,13 @@ def make_sl2(family: str, d: int, g: int):
     if family != "diagonal":
         return _triple(family, d, g)
     pairs = zip(_triple("alpha", d, g), _triple("beta", d, g))
-    return tuple(
-        Operator(g, _sum_action(a.action, b.action), a.shift if a.shift == b.shift else None)
-        for a, b in pairs
-    )
+    out = []
+    for a, b in pairs:
+        if a.den != b.den:
+            raise ValueError(f"cannot sum actions over the denominators {a.den} and {b.den}")
+        shift = a.shift if a.shift == b.shift else None
+        out.append(Operator(g, _sum_action(a.action, b.action), shift, a.den))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -137,48 +158,55 @@ def make_sl2(family: str, d: int, g: int):
 
 def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     """[e,f] = h, [e,h] = 2e, [f,h] = -2f for both families, and all nine
-    cross-commutators vanish, verified on every monomial of coh <= max_coh."""
+    cross-commutators vanish, verified on every monomial of coh <= max_coh.
+
+    Each identity [a, b] + k x = 0 is checked on the integer actions as
+    [A, B] + k (den_a den_b / den_x) X = 0, which is den_a den_b times it."""
     if max_coh is None:
         max_coh = 6 * g - 6
     names_a, names_b = ("e_a", "h_a", "f_a"), ("e_b", "h_b", "f_b")
-    ops = zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g))
-    actions = {name: op.action for name, op in ops}
+    ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
+    actions = {name: op.action for name, op in ops.items()}
+
+    def identity(label, a, b, name=None, k=0):
+        """[a, b] plus k times the image under name, as its label, the two
+        operators, name, the scaled k and the scale den_a den_b."""
+        den = ops[a].den * ops[b].den
+        return label, a, b, name, k and k * _exact(Fraction(den, ops[name].den)), den
+
+    plan = []
+    for tag, (e, h, f) in (("alpha", names_a), ("beta", names_b)):
+        plan.append(identity(f"[e,f]=h ({tag})", e, f, h, -1))
+        plan.append(identity(f"[h,e]=2e ({tag})", h, e, e, -2))
+        plan.append(identity(f"[h,f]=-2f ({tag})", h, f, f, 2))
+    plan += [identity(f"[{a},{b}]=0", a, b) for a in names_a for b in names_b]
     failures = []
     cases = 0
     for mono in (m for bd in bidegree_cone(g, max_coh) for m in monomial_basis(g, bd)):
         img = {name: act(*mono) for name, act in actions.items()}
-
-        def residual(a, b, name=None, k=0):
-            """[a, b] on the monomial, plus k times the image under name."""
+        for label, a, b, name, k, den in plan:
+            cases += 1
             out = _apply(actions[a], img[b])
             _accumulate(((key, -v) for key, v in _apply(actions[b], img[a]).items()), out)
-            return _accumulate(((key, k * v) for key, v in img[name].items()), out) if k else out
-
-        checks = []
-        for tag, (e, h, f) in (("alpha", names_a), ("beta", names_b)):
-            checks.append((f"[e,f]=h ({tag})", residual(e, f, h, -1)))
-            checks.append((f"[h,e]=2e ({tag})", residual(h, e, e, -2)))
-            checks.append((f"[h,f]=-2f ({tag})", residual(h, f, f, 2)))
-        for a in names_a:
-            for b in names_b:
-                checks.append((f"[{a},{b}]=0", residual(a, b)))
-        for label, terms in checks:
-            cases += 1
-            if terms:
+            if k:
+                _accumulate(((key, k * v) for key, v in img[name].items()), out)
+            if out:
                 where = f"{label} on {Element.monomial(g, *mono)}"
-                failures.append({"where": where, "expected": "0", "got": str(Element._raw(g, terms))})
+                got = Element._raw(g, _divide(out, den))
+                failures.append({"where": where, "expected": "0", "got": str(got)})
     return report("check", "relations", g, d, cases, failures)
 
 
 def operator_adjointness_failures(F: Operator, sign: int, g: int, cfg: IntegralConfig):
     """Witnesses against <F(D), D'> = sign * <D, F(D')> over all
     complementary monomial pairs around the top bidegree; it stops at the
-    ten witnesses a report keeps.  Both sides are compared at B = 1, which
-    rescales them alike; a witness prints them at cfg.B."""
+    ten witnesses a report keeps.  Both sides are compared at B = 1 and
+    times F.den, which rescale them alike; a witness prints them at cfg.B."""
     if F.shift is None:
         raise ValueError("adjointness needs a bihomogeneous operator")
     top_c, top_ch = top_bidegree(g)
     dc, dch = F.shift
+    unit = Fraction(cfg.B, F.den)
     failures = []
     cases = 0
     for bd in bidegree_cone(g, 6 * g - 6):
@@ -197,7 +225,7 @@ def operator_adjointness_failures(F: Operator, sign: int, g: int, cfg: IntegralC
                 if lhs != rhs:
                     D, E = Element.monomial(g, *m1), Element.monomial(g, *m2)
                     failures.append(
-                        {"where": f"<F({D}),{E}>", "expected": str(rhs * cfg.B), "got": str(lhs * cfg.B)}
+                        {"where": f"<F({D}),{E}>", "expected": str(rhs * unit), "got": str(lhs * unit)}
                     )
                     if len(failures) >= 10:
                         return cases, failures
@@ -226,7 +254,12 @@ def check_adjointness(g: int, cfg: IntegralConfig = None) -> dict:
 def check_descent(g: int, d: int, k_max: int = None) -> dict:
     """f_alpha^d R_{k,m,l} sigma = (2g+2d-k) R_{k-1,m,l} sigma and the
     beta analogue lowering m, for every generator key with k in
-    [2g+2d, k_max]; out-of-range R indices mean the empty sum."""
+    [2g+2d, k_max]; out-of-range R indices mean the empty sum.
+
+    Both sides are multiplied by N = (k-g-l)! (1 when negative), which
+    clears the 1/(a! b! c!) of the three R's: the identity is checked as
+    f(N R_k sigma) = (2g+2d-k) N R_down sigma, and a witness is divided
+    back by N."""
     if k_max is None:
         k_max = 2 * g + 2 * d + 4
     _, _, fa = make_sl2("alpha", d, g)
@@ -240,33 +273,38 @@ def check_descent(g: int, d: int, k_max: int = None) -> dict:
 
     def times(R, gs):
         out = {}
-        for (a, b, c), v in R.terms.items():
+        for (a, b, c), v in R.items():
             _accumulate((((a + x, b + y, mask), v * w) for (x, y, mask), w in gs[c].items()), out)
         return out
+
+    def scaled(c, k, m, l):
+        """The terms of c R_{k,m,l}, each in the form of _exact."""
+        return {key: _exact(c * v) for key, v in rel_generator_poly(g, k, m, l).terms.items()} if c else {}
 
     cases = 0
     failures = []
     for k in range(2 * g + 2 * d, k_max + 1):
         for l in range(g + 1):
+            N = math.factorial(max(k - g - l, 0))
+            scale = (2 * g + 2 * d - k) * N
             for m in range(g - l + 1):
-                R_k = rel_generator_poly(g, k, m, l)
+                R_k = scaled(N, k, m, l)
                 lowered = (
-                    ("f_alpha", fa, rel_generator_poly(g, k - 1, m, l)),
-                    ("f_beta", fb, rel_generator_poly(g, k - 1, m - 1, l)),
+                    ("f_alpha", fa, scaled(scale, k - 1, m, l)),
+                    ("f_beta", fb, scaled(scale, k - 1, m - 1, l)),
                 )
-                scale = 2 * g + 2 * d - k
                 for idx, gs in enumerate(classes[l]):
                     R_sigma = Element._raw(g, times(R_k, gs))
                     for name, f, R_down in lowered:
                         cases += 1
                         lhs = f(R_sigma)
-                        rhs = Element._raw(g, times(R_down.scale(scale), gs))
-                        if lhs != rhs:
+                        rhs = times(R_down, gs)
+                        if lhs.terms != rhs:
                             failures.append(
                                 {
                                     "where": f"{name}, k={k}, m={m}, l={l}, sigma#{idx}",
-                                    "expected": str(rhs),
-                                    "got": str(lhs),
+                                    "expected": str(Element._raw(g, _divide(rhs, N))),
+                                    "got": str(Element._raw(g, _divide(dict(lhs.terms), N))),
                                 }
                             )
     return report("check", "descent", g, d, cases, failures)

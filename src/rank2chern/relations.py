@@ -288,6 +288,7 @@ def _summands(g: int, bd):
 def ideal_slice_keys(g: int, d: int, bd):
     """Lexicographic (ell, k, m, l, primIndex) keys of the spanning family
     of the degree-d graded relation ideal landing in bidegree bd."""
+    check_genus(g)
     return sorted(
         (ell, k + 2 * l, m, l, idx)
         for l, gl, sbd in _summands(g, bd)
@@ -302,10 +303,10 @@ def ideal_slice(g: int, d: int, bd):
     The returned family is linearly independent (the freeness of the ideal
     as a Q[beta]-module); this is asserted.
     """
-    check_genus(g)
+    keys = ideal_slice_keys(g, d, bd)
     elements = []
     beta = Element.beta(g)
-    for ell, k, m, l, idx in ideal_slice_keys(g, d, bd):
+    for ell, k, m, l, idx in keys:
         sig = prim_basis(g, l)[idx]
         elements.append(beta**ell * rel_generator(k, m, sig, g))
     if elements:

@@ -1,12 +1,16 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rank2chern import operators
 from rank2chern.algebra import (
     Element,
+    _exact,
     bidegree_cone,
     d_alpha,
     d_beta,
@@ -168,6 +172,44 @@ def test_operators_match_the_defining_formulas(g):
                         assert c and (type(c) is int or (type(c) is F and c.denominator != 1)), (family, d, x)
 
 
+def test_actions_are_integer_maps_over_one_denominator():
+    # e and h over den = 1, f over den = 4; every action value is an int
+    for g in (2, 3):
+        for d in (0, 1, 2):
+            for family in ("alpha", "beta", "diagonal"):
+                ops = make_sl2(family, d, g)
+                assert [op.den for op in ops] == [1, 1, 4], (family, d)
+                for bd in bidegree_cone(g, 12):
+                    for mono in monomial_basis(g, bd):
+                        for op in ops:
+                            assert all(type(v) is int for v in op.action(*mono).values()), (family, d, mono)
+
+
+# random elements of genus 2 and 3 with int and Fraction coefficients
+SL2_IMAGES = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+SL2_COEFFS = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=6)).filter(bool)
+
+
+@SL2_IMAGES
+@given(
+    data=st.data(),
+    g=st.sampled_from((2, 3)),
+    d=st.integers(0, 2),
+    family=st.sampled_from(("alpha", "beta", "diagonal")),
+)
+def test_operator_images_match_the_formulas_in_exact_form(data, g, d, family):
+    # Operator.__call__ divides the integer action by den: each image is the
+    # reference formula's, with each coefficient an int when integral and
+    # never Fraction(n, 1)
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, (1 << 2 * g) - 1))
+    x = data.draw(st.dictionaries(keys, SL2_COEFFS, max_size=5).map(lambda t: Element(g, t)))
+    for op, ref in zip(make_sl2(family, d, g), reference_sl2(family, d, g)):
+        img = op(x)
+        assert img == ref(x), (family, d, x)
+        for c in img.terms.values():
+            assert c and (type(c) is int or (type(c) is F and c.denominator != 1)), (family, d, x)
+
+
 def test_operator_refuses_an_element_of_another_genus():
     for op in make_sl2("alpha", 0, 2) + make_sl2("diagonal", 0, 2):
         with pytest.raises(ValueError, match="genus mismatch"):
@@ -222,9 +264,11 @@ def test_sl2_relations_negative_control():
     assert not (e(f_bad(one)) - f_bad(e(one)) - h(one)).is_zero()
 
 
-def _patch_triple(monkeypatch, families, **perturbation):
+def _patch_triple(monkeypatch, families, keep_den=False, **perturbation):
     """Replace the triples of ``families`` by the reference formulas with the
-    given perturbation of f, applied through Operator as the checks do."""
+    given perturbation of f, applied through Operator as the checks do: over
+    den = 1, or with ``keep_den`` over each member's own den, its action then
+    returning den times the reference image."""
     original = operators._triple
 
     def triple(family, d, g):
@@ -232,10 +276,15 @@ def _patch_triple(monkeypatch, families, **perturbation):
         if family not in families:
             return ops
         refs = reference_triple(family, d, g, **perturbation)
-        return tuple(
-            Operator(g, lambda a, b, mask, r=r: r(Element.monomial(g, a, b, mask)).terms, op.shift)
-            for r, op in zip(refs, ops)
-        )
+        out = []
+        for r, op in zip(refs, ops):
+            den = op.den if keep_den else 1
+
+            def action(a, b, mask, r=r, den=den):
+                return {k: _exact(den * v) for k, v in r(Element.monomial(g, a, b, mask)).terms.items()}
+
+            out.append(Operator(g, action, op.shift, den))
+        return tuple(out)
 
     monkeypatch.setattr(operators, "_triple", triple)
 
@@ -373,6 +422,27 @@ def test_checks_match_their_element_oracles_on_a_perturbed_f(monkeypatch, famili
     assert [rep["check"] for rep in reports if rep["failures"]]
 
 
+@pytest.mark.parametrize("perturbation", [{"const_shift": 1}, {"laplacian": False}])
+def test_checks_match_their_element_oracles_on_a_perturbed_f_over_den_4(monkeypatch, perturbation):
+    # the perturbed f keeps den = 4 and an integer action, so every witness
+    # of the failing reports is divided back from the den-scaled identities
+    _patch_triple(monkeypatch, ("alpha", "beta"), keep_den=True, **perturbation)
+    _, _, f = make_sl2("alpha", 0, 2)
+    images = [f.action(*mono) for bd in bidegree_cone(2, 12) for mono in monomial_basis(2, bd)]
+    assert f.den == 4 and all(type(v) is int for image in images for v in image.values())
+    reports = _checks_match_oracles(2, (0, 1, 2)) + _checks_match_oracles(3, (0,))
+    failing = {rep["check"] for rep in reports if rep["failures"]}
+    # without L the brackets still hold (see the Laplacian test below)
+    assert failing == ({"adjoint", "descent"} if "laplacian" in perturbation else {"adjoint", "relations", "descent"})
+
+
+def test_the_diagonal_family_refuses_actions_over_different_denominators(monkeypatch):
+    # the patched alpha f is over den = 1 and the beta f over den = 4
+    _patch_triple(monkeypatch, ("alpha",))
+    with pytest.raises(ValueError, match="denominators 1 and 4"):
+        make_sl2("diagonal", 0, 2)
+
+
 def test_adjointness_witnesses_match_the_oracle_at_another_normalization():
     # with the sign flipped every member fails, and each witness prints
     # both pairings at B = 7/3
@@ -493,6 +563,22 @@ def test_descent_passes():
     assert check_descent(2, 0)["pass"]
     assert check_descent(2, 1)["pass"]
     assert check_descent(3, 0, 8)["pass"]
+
+
+def test_descent_scaling_keeps_the_relation_generators_integral():
+    # (k-g-l)! R_{k,m,l} and the same multiple of both lowered R's have int
+    # coefficients over the descent key range, so the scaled check runs in
+    # int arithmetic; its verdicts hold for any coefficients, only its speed
+    # rests on this
+    for g in (2, 3, 4):
+        for d in (0, 1, 2):
+            for k in range(2 * g + 2 * d, 2 * g + 2 * d + 5):
+                for l in range(g + 1):
+                    N = math.factorial(max(k - g - l, 0))
+                    for m in range(g - l + 1):
+                        for kk, mm in ((k, m), (k - 1, m), (k - 1, m - 1)):
+                            R = rel_generator_poly(g, kk, mm, l).scale(N)
+                            assert all(type(v) is int for v in R.terms.values()), (g, k, kk, mm, l)
 
 
 def test_descent_boundary_and_explicit_case():

@@ -325,6 +325,15 @@ def test_ideal_slice_keys_are_sorted_lex():
     assert all(k >= 2 * 3 for (_, k, _, _, _) in keys)
 
 
+def test_ideal_slice_keys_refuse_a_genus_out_of_range():
+    # below 2 and above MAX_GENUS, as ideal_slice does
+    for g, bd in ((1, (6, 4)), (9, (40, 36))):
+        with pytest.raises(ValueError, match="genus must be an integer"):
+            ideal_slice_keys(g, 0, bd)
+        with pytest.raises(ValueError, match="genus must be an integer"):
+            ideal_slice(g, 0, bd)
+
+
 # ----------------------------------------------------------------------
 # tables
 
