@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--formula", choices=("stack", "n21", "intermediate", "rank3"), default="n21"
     )
-    p_gen.add_argument("--rank", type=int, default=2, help="rank for the stack formula")
+    p_gen.add_argument("--rank", type=int, default=None, help="rank for the stack formula (default 2)")
     p_gen.add_argument(
         "--check",
         choices=("symmetry", "tminus1", "unimodal", "zagier", "all"),
@@ -135,8 +135,9 @@ _IGNORED = {
     ("verify", "closure"): ("d", "max_coh", "normalization"),
     ("verify", "genfun"): ("genus", "d", "max_coh", "normalization"),
     ("genfun", "stack"): ("d",),
-    ("genfun", "n21"): ("d",),
-    ("genfun", "rank3"): ("d",),
+    ("genfun", "n21"): ("d", "rank"),
+    ("genfun", "intermediate"): ("rank",),
+    ("genfun", "rank3"): ("d", "rank"),
 }
 
 
@@ -152,8 +153,11 @@ def _usage_error(args):
             return f"--{name.replace('_', '-')} must be >= 0, got {value}"
     if getattr(args, "normalization", None) == 0:
         return "normalization B must be nonzero"
-    if args.command == "genfun" and args.rank < 2:
-        return "rank must be >= 2"
+    if args.command == "genfun":
+        if args.rank is not None and args.rank < 2:
+            return "rank must be >= 2"
+        if args.check is None and args.expand is None:
+            return "genfun needs --check or --expand"
     mode = getattr(args, _MODE.get(args.command, ""), None)
     path = args.command + (f" --{_MODE[args.command]} {mode}" if mode else "")
     for name in _IGNORED.get((args.command, mode), ()):
@@ -369,6 +373,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     if args.genus is None:
         args.genus = 2
+    if getattr(args, "rank", 0) is None:
+        args.rank = 2
     if getattr(args, "normalization", 0) is None:
         args.normalization = Fraction(1)
     try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import genfun
-from .algebra import Element, bidegree_cone
+from .algebra import MAX_GENUS, Element, bidegree_cone
 from .integral import IntegralConfig, graded_integral
 from .operators import check_adjointness, check_closure, check_descent, check_sl2_relations
 from .relations import (
@@ -110,7 +110,7 @@ def suite_closure(genus: int, buffers=(None,)) -> dict:
     return report("suite", "closure", genus, 0, rep["cases"], rep["failures"])
 
 
-def suite_genfun(max_genus: int = 8) -> dict:
+def suite_genfun() -> dict:
     """The generating-series identity battery (exact, series level only)."""
     failures = []
     cases = 0
@@ -122,12 +122,12 @@ def suite_genfun(max_genus: int = 8) -> dict:
             failures.append({"where": where, "expected": "pass", "got": "fail"})
 
     for r in range(2, 6):
-        for g in range(2, max_genus + 1):
+        for g in range(2, MAX_GENUS + 1):
             note(
                 genfun.check_shift_symmetry(genfun.omega_stack(r, g), r, g),
                 f"shift symmetry, stack r={r}, g={g}",
             )
-    for g in range(2, max_genus + 1):
+    for g in range(2, MAX_GENUS + 1):
         note(
             genfun.check_shift_symmetry(genfun.omega_closed_form(g, 0), 2, g),
             f"shift symmetry, closed form g={g}",
@@ -138,21 +138,21 @@ def suite_genfun(max_genus: int = 8) -> dict:
             f"shift symmetry, rank-3 formula g={g}",
         )
     for r in range(2, 6):
-        for g in range(2, max_genus + 1):
+        for g in range(2, MAX_GENUS + 1):
             note(genfun.stack_t_minus_one_matches(r, g), f"t=-1, stack r={r}, g={g}")
-    for g in range(2, max_genus + 1):
+    for g in range(2, MAX_GENUS + 1):
         note(genfun.closed_form_t_minus_one_matches(g), f"t=-1, closed form g={g}")
     for g in range(2, 6):
         note(genfun.rank3_t_minus_one_matches(g), f"t=-1, rank-3 formula g={g}")
-    for g in range(2, max_genus + 1):
+    for g in range(2, MAX_GENUS + 1):
         zag = genfun.zagier_combinatorial_omega(g)
         note(
             zag.terms == genfun.omega_closed_polynomial(g).terms,
             f"block sum equals closed form, g={g}",
         )
-    for g in range(2, max_genus + 1):
+    for g in range(2, MAX_GENUS + 1):
         note(genfun.check_unimodality(g), f"unimodality, g={g}")
-    for g in range(2, max_genus + 1):
+    for g in range(2, MAX_GENUS + 1):
         note(genfun.telescoping_identity(g), f"telescoping, g={g}")
     for g in range(2, 6):
         for d in range(1, 4):

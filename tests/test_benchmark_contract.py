@@ -11,7 +11,9 @@ that moved such a method into a base class would silently zero the metric,
 so the second test reads those keys (again without changing the file) and
 checks each method is defined on its own class.  The third test does the
 same for the ``"layer.function"`` keys: renaming a function the tracer
-observes or counts would silently zero its metric.
+observes or counts would silently zero its metric.  The last test runs each
+observer on what its function returns for one small call, so a renamed
+result key fails here instead of crashing a traced run.
 """
 
 import importlib.util
@@ -65,3 +67,44 @@ def test_every_function_key_of_the_benchmark_resolves_in_its_layer():
         # the conditions under which Tracer.install wraps a module function
         assert tracer._is_function(fn) and fn.__module__ == module.__name__, key
         assert not name.startswith("_") and key not in tracer.SKIP, key
+
+
+def _observed_calls():
+    """{observer key: (args, result)} of one small call per observed function."""
+    from rank2chern import algebra, integral, linalg, operators, relations
+
+    m = linalg.QMatrix(2, [{0: 1, 1: 2}])
+    span = linalg.RowSpan(2)
+    calls = {
+        "linalg.row_reduce": (m,),
+        "linalg.RowSpan.add": (span, {0: 1}),
+        "integral.pairing_matrix": (2, (6, 4)),
+        "relations.ideal_slice": (2, 0, (8, 6)),
+        "algebra.monomial_basis": (2, (6, 4)),
+        "operators.check_sl2_relations": (2, 0, 2),
+        "operators.check_adjointness": (2,),
+        "operators.check_descent": (2, 0),
+        "operators.check_closure": (2, (4,)),
+        "operators.sl2_closure": (2, 4),
+    }
+    out = {}
+    for key, args in calls.items():
+        layer, *path = key.split(".")
+        fn = importlib.import_module(f"rank2chern.{layer}")
+        for name in path:
+            fn = getattr(fn, name)
+        out[key] = args, fn(*args)
+    return out
+
+
+def test_every_observer_of_the_benchmark_reads_what_its_function_returns():
+    tracer = _load_tracer()
+    calls = _observed_calls()
+    assert sorted(calls) == sorted(tracer.OBSERVERS), "an observer has no call here: add one"
+    extra = tracer.Tracer().extra
+    for key, observe in tracer.OBSERVERS.items():
+        args, result = calls[key]
+        observe(extra, args, result)
+    # each figure the observers keep is fed by one of the calls
+    for name, value in extra.items():
+        assert value > 0, name

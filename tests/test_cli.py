@@ -7,7 +7,6 @@ import rank2chern.cli as cli
 import rank2chern.relations as relations
 from rank2chern.algebra import ElementParseError
 from rank2chern.cli import main
-from rank2chern.operators import check_descent
 from rank2chern.genfun import BiPoly, BiRational
 from rank2chern.relations import OmegaTable, VerificationError, omega_from_ideal, report
 
@@ -179,6 +178,11 @@ def test_verify_pairing_suite_to_genus_8(capsys, genus):
         "relations --genus 2 --d -1",
         "verify --suite main --genus 2 --d -1",
         "genfun --formula stack --rank 1",
+        "genfun --formula n21 --rank 5 --check symmetry",
+        "genfun --formula rank3 --rank 7 --check all",
+        "genfun --formula intermediate --rank 3 --expand 4",
+        "genfun --genus 3",
+        "genfun --formula stack --rank 3 --format json",
         "genfun --expand -1",
         "integral --genus 2 --normalization 0 gamma",
         "omega --genus 2 --route pairing --max-coh 5",
@@ -223,7 +227,8 @@ def test_verify_pairing_suite_to_genus_8(capsys, genus):
 )
 def test_invalid_input_exit_2(capsys, argv):
     assert main(argv.split()) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
 
 
 @pytest.mark.parametrize(
@@ -243,9 +248,9 @@ def test_paths_that_use_normalization_accept_it(capsys, argv):
 
 
 def test_zero_case_report_fails(capsys, monkeypatch):
-    report = check_descent(2, 0, k_max=3)
+    report = relations.report("check", "descent", 2, 0, 0, [])
     assert report["cases"] == 0 and report["pass"] is False
-    monkeypatch.setattr(cli, "check_descent", lambda g, d, k_max=None: report)
+    monkeypatch.setattr(cli, "check_descent", lambda g, d: report)
     code, out = run(capsys, "sl2", "--check", "descent", "--genus", "2")
     assert code == 1
     assert out.startswith("descent: genus=2 d=0 cases=0 FAIL")
