@@ -38,6 +38,7 @@ from functools import lru_cache
 from .algebra import (
     MAX_GENUS,
     Element,
+    _accumulate,
     bidegree_cone,
     check_genus,
     exterior_basis,
@@ -46,7 +47,7 @@ from .algebra import (
 )
 from .integral import IntegralConfig, summand_integral
 from .linalg import QMatrix, row_reduce
-from .series import InvariantPoly, phi_series
+from .series import InvariantPoly, _phi_numerators, phi_series
 
 
 class VerificationError(RuntimeError):
@@ -100,11 +101,11 @@ def prim_dim(g: int, l: int) -> int:
     return math.comb(2 * g, l) - (math.comb(2 * g, l - 2) if l >= 2 else 0)
 
 
-def _check_degrees(g: int, l: int, m: int = 0) -> None:
-    """The range of a summand-l relation: 0 <= l <= g and l + m <= g."""
+def _check_degrees(g: int, l: int, m: int = 0, d: int = 0) -> None:
+    """The range of a degree-d summand-l relation: 0 <= l <= g, l + m <= g, d >= 0."""
     check_genus(g)
-    if not 0 <= l <= g or l + m > g:
-        raise ValueError(f"need 0 <= l <= g and l + m <= g, got l={l}, m={m}")
+    if not 0 <= l <= g or l + m > g or d < 0:
+        raise ValueError(f"need 0 <= l <= g, l + m <= g and d >= 0, got l={l}, m={m}, d={d}")
 
 
 @lru_cache(maxsize=None)
@@ -153,6 +154,27 @@ def _sig_degree(sig: Element, g: int) -> int:
     return l
 
 
+def _plain_relations(d: int, k: int, m: int, l: int, g: int, weights) -> InvariantPoly:
+    """sum over (w, p) in weights of w * mumford_relation(d, k+m-p, p, l, g).
+    Every term has n = k+m-g-l and the factor (-1)^l 2^(2g-m-k) / n!, so the
+    sum is built in integers, from N_r = r! c_{d,r}, and divided once."""
+    _check_degrees(g, l, m, d)
+    n = k + m - g - l
+    if n < 0:
+        return InvariantPoly.zero(g)
+    numerators = _phi_numerators(d, g, n)
+    out = {}
+    for weight, p in weights:
+        for j in range(min(p, n // 3) + 1):
+            wj = weight * math.comb(p, j) * math.perm(g - l - j, p - j) * (-2) ** j
+            for s in range(min(p - j, (n - 3 * j) // 2) + 1):
+                r = n - 3 * j - 2 * s  # c_{d,r} = N_r / r! = (n!/r!) N_r / n!
+                w = wj * math.comb(p - j, s) * (-1) ** s * math.perm(n, n - r)
+                terms = numerators[r].items()
+                _accumulate((((a, b + s, c + j), w * v) for (a, b, c), v in terms if c + j <= g), out)
+    return InvariantPoly._raw(g, out).scale(Fraction(2) ** (2 * g - m - k) * (-1) ** l / math.factorial(n))
+
+
 def mumford_relation(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
     """The coefficient of sigma_l in the relation attached to (k, theta^m
     sigma_l) at destabilizing degree d, sigma_l primitive of degree l.
@@ -163,30 +185,14 @@ def mumford_relation(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
     C(m,j) (g-l-j)_(m-j) C(m-j,s) (-1)^s (-2)^j beta^s gamma^j c_{d,n-3j-2s}.
     A negative t-index gives zero.
     """
-    _check_degrees(g, l, m)
-    n = k + m - g - l
-    coeff = InvariantPoly.zero(g)
-    if n < 0:
-        return coeff
-    phi = phi_series(d, g, n)
-    for j in range(min(m, n // 3) + 1):
-        weight = math.comb(m, j) * math.perm(g - l - j, m - j) * (-2) ** j
-        for s in range(min(m - j, (n - 3 * j) // 2) + 1):
-            w = weight * math.comb(m - j, s) * (-1) ** s
-            coeff = coeff + phi[n - 3 * j - 2 * s] * InvariantPoly.monomial(g, 0, s, j, w)
-    return coeff.scale(Fraction(2) ** (2 * g - m - k) * (-1) ** l)
+    return _plain_relations(d, k, m, l, g, [(1, m)])
 
 
 def modified_mumford_sum(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
     """sigma_l coefficient of the modified relation as the alternating
-    combination of plain relations."""
-    _check_degrees(g, l, m)
-    out = InvariantPoly.zero(g)
-    for s in range(m + 1):
-        weight = (-1) ** s * math.comb(m, s) * math.perm(g - l - s, m - s)
-        if weight:
-            out = out + mumford_relation(d, k + m - s, s, l, g).scale(weight)
-    return out
+    combination of plain relations, over one denominator."""
+    weights = (((-1) ** s * math.comb(m, s) * math.perm(g - l - s, m - s), s) for s in range(m + 1))
+    return _plain_relations(d, k, m, l, g, weights)  # read lazily, after the range check
 
 
 def _generator_terms(g: int, k: int, m: int, l: int):
@@ -207,12 +213,13 @@ def modified_mumford_closed(d: int, k: int, m: int, l: int, g: int) -> Invariant
     (-1)^l 2^(2g-m-k) m!/(g-l-m)! *
         sum_{b+c=m, a+b+2c=k-g-l} (g-l-c)! c_{d,a} beta^b/b! (2 gamma)^c/c!.
     """
-    _check_degrees(g, l, m)
-    poly = InvariantPoly.zero(g)
+    _check_degrees(g, l, m, d)
+    out = {}
     for a, b, c, w in _generator_terms(g, k, m, l):
-        poly = poly + phi_series(d, g, a)[a] * InvariantPoly.monomial(g, 0, b, c, w)
+        terms = phi_series(d, g, a)[a].terms.items()
+        _accumulate((((x, y + b, z + c), w * v) for (x, y, z), v in terms if z + c <= g), out)
     scalar = Fraction(2) ** (2 * g - m - k) * Fraction(math.factorial(m), math.factorial(g - l - m)) * (-1) ** l
-    return poly.scale(scalar)
+    return InvariantPoly._raw(g, out).scale(scalar)
 
 
 @lru_cache(maxsize=None)

@@ -14,17 +14,19 @@ square roots: Phi_d = exp(X) through the pole-free rearrangement
 
 and Phi' = X' Phi gives n c_n = sum_{k=1..n} (k X_k) c_{n-k}, where k X_k
 is (3 - 2d) beta^(k/2) for even k and alpha beta^i + 2 gamma beta^(i-1)
-(the last term for i >= 1 only) for k = 2i + 1.  Every coefficient is an
-honest element of Q[alpha, beta, gamma].  A one-off symbolic oracle over a
-formal square root of beta lives in the test suite, not here.
+(the last term for i >= 1 only) for k = 2i + 1.  So the numerators N_n = n! c_n,
+N_n = sum_k (n-1)!/(n-k)! (k X_k) N_{n-k}, are integral, and are built first.
+Every coefficient is an honest element of Q[alpha, beta, gamma].  A one-off
+symbolic oracle over a formal square root of beta lives in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, Sparse, check_genus, gamma_power
+from .algebra import Element, Sparse, _accumulate, check_genus, gamma_power
 
 
 class InvariantPoly(Sparse):
@@ -78,10 +80,35 @@ class InvariantPoly(Sparse):
     def embed(self) -> Element:
         """Expand gamma powers into the full descendent algebra."""
         g = self.g
-        out = Element.zero(g)
+        t = {}
         for (a, b, c), v in self.terms.items():
-            out = out + Element._raw(g, {(a, b, 0): v}) * gamma_power(g, c)
-        return out
+            for (x, y, mask), w in gamma_power(g, c).terms.items():
+                k = (a + x, b + y, mask)
+                s = t.get(k, 0) + v * w
+                if s:
+                    t[k] = s
+                else:
+                    del t[k]
+        return Element._raw(g, t)
+
+
+@lru_cache(maxsize=None)
+def _phi_numerators(d: int, g: int, order: int) -> tuple:
+    """N_0 .. N_order, N_n = n! c_{d,n}, as shared integer term dicts: never mutate them."""
+    if order == 0:
+        return ({(0, 0, 0): 1},)
+    head = _phi_numerators(d, g, order - 1)
+    out = {}
+    for k in range(1, order + 1):  # k X_k, from the module docstring
+        i, f = k // 2, math.perm(order - 1, k - 1)  # f = (n-1)!/(n-k)!
+        if k % 2 == 0:
+            kx = {(0, i, 0): 3 - 2 * d}
+        else:
+            kx = {(1, i, 0): 1, (0, i - 1, 1): 2} if i else {(1, 0, 0): 1}
+        for (x, y, z), w in kx.items():
+            terms = head[order - k].items()
+            _accumulate((((a + x, b + y, c + z), f * w * v) for (a, b, c), v in terms if c + z <= g), out)
+    return head + (out,)
 
 
 @lru_cache(maxsize=None)
@@ -89,21 +116,12 @@ def phi_series(d: int, g: int, order: int) -> tuple:
     """Coefficients c_{d,0} .. c_{d,order} of the degree-d Mumford series.
 
     Coefficient n has cohomological degree 2n and reduces to alpha^n / n!
-    modulo (beta, gamma).  Built one coefficient at a time from
-    n c_n = sum_{k=1..n} (k X_k) c_{n-k}, so each is computed once per (d, g).
+    modulo (beta, gamma).  Coefficient n is _phi_numerators(d, g, n)[n] / n!,
+    each computed once per (d, g).
     """
     check_genus(g)
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    if order == 0:
-        return (InvariantPoly.one(g),)
-    head = phi_series(d, g, order - 1)
-    c = InvariantPoly.zero(g)
-    for k in range(1, order + 1):  # k X_k, from the module docstring
-        i = k // 2
-        if k % 2 == 0:
-            kx = InvariantPoly.monomial(g, 0, i, 0, 3 - 2 * d)
-        else:
-            kx = InvariantPoly(g, {(1, i, 0): 1, (0, i - 1, 1): 2} if i else {(1, 0, 0): 1})
-        c = c + kx * head[order - k]
-    return head + (c.scale(Fraction(1, order)),)
+    head = phi_series(d, g, order - 1) if order else ()
+    terms = dict(_phi_numerators(d, g, order)[order])
+    return head + (InvariantPoly._raw(g, terms).scale(Fraction(1, math.factorial(order))),)

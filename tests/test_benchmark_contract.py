@@ -13,14 +13,21 @@ checks each method is defined on its own class.  The third test does the
 same for the ``"layer.function"`` keys: renaming a function the tracer
 observes or counts would silently zero its metric.  The last test runs each
 observer on what its function returns for one small call, so a renamed
-result key fails here instead of crashing a traced run.
+result key fails here instead of crashing a traced run.  The last test
+traces ``modified_mumford`` in a fresh interpreter: the ``series`` workload's
+traced run is refused when its hot metric, ``series.phi_calls``, reads 0.
 """
 
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -106,3 +113,33 @@ def test_every_observer_of_the_benchmark_reads_what_its_function_returns():
     # each figure the observers keep is fed by one of the calls
     for name, value in extra.items():
         assert value > 0, name
+
+
+_TRACE_MUMFORD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+tracer = Tracer().install()
+from rank2chern.algebra import Element
+from rank2chern.relations import modified_mumford
+for k in range(4, 10):
+    modified_mumford(0, k, 1, Element.one(2), 2)
+metrics = {key: value for key, (value, _) in tracer.metrics().items()}
+print(json.dumps({"phi_calls": metrics["series.phi_calls"], "coverage": tracer.coverage_errors()}))
+"""
+
+
+def test_a_traced_modified_relation_reaches_the_series_hot_metric():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_MUMFORD, str(ROOT / "perfbench")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["phi_calls"] > 0
+    assert out["coverage"] == []

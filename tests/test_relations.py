@@ -177,6 +177,91 @@ def test_modified_mumford_chern_bound():
                             assert Element.monomial(g, *mono).bidegree().chern <= 2 * k - 2 * g
 
 
+# ----------------------------------------------------------------------
+# the Fraction builders of the three relation routes as they were before
+# the integer expansion over one denominator, kept verbatim as oracles
+
+
+def _mumford_relation_fraction(d, k, m, l, g):
+    rel._check_degrees(g, l, m)
+    n = k + m - g - l
+    coeff = InvariantPoly.zero(g)
+    if n < 0:
+        return coeff
+    phi = phi_series(d, g, n)
+    for j in range(min(m, n // 3) + 1):
+        weight = math.comb(m, j) * math.perm(g - l - j, m - j) * (-2) ** j
+        for s in range(min(m - j, (n - 3 * j) // 2) + 1):
+            w = weight * math.comb(m - j, s) * (-1) ** s
+            coeff = coeff + phi[n - 3 * j - 2 * s] * InvariantPoly.monomial(g, 0, s, j, w)
+    return coeff.scale(F(2) ** (2 * g - m - k) * (-1) ** l)
+
+
+def _modified_mumford_sum_fraction(d, k, m, l, g):
+    rel._check_degrees(g, l, m)
+    out = InvariantPoly.zero(g)
+    for s in range(m + 1):
+        weight = (-1) ** s * math.comb(m, s) * math.perm(g - l - s, m - s)
+        if weight:
+            out = out + _mumford_relation_fraction(d, k + m - s, s, l, g).scale(weight)
+    return out
+
+
+def _modified_mumford_closed_fraction(d, k, m, l, g):
+    rel._check_degrees(g, l, m)
+    poly = InvariantPoly.zero(g)
+    for a, b, c, w in rel._generator_terms(g, k, m, l):
+        poly = poly + phi_series(d, g, a)[a] * InvariantPoly.monomial(g, 0, b, c, w)
+    scalar = F(2) ** (2 * g - m - k) * F(math.factorial(m), math.factorial(g - l - m)) * (-1) ** l
+    return poly.scale(scalar)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_relation_builders_match_their_fraction_oracles(g):
+    builders = (
+        (mumford_relation, _mumford_relation_fraction),
+        (modified_mumford_sum, _modified_mumford_sum_fraction),
+        (modified_mumford_closed, _modified_mumford_closed_fraction),
+    )
+    cases = 0
+    for d in (0, 1, 2):
+        for l in range(g + 1):
+            for m in range(g - l + 1):
+                for k in range(2 * g + 2 * d + 5):
+                    for build, oracle in builders:
+                        assert build(d, k, m, l, g) == oracle(d, k, m, l, g), (build.__name__, d, k, m, l)
+                        cases += 1
+    assert cases == 3 * 3 * sum(g - l + 1 for l in range(g + 1)) * (2 * g + 7)
+
+
+def test_relation_builders_refuse_a_negative_d():
+    g = 2
+    with pytest.raises(ValueError, match="d >= 0, got l=0, m=0, d=-1"):
+        modified_mumford(-1, 4, 0, Element.one(g), g)
+    for build in (mumford_relation, modified_mumford_sum, modified_mumford_closed):
+        with pytest.raises(ValueError, match="d >= 0, got l=0, m=0, d=-1"):
+            build(-1, 4, 0, 0, g)
+    assert phi_series(-1, g, 2)[2] == InvariantPoly(g, {(2, 0, 0): F(1, 2), (0, 1, 0): F(5, 2)})
+
+
+def test_a_perturbed_numerator_makes_the_routes_disagree(monkeypatch):
+    g = 2
+    one = Element.one(g)
+    honest = rel._phi_numerators
+
+    def perturbed(d, g, order):
+        out = [dict(p) for p in honest(d, g, order)]
+        if order >= 3:
+            out[3][(3, 0, 0)] += 1  # N_3 = 3! c_{d,3}: alpha^3 + ...
+        return tuple(out)
+
+    assert modified_mumford(0, 5, 0, one, g)  # n = 3 reads N_3
+    rel._checked_coefficient.cache_clear()
+    monkeypatch.setattr(rel, "_phi_numerators", perturbed)
+    with pytest.raises(VerificationError, match="routes disagree"):
+        modified_mumford(0, 5, 0, one, g)
+
+
 MODIFIED_DIGESTS = {
     (2, 0): "9878a792e021e49a19a396d346daeeddc5053cb433d2b614cc640a54e49f3721",
     (2, 1): "300872df47960ae10b88faa858d00a06c6352776284143ef96579548d4f8c285",

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rank2chern.algebra import Element
+from rank2chern.algebra import Element, gamma_power
 from rank2chern.relations import mumford_relation, prim_basis
 from rank2chern.series import InvariantPoly, phi_series
 
@@ -111,6 +113,58 @@ def test_phi_series_prefixes_agree():
             assert phi_series(d, 3, order) == full[: order + 1]
     with pytest.raises(ValueError):
         phi_series(0, 2, -1)
+
+
+# ----------------------------------------------------------------------
+# the Fraction recurrence n c_n = sum_k (k X_k) c_{n-k} that phi_series ran
+# before it was built on the integer numerators N_n = n! c_n, kept verbatim
+# as an oracle (the recursive call reads the oracle itself)
+
+
+def _phi_series_fraction(d: int, g: int, order: int) -> tuple:
+    if order == 0:
+        return (InvariantPoly.one(g),)
+    head = _phi_series_fraction(d, g, order - 1)
+    c = InvariantPoly.zero(g)
+    for k in range(1, order + 1):  # k X_k, from the module docstring
+        i = k // 2
+        if k % 2 == 0:
+            kx = InvariantPoly.monomial(g, 0, i, 0, 3 - 2 * d)
+        else:
+            kx = InvariantPoly(g, {(1, i, 0): 1, (0, i - 1, 1): 2} if i else {(1, 0, 0): 1})
+        c = c + kx * head[order - k]
+    return head + (c.scale(F(1, order)),)
+
+
+def _embed_by_sums(p: InvariantPoly) -> Element:
+    """InvariantPoly.embed as it was, one Element sum per term."""
+    g = p.g
+    out = Element.zero(g)
+    for (a, b, c), v in p.terms.items():
+        out = out + Element._raw(g, {(a, b, 0): v}) * gamma_power(g, c)
+    return out
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_phi_series_matches_the_fraction_recurrence(g):
+    for d in (-1, 0, 1, 2):
+        assert phi_series(d, g, 12) == _phi_series_fraction(d, g, 12), (d, g)
+
+
+def test_embed_matches_the_sum_of_embedded_terms():
+    for g in (2, 3, 4):
+        for d in (0, 1, 2):
+            for c in phi_series(d, g, 10):
+                assert c.embed() == _embed_by_sums(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=st.integers(2, 8), d=st.integers(0, 3), n=st.integers(0, 12))
+def test_factorial_times_a_coefficient_is_integral(g, d, n):
+    # N_n = n! c_{d,n} is integral: the relation builders rely on it
+    scaled = phi_series(d, g, n)[n].scale(math.factorial(n))
+    assert all(isinstance(v, int) for v in scaled.terms.values()), (g, d, n)
+    assert scaled.terms[(n, 0, 0)] == 1  # alpha^n / n!
 
 
 def test_invariant_poly_rejects_negative_exponents():
