@@ -167,10 +167,9 @@ def _usage_error(args):
     if path == "verify --suite sl2" and args.d and args.normalization is not None:
         return f"--normalization does not apply to {path} with --d {args.d}"
     if args.command == "genfun" and args.check is not None:
-        applies = _genfun_checks(args)
+        # only the names are read here; every formula has at least one
+        applies = gf.identities(args.formula, args.genus, d=args.d)
         where = f"{path} --d {args.d}" if args.d else path
-        if not applies:
-            return f"no --check applies to {where}"
         if args.check not in (*applies, "all"):
             return f"--check {args.check} does not apply to {where}"
     return None
@@ -262,53 +261,20 @@ def _cmd_sl2(args, out) -> int:
     return 0 if report["pass"] else CHECK_FAILED
 
 
-def _genfun_formula(args):
-    if args.formula == "stack":
-        return gf.omega_stack(args.rank, args.genus), args.rank
-    if args.formula == "n21":
-        return gf.omega_closed_form(args.genus, 0), 2
-    if args.formula == "intermediate":
-        return gf.omega_closed_form(args.genus, args.d), 2
-    return gf.omega_rank3(args.genus), 3
-
-
-def _genfun_checks(args) -> dict:
-    """{name: check} for the identities that concern the chosen formula.
-
-    The intermediate series is the n21 closed form at --d 0; at --d >= 1
-    only its t = -1 specialization is an identity.
-    """
-    g = args.genus
-    formula = "n21" if args.formula == "intermediate" and not args.d else args.formula
-    if formula == "intermediate":
-        return {"tminus1": lambda: gf.closed_form_t_minus_one_matches(g, args.d)}
-    checks = {"symmetry": lambda: gf.check_shift_symmetry(*_genfun_formula(args), g)}
-    if formula == "stack":
-        checks["tminus1"] = lambda: gf.stack_t_minus_one_matches(args.rank, g)
-    elif formula == "rank3":
-        checks["tminus1"] = lambda: gf.rank3_t_minus_one_matches(g)
-    else:
-        checks["tminus1"] = lambda: gf.closed_form_t_minus_one_matches(g)
-        checks["unimodal"] = lambda: gf.check_unimodality(g)
-        checks["zagier"] = lambda: (
-            gf.zagier_combinatorial_omega(g).terms == gf.omega_closed_polynomial(g).terms
-        )
-    return checks
-
-
 def _cmd_genfun(args, out) -> int:
     g = args.genus
     rows = []
     ok = True
     if args.check is not None:
-        checks = _genfun_checks(args)
+        checks = gf.identities(args.formula, g, args.rank, args.d)
         for name in checks if args.check == "all" else [args.check]:
             result = checks[name]()
             ok = ok and result
             rows.append({"check": name, "formula": args.formula, "genus": g,
                          "d": args.d, "pass": result})
     if args.expand is not None:
-        series = _genfun_formula(args)[0].series_coefficients(args.expand)
+        form, _ = gf.closed_form(args.formula, g, args.rank, args.d)
+        series = form.series_coefficients(args.expand)
         expansion = [
             {"qExp": i, "tExp": j, "coeff": str(v)} for (i, j), v in sorted(series.terms.items())
         ]

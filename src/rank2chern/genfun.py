@@ -304,6 +304,47 @@ def omega_rank3(g: int) -> BiRational:
     return BiRational(num, den)
 
 
+def closed_form(formula: str, g: int, rank: int = 2, d: int = 0):
+    """(series, rank) of the named closed form: "stack" of the given rank,
+    "n21" the stable locus, "intermediate" the degree-d stack, "rank3"
+    the conjectural rank-three formula."""
+    if formula == "stack":
+        return omega_stack(rank, g), rank
+    if formula == "n21":
+        return omega_closed_form(g, 0), 2
+    if formula == "intermediate":
+        return omega_closed_form(g, d), 2
+    if formula == "rank3":
+        return omega_rank3(g), 3
+    raise ValueError(f"unknown formula {formula!r}")
+
+
+def identities(formula: str, g: int, rank: int = 2, d: int = 0) -> dict:
+    """{name: zero-argument check} for the identities that concern the
+    named closed form; the one place that decides which does.
+
+    The intermediate series is the n21 closed form at d = 0; at d >= 1
+    only its t = -1 specialization is an identity.  Each check looks its
+    function up in this module when it runs.
+    """
+    if formula == "intermediate":
+        if d:
+            return {"tminus1": lambda: closed_form_t_minus_one_matches(g, d)}
+        formula = "n21"
+    checks = {"symmetry": lambda: check_shift_symmetry(*closed_form(formula, g, rank), g)}
+    if formula == "stack":
+        checks["tminus1"] = lambda: stack_t_minus_one_matches(rank, g)
+    elif formula == "rank3":
+        checks["tminus1"] = lambda: rank3_t_minus_one_matches(g)
+    elif formula == "n21":
+        checks["tminus1"] = lambda: closed_form_t_minus_one_matches(g)
+        checks["unimodal"] = lambda: check_unimodality(g)
+        checks["zagier"] = lambda: zagier_combinatorial_omega(g).terms == omega_closed_polynomial(g).terms
+    else:
+        raise ValueError(f"unknown formula {formula!r}")
+    return checks
+
+
 # ----------------------------------------------------------------------
 # identity checks
 

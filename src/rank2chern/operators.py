@@ -47,7 +47,7 @@ from .algebra import Element, _accumulate, _apply, _exact, bidegree_cone, check_
 from .algebra import koszul_sign, monomial_basis
 from .integral import IntegralConfig, _pair_monomials, top_bidegree
 from .linalg import RowSpan
-from .relations import _invariant_relations, _lefschetz_dims, prim_basis, rel_generator_poly
+from .relations import _config, _invariant_relations, _lefschetz_dims, prim_basis, rel_generator_poly
 from .relations import dims_mismatches, merged_report, report
 
 
@@ -204,9 +204,13 @@ def operator_adjointness_failures(F: Operator, sign: int, g: int, cfg: IntegralC
     """Witnesses against <F(D), D'> = sign * <D, F(D')> over all
     complementary monomial pairs around the top bidegree; it stops at the
     ten witnesses a report keeps.  Both sides are compared at B = 1 and
-    times F.den, which rescale them alike; a witness prints them at cfg.B."""
+    times F.den, which rescale them alike; a witness prints them at cfg.B.
+    An operator or a config of another genus is refused."""
     if F.shift is None:
         raise ValueError("adjointness needs a bihomogeneous operator")
+    if F.g != g:
+        raise ValueError(f"genus mismatch: operator of genus {F.g} at g={g}")
+    cfg = _config(g, cfg)
     top_c, top_ch = top_bidegree(g)
     dc, dch = F.shift
     unit = Fraction(cfg.B, F.den)
@@ -237,9 +241,9 @@ def operator_adjointness_failures(F: Operator, sign: int, g: int, cfg: IntegralC
 
 def check_adjointness(g: int, cfg: IntegralConfig = None) -> dict:
     """Self-adjointness of e and f, anti-self-adjointness of h, for both
-    d = 0 families, against the graded pairing."""
-    if cfg is None:
-        cfg = IntegralConfig(g)
+    d = 0 families, against the graded pairing (by default at B = 1); a
+    config of another genus is refused."""
+    cfg = _config(g, cfg)
     ea, ha, fa = make_sl2("alpha", 0, g)
     eb, hb, fb = make_sl2("beta", 0, g)
     plan = [
@@ -320,11 +324,14 @@ def sl2_closure(g: int, coh_buffer: int = None) -> dict:
     closed under the diagonal f operator: its least fixpoint inside the
     window coh <= 6g-6 + coh_buffer, restricted to coh <= 6g-6.
 
-    A worklist: each vector a span accepts is mapped once by each map's
+    A slice above the top Chern degree lies in the closure whole, so it
+    gets no span and its dimension is its monomial count.  The rest is a
+    worklist: each vector a span accepts is mapped once by each map's
     integer action on its term dict (scaling f by its den leaves a span as
-    it is), and each image inside the window is offered to the span of its
-    bidegree.  A round maps what the one before accepted, the first the
-    unit vectors above the top Chern degree; the last round accepts nothing.
+    it is), and each image inside the window below the top Chern degree is
+    offered to the span of its bidegree.  A round maps what the one before
+    accepted, the first the monomials above the top Chern degree; the last
+    round accepts nothing.
 
     Returns {"dims": {bd: dim}, "sweeps": rounds, "buffer": coh_buffer}.
     """
@@ -335,12 +342,10 @@ def sl2_closure(g: int, coh_buffer: int = None) -> dict:
         raise ValueError(f"coh_buffer must be >= 0, got {coh_buffer}")
     top_chern = 4 * g - 4
     bases = {bd: monomial_basis(g, bd) for bd in bidegree_cone(g, 6 * g - 6 + coh_buffer)}
-    indexes = {bd: {mono: i for i, mono in enumerate(basis)} for bd, basis in bases.items()}
-    spans = {bd: RowSpan(len(basis)) for bd, basis in bases.items()}
     above = [bd for bd in bases if bd.chern > top_chern]
-    for bd in above:
-        for i in range(len(bases[bd])):
-            spans[bd].add({i: 1})
+    below = [bd for bd in bases if bd.chern <= top_chern]
+    indexes = {bd: {mono: i for i, mono in enumerate(bases[bd])} for bd in below}
+    spans = {bd: RowSpan(len(bases[bd])) for bd in below}
 
     # multiplication by the generators keeps the subspace an ideal; the
     # diagonal f acts through its two bihomogeneous parts f_alpha and f_beta
@@ -363,7 +368,7 @@ def sl2_closure(g: int, coh_buffer: int = None) -> dict:
             for action, (dc, dch) in maps:
                 target = (coh + dc, chern + dch)
                 span = spans.get(target)
-                # a full span rejects every add
+                # outside the window, a whole slice and a full span reject every add
                 if span is None or span.rank == span.ncols:
                     continue
                 image = _apply(action, terms)
@@ -372,7 +377,8 @@ def sl2_closure(g: int, coh_buffer: int = None) -> dict:
                     fresh.append((target, image))
         if not fresh:
             break
-    dims = {tuple(bd): span.rank for bd, span in spans.items() if bd.coh <= 6 * g - 6 and span.rank}
+    dims = {bd: spans[bd].rank if bd in spans else len(basis) for bd, basis in bases.items()}
+    dims = {tuple(bd): n for bd, n in dims.items() if bd.coh <= 6 * g - 6 and n}
     return {"dims": dims, "sweeps": rounds, "buffer": coh_buffer}
 
 

@@ -111,7 +111,9 @@ def suite_closure(genus: int, buffers=(None,)) -> dict:
 
 
 def suite_genfun() -> dict:
-    """The generating-series identity battery (exact, series level only)."""
+    """The generating-series identity battery (exact, series level only):
+    the identities of ``genfun.identities`` for each closed form, then the
+    telescoping identities of the stratification, which concern none alone."""
     failures = []
     cases = 0
 
@@ -121,38 +123,14 @@ def suite_genfun() -> dict:
         if not ok:
             failures.append({"where": where, "expected": "pass", "got": "fail"})
 
-    for r in range(2, 6):
-        for g in range(2, MAX_GENUS + 1):
-            note(
-                genfun.check_shift_symmetry(genfun.omega_stack(r, g), r, g),
-                f"shift symmetry, stack r={r}, g={g}",
-            )
-    for g in range(2, MAX_GENUS + 1):
-        note(
-            genfun.check_shift_symmetry(genfun.omega_closed_form(g, 0), 2, g),
-            f"shift symmetry, closed form g={g}",
-        )
-    for g in range(2, 6):
-        note(
-            genfun.check_shift_symmetry(genfun.omega_rank3(g), 3, g),
-            f"shift symmetry, rank-3 formula g={g}",
-        )
-    for r in range(2, 6):
-        for g in range(2, MAX_GENUS + 1):
-            note(genfun.stack_t_minus_one_matches(r, g), f"t=-1, stack r={r}, g={g}")
-    for g in range(2, MAX_GENUS + 1):
-        note(genfun.closed_form_t_minus_one_matches(g), f"t=-1, closed form g={g}")
-    for g in range(2, 6):
-        note(genfun.rank3_t_minus_one_matches(g), f"t=-1, rank-3 formula g={g}")
-    for g in range(2, MAX_GENUS + 1):
-        zag = genfun.zagier_combinatorial_omega(g)
-        note(
-            zag.terms == genfun.omega_closed_polynomial(g).terms,
-            f"block sum equals closed form, g={g}",
-        )
-    for g in range(2, MAX_GENUS + 1):
-        note(genfun.check_unimodality(g), f"unimodality, g={g}")
-    for g in range(2, MAX_GENUS + 1):
+    genera = range(2, MAX_GENUS + 1)
+    battery = [("stack", r, genera) for r in range(2, 6)]
+    battery += [("n21", 2, genera), ("rank3", 3, range(2, 6))]
+    for formula, r, gs in battery:
+        for g in gs:
+            for name, check in genfun.identities(formula, g, r).items():
+                note(check(), f"{name}, {formula} r={r}, g={g}")
+    for g in genera:
         note(genfun.telescoping_identity(g), f"telescoping, g={g}")
     for g in range(2, 6):
         for d in range(1, 4):

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import rank2chern.cli as cli
+import rank2chern.genfun as gf
 import rank2chern.relations as relations
 from rank2chern.algebra import ElementParseError
 from rank2chern.cli import main
@@ -256,6 +258,21 @@ def test_zero_case_report_fails(capsys, monkeypatch):
     assert out.startswith("descent: genus=2 d=0 cases=0 FAIL")
 
 
+def _readme_genfun_checks(formula, d):
+    """The checks the README's genfun --check table marks yes for a path."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header, *rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in text.splitlines()
+        if line.startswith("| `")
+    ]
+    names = [cell.strip("`") for cell in header[1:]]
+    table = {row[0]: [n for n, cell in zip(names, row[1:]) if cell == "yes"] for row in rows}
+    if formula == "intermediate":
+        return table["`intermediate` at `--d` ≥ 1" if d else "`intermediate` at `--d 0`"]
+    return table["`n21`" if formula == "n21" else "`stack`, `rank3`"]
+
+
 @pytest.mark.parametrize(
     "argv,checks",
     [
@@ -263,12 +280,32 @@ def test_zero_case_report_fails(capsys, monkeypatch):
         ("genfun --formula rank3 --check all", ["symmetry", "tminus1"]),
         ("genfun --formula n21 --check all", ["symmetry", "tminus1", "unimodal", "zagier"]),
         ("genfun --formula intermediate --check all", ["symmetry", "tminus1", "unimodal", "zagier"]),
+        ("genfun --formula stack --check all", ["symmetry", "tminus1"]),
+        ("genfun --formula intermediate --d 0 --check all", ["symmetry", "tminus1", "unimodal", "zagier"]),
+        ("genfun --formula intermediate --d 1 --check all", ["tminus1"]),
     ],
 )
 def test_genfun_check_all_runs_the_checks_that_apply(capsys, argv, checks):
+    # the checks run are the names of the catalogue, which the README lists
     code, out = run(capsys, *argv.split(), "--format", "json")
     assert code == 0
     assert [row["check"] for row in json.loads(out)["checks"]] == checks
+    args = cli.build_parser().parse_args(argv.split())
+    assert list(gf.identities(args.formula, 2, args.rank or 2, args.d)) == checks
+    assert _readme_genfun_checks(args.formula, args.d) == checks
+
+
+def test_one_catalogue_serves_genfun_check_and_the_genfun_suite(capsys, monkeypatch):
+    # a broken identity function fails both paths, which read it at call time
+    monkeypatch.setattr(gf, "check_shift_symmetry", lambda *args: False)
+    code, out = run(capsys, "verify", "--suite", "genfun", "--format", "json")
+    assert code == 1
+    (rep,) = json.loads(out)
+    assert rep["pass"] is False and rep["cases"] == 123
+    assert rep["failures"][0]["where"] == "symmetry, stack r=2, g=2"
+    code, out = run(capsys, "genfun", "--formula", "rank3", "--check", "symmetry")
+    assert code == 1
+    assert out == "symmetry (rank3, genus 2): FAIL\n"
 
 
 @pytest.mark.parametrize(

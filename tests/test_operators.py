@@ -540,6 +540,19 @@ def test_adjointness_refuses_an_operator_without_a_shift():
         operator_adjointness_failures(e, 1, 2, IntegralConfig(2))
 
 
+def test_adjointness_refuses_a_config_of_another_genus():
+    # the pairing of a genus-2 config cannot stand in for genus 3
+    with pytest.raises(ValueError, match="genus mismatch"):
+        check_adjointness(3, IntegralConfig(2))
+    _, _, fa = make_sl2("alpha", 0, 3)
+    with pytest.raises(ValueError, match="genus mismatch"):
+        operator_adjointness_failures(fa, 1, 3, IntegralConfig(2))
+    # nor can an operator of genus 2, whose e passed 138 genus-3 cases
+    ea, _, _ = make_sl2("alpha", 0, 2)
+    with pytest.raises(ValueError, match="genus mismatch"):
+        operator_adjointness_failures(ea, 1, 3, IntegralConfig(3))
+
+
 def test_members_shift_by_their_bidegree():
     # each triple member maps every monomial of bd into bd + op.shift
     for g in (2, 3):
@@ -723,6 +736,26 @@ def test_closure_maps_each_accepted_vector_once(monkeypatch):
     worklist = _count_adds(monkeypatch, sl2_closure, 3, 8)
     sweeps = _count_adds(monkeypatch, oracle_closure, 3, 8)
     assert 0 < worklist < sweeps
+
+
+def test_closure_builds_no_span_above_the_top_chern_degree(monkeypatch):
+    # a slice above Chern degree 4g - 4 lies in the closure whole: it is read
+    # off its monomial count, so the spans built are those of the slices at
+    # or below it, one each
+    g, buf = 3, 8
+    built = []
+
+    def recorded(ncols):
+        built.append(ncols)
+        return RowSpan(ncols)
+
+    monkeypatch.setattr(operators, "RowSpan", recorded)
+    got = sl2_closure(g, buf)
+    cone = list(bidegree_cone(g, 6 * g - 6 + buf))
+    assert any(bd.chern > 4 * g - 4 and monomial_basis(g, bd) for bd in cone)
+    below = [len(monomial_basis(g, bd)) for bd in cone if bd.chern <= 4 * g - 4]
+    assert sorted(built) == sorted(below)
+    assert got["dims"] == oracle_closure(g, buf)["dims"]
 
 
 def test_closure_refuses_a_negative_buffer():
