@@ -6,7 +6,7 @@ sum has h equal to the Chern grading shifted by 2g-2.  All checks are
 extensional on bidegree slices and exact.
 """
 
-from rank2chern import Element, IntegralConfig, gamma, make_sl2
+from rank2chern import Element, gamma, make_sl2
 from rank2chern.operators import (
     check_adjointness,
     check_closure,
@@ -34,7 +34,7 @@ print("[e,f] - h kills alpha^2:", (e(f(x)) - f(e(x)) - h(x)).is_zero())
 
 print()
 print("== adjointness for the graded pairing (d = 0) ==")
-rep = check_adjointness(g, IntegralConfig(g))
+rep = check_adjointness(g)
 print(f"e, f self-adjoint and h anti-self-adjoint: {rep['cases']} pairings,",
       "pass" if rep["pass"] else "FAIL")
 

@@ -29,7 +29,7 @@ from .genfun import (
     omega_stack,
     zagier_combinatorial_omega,
 )
-from .integral import IntegralConfig, graded_integral, graded_pairing, pairing_matrix
+from .integral import graded_integral, graded_pairing, pairing_matrix
 from .linalg import QMatrix, RowSpan, row_reduce
 from .operators import (
     Operator,
@@ -62,7 +62,6 @@ __all__ = [
     "BiRational",
     "Element",
     "ElementParseError",
-    "IntegralConfig",
     "InvariantPoly",
     "OmegaTable",
     "Operator",

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import genfun as gf
 from .algebra import ElementParseError, bidegree_cone, check_genus, format_element, parse_element
-from .integral import IntegralConfig, graded_integral
+from .integral import graded_integral
 from .operators import check_adjointness, check_closure, check_descent, check_sl2_relations
 from .relations import (
     OmegaTable,
@@ -42,9 +42,11 @@ CHECK_FAILED = 1
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        str(value)  # a value past the interpreter's limit on integer digits cannot be printed
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a printable rational: {text!r}") from exc
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +193,7 @@ def _cmd_omega(args, out) -> int:
     d = args.d
     max_coh = args.max_coh if args.max_coh is not None else default_max_coh(g, d)
     if args.route == "pairing":
-        table = omega_from_pairing(g, IntegralConfig(g, args.normalization))
+        table = omega_from_pairing(g, args.normalization)
     elif args.route == "closed":
         expansion = gf.omega_closed_form(g, d).series_coefficients(max_coh)
         table = OmegaTable.from_expansion(g, d, max_coh, expansion)
@@ -210,9 +212,7 @@ def _emit_report(rep: dict, head: str, out) -> None:
 
 
 def _cmd_integral(args, out) -> int:
-    g = args.genus
-    cfg = IntegralConfig(g, args.normalization)
-    value = graded_integral(parse_element(args.element, g), cfg)
+    value = graded_integral(parse_element(args.element, args.genus), args.normalization)
     out.write(f"{value}\n")
     return 0
 
@@ -249,7 +249,7 @@ def _cmd_sl2(args, out) -> int:
     if args.check == "relations":
         report = check_sl2_relations(g, args.d, args.max_coh)
     elif args.check == "adjoint":
-        report = check_adjointness(g, IntegralConfig(g, args.normalization))
+        report = check_adjointness(g, args.normalization)
     elif args.check == "descent":
         report = check_descent(g, args.d)
     else:

@@ -10,9 +10,10 @@ integral of a monomial alpha^n beta^m psi_S is pinned down by two rules:
   values I_p = integral(alpha^(g-1-p) beta^(g-1-p) gamma^p) satisfy
   (g-p) I_p = -2(g-1-p) I_{p+1}.
 
-The overall normalization B = I_0 is a free nonzero rational; every
-structural output downstream (ranks, kernels, dimension tables) is invariant
-under rescaling it.
+The overall normalization B = I_0 is a free nonzero rational, passed as a
+plain number (default 1) to each public entry, which reads the genus from
+its other arguments; every structural output downstream (ranks, kernels,
+dimension tables) is invariant under rescaling it.
 
 summand_integral evaluates the two rules in closed form on
 alpha^a beta^b gamma^c sigma sigma*, without building an element; the
@@ -23,26 +24,21 @@ module is the only place an integral is evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MAX_GENUS, Element, _exact, check_genus, koszul_sign, monomial_basis
+from .algebra import MAX_GENUS, Element, _exact, koszul_sign, monomial_basis
 from .linalg import QMatrix
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class IntegralConfig:
-    g: int
-    B: Fraction = field(default=Fraction(1))
-
-    def __post_init__(self):
-        check_genus(self.g)
-        object.__setattr__(self, "B", Fraction(_exact(self.B)))
-        if self.B == 0:
-            raise ValueError("normalization B must be nonzero")
+def _normalization(B):
+    """B in the form of ``_exact``; 0 is refused, and so is a float."""
+    B = _exact(B)
+    if not B:
+        raise ValueError("normalization B must be nonzero")
+    return B
 
 
 def top_bidegree(g: int):
@@ -86,20 +82,19 @@ def summand_integral(g: int, l: int, a: int, b: int, c: int) -> Fraction:
     return -value if (l * (l - 1) // 2) & 1 else value
 
 
-def graded_integral(D: Element, cfg: IntegralConfig) -> Fraction:
+def graded_integral(D: Element, B=1) -> Fraction:
     """Integral of the top-bidegree component; other components give zero."""
-    if D.g != cfg.g:
-        raise ValueError("genus mismatch between element and config")
+    B = _normalization(B)
     acc = _ZERO
     for (a, b, mask), c in D.terms.items():
-        v = monomial_integral(cfg.g, a, b, mask)
+        v = monomial_integral(D.g, a, b, mask)
         if v:
             acc += c * v
-    return acc * cfg.B
+    return acc * B
 
 
-def graded_pairing(D: Element, E: Element, cfg: IntegralConfig) -> Fraction:
-    return graded_integral(D * E, cfg)
+def graded_pairing(D: Element, E: Element, B=1) -> Fraction:
+    return graded_integral(D * E, B)
 
 
 def _pair_monomials(g: int, m1, m2) -> Fraction:
@@ -111,7 +106,7 @@ def _pair_monomials(g: int, m1, m2) -> Fraction:
     return koszul_sign(k1, k2) * v if v else _ZERO
 
 
-def pairing_matrix(g: int, bd, cfg: IntegralConfig = None) -> QMatrix:
+def pairing_matrix(g: int, bd, B=1) -> QMatrix:
     """Pairing of the bidegree slice against its complementary slice.
 
     Rows are indexed by monomial_basis(g, bd), columns by the basis of the
@@ -119,14 +114,11 @@ def pairing_matrix(g: int, bd, cfg: IntegralConfig = None) -> QMatrix:
     empty and the matrix has zero columns.  Only nonzero pairings are
     stored; columns whose psi mask overlaps the row's are skipped.
     """
-    if cfg is None:
-        cfg = IntegralConfig(g)
-    if cfg.g != g:
-        raise ValueError("genus mismatch")
+    B = _normalization(B)
     coh, chern = bd
     cols_basis = monomial_basis(g, (6 * g - 6 - coh, 4 * g - 4 - chern))
     data = []
     for m1 in monomial_basis(g, bd):
         pairs = ((j, _pair_monomials(g, m1, m2)) for j, m2 in enumerate(cols_basis) if not m1[2] & m2[2])
-        data.append({j: v * cfg.B for j, v in pairs if v})
+        data.append({j: v * B for j, v in pairs if v})
     return QMatrix(len(cols_basis), data)

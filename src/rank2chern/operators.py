@@ -45,9 +45,9 @@ from fractions import Fraction
 
 from .algebra import Element, _accumulate, _apply, _exact, bidegree_cone, check_genus, gamma_power
 from .algebra import koszul_sign, monomial_basis
-from .integral import IntegralConfig, _pair_monomials, top_bidegree
+from .integral import _normalization, _pair_monomials, top_bidegree
 from .linalg import RowSpan
-from .relations import _config, _invariant_relations, _lefschetz_dims, prim_basis, rel_generator_poly
+from .relations import _invariant_relations, _lefschetz_dims, prim_basis, rel_generator_poly
 from .relations import dims_mismatches, merged_report, report
 
 
@@ -200,20 +200,19 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     return report("check", "relations", g, d, cases, failures)
 
 
-def operator_adjointness_failures(F: Operator, sign: int, g: int, cfg: IntegralConfig):
+def operator_adjointness_failures(F: Operator, sign: int, B=1):
     """Witnesses against <F(D), D'> = sign * <D, F(D')> over all
-    complementary monomial pairs around the top bidegree; it stops at the
-    ten witnesses a report keeps.  Both sides are compared at B = 1 and
-    times F.den, which rescale them alike; a witness prints them at cfg.B.
-    An operator or a config of another genus is refused."""
+    complementary monomial pairs around the top bidegree of F's genus; it
+    stops at the ten witnesses a report keeps.  Both sides are compared at
+    B = 1 and times F.den, which rescale them alike; a witness prints them
+    at B."""
+    B = _normalization(B)
     if F.shift is None:
         raise ValueError("adjointness needs a bihomogeneous operator")
-    if F.g != g:
-        raise ValueError(f"genus mismatch: operator of genus {F.g} at g={g}")
-    cfg = _config(g, cfg)
+    g = F.g
     top_c, top_ch = top_bidegree(g)
     dc, dch = F.shift
-    unit = Fraction(cfg.B, F.den)
+    unit = Fraction(B, F.den)
     failures = []
     cases = 0
     for bd in bidegree_cone(g, 6 * g - 6):
@@ -239,11 +238,10 @@ def operator_adjointness_failures(F: Operator, sign: int, g: int, cfg: IntegralC
     return cases, failures
 
 
-def check_adjointness(g: int, cfg: IntegralConfig = None) -> dict:
+def check_adjointness(g: int, B=1) -> dict:
     """Self-adjointness of e and f, anti-self-adjointness of h, for both
-    d = 0 families, against the graded pairing (by default at B = 1); a
-    config of another genus is refused."""
-    cfg = _config(g, cfg)
+    d = 0 families, against the graded pairing at B (by default 1)."""
+    B = _normalization(B)
     ea, ha, fa = make_sl2("alpha", 0, g)
     eb, hb, fb = make_sl2("beta", 0, g)
     plan = [
@@ -254,7 +252,7 @@ def check_adjointness(g: int, cfg: IntegralConfig = None) -> dict:
         ("h_alpha", ha, -1),
         ("h_beta", hb, -1),
     ]
-    parts = [(name, *operator_adjointness_failures(op, sign, g, cfg)) for name, op, sign in plan]
+    parts = [(name, *operator_adjointness_failures(op, sign, B)) for name, op, sign in plan]
     return merged_report("check", "adjoint", g, 0, parts)
 
 

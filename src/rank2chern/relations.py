@@ -45,7 +45,7 @@ from .algebra import (
     monomial_basis,
     theta_power,
 )
-from .integral import IntegralConfig, summand_integral
+from .integral import _normalization, summand_integral
 from .linalg import QMatrix, row_reduce
 from .series import InvariantPoly, _phi_numerators, phi_series
 
@@ -248,10 +248,8 @@ def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
     sum, i.e. zero.
     """
     _check_degrees(g, l, m)
-    out = InvariantPoly.zero(g)
-    for a, b, c, w in _generator_terms(g, k, m, l):
-        out = out + InvariantPoly.monomial(g, a, b, c, w / math.factorial(a))
-    return out
+    terms = _generator_terms(g, k, m, l)
+    return InvariantPoly(g, {(a, b, c): w / math.factorial(a) for a, b, c, w in terms})
 
 
 def rel_generator(k: int, m: int, sig: Element, g: int) -> Element:
@@ -453,14 +451,6 @@ def _lefschetz_dims(g: int, max_coh: int, count) -> dict:
     return dims
 
 
-def _config(g: int, cfg: IntegralConfig) -> IntegralConfig:
-    """cfg, by default IntegralConfig(g); a config of another genus is refused."""
-    cfg = cfg or IntegralConfig(g)
-    if cfg.g != g:
-        raise ValueError(f"genus mismatch: config of genus {cfg.g} at g={g}")
-    return cfg
-
-
 def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
     """dims[bd] = sum over summands l of prim_dim(g, l) * (#monomials -
     #relations) of the invariant ring of genus g - l at bd - (3l, 2l)."""
@@ -474,10 +464,11 @@ def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
     return OmegaTable(g, d, max_coh, _lefschetz_dims(g, max_coh, count))
 
 
-def omega_from_pairing(g: int, cfg: IntegralConfig = None) -> OmegaTable:
+def omega_from_pairing(g: int, B=1) -> OmegaTable:
     """d = 0 table from ranks of the graded pairing: rank = sum over
     summands l of prim_dim(g, l) * the pairing rank of genus g - l."""
-    B = _config(g, cfg).B
+    check_genus(g)
+    B = _normalization(B)
     dims = _lefschetz_dims(g, 6 * g - 6, lambda gl, bd: row_reduce(_invariant_pairing(gl, bd, B))[0])
     return OmegaTable(g, 0, 6 * g - 6, dims)
 
@@ -492,11 +483,12 @@ def verify_vanishing_corollary(table: OmegaTable) -> bool:
     return True
 
 
-def pairing_kernel_matches_ideal(g: int, bd, cfg: IntegralConfig = None) -> bool:
+def pairing_kernel_matches_ideal(g: int, bd, B=1) -> bool:
     """d = 0 coincidence on one bidegree, summand by summand: the relations
     of each invariant ring span exactly the left kernel of its pairing
     matrix (containment plus dimension count)."""
-    B = _config(g, cfg).B
+    check_genus(g)
+    B = _normalization(B)
     for _, gl, sbd in _summands(g, bd):
         rows = _invariant_relations(gl, 0, sbd)
         matrix = _invariant_pairing(gl, sbd, B)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import genfun
 from .algebra import MAX_GENUS, Element, bidegree_cone
-from .integral import IntegralConfig, graded_integral
+from .integral import graded_integral
 from .operators import check_adjointness, check_closure, check_descent, check_sl2_relations
 from .relations import (
     OmegaTable,
@@ -30,11 +30,10 @@ from .relations import (
 )
 
 
-def suite_main(genus: int, B=Fraction(1)) -> dict:
+def suite_main(genus: int, B=1) -> dict:
     """The d = 0 table from the pairing route against the closed form,
     plus the top-degree structure and the nonvanishing witness integral."""
-    cfg = IntegralConfig(genus, B)
-    table = omega_from_pairing(genus, cfg)
+    table = omega_from_pairing(genus, B)
     expansion = genfun.omega_closed_polynomial(genus)
     closed = OmegaTable.from_expansion(genus, 0, table.max_coh, expansion)
     cases, failures = dims_mismatches(table.dims, closed.dims)
@@ -57,8 +56,8 @@ def suite_main(genus: int, B=Fraction(1)) -> dict:
     witness = (Element.alpha(genus) * Fraction(1, 2)) ** (genus - 1) * Element.beta(genus) ** (
         genus - 1
     )
-    value = graded_integral(witness, cfg)
-    expected = cfg.B / Fraction(2 ** (genus - 1))
+    value = graded_integral(witness, B)
+    expected = B / Fraction(2 ** (genus - 1))
     if value != expected or value == 0:
         failures.append(
             {"where": "integral (alpha/2)^(g-1) beta^(g-1)", "expected": str(expected), "got": str(value)}
@@ -80,26 +79,25 @@ def suite_intermediate(genus: int, d: int, max_coh: int = None) -> dict:
     return report("suite", "intermediate", genus, d, cases, failures)
 
 
-def suite_pairing(genus: int, B=Fraction(1)) -> dict:
+def suite_pairing(genus: int, B=1) -> dict:
     """Two-route coincidence at d = 0 and the per-bidegree kernel match."""
-    cfg = IntegralConfig(genus, B)
     by_ideal = omega_from_ideal(genus, 0, 6 * genus - 6)
-    by_pairing = omega_from_pairing(genus, cfg)
+    by_pairing = omega_from_pairing(genus, B)
     cases, failures = dims_mismatches(by_ideal.dims, by_pairing.dims)
     for bd in bidegree_cone(genus, 6 * genus - 6):
         cases += 1
-        if not pairing_kernel_matches_ideal(genus, bd, cfg):
+        if not pairing_kernel_matches_ideal(genus, bd, B):
             failures.append(
                 {"where": f"kernel match at bd={tuple(bd)}", "expected": "match", "got": "mismatch"}
             )
     return report("suite", "pairing", genus, 0, cases, failures)
 
 
-def suite_sl2(genus: int, d: int = 0, max_coh: int = None, B=Fraction(1)) -> dict:
+def suite_sl2(genus: int, d: int = 0, max_coh: int = None, B=1) -> dict:
     """Commutation relations, d = 0 adjointness, and descent identities."""
     reports = [check_sl2_relations(genus, d, max_coh)]
     if d == 0:
-        reports.append(check_adjointness(genus, IntegralConfig(genus, B)))
+        reports.append(check_adjointness(genus, B))
     reports.append(check_descent(genus, d))
     parts = [(rep["check"], rep["cases"], rep["failures"]) for rep in reports]
     return merged_report("suite", "sl2", genus, d, parts)
@@ -146,7 +144,7 @@ def suite_genfun() -> dict:
 SUITES = ("main", "intermediate", "sl2", "pairing", "closure", "genfun", "all")
 
 
-def run_suites(name: str, genus: int, d: int, max_coh=None, B=Fraction(1)):
+def run_suites(name: str, genus: int, d: int, max_coh=None, B=1):
     """Run one named suite (or all of them) and return the report list."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 from rank2chern.algebra import Element, chern_filter_basis, gamma_power
 from rank2chern.genfun import omega_closed_form, omega_closed_polynomial
-from rank2chern.integral import IntegralConfig, graded_integral
+from rank2chern.integral import graded_integral
 from rank2chern.operators import (
     check_adjointness,
     check_closure,
@@ -79,9 +79,8 @@ def test_criterion_04_top_chern_degree():
             ok = ok and table.dim(top_coh, chern) == 0
         ok = ok and table.dim(top_coh, top_chern) == 1
         for B in (F(1), F(7, 3)):
-            cfg = IntegralConfig(g, B)
             witness = (F(1, 2) * Element.alpha(g)) ** (g - 1) * Element.beta(g) ** (g - 1)
-            value = graded_integral(witness, cfg)
+            value = graded_integral(witness, B)
             ok = ok and value == B / 2 ** (g - 1) and value != 0
     _report("criterion 4: top Chern degree 4g-4 and the nonvanishing witness (g=2,3)", ok)
 
@@ -113,7 +112,7 @@ def test_criterion_07_adjointness():
     ok = True
     for g in (2, 3):
         for B in (F(1), F(7, 3)):
-            ok = ok and check_adjointness(g, IntegralConfig(g, B))["pass"]
+            ok = ok and check_adjointness(g, B)["pass"]
     _report("criterion 7: (anti-)self-adjointness for the graded pairing (g=2,3; B=1, 7/3)", ok)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from rank2chern.algebra import Element, bidegree_cone, gamma, gamma_power, mask_of, monomial_basis
 from rank2chern.integral import (
-    IntegralConfig,
     _virasoro_line,
     graded_integral,
     graded_pairing,
@@ -14,95 +13,115 @@ from rank2chern.integral import (
     summand_integral,
     top_bidegree,
 )
+from rank2chern.linalg import row_reduce
+from rank2chern.operators import check_adjointness, make_sl2, operator_adjointness_failures
+from rank2chern.relations import omega_from_pairing, pairing_kernel_matches_ideal
 
 
-def gamma_power_integral_two_routes(g: int, p: int, cfg: IntegralConfig = None):
+def gamma_power_integral_two_routes(g: int, p: int, B=1):
     """Integral of alpha^(g-1-p) beta^(g-1-p) gamma^p by two routes.
 
     Route one expands gamma^p monomially in the full algebra and sums the
     pairwise reductions; route two scales the Virasoro value directly.  The
     two must agree exactly for every p <= g - 1.
     """
-    if cfg is None:
-        cfg = IntegralConfig(g)
     if not 0 <= p <= g - 1:
         raise ValueError("p must satisfy 0 <= p <= g-1")
     n = g - 1 - p
     elem = Element.monomial(g, n, n, 0) * gamma_power(g, p)
-    route_expand = graded_integral(elem, cfg)
-    route_recursion = _virasoro_line(g)[p] * cfg.B
+    route_expand = graded_integral(elem, B)
+    route_recursion = _virasoro_line(g)[p] * B
     return route_expand, route_recursion
-
-
-def cfg2(B=1):
-    return IntegralConfig(2, F(B))
 
 
 def test_normalization_and_oracle_values():
     g = 2
-    c = cfg2()
-    assert graded_integral(Element.alpha(g) * Element.beta(g), c) == 1
-    assert graded_integral(gamma(g), c) == -1
-    assert graded_integral(Element.psi(g, 1) * Element.psi(g, 3), c) == F(1, 4)
-    assert graded_integral(Element.psi(g, 2) * Element.psi(g, 4), c) == F(1, 4)
+    assert graded_integral(Element.alpha(g) * Element.beta(g)) == 1
+    assert graded_integral(gamma(g)) == -1
+    assert graded_integral(Element.psi(g, 1) * Element.psi(g, 3)) == F(1, 4)
+    assert graded_integral(Element.psi(g, 2) * Element.psi(g, 4)) == F(1, 4)
 
 
 def test_monodromy_vanishing():
     # psi factors must pair i with i+g
     g = 2
-    c = cfg2()
-    assert graded_integral(Element.psi(g, 1) * Element.psi(g, 2), c) == 0
+    assert graded_integral(Element.psi(g, 1) * Element.psi(g, 2)) == 0
     x = Element.monomial(g, 0, 0, mask_of([1, 2]))
     for a, b in [(0, 0), (1, 1), (2, 0)]:
-        assert graded_integral(Element.monomial(g, a, b, 0) * x, c) == 0
+        assert graded_integral(Element.monomial(g, a, b, 0) * x) == 0
 
 
 def test_nonvanishing_witness_class():
     # (alpha/2)^(g-1) beta^(g-1) integrates to B / 2^(g-1)
     for g in (2, 3, 4):
         for B in (F(1), F(7, 3)):
-            c = IntegralConfig(g, B)
             w = (F(1, 2) * Element.alpha(g)) ** (g - 1) * Element.beta(g) ** (g - 1)
-            assert graded_integral(w, c) == B / 2 ** (g - 1) != 0
+            assert graded_integral(w, B) == B / 2 ** (g - 1) != 0
 
 
 def test_off_top_bidegree_vanishes():
     g = 2
-    c = cfg2()
     for bd in bidegree_cone(g, 6 * g - 6):
         if tuple(bd) == top_bidegree(g):
             continue
         for mono in monomial_basis(g, bd):
-            assert graded_integral(Element.monomial(g, *mono), c) == 0
+            assert graded_integral(Element.monomial(g, *mono)) == 0
 
 
-def test_invalid_config():
-    with pytest.raises(ValueError):
-        IntegralConfig(2, 0)
-    with pytest.raises(ValueError):
-        IntegralConfig(9)
+def _f1_witnesses(B):
+    # the d = 1 alpha f fails the d = 0 pairing; its witnesses sit at
+    # pairs that do not depend on B
+    _, _, f1 = make_sl2("alpha", 1, 2)
+    cases, failures = operator_adjointness_failures(f1, 1, B)
+    return cases, [w["where"] for w in failures]
+
+
+# every public entry that takes B, and what of its result B must not change
+NORMALIZED = {
+    "graded_integral": lambda B: graded_integral(gamma(2), B) / B,
+    "graded_pairing": lambda B: graded_pairing(Element.alpha(2), Element.beta(2), B) / B,
+    "pairing_matrix": lambda B: row_reduce(pairing_matrix(2, (3, 2), B))[0],
+    "omega_from_pairing": lambda B: omega_from_pairing(2, B).dims,
+    "pairing_kernel_matches_ideal": lambda B: pairing_kernel_matches_ideal(3, (4, 4), B),
+    "check_adjointness": lambda B: check_adjointness(2, B),
+    "operator_adjointness_failures": _f1_witnesses,
+}
+
+
+@pytest.mark.parametrize("entry", NORMALIZED)
+def test_one_normalization_rule(entry):
+    call = NORMALIZED[entry]
+    with pytest.raises(ValueError, match="normalization B must be nonzero"):
+        call(0)
     with pytest.raises(TypeError, match="not an exact rational"):
-        IntegralConfig(2, 0.1)
+        call(0.5)
+    got = call(1)
+    assert got and call(F(7, 3)) == got
+
+
+def test_the_pairing_routes_refuse_a_genus_out_of_range():
+    with pytest.raises(ValueError, match="genus"):
+        omega_from_pairing(9)
+    with pytest.raises(ValueError, match="genus"):
+        pairing_kernel_matches_ideal(9, (4, 4))
 
 
 def test_pairing_examples():
     g = 2
-    c = cfg2()
-    assert graded_pairing(Element.alpha(g), Element.beta(g), c) == 1
+    assert graded_pairing(Element.alpha(g), Element.beta(g)) == 1
     rel = 2 * (Element.alpha(g) * Element.beta(g)) + 2 * gamma(g)
-    assert graded_pairing(Element.one(g), rel, c) == 0
-    assert graded_pairing(Element.alpha(g), Element.alpha(g), c) == 0
+    assert graded_pairing(Element.one(g), rel) == 0
+    assert graded_pairing(Element.alpha(g), Element.alpha(g)) == 0
 
 
 def test_pairing_symmetry_on_monomials():
     g = 2
-    c = cfg2()
     monos = [Element.monomial(g, a, b, m) for a in range(2) for b in range(2) for m in range(16)]
     rnd = random.Random(3)
     for _ in range(60):
         x, y = rnd.choice(monos), rnd.choice(monos)
-        vx = graded_pairing(x, y, c)
-        vy = graded_pairing(y, x, c)
+        vx = graded_pairing(x, y)
+        vy = graded_pairing(y, x)
         if vx or vy:
             # nonzero values force even total degree, so both orders agree
             assert vx == vy
@@ -137,14 +156,14 @@ def test_pairing_matrix_examples():
             assert val == 0
 
 
-def _brute_pairing_matrix(g, bd, cfg):
+def _brute_pairing_matrix(g, bd, B):
     """Oracle: every (row, column) pair of monomials, paired as Elements."""
     comp = (6 * g - 6 - bd[0], 4 * g - 4 - bd[1])
     cols = [Element.monomial(g, *mono) for mono in monomial_basis(g, comp)]
     data = []
     for mono in monomial_basis(g, bd):
         x = Element.monomial(g, *mono)
-        pairs = ((j, graded_pairing(x, y, cfg)) for j, y in enumerate(cols))
+        pairs = ((j, graded_pairing(x, y, B)) for j, y in enumerate(cols))
         data.append({j: v for j, v in pairs if v})
     return data, len(cols)
 
@@ -152,10 +171,10 @@ def _brute_pairing_matrix(g, bd, cfg):
 @pytest.mark.parametrize("g", [2, 3])
 def test_pairing_matrix_matches_element_pairing(g):
     # same columns, same entries and the same column order in every row
-    cfg = IntegralConfig(g, F(-7, 3))
+    B = F(-7, 3)
     for bd in bidegree_cone(g, 6 * g - 6):
-        m = pairing_matrix(g, bd, cfg)
-        data, ncols = _brute_pairing_matrix(g, bd, cfg)
+        m = pairing_matrix(g, bd, B)
+        data, ncols = _brute_pairing_matrix(g, bd, B)
         assert m.cols == ncols and m.data == data, bd
         assert [list(row) for row in m.data] == [list(row) for row in data], bd
 
@@ -165,13 +184,12 @@ def test_summand_integral_matches_the_built_integrand():
     # built and integrated in the full algebra
     cases = 0
     for g in range(2, 9):
-        cfg = IntegralConfig(g)
         for l in range(g + 1):
             sigma = (1 << l) - 1
             for c in range(g - l + 1):
                 for a, b in itertools.product(range(g), repeat=2):
                     x = Element.monomial(g, a, b, sigma) * Element.monomial(g, 0, 0, sigma << g)
-                    expected = graded_integral(x * gamma_power(g, c), cfg)
+                    expected = graded_integral(x * gamma_power(g, c))
                     assert summand_integral(g, l, a, b, c) == expected, (g, l, a, b, c)
                     cases += 1
     assert cases == 6531
@@ -185,8 +203,8 @@ def test_pairing_matrix_outside_cone_is_empty():
 def test_scale_covariance_in_B():
     g = 2
     x = gamma(g) + Element.alpha(g) * Element.beta(g) * 3
-    v1 = graded_integral(x, cfg2(1))
-    v7 = graded_integral(x, IntegralConfig(g, F(7, 3)))
+    v1 = graded_integral(x)
+    v7 = graded_integral(x, F(7, 3))
     assert v7 == F(7, 3) * v1
 
 
@@ -196,7 +214,6 @@ def test_pair_sorting_sign_matches_direct_multiplication():
     # of p pairs; this pins the psi-to-pair sorting sign against the
     # multiplication engine
     for g in (2, 3, 4):
-        c = IntegralConfig(g)
         for p in range(1, g):
             _, I_p = gamma_power_integral_two_routes(g, p)
             falling = 1
@@ -207,7 +224,7 @@ def test_pair_sorting_sign_matches_direct_multiplication():
                 prod = Element.monomial(g, g - 1 - p, g - 1 - p, 0)
                 for i in combo:
                     prod = prod * (Element.psi(g, i) * Element.psi(g, i + g))
-                assert graded_integral(prod, c) == expected
+                assert graded_integral(prod) == expected
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

@@ -16,7 +16,7 @@ from rank2chern.algebra import (
     theta_power,
 )
 from rank2chern.genfun import BiPoly, omega_closed_form
-from rank2chern.integral import IntegralConfig, _virasoro_line, pairing_matrix, summand_integral
+from rank2chern.integral import _virasoro_line, pairing_matrix, summand_integral
 from rank2chern.linalg import RowSpan, row_reduce
 from rank2chern.relations import (
     OmegaTable,
@@ -370,14 +370,13 @@ def test_rel_generator_pairs_to_zero():
     from rank2chern.integral import graded_pairing
 
     g = 2
-    cfg = IntegralConfig(g)
     one = Element.one(g)
     for m in (0, 1):
         rel = rel_generator(4, m, one, g)
         bd = rel.bidegree()
         comp = (6 * g - 6 - bd.coh, 4 * g - 4 - bd.chern)
         for mono in monomial_basis(g, comp):
-            assert graded_pairing(rel, Element.monomial(g, *mono), cfg) == 0
+            assert graded_pairing(rel, Element.monomial(g, *mono)) == 0
 
 
 # ----------------------------------------------------------------------
@@ -487,21 +486,21 @@ def _omega_from_ideal_full(g, d):
     return OmegaTable(g, d, max_coh, dims)
 
 
-def _omega_from_pairing_full(g, cfg):
+def _omega_from_pairing_full(g, B):
     dims = {}
     for bd in bidegree_cone(g, 6 * g - 6):
-        rk, _ = row_reduce(pairing_matrix(g, bd, cfg))
+        rk, _ = row_reduce(pairing_matrix(g, bd, B))
         if rk:
             dims[tuple(bd)] = rk
     return OmegaTable(g, 0, 6 * g - 6, dims)
 
 
-def _pairing_kernel_matches_ideal_full(g, bd, cfg):
+def _pairing_kernel_matches_ideal_full(g, bd, B):
     basis = monomial_basis(g, bd)
     if not basis:
         return True
     index = {mono: i for i, mono in enumerate(basis)}
-    matrix = pairing_matrix(g, bd, cfg)
+    matrix = pairing_matrix(g, bd, B)
     rk, _ = row_reduce(matrix)
     elements = ideal_slice(g, 0, bd)
     if len(elements) != len(basis) - rk:
@@ -592,8 +591,8 @@ def _matches_closed_form(table):
 def test_summand_routes_match_full_monomial_oracles(g):
     for d in (0, 1, 2):
         assert omega_from_ideal(g, d).dims == _omega_from_ideal_full(g, d).dims, d
-    cfg = IntegralConfig(g, F(-5, 2))
-    assert omega_from_pairing(g, cfg).dims == _omega_from_pairing_full(g, cfg).dims
+    B = F(-5, 2)
+    assert omega_from_pairing(g, B).dims == _omega_from_pairing_full(g, B).dims
 
 
 @pytest.mark.parametrize("g", [5, 6, 7, 8])
@@ -649,14 +648,6 @@ def test_a_negative_d_is_refused_where_the_relation_family_is_built():
     for call in (lambda: omega_from_ideal(3, -1), lambda: ideal_slice_keys(3, -1, bd), lambda: ideal_slice(3, -1, bd)):
         with pytest.raises(ValueError, match="d must be >= 0"):
             call()
-
-
-def test_a_config_of_another_genus_is_refused():
-    with pytest.raises(ValueError, match="genus mismatch"):
-        omega_from_pairing(3, IntegralConfig(2))
-    with pytest.raises(ValueError, match="genus mismatch"):
-        pairing_kernel_matches_ideal(3, (4, 4), IntegralConfig(2))
-    assert pairing_kernel_matches_ideal(3, (4, 4), IntegralConfig(3, F(7, 3)))
 
 
 def test_the_table_routes_read_only_invariant_rings(monkeypatch):
@@ -728,8 +719,8 @@ def test_duplicated_summand_relation_is_dependent(monkeypatch):
 
 
 def test_omega_pairing_normalization_invariance():
-    t1 = omega_from_pairing(2, IntegralConfig(2, F(1)))
-    t2 = omega_from_pairing(2, IntegralConfig(2, F(7, 3)))
+    t1 = omega_from_pairing(2, F(1))
+    t2 = omega_from_pairing(2, F(7, 3))
     assert t1.dims == t2.dims
 
 
@@ -762,23 +753,21 @@ def test_vanishing_corollary():
 
 
 def test_kernel_coincidence_g2():
-    cfg = IntegralConfig(2)
     for bd in bidegree_cone(2, 6):
-        assert pairing_kernel_matches_ideal(2, bd, cfg)
+        assert pairing_kernel_matches_ideal(2, bd)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_summand_kernel_match_equals_full_monomial_oracle(g):
-    cfg = IntegralConfig(g, F(-5, 2))
+    B = F(-5, 2)
     for bd in bidegree_cone(g, 6 * g - 6):
-        got = pairing_kernel_matches_ideal(g, bd, cfg)
-        assert got == _pairing_kernel_matches_ideal_full(g, bd, cfg), bd
+        got = pairing_kernel_matches_ideal(g, bd, B)
+        assert got == _pairing_kernel_matches_ideal_full(g, bd, B), bd
         assert got, bd
 
 
 def test_kernel_match_without_a_relation_family_fails(monkeypatch):
     g = 3
-    cfg = IntegralConfig(g)
     families = rel._invariant_families
 
     def drop_first(g, d, bd):  # every invariant slice loses its first relation family
@@ -786,10 +775,10 @@ def test_kernel_match_without_a_relation_family_fails(monkeypatch):
 
     monkeypatch.setattr(rel, "_invariant_families", drop_first)
     bds = list(bidegree_cone(g, 6 * g - 6))
-    got = [pairing_kernel_matches_ideal(g, bd, cfg) for bd in bds]
+    got = [pairing_kernel_matches_ideal(g, bd) for bd in bds]
     assert not all(got)
     # the full-monomial oracle loses the same family on the same bidegrees
-    assert got == [_pairing_kernel_matches_ideal_full(g, bd, cfg) for bd in bds]
+    assert got == [_pairing_kernel_matches_ideal_full(g, bd, 1) for bd in bds]
 
 
 def test_kernel_match_with_a_perturbed_relation_fails(monkeypatch):
