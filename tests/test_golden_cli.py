@@ -48,6 +48,19 @@ def test_golden_cli_output(capsys, line, digest, code):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:2000]
 
 
+INTEGRALS = [
+    (["--genus", "3", "alpha beta gamma"], "-3/4\n"),
+    (["--genus", "3", "1 / 2 alpha^2 beta^2 − 3 psi1 psi4 alpha beta + gamma^2"], "7/8\n"),
+    (
+        ["--genus", "3", "--normalization", "7/3",
+         "1 / 2 alpha^2 beta^2 − 3 psi1 psi4 alpha beta + gamma^2"],
+        "49/24\n",
+    ),
+    (["--genus", "3", "-psi1psi4 psi2 psi5 + 2alpha^2beta^2"], "63/32\n"),
+]
+
+
 def test_golden_integral(capsys):
-    assert main(["integral", "--genus", "3", "alpha beta gamma"]) == 0
-    assert capsys.readouterr().out == "-3/4\n"
+    for argv, out in INTEGRALS:
+        assert main(["integral", *argv]) == 0
+        assert capsys.readouterr().out == out, argv
