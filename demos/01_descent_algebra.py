@@ -5,7 +5,15 @@ and odd generators psi_1..psi_2g (degree 3 each); every generator has Chern
 degree 2.  Elements carry exact rational coefficients throughout.
 """
 
-from rank2chern import Element, gamma, monomial_basis, chern_filter_basis, parse_element
+from rank2chern import (
+    Element,
+    chern_filter_basis,
+    d_alpha,
+    d_psi,
+    gamma,
+    monomial_basis,
+    parse_element,
+)
 
 g = 2
 alpha, beta = Element.alpha(g), Element.beta(g)
@@ -26,9 +34,9 @@ print("alpha + beta is inhomogeneous:", (alpha + beta).bidegree())
 
 print()
 print("== derivations (psi uses the left super-derivative) ==")
-print("d/dpsi1 (psi1 psi2) =", (psi[1] * psi[2]).derive("psi1"))
-print("d/dpsi2 (psi1 psi2) =", (psi[1] * psi[2]).derive("psi2"))
-print("d/dalpha (alpha^2 beta) =", (alpha**2 * beta).derive("alpha"))
+print("d/dpsi1 (psi1 psi2) =", d_psi(psi[1] * psi[2], 1))
+print("d/dpsi2 (psi1 psi2) =", d_psi(psi[1] * psi[2], 2))
+print("d/dalpha (alpha^2 beta) =", d_alpha(alpha**2 * beta))
 
 print()
 print("== bidegree slices ==")

@@ -10,6 +10,9 @@ from .algebra import (
     ElementParseError,
     bidegree_cone,
     chern_filter_basis,
+    d_alpha,
+    d_beta,
+    d_psi,
     format_element,
     gamma,
     gamma_power,
@@ -76,6 +79,9 @@ __all__ = [
     "check_sl2_relations",
     "check_unimodality",
     "chern_filter_basis",
+    "d_alpha",
+    "d_beta",
+    "d_psi",
     "format_element",
     "gamma",
     "gamma_power",

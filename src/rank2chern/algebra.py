@@ -334,29 +334,6 @@ class Element(Sparse):
         )
 
     # ------------------------------------------------------------------
-    # derivations
-
-    def derive(self, var: str) -> "Element":
-        """Partial derivative by generator name.
-
-        ``alpha`` and ``beta`` give ordinary derivations.  ``psi<i>`` is the
-        left super-derivation: on a sorted monomial containing psi_i at
-        (1-based) position p the result carries the sign (-1)^(p-1); zero
-        when psi_i is absent.
-        """
-        if var == "alpha":
-            return d_alpha(self)
-        if var == "beta":
-            return d_beta(self)
-        m = re.fullmatch(r"psi(\d+)", var)
-        if m:
-            i = int(m.group(1))
-            if not 1 <= i <= 2 * self.g:
-                raise ValueError(f"psi index out of range for genus {self.g}: {var}")
-            return d_psi(self, i)
-        raise ValueError(f"unknown generator name: {var!r}")
-
-    # ------------------------------------------------------------------
 
     def sorted_terms(self):
         """Terms in the canonical deterministic order."""
@@ -381,6 +358,13 @@ def d_beta(x: Element) -> Element:
 
 
 def d_psi(x: Element, i: int) -> Element:
+    """The left super-derivation d/d psi_i, for 1 <= i <= 2g.
+
+    On a sorted monomial containing psi_i at (1-based) position p the
+    result carries the sign (-1)^(p-1); it is zero when psi_i is absent.
+    """
+    if not 1 <= i <= 2 * x.g:
+        raise ValueError(f"psi index must be in [1, {2 * x.g}], got {i}")
     bit = 1 << (i - 1)
     below = bit - 1
 
@@ -482,10 +466,10 @@ def exterior_basis(g: int, degree: int) -> list:
 # ----------------------------------------------------------------------
 # text grammar (the CLI surface for elements)
 #
-#   term   ::= [sign] [rational] factor*
+#   term   ::= [sign] [integer ["/" integer]] factor*
 #   factor ::= ("alpha" | "beta" | "gamma" | "psi" index) ["^" exponent]
 #
-# terms joined by "+"/"-", whitespace-insensitive.
+# terms joined by "+"/"-"/"−"; whitespace is ignored between tokens, "/" included.
 
 
 class ElementParseError(ValueError):
@@ -501,77 +485,42 @@ def _number(convert, digits: str):
         raise ElementParseError(f"number too long: {digits[:20]}...") from None
 
 
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<sign>[+\-−])"
-    r"|(?P<num>\d+(?:\s*/\s*\d+)?)"
-    r"|(?P<name>alpha|beta|gamma|psi\d+)(?:\s*\^\s*(?P<exp>\d+))?"
-    r")"
+_FACTOR = re.compile(r"\s*(alpha|beta|gamma|psi(\d+))(?:\s*\^\s*(\d+))?")
+_TERM = re.compile(
+    r"\s*(?P<sign>[+\-−])?\s*(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)?"
+    rf"(?P<factors>(?:{_FACTOR.pattern})*)\s*"
 )
 
 
 def parse_element(text: str, g: int) -> Element:
     """Parse the element grammar, e.g. ``"1/2 alpha^2 + 1/2 beta"``."""
     check_genus(g)
-    pos = 0
-    n = len(text)
+    if not text.strip():
+        raise ElementParseError("empty input")
     result = Element.zero(g)
-    sign = 1
-    coeff = None
-    factors = []
-    started = False
-
-    def flush():
-        nonlocal result, sign, coeff, factors, started
-        if not started:
-            return
-        if coeff is None and not factors:
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        pos = m.end()
+        if pos < len(text) and text[pos] not in "+-−":
+            raise ElementParseError(f"cannot parse element near {text[pos:pos + 20]!r}")
+        if m["num"] is None and not m["factors"]:
             raise ElementParseError("empty term")
-        term = Element.one(g).scale((coeff if coeff is not None else 1) * sign)
-        for name, exp in factors:
-            if name == "alpha":
-                base = Element.alpha(g)
-            elif name == "beta":
-                base = Element.beta(g)
-            elif name == "gamma":
-                base = gamma(g)
-            else:
-                i = _number(int, name[3:])
+        try:
+            coeff = Fraction(_number(int, m["num"] or "1"), _number(int, m["den"] or "1"))
+        except ZeroDivisionError:
+            raise ElementParseError("zero denominator in coefficient") from None
+        term = Element.one(g).scale(coeff if m["sign"] in (None, "+") else -coeff)
+        for name, index, exp in _FACTOR.findall(m["factors"]):
+            if index:
+                i = _number(int, index)
                 if not 1 <= i <= 2 * g:
                     raise ElementParseError(f"psi index out of range for genus {g}: {name}")
                 base = Element.psi(g, i)
-            term = term * base**exp
+            else:
+                base = {"alpha": Element.alpha, "beta": Element.beta, "gamma": gamma}[name](g)
+            term = term * base ** _number(int, exp or "1")
         result = result + term
-        sign, coeff, factors, started = 1, None, [], False
-
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ElementParseError(f"cannot parse element near {text[pos:pos + 20]!r}")
-            break
-        pos = m.end()
-        if m.group("sign"):
-            if started:
-                flush()
-            if m.group("sign") != "+":
-                sign = -sign
-            started = True
-        elif m.group("num"):
-            if coeff is not None or factors:
-                raise ElementParseError("rational coefficient must precede the factors")
-            try:
-                coeff = _number(Fraction, m.group("num").replace(" ", ""))
-            except ZeroDivisionError:
-                raise ElementParseError("zero denominator in coefficient") from None
-            started = True
-        else:
-            factors.append((m.group("name"), _number(int, m.group("exp") or "1")))
-            started = True
-    if started:
-        flush()
-    elif not result.terms and not text.strip():
-        raise ElementParseError("empty input")
     return result
 
 

@@ -7,7 +7,7 @@ line per criterion.
 import random
 from fractions import Fraction as F
 
-from rank2chern.algebra import Element, chern_filter_basis, gamma_power
+from rank2chern.algebra import Element, chern_filter_basis, d_psi, gamma_power
 from rank2chern.genfun import omega_closed_form, omega_closed_polynomial
 from rank2chern.integral import graded_integral
 from rank2chern.operators import (
@@ -159,9 +159,7 @@ def test_criterion_11_property_battery():
         ok = ok and x * y == (y * x) * (-1 if (sx & 1) and (sy & 1) else 1)
         i = rnd.randrange(1, 2 * g + 1)
         sign = -1 if (x.bidegree() and x.bidegree().coh % 2) else 1
-        ok = ok and (x * y).derive(f"psi{i}") == x.derive(f"psi{i}") * y + sign * (
-            x * y.derive(f"psi{i}")
-        )
+        ok = ok and d_psi(x * y, i) == d_psi(x, i) * y + sign * (x * d_psi(y, i))
 
     # gamma nilpotency as a theorem of the full algebra
     for gg in (2, 3, 4):

@@ -10,6 +10,9 @@ from rank2chern.algebra import (
     Element,
     ElementParseError,
     chern_filter_basis,
+    d_alpha,
+    d_beta,
+    d_psi,
     format_element,
     gamma,
     gamma_power,
@@ -279,23 +282,30 @@ def test_nilpotent_power_exits_early():
 
 def test_derive_examples():
     g = 2
-    assert (P(g, 1) * P(g, 2)).derive("psi1") == P(g, 2)
-    assert (P(g, 1) * P(g, 2)).derive("psi2") == -P(g, 1)
-    assert (A(g) ** 2 * B(g)).derive("alpha") == 2 * (A(g) * B(g))
+    assert d_psi(P(g, 1) * P(g, 2), 1) == P(g, 2)
+    assert d_psi(P(g, 1) * P(g, 2), 2) == -P(g, 1)
+    assert d_alpha(A(g) ** 2 * B(g)) == 2 * (A(g) * B(g))
+    assert d_beta(A(g) ** 2 * B(g)) == A(g) ** 2
     with pytest.raises(ValueError):
-        A(g).derive("delta")
-    with pytest.raises(ValueError):
-        A(g).derive("psi9")
+        d_psi(A(g), 9)
+
+
+def test_d_psi_refuses_an_index_outside_1_to_2g():
+    for g in (2, 3):
+        x = P(g, 1) * P(g, 2) + A(g)
+        for i in (-1, 0, 2 * g + 1):
+            with pytest.raises(ValueError, match="psi index"):
+                d_psi(x, i)
+        assert d_psi(x, 2 * g).is_zero() and d_psi(x, 1) == P(g, 2)
 
 
 @LAWS
 @given(key=MONOMIAL_KEYS, y=MONOMIALS, i=st.integers(1, 4))
 def test_super_leibniz(key, y, i):
     hx = Element.monomial(2, *key)
-    var = f"psi{i}"
     sign = -1 if hx.bidegree().coh % 2 else 1
-    lhs = (hx * y).derive(var)
-    rhs = hx.derive(var) * y + sign * (hx * y.derive(var))
+    lhs = d_psi(hx * y, i)
+    rhs = d_psi(hx, i) * y + sign * (hx * d_psi(y, i))
     assert lhs == rhs
 
 
