@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("element", help="element in the text grammar, e.g. 'gamma'")
 
     p_rel = sub.add_parser("relations", help="dump relation-ideal slices")
-    common(p_rel)
+    common(p_rel, norm=False)
 
     p_sl2 = sub.add_parser("sl2", help="operator checks")
     common(p_sl2)
@@ -126,7 +126,6 @@ _IGNORED = {
     ("omega", "ideal"): ("normalization",),
     ("omega", "pairing"): ("d", "max_coh"),
     ("omega", "closed"): ("normalization",),
-    ("relations", None): ("normalization",),
     ("sl2", "relations"): ("normalization",),
     ("sl2", "adjoint"): ("d", "max_coh"),
     ("sl2", "descent"): ("max_coh", "normalization"),
@@ -213,7 +212,12 @@ def _emit_report(rep: dict, head: str, out) -> None:
 
 def _cmd_integral(args, out) -> int:
     value = graded_integral(parse_element(args.element, args.genus), args.normalization)
-    out.write(f"{value}\n")
+    try:
+        text = str(value)
+    except ValueError:  # past the interpreter's limit on integer digits
+        sys.stderr.write("error: the integral is too long to print\n")
+        return USAGE_ERROR
+    out.write(f"{text}\n")
     return 0
 
 

@@ -194,6 +194,7 @@ def test_verify_pairing_suite_to_genus_8(capsys, genus):
         "integral --genus 2 psi" + "1" * 5000,
         "integral --genus 2 --normalization 1e5000 gamma",
         "integral --genus 2 --normalization 1e-5000 gamma",
+        "integral --genus 2 --normalization " + "9" * 4300 + " 3gamma",
         "omega --genus 2 --route ideal --normalization 7/3",
         "omega --genus 2 --route closed --normalization 7/3",
         "relations --genus 2 --normalization 7/3",
