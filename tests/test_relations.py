@@ -269,6 +269,8 @@ MODIFIED_DIGESTS = {
     (3, 0): "e358111a91415829ccf3f30666c7694fc714ab5855f1cfb83e74b7ce96a43414",
     (3, 1): "ce7bee1bbc602c45289b7f647ecbb21446aafca3fcd59bfeb9993b9800b84f16",
     (3, 2): "708c5295fbd87ec8930e74f92616f2c5d6ebe6ca3cd02d5672480a880b297161",
+    (4, 0): "9856ba08fdddc7f1e2d7d496ecbb1c10c5a7b01faa1bfaac3d0ce6617955e88d",
+    (4, 1): "024848a089d3092cf7ede6982e8816c4ea495da7d910ed4f151969b0d4532414",
 }
 
 
