@@ -38,7 +38,8 @@ print("degree-1 series, g=2  :", check_shift_symmetry(omega_closed_form(2, 1), 2
 print()
 print("== t = -1 specializations ==")
 for r in (2, 3, 4, 5):
-    print(f"stack r={r}, g=3 equals prod (1-(-q)^k)^(2g-2):", stack_t_minus_one_matches(r, 3))
+    same = stack_t_minus_one_matches(omega_stack(r, 3), r, 3)
+    print(f"stack r={r}, g=3 equals prod (1-(-q)^k)^(2g-2):", same)
 print("stable closed form g=3:", closed_form_t_minus_one_matches(3))
 print("rank-3 formula g=3    :", rank3_t_minus_one_matches(3))
 

@@ -123,6 +123,16 @@ def _apply(action, terms: dict) -> dict:
     return out
 
 
+def _divide(terms: dict, den: int) -> dict:
+    """``terms`` with each coefficient divided exactly by ``den``, in place:
+    an int quotient of an int stays an int, and ``Sparse._raw`` puts any
+    other in the form of ``_exact``."""
+    if den != 1:
+        for k, v in terms.items():
+            terms[k] = v // den if v.__class__ is int and not v % den else Fraction(v, den)
+    return terms
+
+
 class Sparse:
     """Sparse map from monomial keys to nonzero exact rationals.
 
@@ -336,11 +346,15 @@ class Element(Sparse):
     # ------------------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in the canonical deterministic order."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (monomial_bidegree(kv[0]), kv[0]),
-        )
+        """Terms in the canonical deterministic order: by bidegree
+        (coh, chern / 2), then by key."""
+
+        def order(term):
+            key = a, b, mask = term[0]
+            s = mask.bit_count()
+            return 2 * a + 4 * b + 3 * s, a + b + s, key
+
+        return sorted(self.terms.items(), key=order)
 
     def __str__(self):
         return format_element(self)
@@ -537,12 +551,13 @@ def format_element(x: Element) -> str:
             factors.append("beta" + (f"^{b}" if b > 1 else ""))
         for i in indices_of(mask):
             factors.append(f"psi{i}")
-        mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
+        num, den = c.as_integer_ratio()
+        mag = f"{abs(num)}/{den}" if den != 1 else str(abs(num))
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
         body = " ".join(factors)
         if not parts:
-            parts.append(("-" if c < 0 else "") + body)
+            parts.append(("-" if num < 0 else "") + body)
         else:
-            parts.append(("- " if c < 0 else "+ ") + body)
+            parts.append(("- " if num < 0 else "+ ") + body)
     return " ".join(parts)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .algebra import Sparse, _accumulate, _exact
 
@@ -325,15 +326,18 @@ def identities(formula: str, g: int, rank: int = 2, d: int = 0) -> dict:
 
     The intermediate series is the n21 closed form at d = 0; at d >= 1
     only its t = -1 specialization is an identity.  Each check looks its
-    function up in this module when it runs.
+    function up in this module when it runs.  The closed form is expanded
+    by the first check that reads it, once for all the checks of this
+    dict: reading the names expands nothing.
     """
     if formula == "intermediate":
         if d:
             return {"tminus1": lambda: closed_form_t_minus_one_matches(g, d)}
         formula = "n21"
-    checks = {"symmetry": lambda: check_shift_symmetry(*closed_form(formula, g, rank), g)}
+    form = cache(lambda: closed_form(formula, g, rank))  # lives as long as the checks
+    checks = {"symmetry": lambda: check_shift_symmetry(*form(), g)}
     if formula == "stack":
-        checks["tminus1"] = lambda: stack_t_minus_one_matches(rank, g)
+        checks["tminus1"] = lambda: stack_t_minus_one_matches(form()[0], rank, g)
     elif formula == "rank3":
         checks["tminus1"] = lambda: rank3_t_minus_one_matches(g)
     elif formula == "n21":
@@ -369,10 +373,10 @@ def check_shift_symmetry(f: BiRational, r: int, g: int) -> bool:
     return f == g2
 
 
-def stack_t_minus_one_matches(r: int, g: int) -> bool:
-    """t = -1 specialization of the stack series equals
+def stack_t_minus_one_matches(f: BiRational, r: int, g: int) -> bool:
+    """t = -1 specialization of f, the rank-r stack series, equals
     prod_{k=2..r} (1 - (-q)^k)^(2g-2)."""
-    f = omega_stack(r, g).subst_t(-1)
+    f = f.subst_t(-1)
     target = BiPoly.one()
     for k in range(2, r + 1):
         target = target * (BiPoly.one() - _q(k, 0, (-1) ** k)) ** (2 * g - 2)

@@ -44,21 +44,11 @@ import math
 from fractions import Fraction
 
 from .algebra import Element, _accumulate, _apply, _exact, bidegree_cone, check_genus, gamma_power
-from .algebra import koszul_sign, monomial_basis
+from .algebra import _divide, koszul_sign, monomial_basis
 from .integral import _normalization, _pair_monomials, top_bidegree
 from .linalg import RowSpan
 from .relations import _invariant_relations, _lefschetz_dims, prim_basis, rel_generator_poly
 from .relations import dims_mismatches, merged_report, report
-
-
-def _divide(terms: dict, den: int) -> dict:
-    """``terms`` with each coefficient divided exactly by ``den``, in place:
-    an int quotient of an int stays an int, and ``Sparse._raw`` puts any
-    other in the form of ``_exact``."""
-    if den != 1:
-        for k, v in terms.items():
-            terms[k] = v // den if v.__class__ is int and not v % den else Fraction(v, den)
-    return terms
 
 
 class Operator:

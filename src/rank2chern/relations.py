@@ -9,8 +9,9 @@ Three layers live here:
   relation generators R_{k,m,l}, each built as the coefficient in
   Q[alpha, beta, gamma] of a primitive class sigma_l of degree l;
   modified_mumford compares its two routes there, once per
-  (d, k, m, l, g) (the checked coefficient is memoised), and applies
-  sigma once per call;
+  (d, k, m, l, g) (the checked coefficient is memoised over one
+  denominator), and applies sigma once per call, in integers, with one
+  exact division at the end;
 * per-bidegree slices of the relation ideals and the resulting refined
   dimension tables, by the ideal route (any d >= 0) and by the pairing
   route (d = 0).
@@ -39,6 +40,7 @@ from .algebra import (
     MAX_GENUS,
     Element,
     _accumulate,
+    _divide,
     bidegree_cone,
     check_genus,
     exterior_basis,
@@ -222,22 +224,38 @@ def modified_mumford_closed(d: int, k: int, m: int, l: int, g: int) -> Invariant
     return InvariantPoly._raw(g, out).scale(scalar)
 
 
+def _over_one_denominator(x: Element):
+    """(den * x, den), den the lcm of the denominators of x's
+    coefficients, so that den * x has int coefficients."""
+    den = math.lcm(*(v.denominator for v in x.terms.values()))
+    return x.scale(den), den
+
+
+def _times_sigma(coefficient, sig: Element) -> Element:
+    """x * sig for coefficient = (den * x, den): the product in int
+    arithmetic, divided once by den.  Both relation builders multiply by
+    sigma here."""
+    scaled, den = coefficient
+    return Element._raw(sig.g, _divide((scaled * sig).terms, den))
+
+
 @lru_cache(maxsize=None)
-def _checked_coefficient(d: int, k: int, m: int, l: int, g: int) -> Element:
-    """The embedded sigma_l coefficient of the modified relation, after
+def _checked_coefficient(d: int, k: int, m: int, l: int, g: int):
+    """The embedded sigma_l coefficient of the modified relation over one
+    denominator (as _over_one_denominator gives it), after
     asserting that its two defining routes agree in Q[alpha, beta, gamma].
     The check does not depend on sigma, so it runs once per key."""
     by_closed = modified_mumford_closed(d, k, m, l, g)
     if modified_mumford_sum(d, k, m, l, g) != by_closed:
         raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, g={g}")
-    return by_closed.embed()
+    return _over_one_denominator(by_closed.embed())
 
 
 def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """Modified Mumford relation attached to (k, theta^m sig): the checked
     sigma_l coefficient times sig, sig checked primitive on every call."""
     l = _sig_degree(sig, g)
-    return _checked_coefficient(d, k, m, l, g) * sig
+    return _times_sigma(_checked_coefficient(d, k, m, l, g), sig)
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +273,7 @@ def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
 def rel_generator(k: int, m: int, sig: Element, g: int) -> Element:
     """R_{k,m,l} * sigma_l; homogeneous of bidegree (2k-2g+2m+l, 2k-2g)."""
     l = _sig_degree(sig, g)
-    return rel_generator_poly(g, k, m, l).embed() * sig
+    return _times_sigma(_over_one_denominator(rel_generator_poly(g, k, m, l).embed()), sig)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rank2chern.algebra import (
@@ -19,6 +19,7 @@ from rank2chern.algebra import (
     indices_of,
     mask_of,
     monomial_basis,
+    monomial_bidegree,
     parse_element,
     theta,
     theta_power,
@@ -378,6 +379,57 @@ def test_parse_examples():
 @given(x=_values(_keys((0, 2), (0, 2), (0, 63)), lambda t: Element(3, t)))
 def test_format_parse_roundtrip(x):
     assert parse_element(format_element(x), 3) == x
+
+
+def _reference_sorted_terms(x):
+    """Element.sorted_terms as it was on Fractions: by the Bidegree NamedTuple, then key."""
+    return sorted(x.terms.items(), key=lambda kv: (monomial_bidegree(kv[0]), kv[0]))
+
+
+def _reference_format_element(x):
+    """format_element as it was, with abs, < 0 and != 1 on each coefficient."""
+    if not x.terms:
+        return "0"
+    parts = []
+    for (a, b, mask), c in _reference_sorted_terms(x):
+        factors = []
+        if a:
+            factors.append("alpha" + (f"^{a}" if a > 1 else ""))
+        if b:
+            factors.append("beta" + (f"^{b}" if b > 1 else ""))
+        for i in indices_of(mask):
+            factors.append(f"psi{i}")
+        mag = abs(c)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = " ".join(factors)
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)
+
+
+# int and Fraction coefficients, +-1 and +-1/q among them
+RENDER_COEFFS = st.one_of(
+    st.sampled_from([1, -1, F(1, 2), F(-1, 3)]),
+    st.integers(-30, 30),
+    st.fractions(-9, 9, max_denominator=12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(terms=st.dictionaries(_keys((0, 3), (0, 3), (0, 63)), RENDER_COEFFS, max_size=6))
+@example(terms={})  # the zero element
+@example(terms={(0, 0, 0): 1})
+@example(terms={(0, 0, 0): -1})
+@example(terms={(0, 0, 0): F(-3, 2)})  # a constant term alone
+@example(terms={(0, 0, 0): -1, (1, 0, 0): -1, (0, 1, 0): F(1, 2)})  # negative leading term
+@example(terms={(2, 0, 0): 1, (0, 1, 0): F(1, 1), (0, 0, 0b100001): -2, (1, 0, 0b11): F(-7, 3)})
+def test_format_element_matches_the_fraction_renderer(terms):
+    x = Element(3, terms)
+    assert x.sorted_terms() == _reference_sorted_terms(x)
+    assert format_element(x) == _reference_format_element(x)
 
 
 def test_parse_errors():

@@ -104,8 +104,8 @@ def test_shift_symmetry_fails_for_positive_d():
 
 def test_t_minus_one_identities():
     for r in (2, 3, 4, 5):
-        assert stack_t_minus_one_matches(r, 2)
-    assert stack_t_minus_one_matches(2, 8)
+        assert stack_t_minus_one_matches(omega_stack(r, 2), r, 2)
+    assert stack_t_minus_one_matches(omega_stack(2, 8), 2, 8)
     # r=2 specialization: (1-q^2)^(2g-2) for the stable closed form as well
     for g in (2, 3, 5):
         assert closed_form_t_minus_one_matches(g)
@@ -299,3 +299,41 @@ def test_closed_forms_hold_int_coefficients():
         if g <= 5:
             f = omega_rank3(g)
             assert ints(f.num, f.den), g
+
+
+@pytest.mark.parametrize("formula", ["stack", "n21", "intermediate", "rank3"])
+def test_reading_the_catalogue_names_expands_no_closed_form(monkeypatch, formula):
+    # the CLI reads only the names, before any check runs
+    import rank2chern.genfun as gf
+
+    def refuse(*args):
+        raise AssertionError("closed form expanded")
+
+    for name in ("omega_stack", "omega_closed_form", "omega_rank3"):
+        monkeypatch.setattr(gf, name, refuse)
+    for d in (0, 1):
+        assert list(gf.identities(formula, 3, None, d))
+
+
+def test_a_stack_catalogue_expands_its_series_once(monkeypatch):
+    import rank2chern.genfun as gf
+
+    built = []
+
+    def counted(r, g):
+        built.append((r, g))
+        return omega_stack(r, g)
+
+    monkeypatch.setattr(gf, "omega_stack", counted)
+    checks = gf.identities("stack", 3, 3)
+    assert not built
+    assert all(check() for check in checks.values())
+    assert set(checks) == {"symmetry", "tminus1"} and built == [(3, 3)]
+
+
+def test_stack_t_minus_one_refuses_a_perturbed_series():
+    f = omega_stack(3, 2)
+    assert stack_t_minus_one_matches(f, 3, 2)
+    key = max(f.num.terms)
+    bad = BiRational(f.num + BiPoly.monomial(*key), f.den)
+    assert not stack_t_minus_one_matches(bad, 3, 2)

@@ -289,6 +289,41 @@ def test_modified_mumford_golden_digest(g, d):
     assert hashlib.sha256(text.encode()).hexdigest() == MODIFIED_DIGESTS[g, d]
 
 
+def _exact_form(x):
+    return all(type(v) is int or (type(v) is F and v.denominator != 1) for v in x.terms.values())
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_sigma_products_in_integers_match_the_fraction_products(g):
+    # oracle: the Fraction product of the embedded coefficient and sigma,
+    # over every key of the series workload at d = 0..2
+    for l in range(g + 1):
+        for sig in prim_basis(g, l):
+            for m in range(g - l + 1):
+                for k in range(2 * g + 9):
+                    want = rel.rel_generator_poly(g, k, m, l).embed() * sig
+                    got = rel_generator(k, m, sig, g)
+                    assert got.terms == want.terms and _exact_form(got), (g, k, m, l)
+                    for d in range(3):
+                        if k > 2 * g + 2 * d + 4:
+                            continue
+                        want = modified_mumford_closed(d, k, m, l, g).embed() * sig
+                        got = modified_mumford(d, k, m, sig, g)
+                        assert got.terms == want.terms and _exact_form(got), (g, d, k, m, l)
+
+
+def test_sigma_products_keep_a_rational_sigma_exact():
+    # a sigma with a Fraction coefficient leaves int arithmetic but not exactness
+    g = 3
+    sig = prim_basis(g, 2)[0]
+    half = F(1, 2) * sig
+    for d, k, m in ((0, 7, 1), (1, 9, 0), (2, 12, 1)):
+        got = modified_mumford(d, k, m, half, g)
+        assert got == F(1, 2) * modified_mumford(d, k, m, sig, g) and _exact_form(got) and got
+    got = rel_generator(8, 1, half, g)
+    assert got == F(1, 2) * rel_generator(8, 1, sig, g) and _exact_form(got) and got
+
+
 def test_modified_mumford_validates_l_plus_m():
     g = 2
     sig = prim_basis(g, 1)[0]
