@@ -354,6 +354,26 @@ def test_relations_reject_a_sigma_that_is_not_primitive():
             assert all(rel._sig_degree(sig, g) == l for sig in prim_basis(g, l)), (g, l)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda sig, g: modified_mumford(0, 6, 0, sig, g), lambda sig, g: rel_generator(6, 0, sig, g)],
+    ids=["modified_mumford", "rel_generator"],
+)
+def test_relations_refuse_a_sigma_that_is_no_primitive_class_of_the_genus(build):
+    g = 2
+    psi1, psi3 = Element.psi(g, 1), Element.psi(g, 3)
+    assert build(prim_basis(g, 1)[0], g)  # psi1 at g = 2 is primitive
+    with pytest.raises(ValueError, match="genus mismatch"):  # psi1 at g = 3
+        build(prim_basis(3, 1)[0], g)
+    refused = (Element.zero(g), Element.alpha(g) * psi1, psi1 + psi1 * psi3)
+    for sig in refused:
+        with pytest.raises(ValueError, match="homogeneous nonzero psi-only"):
+            build(sig, g)
+    for _ in range(2):  # a refusal is never remembered as an answer
+        with pytest.raises(ValueError, match="not primitive"):
+            build(psi1 * psi3, g)
+
+
 # ----------------------------------------------------------------------
 # relation generators
 
