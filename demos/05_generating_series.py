@@ -40,8 +40,8 @@ print("== t = -1 specializations ==")
 for r in (2, 3, 4, 5):
     same = stack_t_minus_one_matches(omega_stack(r, 3), r, 3)
     print(f"stack r={r}, g=3 equals prod (1-(-q)^k)^(2g-2):", same)
-print("stable closed form g=3:", closed_form_t_minus_one_matches(3))
-print("rank-3 formula g=3    :", rank3_t_minus_one_matches(3))
+print("stable closed form g=3:", closed_form_t_minus_one_matches(omega_closed_form(3), 3))
+print("rank-3 formula g=3    :", rank3_t_minus_one_matches(omega_rank3(3), 3))
 
 print()
 print("== the block-combinatorial sum ==")
@@ -51,9 +51,9 @@ for g in (2, 5, 8):
 
 print()
 print("== unimodality of the Chern specialization ==")
-print("g=2 coefficients of Omega(q,1) at q^0, q^2, q^4:", chern_specialization_coefficients(2))
+print("g=2 coefficients of Omega(q,1) at q^0, q^2, q^4:", chern_specialization_coefficients(poly, 2))
 for g in (2, 4, 8):
-    print(f"centered unimodal at g={g}:", check_unimodality(g))
+    print(f"centered unimodal at g={g}:", check_unimodality(omega_closed_polynomial(g), g))
 
 print()
 print("== stratification telescoping ==")

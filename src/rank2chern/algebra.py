@@ -538,6 +538,12 @@ def parse_element(text: str, g: int) -> Element:
     return result
 
 
+@lru_cache(maxsize=None)
+def _psi_text(mask: int) -> str:
+    """The psi factors of a mask in the element grammar, e.g. "psi1 psi4"."""
+    return " ".join(f"psi{i}" for i in indices_of(mask))
+
+
 def format_element(x: Element) -> str:
     """Deterministic rendering in the element grammar."""
     if not x.terms:
@@ -549,8 +555,8 @@ def format_element(x: Element) -> str:
             factors.append("alpha" + (f"^{a}" if a > 1 else ""))
         if b:
             factors.append("beta" + (f"^{b}" if b > 1 else ""))
-        for i in indices_of(mask):
-            factors.append(f"psi{i}")
+        if mask:
+            factors.append(_psi_text(mask))
         num, den = c.as_integer_ratio()
         mag = f"{abs(num)}/{den}" if den != 1 else str(abs(num))
         if mag != "1" or not factors:

@@ -332,18 +332,19 @@ def identities(formula: str, g: int, rank: int = 2, d: int = 0) -> dict:
     """
     if formula == "intermediate":
         if d:
-            return {"tminus1": lambda: closed_form_t_minus_one_matches(g, d)}
+            return {"tminus1": lambda: closed_form_t_minus_one_matches(omega_closed_form(g, d), g)}
         formula = "n21"
     form = cache(lambda: closed_form(formula, g, rank))  # lives as long as the checks
     checks = {"symmetry": lambda: check_shift_symmetry(*form(), g)}
     if formula == "stack":
         checks["tminus1"] = lambda: stack_t_minus_one_matches(form()[0], rank, g)
     elif formula == "rank3":
-        checks["tminus1"] = lambda: rank3_t_minus_one_matches(g)
+        checks["tminus1"] = lambda: rank3_t_minus_one_matches(form()[0], g)
     elif formula == "n21":
-        checks["tminus1"] = lambda: closed_form_t_minus_one_matches(g)
-        checks["unimodal"] = lambda: check_unimodality(g)
-        checks["zagier"] = lambda: zagier_combinatorial_omega(g).terms == omega_closed_polynomial(g).terms
+        poly = cache(lambda: form()[0].num.divide_exact(form()[0].den))
+        checks["tminus1"] = lambda: closed_form_t_minus_one_matches(form()[0], g)
+        checks["unimodal"] = lambda: check_unimodality(poly(), g)
+        checks["zagier"] = lambda: zagier_combinatorial_omega(g).terms == poly().terms
     else:
         raise ValueError(f"unknown formula {formula!r}")
     return checks
@@ -383,19 +384,18 @@ def stack_t_minus_one_matches(f: BiRational, r: int, g: int) -> bool:
     return f.num.terms == (target * f.den).terms
 
 
-def closed_form_t_minus_one_matches(g: int, d: int = 0) -> bool:
-    """t = -1 specialization of the degree-d closed form equals
-    (1-q^2)^(2g-2), for every d >= 0."""
-    f = omega_closed_form(g, d).subst_t(-1)
+def closed_form_t_minus_one_matches(f: BiRational, g: int) -> bool:
+    """t = -1 specialization of f, the closed form of genus g at any
+    degree d >= 0, equals (1-q^2)^(2g-2)."""
+    f = f.subst_t(-1)
     target = (BiPoly.one() - _q(2, 0)) ** (2 * g - 2)
     return f.num.terms == (target * f.den).terms
 
 
-def rank3_t_minus_one_matches(g: int) -> bool:
-    """t = -1 limit of the rank-three formula equals
+def rank3_t_minus_one_matches(f: BiRational, g: int) -> bool:
+    """t = -1 limit of f, the rank-three formula of genus g, equals
     (1-q^2)^(2g-2) (1+q^3)^(2g-2); the simple pole factors 1+t are divided
     out exactly before substituting."""
-    f = omega_rank3(g)
     one_plus_t = BiPoly.one() + _q(0, 1)
     num1 = f.num.divide_exact(one_plus_t)
     den1 = f.den.divide_exact(one_plus_t)
@@ -448,16 +448,18 @@ def is_centered_unimodal(seq) -> bool:
     return up and down
 
 
-def chern_specialization_coefficients(g: int):
+def chern_specialization_coefficients(poly: BiPoly, g: int):
     """Coefficients of q^0, q^2, ..., q^(4g-4) in the t = 1 specialization
-    of the d = 0 closed form (all odd coefficients vanish)."""
-    poly = omega_closed_polynomial(g).subst_t(1)
+    of poly, the d = 0 closed polynomial of genus g (all odd coefficients
+    vanish)."""
+    poly = poly.subst_t(1)
     return [poly.coeff(2 * i, 0) for i in range(2 * g - 1)]
 
 
-def check_unimodality(g: int) -> bool:
-    """Unimodality of the shifted Chern specialization."""
-    return is_centered_unimodal(chern_specialization_coefficients(g))
+def check_unimodality(poly: BiPoly, g: int) -> bool:
+    """Unimodality of the shifted Chern specialization of poly, the d = 0
+    closed polynomial of genus g."""
+    return is_centered_unimodal(chern_specialization_coefficients(poly, g))
 
 
 def telescoping_identity(g: int) -> bool:

@@ -31,8 +31,9 @@ The brackets and pairings run on term dicts (algebra._apply on an image
 dict, integral._pair_monomials on monomial keys) of the integer actions,
 each identity multiplied through by the denominators, with an Element only
 for a failure witness, rebuilt at the unscaled values; descent reads R sigma
-as alpha^a beta^b shifts of the gamma^c sigma it forms once per primitive
-sigma, and multiplies R_{k,m,l} by (k - g - l)! to clear its 1/(a! b! c!).
+as alpha^a beta^b shifts of the gamma^c sigma of the chain relations memoises
+per primitive sigma, through the product the relation builders use, and
+multiplies R_{k,m,l} by (k - g - l)! to clear its 1/(a! b! c!).
 The f-closure is a worklist on term dicts too: each vector a span accepts
 is mapped once by each integer action, undivided, since scaling by den
 leaves a span as it is.
@@ -43,12 +44,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import Element, _accumulate, _apply, _exact, bidegree_cone, check_genus, gamma_power
+from .algebra import Element, _accumulate, _apply, _exact, bidegree_cone, check_genus
 from .algebra import _divide, koszul_sign, monomial_basis
 from .integral import _normalization, _pair_monomials, top_bidegree
 from .linalg import RowSpan
-from .relations import _invariant_relations, _lefschetz_dims, prim_basis, rel_generator_poly
-from .relations import dims_mismatches, merged_report, report
+from .relations import _invariant_relations, _lefschetz_dims, _sigma_chain, _times_chain
+from .relations import dims_mismatches, merged_report, prim_basis, rel_generator_poly, report
 
 
 class Operator:
@@ -257,18 +258,6 @@ def check_descent(g: int, d: int) -> dict:
     back by N."""
     _, _, fa = make_sl2("alpha", d, g)
     _, _, fb = make_sl2("beta", d, g)
-    # gamma^c sigma of each primitive sigma of degree l (0 for c > g - l):
-    # R sigma is their alpha^a beta^b shifts, alpha and beta being central
-    classes = {
-        l: [[(gamma_power(g, c) * sigma).terms for c in range(g - l + 1)] for sigma in prim_basis(g, l)]
-        for l in range(g + 1)
-    }
-
-    def times(R, gs):
-        out = {}
-        for (a, b, c), v in R.items():
-            _accumulate((((a + x, b + y, mask), v * w) for (x, y, mask), w in gs[c].items()), out)
-        return out
 
     def scaled(c, k, m, l):
         """The terms of c R_{k,m,l}, each in the form of _exact."""
@@ -278,6 +267,8 @@ def check_descent(g: int, d: int) -> dict:
     failures = []
     for k in range(2 * g + 2 * d, 2 * g + 2 * d + 5):
         for l in range(g + 1):
+            # R sigma reads the gamma chain of each primitive sigma of degree l
+            chains = [_sigma_chain(sigma, g)[1] for sigma in prim_basis(g, l)]
             N = math.factorial(max(k - g - l, 0))
             scale = (2 * g + 2 * d - k) * N
             for m in range(g - l + 1):
@@ -286,12 +277,12 @@ def check_descent(g: int, d: int) -> dict:
                     ("f_alpha", fa, scaled(scale, k - 1, m, l)),
                     ("f_beta", fb, scaled(scale, k - 1, m - 1, l)),
                 )
-                for idx, gs in enumerate(classes[l]):
-                    R_sigma = Element._raw(g, times(R_k, gs))
+                for idx, chain in enumerate(chains):
+                    R_sigma = Element._raw(g, _times_chain(R_k, chain))
                     for name, f, R_down in lowered:
                         cases += 1
                         lhs = f(R_sigma)
-                        rhs = times(R_down, gs)
+                        rhs = _times_chain(R_down, chain)
                         if lhs.terms != rhs:
                             failures.append(
                                 {

@@ -11,7 +11,11 @@ Three layers live here:
   modified_mumford compares its two routes there, once per
   (d, k, m, l, g) (the checked coefficient is memoised over one
   denominator), and applies sigma once per call, in integers, with one
-  exact division at the end;
+  exact division at the end.  Both relation builders and the descent
+  check multiply by sigma in one product: the coefficient's (a, b, c)
+  terms as alpha^a beta^b shifts of gamma^c sigma, read off sigma's gamma
+  chain, memoised per class, whose vanishing next step proves sigma
+  primitive once per distinct class;
 * per-bidegree slices of the relation ideals and the resulting refined
   dimension tables, by the ideal route (any d >= 0) and by the pairing
   route (d = 0).
@@ -44,6 +48,7 @@ from .algebra import (
     bidegree_cone,
     check_genus,
     exterior_basis,
+    gamma,
     monomial_basis,
     theta_power,
 )
@@ -141,19 +146,61 @@ def prim_basis(g: int, l: int):
 
 
 # ----------------------------------------------------------------------
-# Mumford relations
+# relations times sigma
 
 
-def _sig_degree(sig: Element, g: int) -> int:
-    """Degree l of a primitive class sigma_l: a homogeneous nonzero psi-only
-    element with l <= g and theta^(g-l+1) sigma_l = 0."""
-    degs = {mask.bit_count() if not (a or b) else None for a, b, mask in sig.terms}
+@lru_cache(maxsize=None)
+def _gamma_chain(g: int, terms: frozenset):
+    """(l, (gamma^0 sigma, ..., gamma^(g-l) sigma)) as shared term dicts
+    (never mutate them) for the class sigma of genus g with these terms.
+
+    sigma must be a homogeneous nonzero psi-only element of degree l <= g
+    with gamma^(g-l+1) sigma = 0, which is theta^(g-l+1) sigma = 0 (theta =
+    -gamma): the chain's next step is the proof that sigma is primitive.
+    A refusal raises, so it is never cached."""
+    degs = {mask.bit_count() if not (a or b) else None for (a, b, mask), _ in terms}
     if len(degs) != 1 or None in degs:
         raise ValueError("primitive class argument must be a homogeneous nonzero psi-only element")
     l = degs.pop()
-    if l > g or not (sig * theta_power(g, g - l + 1)).is_zero():
+    x, step, chain = Element._raw(g, dict(terms)), gamma(g), []
+    for _ in range(g - l + 1):  # no step when l > g: the nonzero sigma refuses itself
+        chain.append(x.terms)
+        x = x * step
+    if x:
         raise ValueError(f"the psi class of degree {l} is not primitive at g={g}")
-    return l
+    return l, tuple(chain)
+
+
+def _sigma_chain(sig: Element, g: int):
+    """_gamma_chain of sig at genus g; a sig of another genus is refused
+    before the memo is read."""
+    if sig.g != g:
+        raise ValueError(f"genus mismatch: {sig.g} vs {g}")
+    return _gamma_chain(g, frozenset(sig.terms.items()))
+
+
+def _times_chain(coefficient: dict, chain) -> dict:
+    """The term dict of x * sigma, x given by its (a, b, c) terms and sigma
+    by its gamma chain: alpha and beta are central, so x * sigma is the sum
+    of the alpha^a beta^b shifts of gamma^c sigma, which is 0 past the
+    chain.  The one product of a relation coefficient with sigma."""
+    out = {}
+    for (a, b, c), v in coefficient.items():
+        if c < len(chain):
+            _accumulate((((a + x, b + y, mask), v * w) for (x, y, mask), w in chain[c].items()), out)
+    return out
+
+
+def _times_sigma(coefficient, chain, g: int) -> Element:
+    """x * sigma for coefficient = (den * x, den): the product of
+    _times_chain in int arithmetic, divided once by den.  Both relation
+    builders multiply by sigma here."""
+    scaled, den = coefficient
+    return Element._raw(g, _divide(_times_chain(scaled.terms, chain), den))
+
+
+# ----------------------------------------------------------------------
+# Mumford relations
 
 
 def _plain_relations(d: int, k: int, m: int, l: int, g: int, weights) -> InvariantPoly:
@@ -224,38 +271,30 @@ def modified_mumford_closed(d: int, k: int, m: int, l: int, g: int) -> Invariant
     return InvariantPoly._raw(g, out).scale(scalar)
 
 
-def _over_one_denominator(x: Element):
+def _over_one_denominator(x: InvariantPoly):
     """(den * x, den), den the lcm of the denominators of x's
     coefficients, so that den * x has int coefficients."""
     den = math.lcm(*(v.denominator for v in x.terms.values()))
     return x.scale(den), den
 
 
-def _times_sigma(coefficient, sig: Element) -> Element:
-    """x * sig for coefficient = (den * x, den): the product in int
-    arithmetic, divided once by den.  Both relation builders multiply by
-    sigma here."""
-    scaled, den = coefficient
-    return Element._raw(sig.g, _divide((scaled * sig).terms, den))
-
-
 @lru_cache(maxsize=None)
 def _checked_coefficient(d: int, k: int, m: int, l: int, g: int):
-    """The embedded sigma_l coefficient of the modified relation over one
-    denominator (as _over_one_denominator gives it), after
-    asserting that its two defining routes agree in Q[alpha, beta, gamma].
-    The check does not depend on sigma, so it runs once per key."""
+    """The sigma_l coefficient of the modified relation over one
+    denominator (as _over_one_denominator gives it), after asserting that
+    its two defining routes agree in Q[alpha, beta, gamma].  The check
+    does not depend on sigma, so it runs once per key."""
     by_closed = modified_mumford_closed(d, k, m, l, g)
     if modified_mumford_sum(d, k, m, l, g) != by_closed:
         raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, g={g}")
-    return _over_one_denominator(by_closed.embed())
+    return _over_one_denominator(by_closed)
 
 
 def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """Modified Mumford relation attached to (k, theta^m sig): the checked
-    sigma_l coefficient times sig, sig checked primitive on every call."""
-    l = _sig_degree(sig, g)
-    return _times_sigma(_checked_coefficient(d, k, m, l, g), sig)
+    sigma_l coefficient times sig, sig checked primitive once per class."""
+    l, chain = _sigma_chain(sig, g)
+    return _times_sigma(_checked_coefficient(d, k, m, l, g), chain, g)
 
 
 @lru_cache(maxsize=None)
@@ -272,8 +311,8 @@ def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
 
 def rel_generator(k: int, m: int, sig: Element, g: int) -> Element:
     """R_{k,m,l} * sigma_l; homogeneous of bidegree (2k-2g+2m+l, 2k-2g)."""
-    l = _sig_degree(sig, g)
-    return _times_sigma(_over_one_denominator(rel_generator_poly(g, k, m, l).embed()), sig)
+    l, chain = _sigma_chain(sig, g)
+    return _times_sigma(_over_one_denominator(rel_generator_poly(g, k, m, l)), chain, g)
 
 
 # ----------------------------------------------------------------------

@@ -108,16 +108,16 @@ def test_t_minus_one_identities():
     assert stack_t_minus_one_matches(omega_stack(2, 8), 2, 8)
     # r=2 specialization: (1-q^2)^(2g-2) for the stable closed form as well
     for g in (2, 3, 5):
-        assert closed_form_t_minus_one_matches(g)
+        assert closed_form_t_minus_one_matches(omega_closed_form(g), g)
     for g in (2, 3):
-        assert rank3_t_minus_one_matches(g)
+        assert rank3_t_minus_one_matches(omega_rank3(g), g)
 
 
 def test_intermediate_t_minus_one_at_every_d():
     # the degree-d series differ, yet all specialize at t = -1 to (1-q^2)^(2g-2)
     for g in range(2, 6):
         for d in range(4):
-            assert closed_form_t_minus_one_matches(g, d), (g, d)
+            assert closed_form_t_minus_one_matches(omega_closed_form(g, d), g), (g, d)
         assert omega_closed_form(g, 1) != omega_closed_form(g, 0)
 
 
@@ -148,9 +148,9 @@ def test_zagier_sum():
 
 
 def test_unimodality():
-    assert chern_specialization_coefficients(2) == [1, 6, 1]
+    assert chern_specialization_coefficients(omega_closed_polynomial(2), 2) == [1, 6, 1]
     for g in (2, 3, 4, 8):
-        assert check_unimodality(g)
+        assert check_unimodality(omega_closed_polynomial(g), g)
     assert not is_centered_unimodal([1, 2, 1, 3, 1])
     assert is_centered_unimodal([1, 2, 2, 2, 1])
 
@@ -316,19 +316,29 @@ def test_reading_the_catalogue_names_expands_no_closed_form(monkeypatch, formula
 
 
 def test_a_stack_catalogue_expands_its_series_once(monkeypatch):
+    # so does the catalogue of every other closed form
     import rank2chern.genfun as gf
 
     built = []
+    for name in ("omega_stack", "omega_closed_form", "omega_rank3"):
+        honest = getattr(gf, name)
 
-    def counted(r, g):
-        built.append((r, g))
-        return omega_stack(r, g)
+        def counted(*args, name=name, honest=honest):
+            built.append((name, *args))
+            return honest(*args)
 
-    monkeypatch.setattr(gf, "omega_stack", counted)
-    checks = gf.identities("stack", 3, 3)
-    assert not built
-    assert all(check() for check in checks.values())
-    assert set(checks) == {"symmetry", "tminus1"} and built == [(3, 3)]
+        monkeypatch.setattr(gf, name, counted)
+    catalogues = (
+        ("stack", 3, {"symmetry", "tminus1"}, ("omega_stack", 3, 3)),
+        ("n21", 2, {"symmetry", "tminus1", "unimodal", "zagier"}, ("omega_closed_form", 3, 0)),
+        ("rank3", 3, {"symmetry", "tminus1"}, ("omega_rank3", 3)),
+    )
+    for formula, rank, names, form in catalogues:
+        built.clear()
+        checks = gf.identities(formula, 3, rank)
+        assert not built
+        assert all(check() for check in checks.values()), formula
+        assert set(checks) == names and built == [form], formula
 
 
 def test_stack_t_minus_one_refuses_a_perturbed_series():

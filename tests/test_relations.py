@@ -312,6 +312,22 @@ def test_sigma_products_in_integers_match_the_fraction_products(g):
                         assert got.terms == want.terms and _exact_form(got), (g, d, k, m, l)
 
 
+def test_the_series_batches_prove_each_sigma_primitive_once():
+    # the keys of the series workload's four batches: 5,824 relations over
+    # the 35 + 126 primitive classes of g = 3, 4
+    rel._gamma_chain.cache_clear()
+    calls = 0
+    for g, d in ((3, 0), (3, 1), (3, 2), (4, 0)):
+        for l in range(g + 1):
+            for m in range(g - l + 1):
+                for k in range(2 * g + 2 * d + 5):
+                    for sig in prim_basis(g, l):
+                        modified_mumford(d, k, m, sig, g)
+                        calls += 1
+    info = rel._gamma_chain.cache_info()
+    assert calls == 5824 and info.misses == info.currsize == 161 and info.hits == calls - 161
+
+
 def test_sigma_products_keep_a_rational_sigma_exact():
     # a sigma with a Fraction coefficient leaves int arithmetic but not exactness
     g = 3
@@ -351,7 +367,7 @@ def test_relations_reject_a_sigma_that_is_not_primitive():
             rel_generator(4, 0, sig, g)
     for g in (2, 3):
         for l in range(g + 1):
-            assert all(rel._sig_degree(sig, g) == l for sig in prim_basis(g, l)), (g, l)
+            assert all(rel._sigma_chain(sig, g)[0] == l for sig in prim_basis(g, l)), (g, l)
 
 
 @pytest.mark.parametrize(
