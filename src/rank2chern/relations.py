@@ -150,9 +150,9 @@ def prim_basis(g: int, l: int):
 
 
 @lru_cache(maxsize=None)
-def _gamma_chain(g: int, terms: frozenset):
-    """(l, (gamma^0 sigma, ..., gamma^(g-l) sigma)) as shared term dicts
-    (never mutate them) for the class sigma of genus g with these terms.
+def _gamma_chain(g: int, terms: tuple):
+    """(l, chain) for the class sigma of genus g whose items are terms:
+    chain[c] holds the items of gamma^c sigma, for c = 0..g-l.
 
     sigma must be a homogeneous nonzero psi-only element of degree l <= g
     with gamma^(g-l+1) sigma = 0, which is theta^(g-l+1) sigma = 0 (theta =
@@ -162,21 +162,21 @@ def _gamma_chain(g: int, terms: frozenset):
     if len(degs) != 1 or None in degs:
         raise ValueError("primitive class argument must be a homogeneous nonzero psi-only element")
     l = degs.pop()
-    x, step, chain = Element._raw(g, dict(terms)), gamma(g), []
-    for _ in range(g - l + 1):  # no step when l > g: the nonzero sigma refuses itself
-        chain.append(x.terms)
+    x, step, chain = Element._raw(g, dict(terms)), gamma(g), [terms]
+    for _ in range(g - l + 1):  # no step when l > g: then sigma itself is the nonzero last entry
         x = x * step
-    if x:
+        chain.append(tuple(x.terms.items()))
+    if chain.pop():
         raise ValueError(f"the psi class of degree {l} is not primitive at g={g}")
     return l, tuple(chain)
 
 
 def _sigma_chain(sig: Element, g: int):
-    """_gamma_chain of sig at genus g; a sig of another genus is refused
-    before the memo is read."""
+    """_gamma_chain of sig at genus g, keyed on its items in their order;
+    a sig of another genus is refused before the memo is read."""
     if sig.g != g:
         raise ValueError(f"genus mismatch: {sig.g} vs {g}")
-    return _gamma_chain(g, frozenset(sig.terms.items()))
+    return _gamma_chain(g, tuple(sig.terms.items()))
 
 
 def _times_chain(coefficient: dict, chain) -> dict:
@@ -187,7 +187,7 @@ def _times_chain(coefficient: dict, chain) -> dict:
     out = {}
     for (a, b, c), v in coefficient.items():
         if c < len(chain):
-            _accumulate((((a + x, b + y, mask), v * w) for (x, y, mask), w in chain[c].items()), out)
+            _accumulate((((a + x, b + y, mask), v * w) for (x, y, mask), w in chain[c]), out)
     return out
 
 
