@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -66,16 +67,26 @@ def _matrix(dense_rows, ncols=None):
 
 
 FRACTIONS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+BIG = 10**30
+# small Fractions and ints, which make dependent rows, and large ints and
+# Fractions of large denominator, which make the integer rows long
+ENTRIES = st.one_of(
+    FRACTIONS,
+    st.integers(-4, 4),
+    st.integers(-BIG, BIG),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, 10**6)),
+)
 
 
 @st.composite
 def sparse_matrices(draw):
-    """(ncols, rows): sparse rational rows with zero rows, repeated and
-    proportional rows, non-unit leads and empty shapes."""
+    """(ncols, rows): sparse rational rows of int and Fraction values,
+    small and large, with zero rows, repeated and proportional rows,
+    non-unit leads and empty shapes."""
     ncols = draw(st.integers(0, 7))
     columns = st.integers(0, max(ncols - 1, 0))
     rows = [
-        draw(st.dictionaries(columns, FRACTIONS, max_size=ncols)) if ncols else {}
+        draw(st.dictionaries(columns, ENTRIES, max_size=ncols)) if ncols else {}
         for _ in range(draw(st.integers(0, 6)))
     ]
     for _ in range(draw(st.integers(0, 3))):
@@ -130,10 +141,12 @@ def test_empty_matrix_allowed():
     assert kernel == []
 
 
-def test_entries_are_sparse_fractions():
-    m = QMatrix(3, [{0: 2, 1: 0, 2: F(1, 2)}])
-    assert m.data == [{0: F(2), 2: F(1, 2)}]
-    assert all(type(x) is F for x in m.data[0].values())
+def test_entries_are_sparse_exact_values():
+    # values follow algebra._exact: an integral value is an int, any
+    # other a Fraction, and a zero is absent
+    m = QMatrix(3, [{0: 2, 1: 0, 2: F(1, 2)}, {0: F(4, 2)}])
+    assert m.data == [{0: 2, 2: F(1, 2)}, {0: 2}]
+    assert [type(x) for row in m.data for x in row.values()] == [int, F, int]
     assert m.data[0].get(1, 0) == 0 and m.data[0].get(2, 0) == F(1, 2)
     for bad in ({3: 1}, {-1: 1}):
         with pytest.raises(ValueError, match="outside"):
@@ -150,6 +163,20 @@ def test_entries_are_sparse_fractions():
     ):
         with pytest.raises(TypeError, match="not an exact rational"):
             bad()
+
+
+@pytest.mark.parametrize(
+    "build", [lambda n: QMatrix(n, [{0: 1}]), lambda n: RowSpan(n).add({0: 1})], ids=["QMatrix", "RowSpan"]
+)
+def test_column_count_is_a_nonnegative_int(build):
+    # QMatrix and RowSpan share one check of their column count
+    for n in (2.5, 2.0, F(2), "2", None):
+        with pytest.raises(TypeError, match="column count must be an int"):
+            build(n)
+    with pytest.raises(ValueError, match="negative"):
+        build(-1)
+    assert build(1)
+    assert RowSpan(0).rank == 0 and QMatrix(0).cols == 0
 
 
 def _random_matrix(rnd, rows, cols):
@@ -196,7 +223,11 @@ def test_row_reduce_matches_dense_oracle(shape_rows):
     rank, kernel, _ = _dense_row_reduce(dense, ncols)
     m = QMatrix(ncols, rows)
     assert (m.rows, m.cols) == (len(rows), ncols)
-    assert row_reduce(m) == (rank, kernel)
+    data = [dict(row) for row in m.data]
+    got = row_reduce(m)
+    assert got == (rank, kernel)
+    assert m.data == data
+    assert all(type(x) is F for k in got[1] for x in k)
     assert m.transpose().transpose() == m
 
 
@@ -212,13 +243,20 @@ def test_row_span_matches_dense_oracle(shape_rows, data):
         rank, _, rref = _dense_row_reduce(seen, ncols)
         assert span.add(row) == (rank > before)
         assert span.rank == rank
-        assert span.vectors() == [_sparse(r) for r in rref]
+        vectors = span.vectors()
+        assert vectors == [_sparse(r) for r in rref]
+        assert all(type(x) in (int, F) for v in vectors for x in v.values())
+        # elimination keeps each pivot row a primitive int row with a positive lead
+        pivot_rows = span._pivot_rows.items()
+        assert all(type(x) is int for _, r in pivot_rows for x in r.values())
+        assert all(gcd(*r.values()) == 1 and r[p] > 0 for p, r in pivot_rows)
         probe = data.draw(st.sampled_from(rows)) if data.draw(st.booleans()) else {}
         if ncols and data.draw(st.booleans()):
             probe = dict(probe)
-            probe[data.draw(st.integers(0, ncols - 1))] = data.draw(FRACTIONS)
+            probe[data.draw(st.integers(0, ncols - 1))] = data.draw(ENTRIES)
         grown = _dense_row_reduce(seen + [_dense(probe, ncols)], ncols)[0]
         assert span.contains(probe) == (grown == rank)
+        assert span.rank == rank and span.vectors() == vectors
 
 
 def test_row_span_membership_and_rank():
