@@ -15,9 +15,14 @@ plain number (default 1) to each public entry, which reads the genus from
 its other arguments; every structural output downstream (ranks, kernels,
 dimension tables) is invariant under rescaling it.
 
-summand_integral evaluates the two rules in closed form on
-alpha^a beta^b gamma^c sigma sigma*, without building an element; the
-table routes read its l = 0 case, monomial_integral its c = 0 case.  This
+The B = 1 values are held as ints over one positive denominator den(g)
+per genus: _virasoro_line(g) evaluates the Virasoro rule once, in closed
+form on alpha^a beta^b gamma^c sigma sigma*, as den(g) times each value,
+and _numerator reads it.  summand_integral is that value (the table routes
+read its l = 0 case); _pair_monomials applies the monodromy rule to two
+monomial keys and returns the int den(g) times their pairing, which the
+adjointness check sums, and the integral of one key is its pairing with 1.
+The public entries build a Fraction only for the value they return.  This
 module is the only place an integral is evaluated.
 """
 
@@ -47,63 +52,76 @@ def top_bidegree(g: int):
 
 @lru_cache(maxsize=None)
 def _virasoro_line(g: int):
-    """I_0 .. I_{g-1} with I_0 = 1 (the B = 1 normalization), from g = 0."""
+    """(den, rows), from g = 0: rows[l][c] is den times the B = 1 integral
+    of alpha^a beta^a gamma^c sigma sigma* with a = g-1-l-c >= 0, and den is
+    the least positive int that makes every one of them an int."""
     if not 0 <= g <= MAX_GENUS:
         raise ValueError(f"genus must be in [0, {MAX_GENUS}], got {g!r}")
-    vals = [Fraction(1)]
-    for p in range(g - 1):
-        vals.append(Fraction(-(g - p), 2 * (g - 1 - p)) * vals[-1])
-    return tuple(vals)
+    # With sigma = psi_1..psi_l and sigma* = psi_{g+1}..psi_{g+l}, gamma^c is
+    # c! times the sum over c-sets of pairs -2 psi_i psi_{i+g}; the C(g-l, c)
+    # sets that miss sigma each give the value I_{l+c} of l + c whole pairs,
+    # and c! C(g-l, c) / perm(g, l+c) = 1 / perm(g, l).  The Virasoro rule
+    # with I_0 = 1 gives I_p = (-1)^p g / (2^p (g-p)) (Thaddeus' intersection
+    # numbers), so each value is a quotient of ints, built without Fractions:
+    # I_{l+c} / ((-2)^l perm(g, l)) as (numerator, denominator), where sorting
+    # sigma sigma* into the pairs psi_i psi_{i+g} takes l(l-1)/2 swaps.
+    values = [
+        [((-1) ** (l * (l - 1) // 2 + c) * g, 2 ** (2 * l + c) * (g - l - c) * math.perm(g, l)) for c in range(g - l)]
+        for l in range(g)
+    ]
+    den = math.lcm(*(d // math.gcd(n, d) for row in values for n, d in row))
+    return den, tuple(tuple(n * den // d for n, d in row) for row in values)
+
+
+def _numerator(g: int, l: int, a: int, b: int, c: int) -> int:
+    """den(g) times summand_integral(g, l, a, b, c)."""
+    if a != b or a + l + c != g - 1 or a < 0 or c < 0:
+        return 0
+    return _virasoro_line(g)[1][l][c]
+
+
+def _pair_monomials(g: int, m1, m2) -> int:
+    """den(g) times the B = 1 pairing of two monomial keys with disjoint psi
+    masks, without building Elements; a key paired with Element._unit, the
+    key of 1, gives its integral."""
+    a1, b1, k1 = m1
+    a2, b2, k2 = m2
+    mask = k1 | k2
+    lower = mask & ((1 << g) - 1)
+    if lower != mask >> g:
+        return 0
+    # psi_mask is psi_{i1}..psi_{ip} psi_{i1+g}..psi_{ip+g}: by monodromy
+    # invariance it integrates like sigma sigma* of summand p
+    v = _numerator(g, lower.bit_count(), a1 + a2, b1 + b2, 0)
+    return koszul_sign(k1, k2) * v if v else 0
+
+
+def _value(g: int, n: int, B=1) -> Fraction:
+    """The value B n / den(g) of a numerator n."""
+    return Fraction(n * B, _virasoro_line(g)[0]) if n else _ZERO
 
 
 def monomial_integral(g: int, a: int, b: int, mask: int) -> Fraction:
     """B = 1 integral of the monomial alpha^a beta^b psi_mask."""
-    lower = mask & ((1 << g) - 1)
-    if lower != mask >> g:
-        return _ZERO
-    # psi_mask is psi_{i1}..psi_{ip} psi_{i1+g}..psi_{ip+g}: by monodromy
-    # invariance it integrates like sigma sigma* of summand p
-    return summand_integral(g, lower.bit_count(), a, b, 0)
+    return _value(g, _pair_monomials(g, (a, b, mask), Element._unit))
 
 
 def summand_integral(g: int, l: int, a: int, b: int, c: int) -> Fraction:
     """B = 1 integral of alpha^a beta^b gamma^c sigma sigma*, with
-    sigma = psi_1..psi_l and sigma* = psi_{g+1}..psi_{g+l}.
-
-    Only a = b = g-1-l-c reaches the top bidegree.  There gamma^c is c! times
-    the sum over c-sets of pairs -2 psi_i psi_{i+g}; the C(g-l, c) sets that
-    miss sigma each give the value of l + c whole pairs, and
-    c! C(g-l, c) / perm(g, l+c) = 1 / perm(g, l).
-    """
-    if a != b or a + l + c != g - 1 or a < 0 or c < 0:
-        return _ZERO
-    # sorting sigma sigma* into the pairs psi_i psi_{i+g} takes l(l-1)/2 swaps
-    value = _virasoro_line(g)[l + c] / (Fraction((-2) ** l) * math.perm(g, l))
-    return -value if (l * (l - 1) // 2) & 1 else value
+    sigma = psi_1..psi_l and sigma* = psi_{g+1}..psi_{g+l}; only
+    a = b = g-1-l-c reaches the top bidegree."""
+    return _value(g, _numerator(g, l, a, b, c))
 
 
 def graded_integral(D: Element, B=1) -> Fraction:
     """Integral of the top-bidegree component; other components give zero."""
     B = _normalization(B)
-    acc = _ZERO
-    for (a, b, mask), c in D.terms.items():
-        v = monomial_integral(D.g, a, b, mask)
-        if v:
-            acc += c * v
-    return acc * B
+    g = D.g
+    return _value(g, sum(c * _pair_monomials(g, key, Element._unit) for key, c in D.terms.items()), B)
 
 
 def graded_pairing(D: Element, E: Element, B=1) -> Fraction:
     return graded_integral(D * E, B)
-
-
-def _pair_monomials(g: int, m1, m2) -> Fraction:
-    """B = 1 pairing of two monomial keys with disjoint psi masks, without
-    building Elements."""
-    a1, b1, k1 = m1
-    a2, b2, k2 = m2
-    v = monomial_integral(g, a1 + a2, b1 + b2, k1 | k2)
-    return koszul_sign(k1, k2) * v if v else _ZERO
 
 
 def pairing_matrix(g: int, bd, B=1) -> QMatrix:
@@ -120,5 +138,5 @@ def pairing_matrix(g: int, bd, B=1) -> QMatrix:
     data = []
     for m1 in monomial_basis(g, bd):
         pairs = ((j, _pair_monomials(g, m1, m2)) for j, m2 in enumerate(cols_basis) if not m1[2] & m2[2])
-        data.append({j: v * B for j, v in pairs if v})
+        data.append({j: _value(g, v, B) for j, v in pairs if v})
     return QMatrix(len(cols_basis), data)

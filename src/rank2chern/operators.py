@@ -28,12 +28,14 @@ extensionally on monomial slices: slices are small and the arithmetic is
 exact, so no operator normal form is needed.
 
 The brackets and pairings run on term dicts (algebra._apply on an image
-dict, integral._pair_monomials on monomial keys) of the integer actions,
-each identity multiplied through by the denominators, with an Element only
-for a failure witness, rebuilt at the unscaled values; descent reads R sigma
-as alpha^a beta^b shifts of the gamma^c sigma of the chain relations memoises
-per primitive sigma, through the product the relation builders use, and
-multiplies R_{k,m,l} by (k - g - l)! to clear its 1/(a! b! c!).
+dict, integral._pair_monomials on monomial keys) of the integer actions.
+A pairing is an int too, den(g) times its B = 1 value, so each identity,
+multiplied through by the denominators, is checked in ints, with an Element
+or a Fraction only for a failure witness, rebuilt at the unscaled values.
+Descent reads R sigma as alpha^a beta^b shifts of the gamma^c sigma of the
+chain relations memoises per primitive sigma, through the product the
+relation builders use, and multiplies R_{k,m,l} by (k - g - l)! to clear
+its 1/(a! b! c!).
 The f-closure is a worklist on term dicts too: each vector a span accepts
 is mapped once by each integer action, undivided, since scaling by den
 leaves a span as it is.
@@ -46,7 +48,7 @@ from fractions import Fraction
 
 from .algebra import Element, _accumulate, _apply, _exact, bidegree_cone, check_genus
 from .algebra import _divide, koszul_sign, monomial_basis
-from .integral import _normalization, _pair_monomials, top_bidegree
+from .integral import _normalization, _pair_monomials, _value, top_bidegree
 from .linalg import RowSpan
 from .relations import _invariant_relations, _lefschetz_dims, _sigma_chain, _times_chain
 from .relations import dims_mismatches, merged_report, prim_basis, rel_generator_poly, report
@@ -68,6 +70,10 @@ class Operator:
 
     def __init__(self, g: int, action, shift, den: int = 1):
         check_genus(g)
+        if type(den) is not int:  # a bool is refused too
+            raise TypeError(f"den must be an int, got {den!r}")
+        if den <= 0:
+            raise ValueError(f"den must be positive, got {den}")
         self.g = g
         self.action = action
         self.shift = shift
@@ -195,15 +201,18 @@ def operator_adjointness_failures(F: Operator, sign: int, B=1):
     """Witnesses against <F(D), D'> = sign * <D, F(D')> over all
     complementary monomial pairs around the top bidegree of F's genus; it
     stops at the ten witnesses a report keeps.  Both sides are compared at
-    B = 1 and times F.den, which rescale them alike; a witness prints them
-    at B."""
+    B = 1 and times F.den den(g), as ints, which rescale them alike; a
+    witness prints them at B.  sign is the int 1 or -1."""
     B = _normalization(B)
+    if type(sign) is not int:  # a float would make the int sums inexact
+        raise TypeError(f"sign must be the int 1 or -1, got {sign!r}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign}")
     if F.shift is None:
         raise ValueError("adjointness needs a bihomogeneous operator")
     g = F.g
     top_c, top_ch = top_bidegree(g)
     dc, dch = F.shift
-    unit = Fraction(B, F.den)
     failures = []
     cases = 0
     for bd in bidegree_cone(g, 6 * g - 6):
@@ -217,13 +226,20 @@ def operator_adjointness_failures(F: Operator, sign: int, B=1):
             FD = F.action(*m1).items()
             for m2, FE in right:
                 cases += 1
-                lhs = sum(c * _pair_monomials(g, k, m2) for k, c in FD if not k[2] & m2[2])
-                rhs = sign * sum(c * _pair_monomials(g, m1, k) for k, c in FE if not m1[2] & k[2])
+                # plain loops: a generator per case would cost more than
+                # the few image terms it sums
+                lhs = rhs = 0
+                for k, c in FD:
+                    if not k[2] & m2[2]:
+                        lhs += c * _pair_monomials(g, k, m2)
+                for k, c in FE:
+                    if not m1[2] & k[2]:
+                        rhs += sign * c * _pair_monomials(g, m1, k)
                 if lhs != rhs:
                     D, E = Element.monomial(g, *m1), Element.monomial(g, *m2)
-                    failures.append(
-                        {"where": f"<F({D}),{E}>", "expected": str(rhs * unit), "got": str(lhs * unit)}
-                    )
+                    unit = Fraction(B, F.den)
+                    expected, got = (str(_value(g, n, unit)) for n in (rhs, lhs))
+                    failures.append({"where": f"<F({D}),{E}>", "expected": expected, "got": got})
                     if len(failures) >= 10:
                         return cases, failures
     return cases, failures

@@ -11,11 +11,13 @@ that moved such a method into a base class would silently zero the metric,
 so the second test reads those keys (again without changing the file) and
 checks each method is defined on its own class.  The third test does the
 same for the ``"layer.function"`` keys: renaming a function the tracer
-observes or counts would silently zero its metric.  The last test runs each
+observes or counts would silently zero its metric.  The fourth test runs each
 observer on what its function returns for one small call, so a renamed
-result key fails here instead of crashing a traced run.  The last test
-traces ``modified_mumford`` in a fresh interpreter: the ``series`` workload's
-traced run is refused when its hot metric, ``series.phi_calls``, reads 0.
+result key fails here instead of crashing a traced run.  The last two tests
+trace ``modified_mumford`` and the sl2 descent and adjointness checks in a
+fresh interpreter: the ``series`` and ``sl2`` workloads' traced runs are
+refused when their hot metrics, ``series.phi_calls`` and
+``operators.apply_calls``, read 0.
 """
 
 import importlib.util
@@ -115,31 +117,60 @@ def test_every_observer_of_the_benchmark_reads_what_its_function_returns():
         assert value > 0, name
 
 
-_TRACE_MUMFORD = """
+# A traced sample is refused when its workload's hot metric (``HOT_METRIC``
+# in ``perfbench/workloads.py``) reads 0 or ``coverage_errors()`` is not
+# empty; each script below traces a small call of one workload's hot path.
+_TRACE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from tracer import Tracer
+from workloads import HOT_METRIC
 tracer = Tracer().install()
+{calls}
+metrics = {{key: value for key, (value, _) in tracer.metrics().items()}}
+hot = metrics[HOT_METRIC[sys.argv[2]]]
+print(json.dumps({{"hot": hot, "passed": passed, "coverage": tracer.coverage_errors()}}))
+"""
+
+_MUMFORD_CALLS = """
 from rank2chern.algebra import Element
 from rank2chern.relations import modified_mumford
 for k in range(4, 10):
     modified_mumford(0, k, 1, Element.one(2), 2)
-metrics = {key: value for key, (value, _) in tracer.metrics().items()}
-print(json.dumps({"phi_calls": metrics["series.phi_calls"], "coverage": tracer.coverage_errors()}))
+passed = True
+"""
+
+_SL2_CALLS = """
+from rank2chern.operators import check_adjointness, check_descent
+passed = all(report["pass"] for report in (check_descent(2, 0), check_adjointness(2)))
 """
 
 
-def test_a_traced_modified_relation_reaches_the_series_hot_metric():
+def _traced(calls: str, workload: str) -> dict:
+    """The hot metric, the verdict and the coverage errors of ``calls``,
+    traced in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACE_MUMFORD, str(ROOT / "perfbench")],
+        [sys.executable, "-c", _TRACE.format(calls=calls), str(ROOT / "perfbench"), workload],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["phi_calls"] > 0
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_a_traced_modified_relation_reaches_the_series_hot_metric():
+    out = _traced(_MUMFORD_CALLS, "series")
+    assert out["hot"] > 0 and out["passed"]
+    assert out["coverage"] == []
+
+
+def test_traced_sl2_checks_reach_the_sl2_hot_metric():
+    # operators.apply_calls counts Operator.__call__, which only the descent
+    # check calls; the adjointness check sums integer pairings instead
+    out = _traced(_SL2_CALLS, "sl2")
+    assert out["hot"] > 0 and out["passed"]
     assert out["coverage"] == []

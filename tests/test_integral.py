@@ -1,14 +1,18 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from rank2chern.algebra import Element, bidegree_cone, gamma, gamma_power, mask_of, monomial_basis
+from rank2chern.algebra import MAX_GENUS, Element, bidegree_cone, gamma, gamma_power, koszul_sign, mask_of
+from rank2chern.algebra import monomial_basis
 from rank2chern.integral import (
+    _pair_monomials,
     _virasoro_line,
     graded_integral,
     graded_pairing,
+    monomial_integral,
     pairing_matrix,
     summand_integral,
     top_bidegree,
@@ -30,7 +34,8 @@ def gamma_power_integral_two_routes(g: int, p: int, B=1):
     n = g - 1 - p
     elem = Element.monomial(g, n, n, 0) * gamma_power(g, p)
     route_expand = graded_integral(elem, B)
-    route_recursion = _virasoro_line(g)[p] * B
+    den, rows = _virasoro_line(g)  # rows[0][p] is den times I_p
+    route_recursion = F(rows[0][p], den) * B
     return route_expand, route_recursion
 
 
@@ -232,3 +237,105 @@ def test_two_route_gamma_power_integrals(g):
     for p in range(g):
         expand, recursion = gamma_power_integral_two_routes(g, p)
         assert expand == recursion
+
+
+# ----------------------------------------------------------------------
+# the integer pairing: den(g) times every B = 1 value, against the Fraction
+# recursion the values were read from before they were held as ints
+
+
+def _fraction_line(g):
+    """I_0 .. I_{g-1} by (g-p) I_p = -2(g-1-p) I_{p+1}, I_0 = 1, in Fractions."""
+    vals = [F(1)]
+    for p in range(g - 1):
+        vals.append(F(-(g - p), 2 * (g - 1 - p)) * vals[-1])
+    return vals
+
+
+def _fraction_summand_integral(g, l, a, b, c):
+    if a != b or a + l + c != g - 1 or a < 0 or c < 0:
+        return F(0)
+    value = _fraction_line(g)[l + c] / (F((-2) ** l) * math.perm(g, l))
+    return -value if (l * (l - 1) // 2) & 1 else value
+
+
+def _fraction_monomial_integral(g, a, b, mask):
+    lower = mask & ((1 << g) - 1)
+    if lower != mask >> g:
+        return F(0)
+    return _fraction_summand_integral(g, lower.bit_count(), a, b, 0)
+
+
+def _fraction_pairing(g, m1, m2):
+    (a1, b1, k1), (a2, b2, k2) = m1, m2
+    return koszul_sign(k1, k2) * _fraction_monomial_integral(g, a1 + a2, b1 + b2, k1 | k2)
+
+
+def _complementary_pairs(g):
+    """Every pair of monomial keys of complementary bidegrees with disjoint
+    psi masks."""
+    for bd in bidegree_cone(g, 6 * g - 6):
+        for m2 in monomial_basis(g, (6 * g - 6 - bd.coh, 4 * g - 4 - bd.chern)):
+            for m1 in monomial_basis(g, bd):
+                if not m1[2] & m2[2]:
+                    yield m1, m2
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_monomial_pairings_are_ints(g):
+    values = [_pair_monomials(g, m1, m2) for m1, m2 in _complementary_pairs(g)]
+    assert values and all(type(v) is int for v in values) and any(values)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_monomial_pairings_are_den_times_the_element_pairing(g):
+    den = _virasoro_line(g)[0]
+    for m1, m2 in _complementary_pairs(g):
+        want = den * graded_pairing(Element.monomial(g, *m1), Element.monomial(g, *m2))
+        assert _pair_monomials(g, m1, m2) == want, (m1, m2)
+
+
+def test_the_line_is_held_over_its_least_denominator():
+    for g in range(MAX_GENUS + 1):
+        den, rows = _virasoro_line(g)
+        assert type(den) is int and den > 0 and [len(row) for row in rows] == list(range(g, 0, -1))
+        assert all(type(n) is int and n for row in rows for n in row)
+        assert math.gcd(den, *(n for row in rows for n in row)) == 1, g
+
+
+@pytest.mark.parametrize("g", range(MAX_GENUS + 1))
+def test_the_integrals_match_the_fraction_recursion(g):
+    rng = random.Random(g)
+    for l, c, a, b in itertools.product(range(g + 1), range(-1, g + 1), range(-1, g + 1), range(g + 1)):
+        got = summand_integral(g, l, a, b, c)
+        assert type(got) is F and got == _fraction_summand_integral(g, l, a, b, c), (l, a, b, c)
+    # every product of whole pairs, and as many masks drawn at random
+    paired = [sum(1 << i | 1 << (i + g) for i in s) for n in range(g + 1) for s in itertools.combinations(range(g), n)]
+    masks = paired + [rng.randrange(1 << (2 * g)) for _ in paired]
+    for mask, a, b in itertools.product(masks, range(g), range(g)):
+        got = monomial_integral(g, a, b, mask)
+        assert type(got) is F and got == _fraction_monomial_integral(g, a, b, mask), (a, b, mask)
+    if g < 2:  # an Element needs g >= 2
+        return
+    B = F(-7, 3)
+    top = monomial_basis(g, top_bidegree(g))
+    for _ in range(20):
+        # top-bidegree terms, two of them alpha^n beta^n times whole pairs,
+        # and alpha, which integrates to 0
+        terms = {k: F(rng.randint(-9, 9), rng.randint(1, 9)) for k in rng.sample(top, min(4, len(top)))}
+        x = Element(g, {**terms, (g - 1, g - 1, 0): 3, (g - 2, g - 2, 1 | 1 << g): F(-5, 2), (1, 0, 0): 5})
+        want = B * sum(c * _fraction_monomial_integral(g, *k) for k, c in x.terms.items())
+        got = graded_integral(x, B)
+        assert type(got) is F and got == want
+    for bd in ((0, 0), (2, 2), (3, 2), (4, 2), (6, 4)):
+        rows = monomial_basis(g, bd)
+        cols = monomial_basis(g, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
+        if len(rows) * len(cols) > 150_000:  # (6, 4) from g = 7 on, (3, 2) at g = 8
+            continue
+        want = [
+            {j: B * v for j, m2 in enumerate(cols) if not m1[2] & m2[2] and (v := _fraction_pairing(g, m1, m2))}
+            for m1 in rows
+        ]
+        m = pairing_matrix(g, bd, B)
+        assert m.cols == len(cols) and m.data == want, bd
+        assert [list(row) for row in m.data] == [list(row) for row in want], bd

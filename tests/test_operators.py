@@ -1,5 +1,8 @@
+import cProfile
+import fractions
 import json
 import math
+import pstats
 import random
 from fractions import Fraction as F
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rank2chern import operators
+from rank2chern import integral, operators
 from rank2chern.algebra import (
     Element,
     _exact,
@@ -217,6 +220,14 @@ def test_operator_refuses_an_element_of_another_genus():
     for op in make_sl2("alpha", 0, 2) + make_sl2("diagonal", 0, 2):
         with pytest.raises(ValueError, match="genus mismatch"):
             op(Element.one(3))
+
+
+@pytest.mark.parametrize("den, error", [(-4, ValueError), (0, ValueError), (2.0, TypeError), ("4", TypeError), (True, TypeError)])
+def test_operator_refuses_a_den_that_is_not_a_positive_int(den, error):
+    # -4 would negate every image and 0 fail only at the first call
+    e, _, _ = make_sl2("alpha", 0, 2)
+    with pytest.raises(error, match="den"):
+        Operator(2, e.action, e.shift, den)
 
 
 def test_operator_refuses_a_value_that_is_not_an_element():
@@ -528,6 +539,39 @@ def test_adjointness_negative_control():
     _, _, f1 = make_sl2("alpha", 1, g)
     _, fails = operator_adjointness_failures(f1, 1)
     assert fails
+
+
+@pytest.mark.parametrize("sign, error", [(1.0, TypeError), (F(1), TypeError), (True, TypeError), (0, ValueError), (2, ValueError)])
+def test_adjointness_refuses_a_sign_other_than_the_ints_1_and_minus_1(sign, error):
+    # a float sign would turn the exact int sums into float arithmetic
+    e, _, _ = make_sl2("alpha", 0, 2)
+    with pytest.raises(error, match="sign"):
+        operator_adjointness_failures(e, sign)
+
+
+def test_adjointness_sums_pairings_in_ints():
+    # every pairing is den(g) times its value, an int: a passing check makes
+    # no Fraction arithmetic at all, the build of the line's memo included
+    integral._virasoro_line.cache_clear()
+    profile = cProfile.Profile()
+    assert profile.runcall(check_adjointness, 3)["pass"]
+    assert not [key for key in pstats.Stats(profile).stats if key[0] == fractions.__file__]
+
+
+def test_adjointness_fails_on_a_perturbed_line_value(monkeypatch):
+    # one pairing value moved by 1/den(3) breaks the Virasoro rule that makes
+    # f self-adjoint; the witnesses are the Element oracle's, printed at B
+    line = integral._virasoro_line
+
+    def perturbed(g):
+        den, rows = line(g)
+        return den, (rows[0], (rows[1][0] + 1, *rows[1][1:]), *rows[2:])
+
+    monkeypatch.setattr(integral, "_virasoro_line", perturbed)
+    B = F(7, 3)
+    rep = check_adjointness(3, B)
+    assert not rep["pass"] and rep["failures"]
+    assert rep == oracle_adjointness(3, B)
 
 
 def test_adjointness_refuses_an_operator_without_a_shift():

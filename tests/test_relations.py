@@ -705,8 +705,8 @@ def test_invariant_pairings_are_proportional_to_the_summand_pairings():
 
 
 def test_the_invariant_core_has_its_own_genus_bound():
-    assert invariant_basis(0, (0, 0)) == [(0, 0, 0)] and _virasoro_line(0) == (1,)
-    assert invariant_basis(1, (6, 4)) == [(1, 1, 0), (0, 0, 1)] and _virasoro_line(1) == (1,)
+    assert invariant_basis(0, (0, 0)) == [(0, 0, 0)] and _virasoro_line(0) == (1, ())
+    assert invariant_basis(1, (6, 4)) == [(1, 1, 0), (0, 0, 1)] and _virasoro_line(1) == (1, ((1,),))
     for g in (-1, 9):
         with pytest.raises(ValueError, match="genus"):
             invariant_basis(g, (0, 0))
