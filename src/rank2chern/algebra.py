@@ -25,6 +25,7 @@ rule: an exact rational is held as an ``int`` when it is integral and as a
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -131,6 +132,23 @@ def _divide(terms: dict, den: int) -> dict:
         for k, v in terms.items():
             terms[k] = v // den if v.__class__ is int and not v % den else Fraction(v, den)
     return terms
+
+
+def _lowest_terms(terms: dict, den: int = 1):
+    """The value x = ``terms / den`` (exact values, ``den > 0``) as a fresh
+    pair ``(den' * x, den')`` of int terms over den', the lcm of the
+    denominators of x's values.  With :func:`_same_value`, the one home of
+    an exact polynomial held as int terms over one denominator."""
+    lcm = math.lcm(*(v.denominator for v in terms.values()))
+    ints = {k: v.numerator * (lcm // v.denominator) for k, v in terms.items()}
+    c = math.gcd(den * lcm, *ints.values())
+    return {k: v // c for k, v in ints.items()}, den * lcm // c
+
+
+def _same_value(x: dict, dx: int, y: dict, dy: int) -> bool:
+    """Whether int terms x over dx and y over dy (nonzero values, positive
+    denominators) are equal, by cross-multiplication."""
+    return x.keys() == y.keys() and all(v * dy == y[k] * dx for k, v in x.items())
 
 
 class Sparse:

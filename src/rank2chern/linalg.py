@@ -28,8 +28,8 @@ _ONE = Fraction(1)
 
 
 def _check_count(n) -> None:
-    """Refuse a column count that is not an int or is negative."""
-    if not isinstance(n, int):
+    """Refuse a column count that is not an int (a bool included) or is negative."""
+    if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"column count must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"negative column count {n}")

@@ -203,6 +203,13 @@ def operator_adjointness_failures(F: Operator, sign: int, B=1):
     stops at the ten witnesses a report keeps.  Both sides are compared at
     B = 1 and times F.den den(g), as ints, which rescale them alike; a
     witness prints them at B.  sign is the int 1 or -1."""
+    return _adjointness_failures(F, sign, B, {})
+
+
+def _adjointness_failures(F: Operator, sign: int, B, bases: dict):
+    """operator_adjointness_failures, reading each monomial basis of F's
+    genus from bases ({bidegree: basis}, filled as it goes), so that the
+    operators of one check build each basis once."""
     B = _normalization(B)
     if type(sign) is not int:  # a float would make the int sums inexact
         raise TypeError(f"sign must be the int 1 or -1, got {sign!r}")
@@ -217,8 +224,10 @@ def operator_adjointness_failures(F: Operator, sign: int, B=1):
     cases = 0
     for bd in bidegree_cone(g, 6 * g - 6):
         comp = (top_c - bd.coh - dc, top_ch - bd.chern - dch)
-        left = monomial_basis(g, bd)
-        right = monomial_basis(g, comp)
+        for key in (bd, comp):
+            if key not in bases:
+                bases[key] = monomial_basis(g, key)
+        left, right = bases[bd], bases[comp]
         if not left or not right:
             continue
         right = [(m2, F.action(*m2).items()) for m2 in right]
@@ -259,7 +268,8 @@ def check_adjointness(g: int, B=1) -> dict:
         ("h_alpha", ha, -1),
         ("h_beta", hb, -1),
     ]
-    parts = [(name, *operator_adjointness_failures(op, sign, B)) for name, op, sign in plan]
+    bases = {}
+    parts = [(name, *_adjointness_failures(op, sign, B, bases)) for name, op, sign in plan]
     return merged_report("check", "adjoint", g, 0, parts)
 
 

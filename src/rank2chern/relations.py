@@ -9,9 +9,10 @@ Three layers live here:
   relation generators R_{k,m,l}, each built as the coefficient in
   Q[alpha, beta, gamma] of a primitive class sigma_l of degree l;
   modified_mumford compares its two routes there, once per
-  (d, k, m, l, g) (the checked coefficient is memoised over one
-  denominator), and applies sigma once per call, in integers, with one
-  exact division at the end.  Both relation builders and the descent
+  (d, k, m, l, g), as int terms over one denominator each, by
+  cross-multiplication (the checked coefficient is memoised over its
+  least denominator), and applies sigma once per call, in integers, with
+  one exact division at the end.  Both relation builders and the descent
   check multiply by sigma in one product: the coefficient's (a, b, c)
   terms as alpha^a beta^b shifts of gamma^c sigma, read off sigma's gamma
   chain, memoised per class, whose vanishing next step proves sigma
@@ -45,6 +46,8 @@ from .algebra import (
     Element,
     _accumulate,
     _divide,
+    _lowest_terms,
+    _same_value,
     bidegree_cone,
     check_genus,
     exterior_basis,
@@ -203,14 +206,22 @@ def _times_sigma(coefficient, chain, g: int) -> Element:
 # Mumford relations
 
 
-def _plain_relations(d: int, k: int, m: int, l: int, g: int, weights) -> InvariantPoly:
-    """sum over (w, p) in weights of w * mumford_relation(d, k+m-p, p, l, g).
-    Every term has n = k+m-g-l and the factor (-1)^l 2^(2g-m-k) / n!, so the
-    sum is built in integers, from N_r = r! c_{d,r}, and divided once."""
+def _over(terms: dict, l: int, e: int, num: int, den: int):
+    """terms times (-1)^l 2^e num / den as int terms over one positive
+    denominator: the form of both routes of a modified relation."""
+    num = (-1) ** l * num << max(e, 0)
+    return {key: v * num for key, v in terms.items()}, den << max(-e, 0)
+
+
+def _plain_relations(d: int, k: int, m: int, l: int, g: int, weights):
+    """sum over (w, p) in weights of w * mumford_relation(d, k+m-p, p, l, g)
+    as int terms over one denominator.  Every term has n = k+m-g-l and the
+    factor (-1)^l 2^(2g-m-k) / n!, so the sum is built in integers, from
+    N_r = r! c_{d,r}."""
     _check_degrees(g, l, m, d)
     n = k + m - g - l
     if n < 0:
-        return InvariantPoly.zero(g)
+        return {}, 1
     numerators = _phi_numerators(d, g, n)
     out = {}
     for weight, p in weights:
@@ -221,7 +232,7 @@ def _plain_relations(d: int, k: int, m: int, l: int, g: int, weights) -> Invaria
                 w = wj * math.comb(p - j, s) * (-1) ** s * math.perm(n, n - r)
                 terms = numerators[r].items()
                 _accumulate((((a, b + s, c + j), w * v) for (a, b, c), v in terms if c + j <= g), out)
-    return InvariantPoly._raw(g, out).scale(Fraction(2) ** (2 * g - m - k) * (-1) ** l / math.factorial(n))
+    return _over(out, l, 2 * g - m - k, 1, math.factorial(n))
 
 
 def mumford_relation(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
@@ -234,14 +245,20 @@ def mumford_relation(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
     C(m,j) (g-l-j)_(m-j) C(m-j,s) (-1)^s (-2)^j beta^s gamma^j c_{d,n-3j-2s}.
     A negative t-index gives zero.
     """
-    return _plain_relations(d, k, m, l, g, [(1, m)])
+    return InvariantPoly._raw(g, _divide(*_plain_relations(d, k, m, l, g, [(1, m)])))
+
+
+def _sum_route(d: int, k: int, m: int, l: int, g: int):
+    """The modified relation as the alternating combination of plain
+    relations, as int terms over one denominator."""
+    weights = (((-1) ** s * math.comb(m, s) * math.perm(g - l - s, m - s), s) for s in range(m + 1))
+    return _plain_relations(d, k, m, l, g, weights)  # read lazily, after the range check
 
 
 def modified_mumford_sum(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
     """sigma_l coefficient of the modified relation as the alternating
     combination of plain relations, over one denominator."""
-    weights = (((-1) ** s * math.comb(m, s) * math.perm(g - l - s, m - s), s) for s in range(m + 1))
-    return _plain_relations(d, k, m, l, g, weights)  # read lazily, after the range check
+    return InvariantPoly._raw(g, _divide(*_sum_route(d, k, m, l, g)))
 
 
 def _generator_terms(g: int, k: int, m: int, l: int):
@@ -256,38 +273,47 @@ def _generator_terms(g: int, k: int, m: int, l: int):
             yield a, b, c, w
 
 
+def _closed_route(d: int, k: int, m: int, l: int, g: int):
+    """The modified relation from its closed form, as int terms over one
+    denominator: with n = k-g-l, each weight w times n!/a! is an int (n!/(a!
+    b! c!) is), and so is each coefficient of c_{d,a} = phi_series(d, g,
+    a)[a] times a!, so the sum lies over n!."""
+    _check_degrees(g, l, m, d)
+    fn, out = math.factorial(max(k - g - l, 0)), {}
+    for a, b, c, w in _generator_terms(g, k, m, l):
+        fa = math.factorial(a)
+        W = w.numerator * (fn // fa) // w.denominator
+        ints = ((key, W * v.numerator * (fa // v.denominator)) for key, v in phi_series(d, g, a)[a].terms.items())
+        _accumulate((((x, y + b, z + c), v) for (x, y, z), v in ints if z + c <= g), out)
+    return _over(out, l, 2 * g - m - k, math.factorial(m), fn * math.factorial(g - l - m))
+
+
 def modified_mumford_closed(d: int, k: int, m: int, l: int, g: int) -> InvariantPoly:
     """sigma_l coefficient of the modified relation from its closed form
 
     (-1)^l 2^(2g-m-k) m!/(g-l-m)! *
         sum_{b+c=m, a+b+2c=k-g-l} (g-l-c)! c_{d,a} beta^b/b! (2 gamma)^c/c!.
     """
-    _check_degrees(g, l, m, d)
-    out = {}
-    for a, b, c, w in _generator_terms(g, k, m, l):
-        terms = phi_series(d, g, a)[a].terms.items()
-        _accumulate((((x, y + b, z + c), w * v) for (x, y, z), v in terms if z + c <= g), out)
-    scalar = Fraction(2) ** (2 * g - m - k) * Fraction(math.factorial(m), math.factorial(g - l - m)) * (-1) ** l
-    return InvariantPoly._raw(g, out).scale(scalar)
+    return InvariantPoly._raw(g, _divide(*_closed_route(d, k, m, l, g)))
 
 
-def _over_one_denominator(x: InvariantPoly):
-    """(den * x, den), den the lcm of the denominators of x's
-    coefficients, so that den * x has int coefficients."""
-    den = math.lcm(*(v.denominator for v in x.terms.values()))
-    return x.scale(den), den
+def _int_pair(g: int, terms: dict, den: int = 1):
+    """terms / den as _times_sigma reads it, over its least denominator."""
+    terms, den = _lowest_terms(terms, den)
+    return InvariantPoly._raw(g, terms), den
 
 
 @lru_cache(maxsize=None)
 def _checked_coefficient(d: int, k: int, m: int, l: int, g: int):
-    """The sigma_l coefficient of the modified relation over one
-    denominator (as _over_one_denominator gives it), after asserting that
-    its two defining routes agree in Q[alpha, beta, gamma].  The check
-    does not depend on sigma, so it runs once per key."""
-    by_closed = modified_mumford_closed(d, k, m, l, g)
-    if modified_mumford_sum(d, k, m, l, g) != by_closed:
-        raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, g={g}")
-    return _over_one_denominator(by_closed)
+    """The sigma_l coefficient of the modified relation as (den * x, den),
+    den its least denominator, after asserting that its two defining
+    routes agree: both are int terms over one denominator, compared by
+    cross-multiplication.  The check does not depend on sigma, so it runs
+    once per key."""
+    by_closed = _closed_route(d, k, m, l, g)
+    if not _same_value(*_sum_route(d, k, m, l, g), *by_closed):
+        raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, l={l}, g={g}")
+    return _int_pair(g, *by_closed)
 
 
 def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
@@ -312,7 +338,7 @@ def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
 def rel_generator(k: int, m: int, sig: Element, g: int) -> Element:
     """R_{k,m,l} * sigma_l; homogeneous of bidegree (2k-2g+2m+l, 2k-2g)."""
     l, chain = _sigma_chain(sig, g)
-    return _times_sigma(_over_one_denominator(rel_generator_poly(g, k, m, l)), chain, g)
+    return _times_sigma(_int_pair(g, rel_generator_poly(g, k, m, l).terms), chain, g)
 
 
 # ----------------------------------------------------------------------

@@ -169,8 +169,9 @@ def test_entries_are_sparse_exact_values():
     "build", [lambda n: QMatrix(n, [{0: 1}]), lambda n: RowSpan(n).add({0: 1})], ids=["QMatrix", "RowSpan"]
 )
 def test_column_count_is_a_nonnegative_int(build):
-    # QMatrix and RowSpan share one check of their column count
-    for n in (2.5, 2.0, F(2), "2", None):
+    # QMatrix and RowSpan share one check of their column count; a bool is
+    # no count, although it is an int
+    for n in (2.5, 2.0, F(2), "2", None, True, False):
         with pytest.raises(TypeError, match="column count must be an int"):
             build(n)
     with pytest.raises(ValueError, match="negative"):

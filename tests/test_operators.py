@@ -558,6 +558,19 @@ def test_adjointness_sums_pairings_in_ints():
     assert not [key for key in pstats.Stats(profile).stats if key[0] == fractions.__file__]
 
 
+def test_adjointness_builds_each_monomial_basis_once(monkeypatch):
+    # the six operators of one check share one map of monomial bases
+    seen = []
+
+    def counted(g, bd):
+        seen.append(tuple(bd))
+        return monomial_basis(g, bd)
+
+    monkeypatch.setattr(operators, "monomial_basis", counted)
+    assert check_adjointness(3)["pass"]
+    assert seen and len(seen) == len(set(seen))
+
+
 def test_adjointness_fails_on_a_perturbed_line_value(monkeypatch):
     # one pairing value moved by 1/den(3) breaks the Virasoro rule that makes
     # f self-adjoint; the witnesses are the Element oracle's, printed at B

@@ -1,6 +1,9 @@
+import cProfile
+import fractions
 import hashlib
 import json
 import math
+import pstats
 from fractions import Fraction as F
 
 import pytest
@@ -260,6 +263,74 @@ def test_a_perturbed_numerator_makes_the_routes_disagree(monkeypatch):
     monkeypatch.setattr(rel, "_phi_numerators", perturbed)
     with pytest.raises(VerificationError, match="routes disagree"):
         modified_mumford(0, 5, 0, one, g)
+
+
+def _checked_coefficient_fraction(d, k, m, l, g):
+    # the two-route check as it was before the integer routes: the public
+    # builders compared as InvariantPolys, then scaled by the lcm of the
+    # closed form's denominators
+    by_closed = modified_mumford_closed(d, k, m, l, g)
+    if modified_mumford_sum(d, k, m, l, g) != by_closed:
+        raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, g={g}")
+    den = math.lcm(*(v.denominator for v in by_closed.terms.values()))
+    return by_closed.scale(den), den
+
+
+def _relation_keys(g, d):
+    """(d, k, m, l, g) of every modified relation of the series workload's
+    batch (g, d): m <= g - l and k <= 2g + 2d + 4."""
+    return [
+        (d, k, m, l, g) for l in range(g + 1) for m in range(g - l + 1) for k in range(2 * g + 2 * d + 5)
+    ]
+
+
+@pytest.mark.parametrize("g,d", [(g, d) for g in (2, 3, 4) for d in (0, 1, 2)] + [(5, 0)])
+def test_checked_coefficient_matches_its_fraction_oracle(g, d):
+    # same int terms, the same coefficient types and the same least denominator
+    for key in _relation_keys(g, d):
+        got, den = rel._checked_coefficient(*key)
+        want, want_den = _checked_coefficient_fraction(*key)
+        assert den == want_den and got.terms == want.terms, key
+        assert {x: type(v) for x, v in got.terms.items()} == {x: int for x in want.terms}, key
+        assert {x: type(v) for x, v in want.terms.items()} == {x: int for x in want.terms}, key
+
+
+def test_an_off_by_one_closed_weight_makes_the_routes_disagree(monkeypatch):
+    # the closed route turns each weight w of _generator_terms into the int
+    # W = w (k-g-l)!/a!; w + a!/(k-g-l)! moves the first W by exactly one
+    d, k, m, l, g = 0, 7, 1, 1, 3
+    honest = rel._generator_terms
+
+    def perturbed(*args):
+        terms = list(honest(*args))
+        a, b, c, w = terms[0]
+        return [(a, b, c, w + F(math.factorial(a), math.factorial(k - g - l)))] + terms[1:]
+
+    rel._checked_coefficient.cache_clear()
+    assert rel._checked_coefficient(d, k, m, l, g)[0]
+    rel._checked_coefficient.cache_clear()
+    monkeypatch.setattr(rel, "_generator_terms", perturbed)
+    with pytest.raises(VerificationError, match="routes disagree at d=0, k=7, m=1, l=1, g=3$"):
+        rel._checked_coefficient(d, k, m, l, g)
+    assert rel._checked_coefficient.cache_info().currsize == 0
+
+
+_FRACTION_ARITHMETIC = {"_add", "_sub", "_mul", "_div", "forward", "reverse", "__eq__"}
+
+
+def test_the_two_route_check_makes_no_fraction_arithmetic():
+    # both routes are int terms over one denominator, compared by
+    # cross-multiplication: with phi_series warm, the checks of the series
+    # workload's keys build Fractions only as _generator_terms' weights
+    keys = [key for g, d in ((3, 0), (3, 1), (3, 2), (4, 0)) for key in _relation_keys(g, d)]
+    assert len(keys) == 585
+    for key in keys:
+        rel._checked_coefficient(*key)  # warms phi_series and the numerators
+    rel._checked_coefficient.cache_clear()
+    profile = cProfile.Profile()
+    profile.runcall(lambda: [rel._checked_coefficient(*key) for key in keys])
+    calls = [key for key in pstats.Stats(profile).stats if key[0] == fractions.__file__]
+    assert calls and not [key for key in calls if key[2] in _FRACTION_ARITHMETIC], calls
 
 
 MODIFIED_DIGESTS = {
@@ -896,8 +967,8 @@ def test_route_disagreements_raise_verification_error(monkeypatch):
     g = 2
     assert len(ideal_slice(g, 0, (4, 4))) == 1  # warms the prim_basis cache
     rel._checked_coefficient.cache_clear()  # else a memoised key skips the comparison
-    monkeypatch.setattr(rel, "modified_mumford_sum", lambda *args: InvariantPoly.one(g))
-    with pytest.raises(VerificationError, match="routes disagree"):
+    monkeypatch.setattr(rel, "_sum_route", lambda *args: ({(0, 0, 0): 1}, 1))  # the int pair of 1
+    with pytest.raises(VerificationError, match="routes disagree at d=0, k=5, m=0, l=0, g=2$"):
         modified_mumford(0, 5, 0, Element.one(g), g)
     monkeypatch.setattr(rel, "row_reduce", lambda matrix: (0, []))
     with pytest.raises(VerificationError, match="dependent"):
@@ -911,9 +982,9 @@ def test_route_disagreement_is_checked_per_call_and_never_memoised(monkeypatch):
     first, second = prim_basis(g, l)[:2]
     assert modified_mumford(0, 7, 1, first, g)  # the honest routes agree and fill the memo
     rel._checked_coefficient.cache_clear()
-    monkeypatch.setattr(rel, "modified_mumford_closed", lambda *args: InvariantPoly.one(g))
+    monkeypatch.setattr(rel, "_closed_route", lambda *args: ({(0, 0, 0): 1}, 1))  # the int pair of 1
     for sig in (first, second):
-        with pytest.raises(VerificationError, match="routes disagree"):
+        with pytest.raises(VerificationError, match="routes disagree at d=0, k=7, m=1, l=1, g=2$"):
             modified_mumford(0, 7, 1, sig, g)
     info = rel._checked_coefficient.cache_info()
     assert info.misses == 2 and info.currsize == 0
