@@ -22,6 +22,7 @@ GOLDEN = [
     ("omega --genus 3 --route closed --format csv", "6d0bed1f12b77c358fae5b5228a5bfa8c0957b2ffdf5f963ea69ecc531711d5b", 0),
     ("relations --genus 3", "80c4b72a592f06e3667ecba781f0cddd0576efd7e845154bdabe4bf229439dec", 0),
     ("relations --genus 3 --format json", "648c1a9bea2166147a9632dfbf9353487d21c11013ae9809135188beaf2bece3", 0),
+    ("relations --genus 4 --d 1", "f94ca7e61ac2745676c3f159bf272fef6277ecf9fdf8ceece787511de572e9c5", 0),
     ("sl2 --check relations --genus 3", "79fb521e39b7b8b6711e5c775eb8367b91eb627c8088bb9c9b97dcdf20df9e39", 0),
     ("sl2 --check adjoint --genus 3", "2b26e7272b879f062c906e77b3e4bb6c9ff0f77a1a00e0e3dceb7cdec2c54598", 0),
     ("sl2 --check descent --genus 3", "75fc33cd0ef0b97c6109af598de3435380ef3e760fbbc7851fb5dc180bc9156f", 0),
@@ -38,6 +39,8 @@ GOLDEN = [
     ("verify --suite pairing --genus 4 --format json", "f5d504e07617b0a0048d2511bcd4c2e1d001d3cba0400505ed11045c5080fff6", 0),
     ("verify --suite pairing --genus 8 --format json", "97fb77b51da661b2693cd16bddaa6b4cd3f8cd67cf28b2c23bcce3b5468e2b25", 0),
     ("omega --genus 8 --route pairing --format csv", "f20b2824175df3733d846d8757ae16271ea1c03bf2d17aec6d5ae47b0c3eea24", 0),
+    ("omega --genus 6 --route ideal --d 2 --format csv", "5c3558f842892d305b9bd66029c5309e89ab091e09f8445e890ea5e7fe118274", 0),
+    ("omega --genus 5 --route pairing --normalization=-5/2 --format csv", "43c8330ab39a072341e754a94c5fc69c7efb8f18c23e1e2ebe102c0aaeef2625", 0),
 ]
 
 
