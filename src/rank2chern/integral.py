@@ -18,8 +18,8 @@ dimension tables) is invariant under rescaling it.
 The B = 1 values are held as ints over one positive denominator den(g)
 per genus: _virasoro_line(g) evaluates the Virasoro rule once, in closed
 form on alpha^a beta^b gamma^c sigma sigma*, as den(g) times each value,
-and _numerator reads it.  summand_integral is that value (the table routes
-read its l = 0 case); _pair_monomials applies the monodromy rule to two
+and _numerator reads it (the table routes read its l = 0 case);
+summand_integral is that value over den(g); _pair_monomials applies the monodromy rule to two
 monomial keys and returns the int den(g) times their pairing, which the
 adjointness check sums, and the integral of one key is its pairing with 1.
 The public entries build a Fraction only for the value they return.  This
@@ -115,12 +115,16 @@ def summand_integral(g: int, l: int, a: int, b: int, c: int) -> Fraction:
 
 def graded_integral(D: Element, B=1) -> Fraction:
     """Integral of the top-bidegree component; other components give zero."""
+    if not isinstance(D, Element):  # only an Element's keys are monomial keys
+        raise TypeError(f"the graded integral reads an Element, not {type(D).__name__}")
     B = _normalization(B)
     g = D.g
     return _value(g, sum(c * _pair_monomials(g, key, Element._unit) for key, c in D.terms.items()), B)
 
 
 def graded_pairing(D: Element, E: Element, B=1) -> Fraction:
+    if not (isinstance(D, Element) and isinstance(E, Element)):
+        raise TypeError(f"the graded pairing reads two Elements, not {type(D).__name__} and {type(E).__name__}")
     return graded_integral(D * E, B)
 
 

@@ -34,8 +34,7 @@ multiplied through by the denominators, is checked in ints, with an Element
 or a Fraction only for a failure witness, rebuilt at the unscaled values.
 Descent reads R sigma as alpha^a beta^b shifts of the gamma^c sigma of the
 chain relations memoises per primitive sigma, through the product the
-relation builders use, and multiplies R_{k,m,l} by (k - g - l)! to clear
-its 1/(a! b! c!).
+relation builders use, on R_{k,m,l}'s int terms over (k - g - l)!.
 The f-closure is a worklist on term dicts too: each vector a span accepts
 is mapped once by each integer action, undivided, since scaling by den
 leaves a span as it is.
@@ -43,15 +42,14 @@ leaves a span as it is.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .algebra import Element, _accumulate, _apply, _exact, bidegree_cone, check_genus
 from .algebra import _divide, koszul_sign, monomial_basis
 from .integral import _normalization, _pair_monomials, _value, top_bidegree
 from .linalg import RowSpan
-from .relations import _invariant_relations, _lefschetz_dims, _sigma_chain, _times_chain
-from .relations import dims_mismatches, merged_report, prim_basis, rel_generator_poly, report
+from .relations import _generator, _invariant_relations, _lefschetz_dims, _sigma_chain, _times_chain
+from .relations import dims_mismatches, merged_report, prim_basis, report
 
 
 class Operator:
@@ -278,16 +276,18 @@ def check_descent(g: int, d: int) -> dict:
     beta analogue lowering m, for every generator key with k in
     [2g+2d, 2g+2d+4]; out-of-range R indices mean the empty sum.
 
-    Both sides are multiplied by N = (k-g-l)! (1 when negative), which
-    clears the 1/(a! b! c!) of the three R's: the identity is checked as
-    f(N R_k sigma) = (2g+2d-k) N R_down sigma, and a witness is divided
-    back by N."""
+    Both sides are multiplied by N = (k-g-l)! (1 when negative), R_k's
+    own denominator: the identity is checked in ints as f(N R_k sigma) =
+    (2g+2d-k) N R_down sigma, and a witness is divided back by N."""
     _, _, fa = make_sl2("alpha", d, g)
     _, _, fb = make_sl2("beta", d, g)
 
-    def scaled(c, k, m, l):
-        """The terms of c R_{k,m,l}, each in the form of _exact."""
-        return {key: _exact(c * v) for key, v in rel_generator_poly(g, k, m, l).terms.items()} if c else {}
+    def lowered(k, m, l, N):
+        """(2g+2d-k) N R_{k-1,m,l} as int terms: R's own terms over its
+        denominator (k-1-g-l)!, which divides N."""
+        terms, den = _generator(g, k - 1, m, l)
+        scale = (2 * g + 2 * d - k) * N // den
+        return {key: scale * W for key, W in terms.items()} if scale else {}
 
     cases = 0
     failures = []
@@ -295,17 +295,12 @@ def check_descent(g: int, d: int) -> dict:
         for l in range(g + 1):
             # R sigma reads the gamma chain of each primitive sigma of degree l
             chains = [_sigma_chain(sigma, g)[1] for sigma in prim_basis(g, l)]
-            N = math.factorial(max(k - g - l, 0))
-            scale = (2 * g + 2 * d - k) * N
             for m in range(g - l + 1):
-                R_k = scaled(N, k, m, l)
-                lowered = (
-                    ("f_alpha", fa, scaled(scale, k - 1, m, l)),
-                    ("f_beta", fb, scaled(scale, k - 1, m - 1, l)),
-                )
+                R_k, N = _generator(g, k, m, l)
+                down = (("f_alpha", fa, lowered(k, m, l, N)), ("f_beta", fb, lowered(k, m - 1, l, N)))
                 for idx, chain in enumerate(chains):
                     R_sigma = Element._raw(g, _times_chain(R_k, chain))
-                    for name, f, R_down in lowered:
+                    for name, f, R_down in down:
                         cases += 1
                         lhs = f(R_sigma)
                         rhs = _times_chain(R_down, chain)

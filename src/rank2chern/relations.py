@@ -7,16 +7,16 @@ Three layers live here:
 * the Mumford relations (explicit t-coefficient formula), their modified
   recombination with the improved Chern-degree bound, and the graded
   relation generators R_{k,m,l}, each built as the coefficient in
-  Q[alpha, beta, gamma] of a primitive class sigma_l of degree l;
-  modified_mumford compares its two routes there, once per
-  (d, k, m, l, g), as int terms over one denominator each, by
-  cross-multiplication (the checked coefficient is memoised over its
-  least denominator), and applies sigma once per call, in integers, with
-  one exact division at the end.  Both relation builders and the descent
-  check multiply by sigma in one product: the coefficient's (a, b, c)
-  terms as alpha^a beta^b shifts of gamma^c sigma, read off sigma's gamma
-  chain, memoised per class, whose vanishing next step proves sigma
-  primitive once per distinct class;
+  Q[alpha, beta, gamma] of a primitive class sigma_l of degree l.
+  R_{k,m,l} has one exact form, _generator_terms' int terms over
+  (k - g - l)!, which the closed route, both table routes and the descent
+  check read as they are.  modified_mumford compares its two routes once
+  per (d, k, m, l, g), as int terms over one denominator each, by
+  cross-multiplication, and memoises the checked coefficient over its
+  least denominator.  Both relation builders and the descent check
+  multiply by sigma in one int product, the coefficient's (a, b, c) terms
+  as alpha^a beta^b shifts of sigma's memoised gamma chain, whose
+  vanishing next step proves sigma primitive;
 * per-bidegree slices of the relation ideals and the resulting refined
   dimension tables, by the ideal route (any d >= 0) and by the pairing
   route (d = 0).
@@ -26,9 +26,10 @@ Q[alpha, beta, gamma]/I_g' of a genus 0 <= g' <= MAX_GENUS.  H*(N_g) is
 the sum over l of Prim_l (x) Q[alpha, beta, gamma]/I_{g-l} (King-Newstead),
 dim Prim_l = prim_dim(g, l), so summand l of genus g is the core at
 g' = g - l, read at bd - (3l, 2l) (R_{k,m,l} there is R_{k-2l,m,0}).  No
-step enumerates the 2^(2g) psi monomials.  The pairing reads
-integral.summand_integral at l = 0, one nonzero scalar off summand l's, so
-ranks and kernels agree; nothing is built or memoised.  The d = 0 kernel
+step enumerates the 2^(2g) psi monomials.  Both routes hold ints: the
+relation rows are R's int terms, and the pairing reads integral._numerator
+at l = 0 times B's numerator, one nonzero scalar off summand l's, so ranks
+and kernels agree; nothing is built or memoised.  The d = 0 kernel
 match runs on the same core; ideal_slice keeps the full-monomial slices
 for the relations dump.
 """
@@ -38,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
@@ -55,7 +55,7 @@ from .algebra import (
     monomial_basis,
     theta_power,
 )
-from .integral import _normalization, summand_integral
+from .integral import _normalization, _numerator
 from .linalg import QMatrix, row_reduce
 from .series import InvariantPoly, _phi_numerators, phi_series
 
@@ -112,10 +112,10 @@ def prim_dim(g: int, l: int) -> int:
 
 
 def _check_degrees(g: int, l: int, m: int = 0, d: int = 0) -> None:
-    """The range of a degree-d summand-l relation: 0 <= l <= g, l + m <= g, d >= 0."""
+    """The range of a degree-d summand-l relation: 0 <= l <= g, 0 <= m <= g - l, d >= 0."""
     check_genus(g)
-    if not 0 <= l <= g or l + m > g or d < 0:
-        raise ValueError(f"need 0 <= l <= g, l + m <= g and d >= 0, got l={l}, m={m}, d={d}")
+    if not 0 <= l <= g or not 0 <= m <= g - l or d < 0:
+        raise ValueError(f"need 0 <= l <= g, 0 <= m <= g - l and d >= 0, got l={l}, m={m}, d={d}")
 
 
 @lru_cache(maxsize=None)
@@ -194,14 +194,6 @@ def _times_chain(coefficient: dict, chain) -> dict:
     return out
 
 
-def _times_sigma(coefficient, chain, g: int) -> Element:
-    """x * sigma for coefficient = (den * x, den): the product of
-    _times_chain in int arithmetic, divided once by den.  Both relation
-    builders multiply by sigma here."""
-    scaled, den = coefficient
-    return Element._raw(g, _divide(_times_chain(scaled.terms, chain), den))
-
-
 # ----------------------------------------------------------------------
 # Mumford relations
 
@@ -262,27 +254,27 @@ def modified_mumford_sum(d: int, k: int, m: int, l: int, g: int) -> InvariantPol
 
 
 def _generator_terms(g: int, k: int, m: int, l: int):
-    """(a, b, c, (g-l-c)! 2^c / (b! c!)) over b + c = m, a + b + 2c = k-g-l,
-    a >= 0: the index set shared by R_{k,m,l} and the closed modified
-    relation.  Empty when m < 0."""
+    """(a, b, c, W) over b + c = m, a + b + 2c = n = k-g-l, a >= 0, with the
+    int W = n! (g-l-c)! 2^c / (a! b! c!) (n!/(a! b! c! c!) is a multinomial):
+    R_{k,m,l} = sum W alpha^a beta^b gamma^c / n!.  Empty when m < 0."""
+    n = k - g - l
     for c in range(m + 1):
         b = m - c
-        a = k - g - l - b - 2 * c
+        a = n - b - 2 * c
         if a >= 0:
-            w = Fraction(math.factorial(g - l - c) * 2**c, math.factorial(b) * math.factorial(c))
-            yield a, b, c, w
+            shares = math.factorial(a) * math.factorial(b) * math.factorial(c)
+            yield a, b, c, math.factorial(n) // shares * math.factorial(g - l - c) << c
 
 
 def _closed_route(d: int, k: int, m: int, l: int, g: int):
     """The modified relation from its closed form, as int terms over one
-    denominator: with n = k-g-l, each weight w times n!/a! is an int (n!/(a!
-    b! c!) is), and so is each coefficient of c_{d,a} = phi_series(d, g,
-    a)[a] times a!, so the sum lies over n!."""
+    denominator: alpha^a/a! of R_{k,m,l} becomes c_{d,a} = phi_series(d, g,
+    a)[a], so each term W alpha^a / n! of _generator_terms becomes W (a!
+    c_{d,a}) / n!, and a! c_{d,a} has int coefficients."""
     _check_degrees(g, l, m, d)
     fn, out = math.factorial(max(k - g - l, 0)), {}
-    for a, b, c, w in _generator_terms(g, k, m, l):
+    for a, b, c, W in _generator_terms(g, k, m, l):
         fa = math.factorial(a)
-        W = w.numerator * (fn // fa) // w.denominator
         ints = ((key, W * v.numerator * (fa // v.denominator)) for key, v in phi_series(d, g, a)[a].terms.items())
         _accumulate((((x, y + b, z + c), v) for (x, y, z), v in ints if z + c <= g), out)
     return _over(out, l, 2 * g - m - k, math.factorial(m), fn * math.factorial(g - l - m))
@@ -297,12 +289,6 @@ def modified_mumford_closed(d: int, k: int, m: int, l: int, g: int) -> Invariant
     return InvariantPoly._raw(g, _divide(*_closed_route(d, k, m, l, g)))
 
 
-def _int_pair(g: int, terms: dict, den: int = 1):
-    """terms / den as _times_sigma reads it, over its least denominator."""
-    terms, den = _lowest_terms(terms, den)
-    return InvariantPoly._raw(g, terms), den
-
-
 @lru_cache(maxsize=None)
 def _checked_coefficient(d: int, k: int, m: int, l: int, g: int):
     """The sigma_l coefficient of the modified relation as (den * x, den),
@@ -313,14 +299,24 @@ def _checked_coefficient(d: int, k: int, m: int, l: int, g: int):
     by_closed = _closed_route(d, k, m, l, g)
     if not _same_value(*_sum_route(d, k, m, l, g), *by_closed):
         raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, l={l}, g={g}")
-    return _int_pair(g, *by_closed)
+    terms, den = _lowest_terms(*by_closed)
+    return InvariantPoly._raw(g, terms), den
 
 
 def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """Modified Mumford relation attached to (k, theta^m sig): the checked
     sigma_l coefficient times sig, sig checked primitive once per class."""
     l, chain = _sigma_chain(sig, g)
-    return _times_sigma(_checked_coefficient(d, k, m, l, g), chain, g)
+    scaled, den = _checked_coefficient(d, k, m, l, g)
+    return Element._raw(g, _divide(_times_chain(scaled.terms, chain), den))
+
+
+def _generator(g: int, k: int, m: int, l: int):
+    """R_{k,m,l} as (W terms of _generator_terms, (k-g-l)! or 1), after the
+    range check; a negative m, or k < g + l, gives the empty sum."""
+    _check_degrees(g, l, max(m, 0))
+    terms = {(a, b, c): W for a, b, c, W in _generator_terms(g, k, m, l)}
+    return terms, math.factorial(max(k - g - l, 0))
 
 
 @lru_cache(maxsize=None)
@@ -330,15 +326,14 @@ def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
     An out-of-range index set (negative m, or k < g + l) gives the empty
     sum, i.e. zero.
     """
-    _check_degrees(g, l, m)
-    terms = _generator_terms(g, k, m, l)
-    return InvariantPoly(g, {(a, b, c): w / math.factorial(a) for a, b, c, w in terms})
+    return InvariantPoly._raw(g, _divide(*_generator(g, k, m, l)))
 
 
 def rel_generator(k: int, m: int, sig: Element, g: int) -> Element:
     """R_{k,m,l} * sigma_l; homogeneous of bidegree (2k-2g+2m+l, 2k-2g)."""
     l, chain = _sigma_chain(sig, g)
-    return _times_sigma(_int_pair(g, rel_generator_poly(g, k, m, l).terms), chain, g)
+    terms, den = _generator(g, k, m, l)
+    return Element._raw(g, _divide(_times_chain(terms, chain), den))
 
 
 # ----------------------------------------------------------------------
@@ -499,11 +494,12 @@ def invariant_basis(g: int, bd) -> list:
 
 def _invariant_relations(g: int, d: int, bd) -> list:
     """Rows of the relations beta^ell R_{k,m,0} of genus g over
-    invariant_basis(g, bd); their freeness is asserted.  R has gamma degree
-    <= m <= g, so it needs no truncation."""
+    invariant_basis(g, bd), each the int terms W of _generator_terms, (k-g)!
+    times R; their freeness is asserted.  R has gamma degree <= m <= g, so
+    it needs no truncation."""
     index = {mono: i for i, mono in enumerate(invariant_basis(g, bd))}
     rows = [
-        {index[(a, b + ell, c)]: w / math.factorial(a) for a, b, c, w in _generator_terms(g, k, m, 0)}
+        {index[(a, b + ell, c)]: W for a, b, c, W in _generator_terms(g, k, m, 0)}
         for ell, k, m in _invariant_families(g, d, bd)
     ]
     if rows and row_reduce(QMatrix(len(index), rows))[0] != len(rows):
@@ -512,14 +508,15 @@ def _invariant_relations(g: int, d: int, bd) -> list:
 
 
 def _invariant_pairing(g: int, bd, B) -> QMatrix:
-    """M(bd)[p, q] = B * integral of p q at genus g (summand_integral at
-    l = 0), for p, q in the invariant bases of bd and of its complementary
-    bidegree.  Summand l of genus g + l pairs by a nonzero multiple of it."""
+    """M(bd)[p, q] = den(g) den(B) B * integral of p q at genus g, an int
+    (integral._numerator at l = 0 times B's numerator), for p, q in the
+    invariant bases of bd and of its complementary bidegree.  Summand l of
+    genus g + l pairs by a nonzero multiple of it."""
     cols = invariant_basis(g, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
     rows = []
     for p in invariant_basis(g, bd):
-        entries = ((j, summand_integral(g, 0, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
-        rows.append({j: v * B for j, v in entries if v})
+        entries = ((j, _numerator(g, 0, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
+        rows.append({j: v * B.numerator for j, v in entries if v})
     return QMatrix(len(cols), rows)
 
 

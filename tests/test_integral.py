@@ -20,6 +20,7 @@ from rank2chern.integral import (
 from rank2chern.linalg import row_reduce
 from rank2chern.operators import check_adjointness, make_sl2, operator_adjointness_failures
 from rank2chern.relations import omega_from_pairing, pairing_kernel_matches_ideal
+from rank2chern.series import InvariantPoly
 
 
 def gamma_power_integral_two_routes(g: int, p: int, B=1):
@@ -117,6 +118,22 @@ def test_pairing_examples():
     rel = 2 * (Element.alpha(g) * Element.beta(g)) + 2 * gamma(g)
     assert graded_pairing(Element.one(g), rel) == 0
     assert graded_pairing(Element.alpha(g), Element.alpha(g)) == 0
+
+
+def test_the_pairing_refuses_anything_but_an_element():
+    # an InvariantPoly's gamma exponent would be read as a psi mask
+    g = 2
+    assert graded_integral(gamma(g)) == -1
+    poly = InvariantPoly.gen(g, "gamma")
+    for call in (
+        lambda: graded_integral(poly),
+        lambda: graded_pairing(poly, poly),
+        lambda: graded_pairing(Element.one(g), poly),
+        lambda: graded_pairing(poly, Element.one(g)),
+        lambda: graded_pairing(gamma(g), 1),
+    ):
+        with pytest.raises(TypeError, match="reads (an Element|two Elements), not"):
+            call()
 
 
 def test_pairing_symmetry_on_monomials():

@@ -213,8 +213,12 @@ def _modified_mumford_sum_fraction(d, k, m, l, g):
 def _modified_mumford_closed_fraction(d, k, m, l, g):
     rel._check_degrees(g, l, m)
     poly = InvariantPoly.zero(g)
-    for a, b, c, w in rel._generator_terms(g, k, m, l):
-        poly = poly + phi_series(d, g, a)[a] * InvariantPoly.monomial(g, 0, b, c, w)
+    for c in range(m + 1):
+        b = m - c
+        a = k - g - l - b - 2 * c
+        if a >= 0:
+            w = F(math.factorial(g - l - c) * 2**c, math.factorial(b) * math.factorial(c))
+            poly = poly + phi_series(d, g, a)[a] * InvariantPoly.monomial(g, 0, b, c, w)
     scalar = F(2) ** (2 * g - m - k) * F(math.factorial(m), math.factorial(g - l - m)) * (-1) ** l
     return poly.scale(scalar)
 
@@ -245,6 +249,20 @@ def test_relation_builders_refuse_a_negative_d():
         with pytest.raises(ValueError, match="d >= 0, got l=0, m=0, d=-1"):
             build(-1, 4, 0, 0, g)
     assert phi_series(-1, g, 2)[2] == InvariantPoly(g, {(2, 0, 0): F(1, 2), (0, 1, 0): F(5, 2)})
+
+
+def test_the_mumford_builders_refuse_a_negative_m():
+    g = 2
+    rel._checked_coefficient.cache_clear()
+    with pytest.raises(ValueError, match="0 <= m <= g - l .*got l=0, m=-1, d=0"):
+        modified_mumford(0, 5, -1, Element.one(g), g)
+    assert rel._checked_coefficient.cache_info().currsize == 0  # a refusal is never memoised
+    for build in (mumford_relation, modified_mumford_sum, modified_mumford_closed):
+        with pytest.raises(ValueError, match="0 <= m <= g - l .*got l=0, m=-1, d=0"):
+            build(0, 5, -1, 0, g)
+    # R_{k,m,l} at m < 0 is the documented empty sum, which the descent check reads
+    assert rel.rel_generator_poly(g, 5, -1, 0).is_zero()
+    assert rel_generator(5, -1, Element.one(g), g).is_zero()
 
 
 def test_a_perturbed_numerator_makes_the_routes_disagree(monkeypatch):
@@ -296,15 +314,15 @@ def test_checked_coefficient_matches_its_fraction_oracle(g, d):
 
 
 def test_an_off_by_one_closed_weight_makes_the_routes_disagree(monkeypatch):
-    # the closed route turns each weight w of _generator_terms into the int
-    # W = w (k-g-l)!/a!; w + a!/(k-g-l)! moves the first W by exactly one
+    # the closed route reads each int W of _generator_terms as it is; the
+    # first W moves by exactly one
     d, k, m, l, g = 0, 7, 1, 1, 3
     honest = rel._generator_terms
 
     def perturbed(*args):
         terms = list(honest(*args))
-        a, b, c, w = terms[0]
-        return [(a, b, c, w + F(math.factorial(a), math.factorial(k - g - l)))] + terms[1:]
+        a, b, c, W = terms[0]
+        return [(a, b, c, W + 1)] + terms[1:]
 
     rel._checked_coefficient.cache_clear()
     assert rel._checked_coefficient(d, k, m, l, g)[0]
@@ -321,7 +339,7 @@ _FRACTION_ARITHMETIC = {"_add", "_sub", "_mul", "_div", "forward", "reverse", "_
 def test_the_two_route_check_makes_no_fraction_arithmetic():
     # both routes are int terms over one denominator, compared by
     # cross-multiplication: with phi_series warm, the checks of the series
-    # workload's keys build Fractions only as _generator_terms' weights
+    # workload's keys only read phi_series' Fraction coefficients
     keys = [key for g, d in ((3, 0), (3, 1), (3, 2), (4, 0)) for key in _relation_keys(g, d)]
     assert len(keys) == 585
     for key in keys:
@@ -331,6 +349,32 @@ def test_the_two_route_check_makes_no_fraction_arithmetic():
     profile.runcall(lambda: [rel._checked_coefficient(*key) for key in keys])
     calls = [key for key in pstats.Stats(profile).stats if key[0] == fractions.__file__]
     assert calls and not [key for key in calls if key[2] in _FRACTION_ARITHMETIC], calls
+
+
+def test_the_table_routes_make_no_fraction_arithmetic():
+    # relation rows are the int W's of _generator_terms, and pairing entries
+    # int numerators times B's numerator; linalg keeps int rows in ints
+    calls = (
+        lambda: omega_from_ideal(6, 1),
+        lambda: omega_from_pairing(6, F(-5, 2)),
+        lambda: all(pairing_kernel_matches_ideal(4, bd, F(7, 3)) for bd in bidegree_cone(4, 18)),
+    )
+    arithmetic = _FRACTION_ARITHMETIC - {"__eq__"}
+    for i, call in enumerate(calls):
+        profile = cProfile.Profile()
+        result = profile.runcall(call)
+        assert result is True or _matches_closed_form(result), i
+        found = [key for key in pstats.Stats(profile).stats if key[0] == fractions.__file__]
+        assert not [key for key in found if key[2] in arithmetic], (i, found)
+
+
+def test_relation_rows_and_pairing_entries_are_ints():
+    for g in (3, 5):
+        for bd in bidegree_cone(g, default_max_coh(g, 1)):
+            for _, gl, sbd in rel._summands(g, bd):
+                rows = rel._invariant_relations(gl, 0, sbd) + rel._invariant_relations(gl, 1, sbd)
+                rows += rel._invariant_pairing(gl, sbd, F(-5, 2)).data
+                assert all(type(v) is int for row in rows for v in row.values()), (g, bd, gl)
 
 
 MODIFIED_DIGESTS = {
@@ -708,15 +752,26 @@ def _summand_pairing(g, l, bd, B):
     return rel.QMatrix(len(cols), rows)
 
 
+def _primitive(row):
+    """A row of exact values as its primitive int row, a positive multiple
+    of it: two rows that agree up to a positive factor agree here."""
+    lcm = math.lcm(*(F(v).denominator for v in row.values()))
+    ints = {j: int(v * lcm) for j, v in row.items()}
+    content = math.gcd(*ints.values())
+    return {j: v // content for j, v in ints.items()}
+
+
 def _decomposition_mismatches(g, d, shift):
     """(cases, mismatches) of the invariant-ring core at genus g - l, read at
-    bd - shift(l), against the per-(g, l) oracles on every bidegree and l."""
+    bd - shift(l), against the per-(g, l) oracles on every bidegree and l;
+    relation rows are compared up to a positive factor."""
     cases, bad = 0, []
     for bd in bidegree_cone(g, rel.default_max_coh(g, d)):
         for l in range(g + 1):
             gl, sbd = g - l, (bd[0] - shift(l)[0], bd[1] - shift(l)[1])
-            got = (invariant_basis(gl, sbd), rel._invariant_relations(gl, d, sbd))
-            want = (_summand_basis(g, l, bd), _summand_relations(g, d, l, bd))
+            rows = rel._invariant_relations(gl, d, sbd)
+            got = (invariant_basis(gl, sbd), [_primitive(r) for r in rows])
+            want = (_summand_basis(g, l, bd), [_primitive(r) for r in _summand_relations(g, d, l, bd)])
             if d == 0:
                 got += (row_reduce(rel._invariant_pairing(gl, sbd, F(-5, 2)))[0],)
                 want += (row_reduce(_summand_pairing(g, l, bd, F(-5, 2)))[0],)
@@ -771,7 +826,7 @@ def test_invariant_pairings_are_proportional_to_the_summand_pairings():
                 want = _summand_pairing(g, l, bd, 1).data
                 got = rel._invariant_pairing(g - l, sbd, 1).data
                 assert [set(r) for r in got] == [set(r) for r in want], (g, l, bd)
-                ratios |= {w[j] / r[j] for r, w in zip(got, want) for j in r}
+                ratios |= {F(w[j], r[j]) for r, w in zip(got, want) for j in r}
             assert len(ratios) <= 1 and 0 not in ratios, (g, l, ratios)
 
 
@@ -799,19 +854,22 @@ def test_the_table_routes_read_only_invariant_rings(monkeypatch):
     def refused(*args):
         raise AssertionError("a summand route read the full algebra")
 
-    integral = rel.summand_integral
+    numerator = rel._numerator
+    read = []
 
     def invariant_only(g, l, a, b, c):
         if l:
             raise AssertionError("a summand route read an integral at l > 0")
-        return integral(g, l, a, b, c)
+        read.append(g)
+        return numerator(g, l, a, b, c)
 
     for name in ("monomial_basis", "prim_basis", "exterior_basis"):
         monkeypatch.setattr(rel, name, refused)
-    monkeypatch.setattr(rel, "summand_integral", invariant_only)
+    monkeypatch.setattr(rel, "_numerator", invariant_only)
     for d in (0, 1, 2):
         assert _matches_closed_form(omega_from_ideal(6, d)), d
     assert _matches_closed_form(omega_from_pairing(6))
+    assert read, "the pairing route no longer reads the patched integral"
     assert all(pairing_kernel_matches_ideal(4, bd) for bd in bidegree_cone(4, 18))
 
 
@@ -827,24 +885,24 @@ def test_summands_count_every_monomial():
 def test_pairing_read_from_the_wrong_summand_disagrees(monkeypatch):
     g = 3
     assert _matches_closed_form(omega_from_pairing(g))
-    integral = rel.summand_integral
+    numerator = rel._numerator
 
     def misplaced(g, l, a, b, c):  # genus g - l reads the value of genus g - l + 1
-        return integral(g + 1, l, a, b, c)
+        return numerator(g + 1, l, a, b, c)
 
-    monkeypatch.setattr(rel, "summand_integral", misplaced)
+    monkeypatch.setattr(rel, "_numerator", misplaced)
     assert not _matches_closed_form(omega_from_pairing(g))
     assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
 
 
 def test_kernel_match_catches_what_the_table_cannot(monkeypatch):
     g = 3
-    integral = rel.summand_integral
+    numerator = rel._numerator
 
     def scaled(g, l, a, b, c):  # every gamma-term three times too large
-        return integral(g, l, a, b, c) * (3 if c else 1)
+        return numerator(g, l, a, b, c) * (3 if c else 1)
 
-    monkeypatch.setattr(rel, "summand_integral", scaled)
+    monkeypatch.setattr(rel, "_numerator", scaled)
     assert _matches_closed_form(omega_from_pairing(g))
     assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
 
