@@ -52,6 +52,12 @@ from .relations import _generator, _invariant_relations, _lefschetz_dims, _sigma
 from .relations import dims_mismatches, merged_report, prim_basis, report
 
 
+def _check_int(name: str, v) -> None:
+    """Refuse a v that is not an int; a bool is refused too."""
+    if type(v) is not int:
+        raise TypeError(f"{name} must be an int, got {v!r}")
+
+
 class Operator:
     """Linear operator on elements of a fixed-genus descendent algebra.
 
@@ -68,8 +74,7 @@ class Operator:
 
     def __init__(self, g: int, action, shift, den: int = 1):
         check_genus(g)
-        if type(den) is not int:  # a bool is refused too
-            raise TypeError(f"den must be an int, got {den!r}")
+        _check_int("den", den)
         if den <= 0:
             raise ValueError(f"den must be positive, got {den}")
         self.g = g
@@ -97,6 +102,7 @@ def _triple(family: str, d: int, g: int):
         raise ValueError(f"unknown family {family!r}")
     const = g + 2 * d - 1
     pairs = [(1 << i, 1 << (i + g)) for i in range(g)]
+    laplacian = {}  # mask -> its L terms, scanned once per triple
 
     def e(a, b, mask):
         return {(a + da, b + db, mask): 1}
@@ -112,19 +118,33 @@ def _triple(family: str, d: int, g: int):
             k = 4 * n * (const - n + 1 - mask.bit_count())
             if k:
                 out[(a - da, b - db, mask)] = k
-        for lo, hi in pairs:
-            if mask & lo and mask & hi:
-                p = (mask & (lo - 1)).bit_count() + (mask & (hi - 1)).bit_count()
-                out[(a + db, b + da, mask ^ lo ^ hi)] = 1 if p & 1 else -1
+        terms = laplacian.get(mask)
+        if terms is None:
+            terms = laplacian[mask] = _pair_terms(mask, pairs)
+        for rest, sign in terms:
+            out[(a + db, b + da, rest)] = sign
         return out
 
     coh, chern = Element.monomial(g, da, db, 0).bidegree()
     return Operator(g, e, (coh, chern)), Operator(g, h, (0, 0)), Operator(g, f, (-coh, -chern), 4)
 
 
+def _pair_terms(mask: int, pairs) -> tuple:
+    """The terms (mask without psi_lo psi_hi, -(-1)^p) of 4 f's -(w/4) L on
+    psi_mask, one per pair (lo, hi) inside mask, p counting the bits of mask
+    below lo and below hi."""
+    out = []
+    for lo, hi in pairs:
+        if mask & lo and mask & hi:
+            p = (mask & (lo - 1)).bit_count() + (mask & (hi - 1)).bit_count()
+            out.append((mask ^ lo ^ hi, 1 if p & 1 else -1))
+    return tuple(out)
+
+
 def _sum_action(p, q):
-    """The termwise sum of two monomial actions."""
-    return lambda a, b, mask: _accumulate(q(a, b, mask).items(), p(a, b, mask))
+    """The termwise sum of two monomial actions, in a fresh dict: neither
+    action's image is mutated."""
+    return lambda a, b, mask: _accumulate(q(a, b, mask).items(), dict(p(a, b, mask)))
 
 
 def make_sl2(family: str, d: int, g: int):
@@ -136,6 +156,7 @@ def make_sl2(family: str, d: int, g: int):
     summed actions share their den.
     """
     check_genus(g)
+    _check_int("d", d)
     if d < 0:
         raise ValueError("d must be >= 0")
     if family != "diagonal":
@@ -160,10 +181,11 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
 
     Each identity [a, b] + k x = 0 is checked on the integer actions as
     [A, B] + k (den_a den_b / den_x) X = 0, which is den_a den_b times it."""
-    if max_coh is None:
-        max_coh = 6 * g - 6
     names_a, names_b = ("e_a", "h_a", "f_a"), ("e_b", "h_b", "f_b")
     ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
+    if max_coh is None:
+        max_coh = 6 * g - 6
+    _check_int("max_coh", max_coh)
     actions = {name: op.action for name, op in ops.items()}
 
     def identity(label, a, b, name=None, k=0):
@@ -185,10 +207,12 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
         for label, a, b, name, k, den in plan:
             cases += 1
             out = _apply(actions[a], img[b])
-            _accumulate(((key, -v) for key, v in _apply(actions[b], img[a]).items()), out)
             if k:
                 _accumulate(((key, k * v) for key, v in img[name].items()), out)
-            if out:
+            back = _apply(actions[b], img[a])
+            # both sides are exact with no zero values, so they compare as dicts
+            if out != back:
+                _accumulate(((key, -v) for key, v in back.items()), out)
                 where = f"{label} on {Element.monomial(g, *mono)}"
                 got = Element._raw(g, _divide(out, den))
                 failures.append({"where": where, "expected": "0", "got": str(got)})
@@ -278,41 +302,41 @@ def check_descent(g: int, d: int) -> dict:
 
     Both sides are multiplied by N = (k-g-l)! (1 when negative), R_k's
     own denominator: the identity is checked in ints as f(N R_k sigma) =
-    (2g+2d-k) N R_down sigma, and a witness is divided back by N."""
+    (2g+2d-k) N R_down sigma, and a witness is divided back by N.  For
+    each (l, sigma), each product N R_{k,m,l} sigma is built once: it is
+    the left side's argument at k, and at k + 1 the right side is the int
+    multiple (2g+2d-k-1) (k+1-g-l)! / N of it (at k = 2g+2d that factor
+    is 0).  The witnesses are sorted back into (k, l, m, sigma, family)
+    order."""
     _, _, fa = make_sl2("alpha", d, g)
     _, _, fb = make_sl2("beta", d, g)
-
-    def lowered(k, m, l, N):
-        """(2g+2d-k) N R_{k-1,m,l} as int terms: R's own terms over its
-        denominator (k-1-g-l)!, which divides N."""
-        terms, den = _generator(g, k - 1, m, l)
-        scale = (2 * g + 2 * d - k) * N // den
-        return {key: scale * W for key, W in terms.items()} if scale else {}
-
+    ks = range(2 * g + 2 * d, 2 * g + 2 * d + 5)
     cases = 0
-    failures = []
-    for k in range(2 * g + 2 * d, 2 * g + 2 * d + 5):
-        for l in range(g + 1):
-            # R sigma reads the gamma chain of each primitive sigma of degree l
-            chains = [_sigma_chain(sigma, g)[1] for sigma in prim_basis(g, l)]
-            for m in range(g - l + 1):
-                R_k, N = _generator(g, k, m, l)
-                down = (("f_alpha", fa, lowered(k, m, l, N)), ("f_beta", fb, lowered(k, m - 1, l, N)))
-                for idx, chain in enumerate(chains):
-                    R_sigma = Element._raw(g, _times_chain(R_k, chain))
-                    for name, f, R_down in down:
-                        cases += 1
-                        lhs = f(R_sigma)
-                        rhs = _times_chain(R_down, chain)
-                        if lhs.terms != rhs:
-                            failures.append(
-                                {
-                                    "where": f"{name}, k={k}, m={m}, l={l}, sigma#{idx}",
-                                    "expected": str(Element._raw(g, _divide(rhs, N))),
-                                    "got": str(Element._raw(g, _divide(dict(lhs.terms), N))),
-                                }
-                            )
-    return report("check", "descent", g, d, cases, failures)
+    found = []  # (order key, witness)
+    for l in range(g + 1):
+        gens = {(k, m): _generator(g, k, m, l) for k in ks for m in range(g - l + 1)}
+        for idx, sigma in enumerate(prim_basis(g, l)):
+            chain = _sigma_chain(sigma, g)[1]
+            prods = {key: _times_chain(terms, chain) for key, (terms, _) in gens.items()}
+            for k, m in gens:
+                N = gens[k, m][1]
+                R_sigma = Element._raw(g, prods[k, m])
+                for fam, (name, f, m_down) in enumerate((("f_alpha", fa, m), ("f_beta", fb, m - 1))):
+                    cases += 1
+                    lhs = f(R_sigma)
+                    # no product at k = 2g+2d, where the factor is 0, nor at m_down = -1
+                    down = prods.get((k - 1, m_down), {})
+                    scale = (2 * g + 2 * d - k) * N // gens[k - 1, m_down][1] if down else 0
+                    rhs = {key: scale * v for key, v in down.items()} if scale else {}
+                    if lhs.terms != rhs:
+                        witness = {
+                            "where": f"{name}, k={k}, m={m}, l={l}, sigma#{idx}",
+                            "expected": str(Element._raw(g, _divide(rhs, N))),
+                            "got": str(Element._raw(g, _divide(dict(lhs.terms), N))),
+                        }
+                        found.append(((k, l, m, idx, fam), witness))
+    found.sort(key=lambda item: item[0])
+    return report("check", "descent", g, d, cases, [witness for _, witness in found])
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +362,7 @@ def sl2_closure(g: int, coh_buffer: int = None) -> dict:
     check_genus(g)
     if coh_buffer is None:
         coh_buffer = 4 * g
+    _check_int("coh_buffer", coh_buffer)
     if coh_buffer < 0:
         raise ValueError(f"coh_buffer must be >= 0, got {coh_buffer}")
     top_chern = 4 * g - 4

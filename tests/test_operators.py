@@ -417,6 +417,20 @@ def test_checks_match_their_element_oracles(g):
     assert all(rep["pass"] for rep in _checks_match_oracles(g, (0, 1, 2)))
 
 
+@pytest.mark.parametrize("perturbation", [None, {"const_shift": 1}])
+def test_relations_match_the_oracle_at_genus_four(monkeypatch, perturbation):
+    # max_coh 16 is the benchmark's 17,415 cases; the perturbed f is
+    # compared on the smaller cone, as the reference formulas are slow
+    max_coh = 16
+    if perturbation:
+        _patch_triple(monkeypatch, ("alpha", "beta"), keep_den=True, **perturbation)
+        max_coh = 10
+    got, want = check_sl2_relations(4, 0, max_coh), oracle_sl2_relations(4, 0, max_coh)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert got["cases"] == (17415 if max_coh == 16 else 3420)
+    assert got["pass"] == (perturbation is None)
+
+
 @pytest.mark.parametrize(
     "families, perturbation",
     [
@@ -619,6 +633,101 @@ def test_descent_passes():
     assert check_descent(2, 0)["pass"]
     assert check_descent(2, 1)["pass"]
     assert check_descent(3, 0)["pass"]
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_descent_builds_each_relation_product_once(monkeypatch, d):
+    # each R_{k,m,l} sigma is built once, for its left side at k, and read
+    # again as the right side at k + 1
+    g = 3
+    calls = []
+
+    def counted(terms, chain):
+        calls.append((tuple(sorted(terms.items())), id(chain)))
+        return times_chain(terms, chain)
+
+    times_chain = operators._times_chain
+    monkeypatch.setattr(operators, "_times_chain", counted)
+    assert check_descent(g, d)["pass"]
+    keys = sum(5 * (g - l + 1) * len(prim_basis(g, l)) for l in range(g + 1))
+    assert len(calls) == len(set(calls)) <= keys
+
+
+def test_a_passing_relation_check_builds_no_residual(monkeypatch):
+    # the two sides compare as dicts; only the 6 of 15 identities with a
+    # k X term add into a dict
+    calls = []
+
+    def counted(pairs, out):
+        calls.append(1)
+        return accumulate(pairs, out)
+
+    accumulate = operators._accumulate
+    monkeypatch.setattr(operators, "_accumulate", counted)
+    rep = check_sl2_relations(3, 0)
+    assert rep["pass"] and rep["cases"] % 15 == 0
+    assert len(calls) == rep["cases"] // 15 * 6
+
+
+def test_each_mask_is_scanned_for_pairs_once_per_triple(monkeypatch):
+    seen = []
+    held = []  # keeps each triple's pairs alive, so that their ids stay distinct
+
+    def counted(mask, pairs):
+        held.append(pairs)
+        seen.append((id(pairs), mask))
+        return pair_terms(mask, pairs)
+
+    pair_terms = operators._pair_terms
+    monkeypatch.setattr(operators, "_pair_terms", counted)
+    assert check_sl2_relations(3, 0, 10)["pass"]
+    assert check_descent(2, 1)["pass"]
+    assert seen and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("d", [1.5, F(1), True])
+def test_the_triples_refuse_a_d_that_is_not_an_int(d):
+    # a float d gave float coefficients, and a bool was reported as d
+    for call in (lambda: make_sl2("alpha", d, 2), lambda: make_sl2("diagonal", d, 2)):
+        with pytest.raises(TypeError, match="d must be an int"):
+            call()
+    with pytest.raises(TypeError, match="d must be an int"):
+        check_sl2_relations(2, d, 6)
+    with pytest.raises(TypeError, match="d must be an int"):
+        check_descent(2, d)
+
+
+@pytest.mark.parametrize("bound", [6.5, 6.0, True])
+def test_the_checks_refuse_a_coh_bound_that_is_not_an_int(bound):
+    with pytest.raises(TypeError, match="max_coh must be an int"):
+        check_sl2_relations(2, 0, bound)
+    with pytest.raises(TypeError, match="coh_buffer must be an int"):
+        sl2_closure(2, bound)
+
+
+def test_the_diagonal_sum_mutates_no_image(monkeypatch):
+    # the alpha e returns one dict object per monomial, the same on every
+    # call; summing the beta e into it would change what alpha returns next
+    original = operators._triple
+    images = {}
+
+    def triple(family, d, g):
+        e, h, f = original(family, d, g)
+        if family != "alpha":
+            return e, h, f
+
+        def action(a, b, mask):
+            return images.setdefault((a, b, mask), e.action(a, b, mask))
+
+        return Operator(g, action, e.shift), h, f
+
+    monkeypatch.setattr(operators, "_triple", triple)
+    e, _, _ = make_sl2("diagonal", 0, 2)
+    ea, _, _ = original("alpha", 0, 2)
+    x = Element.monomial(2, 1, 0, 0b101) + Element.monomial(2, 0, 2, 0)
+    first = e(x)
+    assert e(x) == first
+    assert images and all(image == ea.action(*key) for key, image in images.items())
 
 
 def test_descent_scaling_keeps_the_relation_generators_integral():
