@@ -32,9 +32,14 @@ dict, integral._pair_monomials on monomial keys) of the integer actions.
 A pairing is an int too, den(g) times its B = 1 value, so each identity,
 multiplied through by the denominators, is checked in ints, with an Element
 or a Fraction only for a failure witness, rebuilt at the unscaled values.
-Descent reads R sigma as alpha^a beta^b shifts of the gamma^c sigma of the
-chain relations memoises per primitive sigma, through the product the
-relation builders use, on R_{k,m,l}'s int terms over (k - g - l)!.
+A bracket identity compares its two sides as exact dicts with no zero
+values and builds their difference only for a witness.  f keeps, for the
+life of its triple, the pair Laplacian terms of each psi mask it has seen,
+so each mask's pairs are scanned once.  Descent reads R sigma as
+alpha^a beta^b shifts of the gamma^c sigma of the chain relations memoises
+per primitive sigma, through the product the relation builders use, on
+R_{k,m,l}'s int terms over (k - g - l)!; each such product is built once
+and read again, as an int multiple, for the right side one k higher.
 The f-closure is a worklist on term dicts too: each vector a span accepts
 is mapped once by each integer action, undivided, since scaling by den
 leaves a span as it is.
@@ -150,7 +155,7 @@ def _sum_action(p, q):
 def make_sl2(family: str, d: int, g: int):
     """The (e, h, f) triple for the alpha, beta, or diagonal family.
 
-    The parameter d >= 0 replaces the constant g-1 by g+2d-1; the diagonal
+    The int d >= 0 replaces the constant g-1 by g+2d-1; the diagonal
     family is the componentwise sum of the alpha and beta families, so only
     its h is bihomogeneous (the parts of e and f shift differently); the two
     summed actions share their den.
@@ -180,7 +185,10 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     cross-commutators vanish, verified on every monomial of coh <= max_coh.
 
     Each identity [a, b] + k x = 0 is checked on the integer actions as
-    [A, B] + k (den_a den_b / den_x) X = 0, which is den_a den_b times it."""
+    [A, B] + k (den_a den_b / den_x) X = 0, which is den_a den_b times it:
+    A(B m) + k' X(m) and B(A m), each an exact dict with no zero values,
+    are compared as dicts, and their difference is built only for a
+    failure witness.  max_coh (default 6g - 6) must be an int."""
     names_a, names_b = ("e_a", "h_a", "f_a"), ("e_b", "h_b", "f_b")
     ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
     if max_coh is None:
@@ -357,7 +365,8 @@ def sl2_closure(g: int, coh_buffer: int = None) -> dict:
     accepted, the first the monomials above the top Chern degree; the last
     round accepts nothing.
 
-    Returns {"dims": {bd: dim}, "sweeps": rounds, "buffer": coh_buffer}.
+    Returns {"dims": {bd: dim}, "sweeps": rounds, "buffer": coh_buffer};
+    coh_buffer (default 4g) must be an int >= 0.
     """
     check_genus(g)
     if coh_buffer is None:
