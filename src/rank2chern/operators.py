@@ -32,14 +32,12 @@ dict, integral._pair_monomials on monomial keys) of the integer actions.
 A pairing is an int too, den(g) times its B = 1 value, so each identity,
 multiplied through by the denominators, is checked in ints, with an Element
 or a Fraction only for a failure witness, rebuilt at the unscaled values.
-A bracket identity compares its two sides as exact dicts with no zero
-values and builds their difference only for a witness.  f keeps, for the
-life of its triple, the pair Laplacian terms of each psi mask it has seen,
-so each mask's pairs are scanned once.  Descent reads R sigma as
-alpha^a beta^b shifts of the gamma^c sigma of the chain relations memoises
-per primitive sigma, through the product the relation builders use, on
-R_{k,m,l}'s int terms over (k - g - l)!; each such product is built once
-and read again, as an int multiple, for the right side one k higher.
+A bracket identity compares its two sides as dicts, and f keeps each psi
+mask's pair Laplacian terms for the life of its triple.  Descent reads
+R sigma as alpha^a beta^b shifts of the gamma^c sigma of the chain
+relations memoises per primitive sigma, through the product the relation
+builders use, on R_{k,m,l}'s int terms over (k - g - l)!, and builds each
+product once: one k higher, an int multiple of it is the right side.
 The f-closure is a worklist on term dicts too: each vector a span accepts
 is mapped once by each integer action, undivided, since scaling by den
 leaves a span as it is.
@@ -310,12 +308,9 @@ def check_descent(g: int, d: int) -> dict:
 
     Both sides are multiplied by N = (k-g-l)! (1 when negative), R_k's
     own denominator: the identity is checked in ints as f(N R_k sigma) =
-    (2g+2d-k) N R_down sigma, and a witness is divided back by N.  For
-    each (l, sigma), each product N R_{k,m,l} sigma is built once: it is
-    the left side's argument at k, and at k + 1 the right side is the int
-    multiple (2g+2d-k-1) (k+1-g-l)! / N of it (at k = 2g+2d that factor
-    is 0).  The witnesses are sorted back into (k, l, m, sigma, family)
-    order."""
+    (2g+2d-k) N R_down sigma, and a witness is divided back by N.  Each
+    N R_{k,m,l} sigma is built once per (l, sigma), and the witnesses are
+    sorted back into (k, l, m, sigma, family) order."""
     _, _, fa = make_sl2("alpha", d, g)
     _, _, fb = make_sl2("beta", d, g)
     ks = range(2 * g + 2 * d, 2 * g + 2 * d + 5)

@@ -654,8 +654,8 @@ def test_descent_builds_each_relation_product_once(monkeypatch, d):
 
 
 def test_a_passing_relation_check_builds_no_residual(monkeypatch):
-    # the two sides compare as dicts; only the 6 of 15 identities with a
-    # k X term add into a dict
+    # the two sides compare as dicts; at most the 6 of 15 identities with
+    # a k X term add into a dict
     calls = []
 
     def counted(pairs, out):
@@ -666,7 +666,7 @@ def test_a_passing_relation_check_builds_no_residual(monkeypatch):
     monkeypatch.setattr(operators, "_accumulate", counted)
     rep = check_sl2_relations(3, 0)
     assert rep["pass"] and rep["cases"] % 15 == 0
-    assert len(calls) == rep["cases"] // 15 * 6
+    assert len(calls) <= rep["cases"] // 15 * 6
 
 
 def test_each_mask_is_scanned_for_pairs_once_per_triple(monkeypatch):
