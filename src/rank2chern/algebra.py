@@ -44,6 +44,15 @@ def check_genus(g: int) -> None:
         raise ValueError(f"genus must be an integer in [2, {MAX_GENUS}], got {g!r}")
 
 
+def _check_int(name: str, v, least: int = 0) -> None:
+    """Refuse a v that is not an int, a bool included (TypeError), or is
+    below least (ValueError): the entry check of a degree or a bound."""
+    if type(v) is not int:
+        raise TypeError(f"{name} must be an int, got {v!r}")
+    if v < least:
+        raise ValueError(f"{name} must be >= {least}, got {v}")
+
+
 def koszul_sign(mask1: int, mask2: int) -> int:
     """Sign of moving the sorted psi block ``mask2`` past ``mask1``.
 

@@ -47,18 +47,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, _accumulate, _apply, _exact, bidegree_cone, check_genus
+from .algebra import Element, _accumulate, _apply, _check_int, _exact, bidegree_cone, check_genus
 from .algebra import _divide, koszul_sign, monomial_basis
 from .integral import _normalization, _pair_monomials, _value, top_bidegree
 from .linalg import RowSpan
 from .relations import _generator, _invariant_relations, _lefschetz_dims, _sigma_chain, _times_chain
 from .relations import dims_mismatches, merged_report, prim_basis, report
-
-
-def _check_int(name: str, v) -> None:
-    """Refuse a v that is not an int; a bool is refused too."""
-    if type(v) is not int:
-        raise TypeError(f"{name} must be an int, got {v!r}")
 
 
 class Operator:
@@ -77,9 +71,7 @@ class Operator:
 
     def __init__(self, g: int, action, shift, den: int = 1):
         check_genus(g)
-        _check_int("den", den)
-        if den <= 0:
-            raise ValueError(f"den must be positive, got {den}")
+        _check_int("den", den, 1)
         self.g = g
         self.action = action
         self.shift = shift
@@ -160,8 +152,6 @@ def make_sl2(family: str, d: int, g: int):
     """
     check_genus(g)
     _check_int("d", d)
-    if d < 0:
-        raise ValueError("d must be >= 0")
     if family != "diagonal":
         return _triple(family, d, g)
     pairs = zip(_triple("alpha", d, g), _triple("beta", d, g))
@@ -186,12 +176,13 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     [A, B] + k (den_a den_b / den_x) X = 0, which is den_a den_b times it:
     A(B m) + k' X(m) and B(A m), each an exact dict with no zero values,
     are compared as dicts, and their difference is built only for a
-    failure witness.  max_coh (default 6g - 6) must be an int."""
-    names_a, names_b = ("e_a", "h_a", "f_a"), ("e_b", "h_b", "f_b")
-    ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
+    failure witness.  max_coh (default 6g - 6) must be an int >= 0."""
+    check_genus(g)
     if max_coh is None:
         max_coh = 6 * g - 6
     _check_int("max_coh", max_coh)
+    names_a, names_b = ("e_a", "h_a", "f_a"), ("e_b", "h_b", "f_b")
+    ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
     actions = {name: op.action for name, op in ops.items()}
 
     def identity(label, a, b, name=None, k=0):
@@ -367,8 +358,6 @@ def sl2_closure(g: int, coh_buffer: int = None) -> dict:
     if coh_buffer is None:
         coh_buffer = 4 * g
     _check_int("coh_buffer", coh_buffer)
-    if coh_buffer < 0:
-        raise ValueError(f"coh_buffer must be >= 0, got {coh_buffer}")
     top_chern = 4 * g - 4
     bases = {bd: monomial_basis(g, bd) for bd in bidegree_cone(g, 6 * g - 6 + coh_buffer)}
     above = [bd for bd in bases if bd.chern > top_chern]
@@ -415,7 +404,8 @@ def check_closure(g: int, buffers=(None,)) -> dict:
     """Compare the f-closure dimensions with the relation-ideal slices for
     every bidegree with coh <= 6g-6, across the given buffer sweep.  The
     ideal dimensions are the relation counts of the invariant rings of
-    genus g - l, whose freeness _invariant_relations asserts.  The window
+    genus g - l, read from the _invariant_relations memo, which asserts
+    their freeness on the first build.  The window
     is finite, so each closure reaches its fixpoint; a buffer too small for
     the chains of f shows as a dimension mismatch."""
     ideal_dims = _lefschetz_dims(g, 6 * g - 6, lambda gl, bd: len(_invariant_relations(gl, 0, bd)))

@@ -28,10 +28,10 @@ dim Prim_l = prim_dim(g, l), so summand l of genus g is the core at
 g' = g - l, read at bd - (3l, 2l) (R_{k,m,l} there is R_{k-2l,m,0}).  No
 step enumerates the 2^(2g) psi monomials.  Both routes hold ints: the
 relation rows are R's int terms, and the pairing reads integral._numerator
-at l = 0 times B's numerator, one nonzero scalar off summand l's, so ranks
-and kernels agree; nothing is built or memoised.  The d = 0 kernel
-match runs on the same core; ideal_slice keeps the full-monomial slices
-for the relations dump.
+at l = 0, one nonzero scalar off summand l's, so ranks and kernels agree.
+Each ring slice is built once per process, in the memos
+_invariant_relations and _pairing_slice, which every route and check
+reads; ideal_slice keeps the full-monomial slices for the relations dump.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .algebra import (
     MAX_GENUS,
     Element,
     _accumulate,
+    _check_int,
     _divide,
     _lowest_terms,
     _same_value,
@@ -364,8 +365,10 @@ def _invariant_families(g: int, d: int, bd):
 def _summands(g: int, bd):
     """(l, g - l, bd - (3l, 2l)) per Lefschetz summand l: summand l of genus g
     at bd is prim_dim(g, l) copies of the invariant ring of genus g - l at
-    bd - (3l, 2l), its relation R_{k,m,l} being R_{k-2l,m,0} there."""
-    return [(l, g - l, (bd[0] - 3 * l, bd[1] - 2 * l)) for l in range(g + 1)]
+    bd - (3l, 2l), its relation R_{k,m,l} being R_{k-2l,m,0} there.  One
+    with an empty invariant basis is zero, and left out."""
+    shifted = ((l, g - l, (bd[0] - 3 * l, bd[1] - 2 * l)) for l in range(g + 1))
+    return [s for s in shifted if invariant_basis(s[1], s[2])]
 
 
 def ideal_slice_keys(g: int, d: int, bd):
@@ -492,22 +495,23 @@ def invariant_basis(g: int, bd) -> list:
     return [(chern // 2 - n - c, n - c, c) for c in range(min(g, n) + 1) if chern // 2 >= n + c]
 
 
-def _invariant_relations(g: int, d: int, bd) -> list:
+@lru_cache(maxsize=None)
+def _invariant_relations(g: int, d: int, bd) -> tuple:
     """Rows of the relations beta^ell R_{k,m,0} of genus g over
     invariant_basis(g, bd), each the int terms W of _generator_terms, (k-g)!
-    times R; their freeness is asserted.  R has gamma degree <= m <= g, so
-    it needs no truncation."""
+    times R; their freeness is asserted, once per key.  R has gamma degree
+    <= m <= g, so it needs no truncation."""
     index = {mono: i for i, mono in enumerate(invariant_basis(g, bd))}
-    rows = [
+    rows = tuple(
         {index[(a, b + ell, c)]: W for a, b, c, W in _generator_terms(g, k, m, 0)}
         for ell, k, m in _invariant_families(g, d, bd)
-    ]
+    )
     if rows and row_reduce(QMatrix(len(index), rows))[0] != len(rows):
         raise VerificationError(f"relation family dependent at g={g}, d={d}, bd={bd}, summand l=0")
     return rows
 
 
-def _invariant_pairing(g: int, bd, B) -> QMatrix:
+def _invariant_pairing(g: int, bd, B=1) -> QMatrix:
     """M(bd)[p, q] = den(g) den(B) B * integral of p q at genus g, an int
     (integral._numerator at l = 0 times B's numerator), for p, q in the
     invariant bases of bd and of its complementary bidegree.  Summand l of
@@ -518,6 +522,14 @@ def _invariant_pairing(g: int, bd, B) -> QMatrix:
         entries = ((j, _numerator(g, 0, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
         rows.append({j: v * B.numerator for j, v in entries if v})
     return QMatrix(len(cols), rows)
+
+
+@lru_cache(maxsize=None)
+def _pairing_slice(g: int, bd):
+    """(M^T, rank M), M = _invariant_pairing(g, bd): B scales M only, so
+    the memo is B-free; the kernel match reads M^T."""
+    transpose = _invariant_pairing(g, bd).transpose()
+    return transpose, row_reduce(transpose)[0]
 
 
 def _lefschetz_dims(g: int, max_coh: int, count) -> dict:
@@ -535,8 +547,10 @@ def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
     """dims[bd] = sum over summands l of prim_dim(g, l) * (#monomials -
     #relations) of the invariant ring of genus g - l at bd - (3l, 2l)."""
     check_genus(g)
+    _check_int("d", d)
     if max_coh is None:
         max_coh = default_max_coh(g, d)
+    _check_int("max_coh", max_coh)
 
     def count(gl, bd):
         return len(invariant_basis(gl, bd)) - len(_invariant_relations(gl, d, bd))
@@ -548,8 +562,8 @@ def omega_from_pairing(g: int, B=1) -> OmegaTable:
     """d = 0 table from ranks of the graded pairing: rank = sum over
     summands l of prim_dim(g, l) * the pairing rank of genus g - l."""
     check_genus(g)
-    B = _normalization(B)
-    dims = _lefschetz_dims(g, 6 * g - 6, lambda gl, bd: row_reduce(_invariant_pairing(gl, bd, B))[0])
+    _normalization(B)
+    dims = _lefschetz_dims(g, 6 * g - 6, lambda gl, bd: _pairing_slice(gl, bd)[1])
     return OmegaTable(g, 0, 6 * g - 6, dims)
 
 
@@ -568,13 +582,10 @@ def pairing_kernel_matches_ideal(g: int, bd, B=1) -> bool:
     of each invariant ring span exactly the left kernel of its pairing
     matrix (containment plus dimension count)."""
     check_genus(g)
-    B = _normalization(B)
+    _normalization(B)
     for _, gl, sbd in _summands(g, bd):
         rows = _invariant_relations(gl, 0, sbd)
-        matrix = _invariant_pairing(gl, sbd, B)
-        if len(rows) != matrix.rows - row_reduce(matrix)[0]:
-            return False
-        transpose = matrix.transpose()
-        if any(transpose.mul_vector(r) for r in rows):
+        transpose, rank = _pairing_slice(gl, sbd)
+        if len(rows) != transpose.cols - rank or any(transpose.mul_vector(r) for r in rows):
             return False
     return True

@@ -705,6 +705,13 @@ def test_the_checks_refuse_a_coh_bound_that_is_not_an_int(bound):
         sl2_closure(2, bound)
 
 
+def test_the_relation_check_refuses_a_negative_max_coh():
+    # a negative bound left no monomial: a 0-case failing report
+    with pytest.raises(ValueError, match="max_coh must be >= 0, got -1"):
+        check_sl2_relations(2, 0, -1)
+    assert check_sl2_relations(2, 0, 0)["cases"] > 0
+
+
 def test_the_diagonal_sum_mutates_no_image(monkeypatch):
     # the alpha e returns one dict object per monomial, the same on every
     # call; summing the beta e into it would change what alpha returns next

@@ -3,8 +3,12 @@ import fractions
 import hashlib
 import json
 import math
+import os
 import pstats
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,7 @@ from rank2chern.relations import (
     verify_vanishing_corollary,
 )
 from rank2chern.series import InvariantPoly, phi_series
+from rank2chern.suites import suite_pairing
 
 
 def ideal_multiplicative_closure_holds(g: int, d: int, max_coh: int = None) -> bool:
@@ -372,7 +377,7 @@ def test_relation_rows_and_pairing_entries_are_ints():
     for g in (3, 5):
         for bd in bidegree_cone(g, default_max_coh(g, 1)):
             for _, gl, sbd in rel._summands(g, bd):
-                rows = rel._invariant_relations(gl, 0, sbd) + rel._invariant_relations(gl, 1, sbd)
+                rows = list(rel._invariant_relations(gl, 0, sbd) + rel._invariant_relations(gl, 1, sbd))
                 rows += rel._invariant_pairing(gl, sbd, F(-5, 2)).data
                 assert all(type(v) is int for row in rows for v in row.values()), (g, bd, gl)
 
@@ -849,7 +854,21 @@ def test_a_negative_d_is_refused_where_the_relation_family_is_built():
             call()
 
 
-def test_the_table_routes_read_only_invariant_rings(monkeypatch):
+@pytest.fixture
+def clear_slices():
+    """Empties the invariant-ring slice memos when called, right after a
+    patch, and again at teardown, so no slice built under a patch reaches a
+    later test."""
+
+    def clear():
+        rel._invariant_relations.cache_clear()
+        rel._pairing_slice.cache_clear()
+
+    yield clear
+    clear()
+
+
+def test_the_table_routes_read_only_invariant_rings(monkeypatch, clear_slices):
     # no psi monomial, primitive class or exterior basis, and no integral at l > 0
     def refused(*args):
         raise AssertionError("a summand route read the full algebra")
@@ -866,6 +885,7 @@ def test_the_table_routes_read_only_invariant_rings(monkeypatch):
     for name in ("monomial_basis", "prim_basis", "exterior_basis"):
         monkeypatch.setattr(rel, name, refused)
     monkeypatch.setattr(rel, "_numerator", invariant_only)
+    clear_slices()  # else a memoised slice skips the patched integral
     for d in (0, 1, 2):
         assert _matches_closed_form(omega_from_ideal(6, d)), d
     assert _matches_closed_form(omega_from_pairing(6))
@@ -882,7 +902,7 @@ def test_summands_count_every_monomial():
         assert all(prim_dim(g, l) == len(prim_basis(g, l)) for l in range(g + 1))
 
 
-def test_pairing_read_from_the_wrong_summand_disagrees(monkeypatch):
+def test_pairing_read_from_the_wrong_summand_disagrees(monkeypatch, clear_slices):
     g = 3
     assert _matches_closed_form(omega_from_pairing(g))
     numerator = rel._numerator
@@ -891,11 +911,12 @@ def test_pairing_read_from_the_wrong_summand_disagrees(monkeypatch):
         return numerator(g + 1, l, a, b, c)
 
     monkeypatch.setattr(rel, "_numerator", misplaced)
+    clear_slices()
     assert not _matches_closed_form(omega_from_pairing(g))
     assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
 
 
-def test_kernel_match_catches_what_the_table_cannot(monkeypatch):
+def test_kernel_match_catches_what_the_table_cannot(monkeypatch, clear_slices):
     g = 3
     numerator = rel._numerator
 
@@ -903,11 +924,12 @@ def test_kernel_match_catches_what_the_table_cannot(monkeypatch):
         return numerator(g, l, a, b, c) * (3 if c else 1)
 
     monkeypatch.setattr(rel, "_numerator", scaled)
+    clear_slices()
     assert _matches_closed_form(omega_from_pairing(g))
     assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
 
 
-def test_duplicated_summand_relation_is_dependent(monkeypatch):
+def test_duplicated_summand_relation_is_dependent(monkeypatch, clear_slices):
     families = rel._invariant_families
     assert _matches_closed_form(omega_from_ideal(2, 0))
 
@@ -916,6 +938,7 @@ def test_duplicated_summand_relation_is_dependent(monkeypatch):
         return found + found[:1]
 
     monkeypatch.setattr(rel, "_invariant_families", repeat_first)
+    clear_slices()
     with pytest.raises(VerificationError, match="relation family dependent at .* summand l=0"):
         omega_from_ideal(2, 0)
 
@@ -968,7 +991,7 @@ def test_summand_kernel_match_equals_full_monomial_oracle(g):
         assert got, bd
 
 
-def test_kernel_match_without_a_relation_family_fails(monkeypatch):
+def test_kernel_match_without_a_relation_family_fails(monkeypatch, clear_slices):
     g = 3
     families = rel._invariant_families
 
@@ -976,6 +999,7 @@ def test_kernel_match_without_a_relation_family_fails(monkeypatch):
         return list(families(g, d, bd))[1:]
 
     monkeypatch.setattr(rel, "_invariant_families", drop_first)
+    clear_slices()
     bds = list(bidegree_cone(g, 6 * g - 6))
     got = [pairing_kernel_matches_ideal(g, bd) for bd in bds]
     assert not all(got)
@@ -983,7 +1007,7 @@ def test_kernel_match_without_a_relation_family_fails(monkeypatch):
     assert got == [_pairing_kernel_matches_ideal_full(g, bd, 1) for bd in bds]
 
 
-def test_kernel_match_with_a_perturbed_relation_fails(monkeypatch):
+def test_kernel_match_with_a_perturbed_relation_fails(monkeypatch, clear_slices):
     # same count of free relations, but some of them leave the kernel
     g = 3
     original = rel._generator_terms
@@ -993,7 +1017,89 @@ def test_kernel_match_with_a_perturbed_relation_fails(monkeypatch):
         return [(a, b, c, 2 * w if i == 0 else w) for i, (a, b, c, w) in enumerate(terms)]
 
     monkeypatch.setattr(rel, "_generator_terms", perturbed)
+    clear_slices()
     assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
+
+
+def test_each_invariant_slice_is_built_once_per_process(monkeypatch, clear_slices):
+    # the rings do not depend on g: both routes at g = 5 and the g = 4
+    # pairing suite share their slices, and each is built and reduced once
+    families, pairing = rel._invariant_families, rel._invariant_pairing
+    built = {"relations": [], "pairing": []}
+    reduced = []
+
+    def counted_families(g, d, bd):
+        built["relations"].append((g, d, bd))
+        return families(g, d, bd)
+
+    def counted_pairing(g, bd, B=1):
+        built["pairing"].append((g, bd))
+        return pairing(g, bd, B)
+
+    def counted_reduce(matrix):
+        reduced.append(matrix)
+        return row_reduce(matrix)
+
+    monkeypatch.setattr(rel, "_invariant_families", counted_families)
+    monkeypatch.setattr(rel, "_invariant_pairing", counted_pairing)
+    monkeypatch.setattr(rel, "row_reduce", counted_reduce)
+    clear_slices()
+    B = F(7, 3)
+    assert _matches_closed_form(omega_from_ideal(5, 0))
+    assert _matches_closed_form(omega_from_pairing(5, B))
+    assert suite_pairing(4, B)["pass"]
+    for kind, keys in built.items():
+        assert keys and len(keys) == len(set(keys)), kind
+    nonempty = [key for key in built["relations"] if rel._invariant_relations(*key)]
+    assert len(reduced) == len(nonempty) + len(built["pairing"])
+
+
+def test_the_pairing_table_does_not_depend_on_B(clear_slices):
+    # the pairing memo holds no B; each route still refuses B = 0 at entry
+    clear_slices()
+    for g in (2, 3, 4):
+        tables = [omega_from_pairing(g, B) for B in (1, F(7, 3), F(-5, 2))]
+        assert _matches_closed_form(tables[0])
+        assert all(t.dims == tables[0].dims for t in tables), g
+        with pytest.raises(ValueError, match="nonzero"):
+            omega_from_pairing(g, 0)
+        with pytest.raises(ValueError, match="nonzero"):
+            pairing_kernel_matches_ideal(g, (4, 4), 0)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, F(1)])
+def test_the_ideal_route_refuses_a_bound_that_is_not_an_int(bad, clear_slices):
+    # a bool d was reported as the table's d and filed under d = 1 or 0
+    clear_slices()
+    with pytest.raises(TypeError, match="d must be an int"):
+        omega_from_ideal(3, bad)
+    with pytest.raises(TypeError, match="max_coh must be an int"):
+        omega_from_ideal(3, 0, bad)
+    assert rel._invariant_relations.cache_info().currsize == 0
+
+
+def test_the_ideal_route_refuses_a_negative_max_coh(clear_slices):
+    # a negative bound gave an empty table
+    clear_slices()
+    with pytest.raises(ValueError, match="max_coh must be >= 0, got -4"):
+        omega_from_ideal(3, 0, -4)
+    assert rel._invariant_relations.cache_info().currsize == 0
+    assert omega_from_ideal(3, 0, 0).dims == {(0, 0): 1}
+
+
+def test_import_leaves_the_slice_memos_empty():
+    # the benchmark's cold-run guard does not list these memos
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import rank2chern, rank2chern.relations as r; "
+        "print(r._invariant_relations.cache_info().currsize, r._pairing_slice.cache_info().currsize)"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_ideal_multiplicative_closure_g2():
