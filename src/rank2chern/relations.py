@@ -511,23 +511,23 @@ def _invariant_relations(g: int, d: int, bd) -> tuple:
     return rows
 
 
-def _invariant_pairing(g: int, bd, B=1) -> QMatrix:
-    """M(bd)[p, q] = den(g) den(B) B * integral of p q at genus g, an int
-    (integral._numerator at l = 0 times B's numerator), for p, q in the
-    invariant bases of bd and of its complementary bidegree.  Summand l of
-    genus g + l pairs by a nonzero multiple of it."""
+def _invariant_pairing(g: int, bd) -> QMatrix:
+    """M(bd)[p, q] = den(g) * integral of p q at genus g, an int
+    (integral._numerator at l = 0), for p, q in the invariant bases of bd
+    and of its complementary bidegree.  Summand l of genus g + l, and any
+    nonzero normalization B, pair by a nonzero multiple of it."""
     cols = invariant_basis(g, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
     rows = []
     for p in invariant_basis(g, bd):
         entries = ((j, _numerator(g, 0, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
-        rows.append({j: v * B.numerator for j, v in entries if v})
+        rows.append({j: v for j, v in entries if v})
     return QMatrix(len(cols), rows)
 
 
 @lru_cache(maxsize=None)
 def _pairing_slice(g: int, bd):
-    """(M^T, rank M), M = _invariant_pairing(g, bd): B scales M only, so
-    the memo is B-free; the kernel match reads M^T."""
+    """(M^T, rank M), M = _invariant_pairing(g, bd): a nonzero B only
+    scales M, so the memo is B-free; the kernel match reads M^T."""
     transpose = _invariant_pairing(g, bd).transpose()
     return transpose, row_reduce(transpose)[0]
 

@@ -378,7 +378,7 @@ def test_relation_rows_and_pairing_entries_are_ints():
         for bd in bidegree_cone(g, default_max_coh(g, 1)):
             for _, gl, sbd in rel._summands(g, bd):
                 rows = list(rel._invariant_relations(gl, 0, sbd) + rel._invariant_relations(gl, 1, sbd))
-                rows += rel._invariant_pairing(gl, sbd, F(-5, 2)).data
+                rows += rel._invariant_pairing(gl, sbd).data
                 assert all(type(v) is int for row in rows for v in row.values()), (g, bd, gl)
 
 
@@ -778,7 +778,7 @@ def _decomposition_mismatches(g, d, shift):
             got = (invariant_basis(gl, sbd), [_primitive(r) for r in rows])
             want = (_summand_basis(g, l, bd), [_primitive(r) for r in _summand_relations(g, d, l, bd)])
             if d == 0:
-                got += (row_reduce(rel._invariant_pairing(gl, sbd, F(-5, 2)))[0],)
+                got += (row_reduce(rel._invariant_pairing(gl, sbd))[0],)
                 want += (row_reduce(_summand_pairing(g, l, bd, F(-5, 2)))[0],)
             cases += 1
             if got != want:
@@ -829,7 +829,7 @@ def test_invariant_pairings_are_proportional_to_the_summand_pairings():
             for bd in bidegree_cone(g, 6 * g - 6):
                 sbd = (bd[0] - 3 * l, bd[1] - 2 * l)
                 want = _summand_pairing(g, l, bd, 1).data
-                got = rel._invariant_pairing(g - l, sbd, 1).data
+                got = rel._invariant_pairing(g - l, sbd).data
                 assert [set(r) for r in got] == [set(r) for r in want], (g, l, bd)
                 ratios |= {F(w[j], r[j]) for r, w in zip(got, want) for j in r}
             assert len(ratios) <= 1 and 0 not in ratios, (g, l, ratios)
@@ -944,9 +944,12 @@ def test_duplicated_summand_relation_is_dependent(monkeypatch, clear_slices):
 
 
 def test_omega_pairing_normalization_invariance():
-    t1 = omega_from_pairing(2, F(1))
-    t2 = omega_from_pairing(2, F(7, 3))
-    assert t1.dims == t2.dims
+    # the pairing memo holds no B, so every B reads the same slices
+    for g in (2, 3, 4):
+        t1 = omega_from_pairing(g, F(1))
+        for B in (F(7, 3), F(-5, 2)):
+            t2 = omega_from_pairing(g, B)
+            assert t1.dims == t2.dims, (g, B)
 
 
 def test_omega_pairing_symmetric_table():
@@ -1032,9 +1035,9 @@ def test_each_invariant_slice_is_built_once_per_process(monkeypatch, clear_slice
         built["relations"].append((g, d, bd))
         return families(g, d, bd)
 
-    def counted_pairing(g, bd, B=1):
+    def counted_pairing(g, bd):
         built["pairing"].append((g, bd))
-        return pairing(g, bd, B)
+        return pairing(g, bd)
 
     def counted_reduce(matrix):
         reduced.append(matrix)
@@ -1052,19 +1055,6 @@ def test_each_invariant_slice_is_built_once_per_process(monkeypatch, clear_slice
         assert keys and len(keys) == len(set(keys)), kind
     nonempty = [key for key in built["relations"] if rel._invariant_relations(*key)]
     assert len(reduced) == len(nonempty) + len(built["pairing"])
-
-
-def test_the_pairing_table_does_not_depend_on_B(clear_slices):
-    # the pairing memo holds no B; each route still refuses B = 0 at entry
-    clear_slices()
-    for g in (2, 3, 4):
-        tables = [omega_from_pairing(g, B) for B in (1, F(7, 3), F(-5, 2))]
-        assert _matches_closed_form(tables[0])
-        assert all(t.dims == tables[0].dims for t in tables), g
-        with pytest.raises(ValueError, match="nonzero"):
-            omega_from_pairing(g, 0)
-        with pytest.raises(ValueError, match="nonzero"):
-            pairing_kernel_matches_ideal(g, (4, 4), 0)
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, F(1)])
