@@ -527,8 +527,9 @@ def _invariant_pairing(g: int, bd) -> QMatrix:
 @lru_cache(maxsize=None)
 def _pairing_slice(g: int, bd):
     """(M^T, rank M), M = _invariant_pairing(g, bd): a nonzero B only
-    scales M, so the memo is B-free; the kernel match reads M^T."""
-    transpose = _invariant_pairing(g, bd).transpose()
+    scales M, so the memo is B-free.  M^T, which the kernel match reads,
+    is the pairing at the complementary bidegree, built as such."""
+    transpose = _invariant_pairing(g, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
     return transpose, row_reduce(transpose)[0]
 
 

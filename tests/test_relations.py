@@ -382,6 +382,15 @@ def test_relation_rows_and_pairing_entries_are_ints():
                 assert all(type(v) is int for row in rows for v in row.values()), (g, bd, gl)
 
 
+def test_the_memoised_pairing_is_the_transpose():
+    # the slice memo builds M^T as the pairing at the complementary bidegree
+    for g in (2, 3, 4, 5):
+        for bd in bidegree_cone(g, 6 * g - 6):
+            transpose, rank = rel._pairing_slice(g, bd)
+            matrix = rel._invariant_pairing(g, bd)
+            assert transpose == matrix.transpose() and rank == row_reduce(matrix)[0], (g, bd)
+
+
 MODIFIED_DIGESTS = {
     (2, 0): "9878a792e021e49a19a396d346daeeddc5053cb433d2b614cc640a54e49f3721",
     (2, 1): "300872df47960ae10b88faa858d00a06c6352776284143ef96579548d4f8c285",
