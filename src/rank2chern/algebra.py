@@ -364,12 +364,6 @@ class Element(Sparse):
             return None
         return degs.pop()
 
-    def chern_component(self, chern: int) -> "Element":
-        return Element._raw(
-            self.g,
-            {m: c for m, c in self.terms.items() if monomial_bidegree(m).chern == chern},
-        )
-
     # ------------------------------------------------------------------
 
     def sorted_terms(self):

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .algebra import Sparse, _accumulate, _exact
+from .algebra import Sparse, _accumulate, _check_int, _exact
 
 
 class BiPoly(Sparse):
@@ -244,8 +244,7 @@ def _q(i=1, j=0, c=1):
 def omega_stack(r: int, g: int) -> BiRational:
     """Refined Poincare series of the full fixed-determinant stack:
     prod_{k=2..r} (1 + q^k t^(k-1))^2g / ((1 - q^k t^(k-2)) (1 - q^k t^k))."""
-    if r < 2:
-        raise ValueError("rank must be >= 2")
+    _check_int("rank", r, 2)
     num = BiPoly.one()
     den = BiPoly.one()
     for k in range(2, r + 1):
@@ -260,8 +259,7 @@ def omega_closed_form(g: int, d: int = 0) -> BiRational:
     d = 0 is the stable-locus closed form (a polynomial); d >= 1 gives the
     series for the stack of bundles with destabilizing degree <= d.
     """
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    _check_int("d", d)
     num = (BiPoly.one() + _q(2, 1)) ** (2 * g) - _q(2 * g + 4 * d, 0) * (
         BiPoly.one() + _q(0, 1)
     ) ** (2 * g)
@@ -407,14 +405,6 @@ def rank3_t_minus_one_matches(f: BiRational, g: int) -> bool:
     return lhs_num.terms == (target * lhs_den).terms
 
 
-def rank3_qt_series_nonnegative(g: int) -> bool:
-    """q = t specialization of the rank-three formula expands with
-    non-negative integer coefficients up to degree 16(g-1) (sanity
-    property, not a theorem)."""
-    series = omega_rank3(g).subst_q_equals_t().series_coefficients(16 * (g - 1))
-    return all(v.denominator == 1 and v >= 0 for v in series.terms.values())
-
-
 def zagier_combinatorial_omega(g: int) -> BiPoly:
     """The block-count sum over tuples (p, l, r, s, h) with
     2p + l + r + s + h = g - 1 of
@@ -476,8 +466,7 @@ def telescoping_identity(g: int) -> bool:
 def intermediate_difference_matches(g: int, d: int) -> bool:
     """Consecutive intermediate closed forms differ by the stratum series
     q^(2g+4d-4) (1+t)^2g (1+q^2) / (1 - q^2 t^2)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_int("d", d, 1)
     lhs = omega_closed_form(g, d) - omega_closed_form(g, d - 1)
     rhs = BiRational(
         _q(2 * g + 4 * d - 4, 0)

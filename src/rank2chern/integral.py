@@ -19,9 +19,9 @@ The B = 1 values are held as ints over one positive denominator den(g)
 per genus: _virasoro_line(g) evaluates the Virasoro rule once, in closed
 form on alpha^a beta^b gamma^c sigma sigma*, as den(g) times each value,
 and _numerator reads it (the table routes read its l = 0 case);
-summand_integral is that value over den(g); _pair_monomials applies the monodromy rule to two
-monomial keys and returns the int den(g) times their pairing, which the
-adjointness check sums, and the integral of one key is its pairing with 1.
+_pair_monomials applies the monodromy rule to two monomial keys and
+returns the int den(g) times their pairing, which the adjointness check
+sums, and the integral of one key is its pairing with 1.
 The public entries build a Fraction only for the value they return.  This
 module is the only place an integral is evaluated.
 """
@@ -74,7 +74,9 @@ def _virasoro_line(g: int):
 
 
 def _numerator(g: int, l: int, a: int, b: int, c: int) -> int:
-    """den(g) times summand_integral(g, l, a, b, c)."""
+    """den(g) times the B = 1 integral of alpha^a beta^b gamma^c sigma sigma*,
+    with sigma = psi_1..psi_l and sigma* = psi_{g+1}..psi_{g+l}; only
+    a = b = g-1-l-c reaches the top bidegree."""
     if a != b or a + l + c != g - 1 or a < 0 or c < 0:
         return 0
     return _virasoro_line(g)[1][l][c]
@@ -99,18 +101,6 @@ def _pair_monomials(g: int, m1, m2) -> int:
 def _value(g: int, n: int, B=1) -> Fraction:
     """The value B n / den(g) of a numerator n."""
     return Fraction(n * B, _virasoro_line(g)[0]) if n else _ZERO
-
-
-def monomial_integral(g: int, a: int, b: int, mask: int) -> Fraction:
-    """B = 1 integral of the monomial alpha^a beta^b psi_mask."""
-    return _value(g, _pair_monomials(g, (a, b, mask), Element._unit))
-
-
-def summand_integral(g: int, l: int, a: int, b: int, c: int) -> Fraction:
-    """B = 1 integral of alpha^a beta^b gamma^c sigma sigma*, with
-    sigma = psi_1..psi_l and sigma* = psi_{g+1}..psi_{g+l}; only
-    a = b = g-1-l-c reaches the top bidegree."""
-    return _value(g, _numerator(g, l, a, b, c))
 
 
 def graded_integral(D: Element, B=1) -> Fraction:

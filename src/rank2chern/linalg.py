@@ -21,18 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import _exact
+from .algebra import _check_int, _exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _check_count(n) -> None:
-    """Refuse a column count that is not an int (a bool included) or is negative."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"column count must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"negative column count {n}")
 
 
 def _sparse(vec, ncols: int) -> dict:
@@ -131,7 +123,7 @@ class QMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, cols: int, data=()):
-        _check_count(cols)
+        _check_int("column count", cols)
         self.data = [_sparse(row, cols) for row in data]
         self.rows = len(self.data)
         self.cols = cols
@@ -199,7 +191,7 @@ class RowSpan:
     __slots__ = ("ncols", "_pivot_rows")
 
     def __init__(self, ncols: int):
-        _check_count(ncols)
+        _check_int("column count", ncols)
         self.ncols = ncols
         self._pivot_rows = {}  # pivot column -> primitive row, positive lead there
 

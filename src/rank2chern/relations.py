@@ -350,8 +350,6 @@ def slice_vector(x: Element, basis_index: dict) -> dict:
 def _invariant_families(g: int, d: int, bd):
     """(ell, k, m) of every beta^ell R_{k,m,0} of the degree-d relation ideal
     of the invariant ring of genus g landing in bidegree bd."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
     coh, chern = bd
     if chern % 2:
         return
@@ -375,6 +373,7 @@ def ideal_slice_keys(g: int, d: int, bd):
     """Lexicographic (ell, k, m, l, primIndex) keys of the spanning family
     of the degree-d graded relation ideal landing in bidegree bd."""
     check_genus(g)
+    _check_int("d", d)
     return sorted(
         (ell, k + 2 * l, m, l, idx)
         for l, gl, sbd in _summands(g, bd)
@@ -452,11 +451,6 @@ class OmegaTable:
             if n
         ]
         return {"genus": self.g, "d": self.d, "maxCoh": self.max_coh, "table": table}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        dims = {(row["coh"], row["chern"]): row["dim"] for row in data["table"]}
-        return cls(data["genus"], data["d"], data["maxCoh"], dims)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, Sparse, _accumulate, check_genus, gamma_power
+from .algebra import Element, Sparse, _accumulate, _check_int, check_genus, gamma_power
 
 
 class InvariantPoly(Sparse):
@@ -47,11 +47,6 @@ class InvariantPoly(Sparse):
         if a < 0 or b < 0 or c < 0:
             raise ValueError(f"negative exponent in alpha^{a} beta^{b} gamma^{c}")
         return c <= self.g
-
-    @classmethod
-    def gen(cls, g, name):
-        key = {"alpha": (1, 0, 0), "beta": (0, 1, 0), "gamma": (0, 0, 1)}[name]
-        return cls(g, {key: 1})
 
     @classmethod
     def monomial(cls, g, a, b, c, coeff=1):
@@ -111,7 +106,7 @@ def _phi_numerators(d: int, g: int, order: int) -> tuple:
     return head + (out,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a warm order 1 must not answer True or 1.0
 def phi_series(d: int, g: int, order: int) -> tuple:
     """Coefficients c_{d,0} .. c_{d,order} of the degree-d Mumford series.
 
@@ -120,8 +115,7 @@ def phi_series(d: int, g: int, order: int) -> tuple:
     each computed once per (d, g).
     """
     check_genus(g)
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
+    _check_int("truncation order", order)
     head = phi_series(d, g, order - 1) if order else ()
     terms = dict(_phi_numerators(d, g, order)[order])
     return head + (InvariantPoly._raw(g, terms).scale(Fraction(1, math.factorial(order))),)

@@ -19,7 +19,6 @@ from rank2chern.genfun import (
     omega_closed_polynomial,
     omega_rank3,
     omega_stack,
-    rank3_qt_series_nonnegative,
     rank3_t_minus_one_matches,
     stack_t_minus_one_matches,
     telescoping_identity,
@@ -130,9 +129,37 @@ def test_rank3_stack_t_minus_one():
     assert f.num.terms == (target * f.den).terms
 
 
+def rank3_qt_series_nonnegative(g: int) -> bool:
+    """q = t specialization of the rank-three formula expands with
+    non-negative integer coefficients up to degree 16(g-1) (sanity
+    property, not a theorem)."""
+    series = omega_rank3(g).subst_q_equals_t().series_coefficients(16 * (g - 1))
+    return all(v.denominator == 1 and v >= 0 for v in series.terms.values())
+
+
 def test_rank3_qt_series_nonnegative():
     assert rank3_qt_series_nonnegative(2)
     assert rank3_qt_series_nonnegative(3)
+
+
+# each closed form refuses, at entry, a bool, a float and the value just
+# below its range: no float exponent and no bool read as 1
+@pytest.mark.parametrize("bad, error", [(True, TypeError), (1.0, TypeError), (-1, ValueError)])
+def test_omega_closed_form_refuses_a_d_that_is_no_degree(bad, error):
+    with pytest.raises(error, match="d must be"):
+        omega_closed_form(2, bad)
+
+
+@pytest.mark.parametrize("bad, error", [(True, TypeError), (1.0, TypeError), (0, ValueError)])
+def test_intermediate_difference_refuses_a_d_that_is_no_stratum(bad, error):
+    with pytest.raises(error, match="d must be"):
+        intermediate_difference_matches(2, bad)
+
+
+@pytest.mark.parametrize("bad, error", [(True, TypeError), (2.5, TypeError), (1, ValueError)])
+def test_omega_stack_refuses_a_rank_that_is_no_rank(bad, error):
+    with pytest.raises(error, match="rank must be"):
+        omega_stack(bad, 2)
 
 
 def test_zagier_sum():

@@ -233,7 +233,7 @@ def test_operator_refuses_a_den_that_is_not_a_positive_int(den, error):
 def test_operator_refuses_a_value_that_is_not_an_element():
     # h_alpha(gamma) is 0; read as an Element key, gamma's exponent would be a psi mask
     with pytest.raises(TypeError, match="InvariantPoly"):
-        make_sl2("alpha", 0, 3)[1](InvariantPoly.gen(3, "gamma"))
+        make_sl2("alpha", 0, 3)[1](InvariantPoly.monomial(3, 0, 0, 1))
 
 
 def test_operator_leibniz_consistency():

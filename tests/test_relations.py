@@ -20,10 +20,11 @@ from rank2chern.algebra import (
     format_element,
     gamma,
     monomial_basis,
+    monomial_bidegree,
     theta_power,
 )
 from rank2chern.genfun import BiPoly, omega_closed_form
-from rank2chern.integral import _virasoro_line, pairing_matrix, summand_integral
+from rank2chern.integral import _numerator, _value, _virasoro_line, pairing_matrix
 from rank2chern.linalg import RowSpan, row_reduce
 from rank2chern.relations import (
     OmegaTable,
@@ -544,6 +545,11 @@ def test_rel_generator_bidegree():
                 assert rel.bidegree() == (2 * k - 2 * g + 2 * m + l, 2 * k - 2 * g)
 
 
+def _chern_component(x, chern):
+    """The terms of x of Chern degree chern."""
+    return Element(x.g, {m: c for m, c in x.terms.items() if monomial_bidegree(m).chern == chern})
+
+
 def test_rel_generator_is_top_chern_part_of_modified():
     # the Chern-(2k-2g) part of the modified relation at d+1 equals the
     # generator up to its scalar prefactor
@@ -554,7 +560,7 @@ def test_rel_generator_is_top_chern_part_of_modified():
                 for m in range(g - l + 1):
                     for k in range(2 * g, 2 * g + 4):
                         rel = modified_mumford_closed(d + 1, k, m, l, g).embed() * sig
-                        top = rel.chern_component(2 * k - 2 * g)
+                        top = _chern_component(rel, 2 * k - 2 * g)
                         scalar = (
                             F((-1) ** l)
                             * (F(2) ** (2 * g - m - k) if 2 * g >= m + k else F(1, 2 ** (m + k - 2 * g)))
@@ -761,7 +767,7 @@ def _summand_pairing(g, l, bd, B):
     cols = _summand_basis(g, l, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
     rows = []
     for p in _summand_basis(g, l, bd):
-        entries = ((j, summand_integral(g, l, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
+        entries = ((j, _value(g, _numerator(g, l, *(x + y for x, y in zip(p, q))))) for j, q in enumerate(cols))
         rows.append({j: v * B for j, v in entries if v})
     return rel.QMatrix(len(cols), rows)
 
@@ -858,9 +864,15 @@ def test_the_invariant_core_has_its_own_genus_bound():
 
 def test_a_negative_d_is_refused_where_the_relation_family_is_built():
     bd = (8, 8)
-    for call in (lambda: omega_from_ideal(3, -1), lambda: ideal_slice_keys(3, -1, bd), lambda: ideal_slice(3, -1, bd)):
+    for build in (omega_from_ideal, lambda g, d: ideal_slice_keys(g, d, bd), lambda g, d: ideal_slice(g, d, bd)):
         with pytest.raises(ValueError, match="d must be >= 0"):
-            call()
+            build(3, -1)
+        for d in (True, 1.5):
+            with pytest.raises(TypeError, match="d must be an int"):
+                build(3, d)
+    # the check runs at entry, also where no summand has a relation family
+    with pytest.raises(TypeError, match="d must be an int"):
+        ideal_slice_keys(3, True, (1, 0))
 
 
 @pytest.fixture
@@ -1109,7 +1121,8 @@ def test_ideal_multiplicative_closure_g2():
 def test_omega_table_json_roundtrip():
     table = omega_from_ideal(2, 1)
     data = json.loads(table.to_json())
-    again = OmegaTable.from_json_dict(data)
+    dims = {(row["coh"], row["chern"]): row["dim"] for row in data["table"]}
+    again = OmegaTable(data["genus"], data["d"], data["maxCoh"], dims)
     assert again == table
     csv = table.to_csv()
     assert csv.splitlines()[0] == "coh,chern,dim"

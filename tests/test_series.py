@@ -25,8 +25,8 @@ def xi_rs(r: int, s: int, g: int) -> InvariantPoly:
     """
     if r < 0 or s < 0:
         raise ValueError("negative index")
-    beta = InvariantPoly.gen(g, "beta")
-    gam = InvariantPoly.gen(g, "gamma")
+    beta = InvariantPoly.monomial(g, 0, 1, 0)
+    gam = InvariantPoly.monomial(g, 0, 0, 1)
     out = InvariantPoly.zero(g)
     for l in range(min(r, s) + 1):
         c = F(math.comb(r + s - l, r), math.factorial(l))
@@ -52,7 +52,7 @@ def test_phi_constant_and_linear_coefficients():
     for d in (-1, 0, 1, 2, 5):
         c = phi_series(d, 2, 2)
         assert c[0] == InvariantPoly.one(2)
-        assert c[1] == InvariantPoly.gen(2, "alpha")
+        assert c[1] == InvariantPoly.monomial(2, 1, 0, 0)
 
 
 def test_phi_quadratic_coefficient():
@@ -66,14 +66,14 @@ def test_phi_quadratic_coefficient():
 def test_xi_small_values():
     g = 2
     assert xi(0, g) == InvariantPoly.one(g)
-    assert xi(1, g) == InvariantPoly.gen(g, "alpha")
+    assert xi(1, g) == InvariantPoly.monomial(g, 1, 0, 0)
     assert xi(2, g) == InvariantPoly(g, {(2, 0, 0): F(1, 2), (0, 1, 0): F(1, 2)})
 
 
 def test_xi_rs_small_values():
     g = 2
     assert xi_rs(0, 0, g) == InvariantPoly.one(g)
-    assert xi_rs(0, 1, g) == InvariantPoly.gen(g, "beta")
+    assert xi_rs(0, 1, g) == InvariantPoly.monomial(g, 0, 1, 0)
     assert xi_rs(1, 1, g) == InvariantPoly(g, {(1, 1, 0): F(2), (0, 0, 1): F(2)})
 
 
@@ -111,8 +111,13 @@ def test_phi_series_prefixes_agree():
         assert len(full) == 11
         for order in range(10):
             assert phi_series(d, 3, order) == full[: order + 1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
         phi_series(0, 2, -1)
+    # refused also when the cache holds the order they equal
+    phi_series(0, 2, 1)
+    for bad in (True, 1.0, 1.5):
+        with pytest.raises(TypeError, match="truncation order must be an int"):
+            phi_series(0, 2, bad)
 
 
 # ----------------------------------------------------------------------
