@@ -23,6 +23,8 @@ GOLDEN = [
     ("relations --genus 3", "80c4b72a592f06e3667ecba781f0cddd0576efd7e845154bdabe4bf229439dec", 0),
     ("relations --genus 3 --format json", "648c1a9bea2166147a9632dfbf9353487d21c11013ae9809135188beaf2bece3", 0),
     ("relations --genus 4 --d 1", "f94ca7e61ac2745676c3f159bf272fef6277ecf9fdf8ceece787511de572e9c5", 0),
+    ("relations --genus 5", "700b8c7fea7dd7ba359f3e55ae12776dea7848741ed66c9d825fd0984cec1fb2", 0),
+    ("relations --genus 5 --d 1", "e83c16d97d0fd326deab2f537b9ac686847912b3d5e13859ac5287cd098fd4ab", 0),
     ("sl2 --check relations --genus 3", "79fb521e39b7b8b6711e5c775eb8367b91eb627c8088bb9c9b97dcdf20df9e39", 0),
     ("sl2 --check adjoint --genus 3", "2b26e7272b879f062c906e77b3e4bb6c9ff0f77a1a00e0e3dceb7cdec2c54598", 0),
     ("sl2 --check descent --genus 3", "75fc33cd0ef0b97c6109af598de3435380ef3e760fbbc7851fb5dc180bc9156f", 0),
