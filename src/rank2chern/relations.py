@@ -31,7 +31,8 @@ relation rows are R's int terms, and the pairing reads integral._numerator
 at l = 0, one nonzero scalar off summand l's, so ranks and kernels agree.
 Each ring slice is built once per process, in the memos
 _invariant_relations and _pairing_slice, which every route and check
-reads; ideal_slice keeps the full-monomial slices for the relations dump.
+reads.  ideal_slice, the relations dump, writes each row out over psi
+monomials, and its freeness is that of the ring slices of its summands.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 
 from .algebra import (
     MAX_GENUS,
@@ -53,7 +55,6 @@ from .algebra import (
     check_genus,
     exterior_basis,
     gamma,
-    monomial_basis,
     theta_power,
 )
 from .integral import _normalization, _numerator
@@ -341,12 +342,6 @@ def rel_generator(k: int, m: int, sig: Element, g: int) -> Element:
 # ideal slices and dimension tables
 
 
-def slice_vector(x: Element, basis_index: dict) -> dict:
-    """Sparse coordinates {index: coeff} of a homogeneous element over an
-    indexed monomial basis."""
-    return {basis_index[mono]: c for mono, c in x.terms.items()}
-
-
 def _invariant_families(g: int, d: int, bd):
     """(ell, k, m) of every beta^ell R_{k,m,0} of the degree-d relation ideal
     of the invariant ring of genus g landing in bidegree bd."""
@@ -383,23 +378,27 @@ def ideal_slice_keys(g: int, d: int, bd):
 
 
 def ideal_slice(g: int, d: int, bd):
-    """All beta^ell R_{k,m,l} sigma landing in bidegree bd.
+    """All beta^ell R_{k,m,l} sigma landing in bidegree bd, in the order of
+    ideal_slice_keys.  beta is central, so each is R_{k,m,l} with every beta
+    exponent raised by ell, times sigma: R is built once per family and
+    multiplied by each sigma's gamma chain.
 
-    The returned family is linearly independent (the freeness of the ideal
-    as a Q[beta]-module); this is asserted.
+    The family is free (the freeness of the ideal as a Q[beta]-module), and
+    this is asserted per summand: the summand-l rows are those of the
+    invariant ring of genus g - l, whose freeness _invariant_relations
+    asserts, times the independent classes of prim_basis(g, l), and the
+    Lefschetz sum is direct.
     """
     keys = ideal_slice_keys(g, d, bd)
+    for _, gl, sbd in _summands(g, bd):
+        _invariant_relations(gl, d, sbd)
     elements = []
-    beta = Element.beta(g)
-    for ell, k, m, l, idx in keys:
-        sig = prim_basis(g, l)[idx]
-        elements.append(beta**ell * rel_generator(k, m, sig, g))
-    if elements:
-        basis = monomial_basis(g, bd)
-        index = {mono: i for i, mono in enumerate(basis)}
-        rk, _ = row_reduce(QMatrix(len(basis), [slice_vector(x, index) for x in elements]))
-        if rk != len(elements):
-            raise VerificationError(f"relation family dependent at g={g}, d={d}, bd={bd}")
+    for (ell, k, m, l), family in groupby(keys, lambda key: key[:4]):
+        terms, den = _generator(g, k, m, l)
+        shifted = {(a, b + ell, c): W for (a, b, c), W in terms.items()}
+        for *_, idx in family:
+            chain = _sigma_chain(prim_basis(g, l)[idx], g)[1]
+            elements.append(Element._raw(g, _divide(_times_chain(shifted, chain), den)))
     return elements
 
 

@@ -325,13 +325,21 @@ def test_genfun_tminus1_at_d(capsys, argv):
 
 
 def test_dependent_relation_family_fails(capsys, monkeypatch):
-    # a primitive basis whose last class repeats its first makes every slice
-    # using it dependent; at g = 2 the slice (5, 4) holds alpha^2 sigma_1
-    original = relations.prim_basis
-    monkeypatch.setattr(relations, "prim_basis", lambda g, l: original(g, l)[:-1] + original(g, l)[:1])
-    with pytest.raises(VerificationError, match="dependent"):
-        relations.ideal_slice(2, 0, (5, 4))
-    assert main(["relations", "--genus", "2"]) == 1
+    # each invariant-ring family listed twice makes every slice that has one
+    # dependent; at g = 2 the slice (5, 4) holds alpha^2 sigma_1
+    original = relations._invariant_families
+
+    def twice(g, d, bd):
+        return [family for family in original(g, d, bd) for _ in range(2)]
+
+    monkeypatch.setattr(relations, "_invariant_families", twice)
+    relations._invariant_relations.cache_clear()  # else a memoised slice skips the freeness check
+    try:
+        with pytest.raises(VerificationError, match="dependent"):
+            relations.ideal_slice(2, 0, (5, 4))
+        assert main(["relations", "--genus", "2"]) == 1
+    finally:
+        relations._invariant_relations.cache_clear()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "relation family dependent" in captured.err

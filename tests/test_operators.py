@@ -37,7 +37,7 @@ from rank2chern.operators import (
     sl2_closure,
 )
 from rank2chern.relations import ideal_slice, merged_report, prim_basis, rel_generator_poly, report
-from rank2chern.relations import slice_vector
+from test_relations import slice_vector
 from rank2chern.series import InvariantPoly
 
 

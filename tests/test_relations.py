@@ -25,7 +25,7 @@ from rank2chern.algebra import (
 )
 from rank2chern.genfun import BiPoly, omega_closed_form
 from rank2chern.integral import _numerator, _value, _virasoro_line, pairing_matrix
-from rank2chern.linalg import RowSpan, row_reduce
+from rank2chern.linalg import QMatrix, RowSpan, row_reduce
 from rank2chern.relations import (
     OmegaTable,
     VerificationError,
@@ -45,11 +45,16 @@ from rank2chern.relations import (
     prim_dim,
     rel_generator,
     invariant_basis,
-    slice_vector,
     verify_vanishing_corollary,
 )
 from rank2chern.series import InvariantPoly, phi_series
 from rank2chern.suites import suite_pairing
+
+
+def slice_vector(x: Element, basis_index: dict) -> dict:
+    """Sparse coordinates {index: coeff} of a homogeneous element over an
+    indexed monomial basis."""
+    return {basis_index[mono]: c for mono, c in x.terms.items()}
 
 
 def ideal_multiplicative_closure_holds(g: int, d: int, max_coh: int = None) -> bool:
@@ -626,6 +631,41 @@ def test_ideal_slice_keys_refuse_a_genus_out_of_range():
             ideal_slice(g, 0, bd)
 
 
+def _full_monomial_slice(g, d, bd):
+    """The rows beta**ell * rel_generator(k, m, sigma, g) of the keys of bd,
+    their freeness checked by elimination over every psi monomial of the
+    slice; a dependent family raises the VerificationError of that check."""
+    beta = Element.beta(g)
+    keys = ideal_slice_keys(g, d, bd)
+    rows = [beta**ell * rel_generator(k, m, rel.prim_basis(g, l)[idx], g) for ell, k, m, l, idx in keys]
+    basis = monomial_basis(g, bd)
+    index = {mono: i for i, mono in enumerate(basis)}
+    if rows and row_reduce(QMatrix(len(basis), [slice_vector(x, index) for x in rows]))[0] != len(rows):
+        raise VerificationError(f"relation family dependent at g={g}, d={d}, bd={bd}")
+    return rows
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_ideal_slice_is_the_free_full_monomial_family(g):
+    cases = 0
+    for d in (0, 1, 2):
+        for bd in bidegree_cone(g, default_max_coh(g, d)):
+            rows = _full_monomial_slice(g, d, bd)
+            assert ideal_slice(g, d, bd) == rows, (d, bd)
+            cases += len(rows)
+    assert cases > 0
+
+
+def test_the_full_monomial_oracle_sees_a_repeated_primitive_class(monkeypatch):
+    # a primitive basis whose last class repeats its first: every invariant
+    # ring stays free, so only the elimination over psi monomials sees it
+    original = rel.prim_basis
+    monkeypatch.setattr(rel, "prim_basis", lambda g, l: original(g, l)[:-1] + original(g, l)[:1])
+    assert len(ideal_slice(2, 0, (5, 4))) == 4
+    with pytest.raises(VerificationError, match=r"relation family dependent at g=2, d=0, bd=\(5, 4\)$"):
+        _full_monomial_slice(2, 0, (5, 4))
+
+
 # ----------------------------------------------------------------------
 # tables
 
@@ -903,7 +943,7 @@ def test_the_table_routes_read_only_invariant_rings(monkeypatch, clear_slices):
         read.append(g)
         return numerator(g, l, a, b, c)
 
-    for name in ("monomial_basis", "prim_basis", "exterior_basis"):
+    for name in ("prim_basis", "exterior_basis"):
         monkeypatch.setattr(rel, name, refused)
     monkeypatch.setattr(rel, "_numerator", invariant_only)
     clear_slices()  # else a memoised slice skips the patched integral
@@ -1146,6 +1186,7 @@ def test_route_disagreements_raise_verification_error(monkeypatch):
     monkeypatch.setattr(rel, "_sum_route", lambda *args: ({(0, 0, 0): 1}, 1))  # the int pair of 1
     with pytest.raises(VerificationError, match="routes disagree at d=0, k=5, m=0, l=0, g=2$"):
         modified_mumford(0, 5, 0, Element.one(g), g)
+    rel._invariant_relations.cache_clear()  # else a memoised slice skips the freeness check
     monkeypatch.setattr(rel, "row_reduce", lambda matrix: (0, []))
     with pytest.raises(VerificationError, match="dependent"):
         ideal_slice(g, 0, (4, 4))
