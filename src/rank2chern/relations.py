@@ -114,13 +114,16 @@ def prim_dim(g: int, l: int) -> int:
 
 
 def _check_degrees(g: int, l: int, m: int = 0, d: int = 0) -> None:
-    """The range of a degree-d summand-l relation: 0 <= l <= g, 0 <= m <= g - l, d >= 0."""
+    """The range of a degree-d summand-l relation: ints, bools refused, with
+    0 <= l <= g, 0 <= m <= g - l and d >= 0."""
     check_genus(g)
+    for name, v in (("l", l), ("m", m), ("d", d)):
+        _check_int(name, v, None)  # the type; the range in one message below
     if not 0 <= l <= g or not 0 <= m <= g - l or d < 0:
         raise ValueError(f"need 0 <= l <= g, 0 <= m <= g - l and d >= 0, got l={l}, m={m}, d={d}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a warm l = 1 must not answer True
 def prim_basis(g: int, l: int):
     """Basis of the degree-l primitive part: kernel of theta^(g-l+1).
 
@@ -291,7 +294,7 @@ def modified_mumford_closed(d: int, k: int, m: int, l: int, g: int) -> Invariant
     return InvariantPoly._raw(g, _divide(*_closed_route(d, k, m, l, g)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a warm d = 1 must not answer True
 def _checked_coefficient(d: int, k: int, m: int, l: int, g: int):
     """The sigma_l coefficient of the modified relation as (den * x, den),
     den its least denominator, after asserting that its two defining
@@ -316,12 +319,13 @@ def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
 def _generator(g: int, k: int, m: int, l: int):
     """R_{k,m,l} as (W terms of _generator_terms, (k-g-l)! or 1), after the
     range check; a negative m, or k < g + l, gives the empty sum."""
+    _check_int("m", m, None)
     _check_degrees(g, l, max(m, 0))
     terms = {(a, b, c): W for a, b, c, W in _generator_terms(g, k, m, l)}
     return terms, math.factorial(max(k - g - l, 0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a warm m = 1 must not answer True
 def rel_generator_poly(g: int, k: int, m: int, l: int) -> InvariantPoly:
     """R_{k,m,l} = sum_{b+c=m, a+b+2c=k-g-l} (g-l-c)! alpha^a/a! beta^b/b! (2 gamma)^c/c!.
 

@@ -115,6 +115,7 @@ def phi_series(d: int, g: int, order: int) -> tuple:
     each computed once per (d, g).
     """
     check_genus(g)
+    _check_int("d", d, None)  # any int: d < 0 is a series too
     _check_int("truncation order", order)
     head = phi_series(d, g, order - 1) if order else ()
     terms = dict(_phi_numerators(d, g, order)[order])

@@ -11,6 +11,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rank2chern.relations as rel
 from rank2chern.algebra import (
@@ -260,6 +262,40 @@ def test_relation_builders_refuse_a_negative_d():
         with pytest.raises(ValueError, match="d >= 0, got l=0, m=0, d=-1"):
             build(-1, 4, 0, 0, g)
     assert phi_series(-1, g, 2)[2] == InvariantPoly(g, {(2, 0, 0): F(1, 2), (0, 1, 0): F(5, 2)})
+
+
+G, ONE = 2, Element.one(2)
+
+# (build from one degree argument, the ints it admits), per argument
+DEGREE_ARGUMENTS = {
+    "prim_basis l": (lambda v: prim_basis(G, v), lambda v: 0 <= v <= G),
+    "rel_generator m": (lambda v: rel_generator(6, v, ONE, G), lambda v: v <= G),  # m < 0: the empty sum
+    "modified_mumford m": (lambda v: modified_mumford(0, 6, v, ONE, G), lambda v: 0 <= v <= G),
+    "modified_mumford d": (lambda v: modified_mumford(v, 6, 0, ONE, G), lambda v: v >= 0),
+    "ideal_slice d": (lambda v: ideal_slice(G, v, (8, 6)), lambda v: v >= 0),
+    "phi_series d": (lambda v: phi_series(v, G, 2), lambda v: True),  # a series at every int d
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(DEGREE_ARGUMENTS)),
+    v=st.one_of(st.integers(-3, 5), st.booleans(), st.floats(-3, 5), st.fractions(-3, 5)),
+)
+def test_degree_arguments_are_ints_in_range(name, v):
+    # a bool, float or Fraction raises TypeError, also when the memo holds
+    # the int of the same value; an int out of range raises ValueError
+    build, admits = DEGREE_ARGUMENTS[name]
+    if type(v) is not int:
+        if v == int(v) and admits(int(v)):
+            build(int(v))
+        with pytest.raises(TypeError, match="must be an int"):
+            build(v)
+    elif admits(v):
+        build(v)
+    else:
+        with pytest.raises(ValueError):
+            build(v)
 
 
 def test_the_mumford_builders_refuse_a_negative_m():
