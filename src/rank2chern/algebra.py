@@ -46,8 +46,7 @@ def check_genus(g: int) -> None:
 
 def _check_int(name: str, v, least: int | None = 0) -> None:
     """Refuse a v that is not an int, a bool included (TypeError), or is
-    below least unless that is None (ValueError): the entry check of a
-    degree or a bound."""
+    below a least that is not None (ValueError): the check of a degree or a bound."""
     if type(v) is not int:
         raise TypeError(f"{name} must be an int, got {v!r}")
     if least is not None and v < least:

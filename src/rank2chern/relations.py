@@ -31,8 +31,7 @@ relation rows are R's int terms, and the pairing reads integral._numerator
 at l = 0, one nonzero scalar off summand l's, so ranks and kernels agree.
 Each ring slice is built once per process, in the memos
 _invariant_relations and _pairing_slice, which every route and check
-reads.  ideal_slice, the relations dump, writes each row out over psi
-monomials, and its freeness is that of the ring slices of its summands.
+reads; ideal_slice writes their rows out over psi monomials for the dump.
 """
 
 from __future__ import annotations
@@ -114,8 +113,7 @@ def prim_dim(g: int, l: int) -> int:
 
 
 def _check_degrees(g: int, l: int, m: int = 0, d: int = 0) -> None:
-    """The range of a degree-d summand-l relation: ints, bools refused, with
-    0 <= l <= g, 0 <= m <= g - l and d >= 0."""
+    """The range of a degree-d summand-l relation: ints 0 <= l <= g, 0 <= m <= g - l, d >= 0."""
     check_genus(g)
     for name, v in (("l", l), ("m", m), ("d", d)):
         _check_int(name, v, None)  # the type; the range in one message below
@@ -382,17 +380,12 @@ def ideal_slice_keys(g: int, d: int, bd):
 
 
 def ideal_slice(g: int, d: int, bd):
-    """All beta^ell R_{k,m,l} sigma landing in bidegree bd, in the order of
-    ideal_slice_keys.  beta is central, so each is R_{k,m,l} with every beta
-    exponent raised by ell, times sigma: R is built once per family and
-    multiplied by each sigma's gamma chain.
-
-    The family is free (the freeness of the ideal as a Q[beta]-module), and
-    this is asserted per summand: the summand-l rows are those of the
-    invariant ring of genus g - l, whose freeness _invariant_relations
-    asserts, times the independent classes of prim_basis(g, l), and the
-    Lefschetz sum is direct.
-    """
+    """All beta^ell R_{k,m,l} sigma landing in bidegree bd, in key order: R
+    with its beta exponents raised by ell (beta is central), built once per
+    family, times each sigma.  The family is free, which is asserted: its
+    summand-l rows are the invariant-ring rows of genus g - l, whose
+    freeness _invariant_relations asserts, times the independent
+    prim_basis(g, l), and the Lefschetz sum is direct."""
     keys = ideal_slice_keys(g, d, bd)
     for _, gl, sbd in _summands(g, bd):
         _invariant_relations(gl, d, sbd)

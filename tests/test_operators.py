@@ -37,8 +37,8 @@ from rank2chern.operators import (
     sl2_closure,
 )
 from rank2chern.relations import ideal_slice, merged_report, prim_basis, rel_generator_poly, report
-from test_relations import slice_vector
 from rank2chern.series import InvariantPoly
+from test_relations import slice_vector
 
 
 # ----------------------------------------------------------------------
