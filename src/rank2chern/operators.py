@@ -32,12 +32,15 @@ dict, integral._pair_monomials on monomial keys) of the integer actions.
 A pairing is an int too, den(g) times its B = 1 value, so each identity,
 multiplied through by the denominators, is checked in ints, with an Element
 or a Fraction only for a failure witness, rebuilt at the unscaled values.
-A bracket identity compares its two sides as dicts, and f keeps each psi
+A bracket identity, bound once as two actions and the indexes of the
+images it reads, compares its two sides as dicts, and f keeps each psi
 mask's pair Laplacian terms for the life of its triple.  Descent reads
 R sigma as alpha^a beta^b shifts of the gamma^c sigma of the chain
 relations memoises per primitive sigma, through the product the relation
-builders use, on R_{k,m,l}'s int terms over (k - g - l)!, and builds each
-product once: one k higher, an int multiple of it is the right side.
+builders use, on R_{k,m,l}'s int terms times 4 over (k - g - l)!, and
+builds each product once: one k higher, an int multiple of it is the right
+side.  The products of one (l, sigma) lie in distinct bidegrees, so each
+f is applied once, to their sum, and a failing sum is split per key.
 The f-closure is a worklist on term dicts too: each vector a span accepts
 is mapped once by each integer action, undivided, since scaling by den
 leaves a span as it is.
@@ -182,14 +185,15 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
         max_coh = 6 * g - 6
     _check_int("max_coh", max_coh)
     names_a, names_b = ("e_a", "h_a", "f_a"), ("e_b", "h_b", "f_b")
-    ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
-    actions = {name: op.action for name, op in ops.items()}
+    names, ops = names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)
 
-    def identity(label, a, b, name=None, k=0):
-        """[a, b] plus k times the image under name, as its label, the two
-        operators, name, the scaled k and the scale den_a den_b."""
+    def identity(label, a, b, x=None, k=0):
+        """[a, b] plus k times the image under x, bound as its label, the
+        actions of a and b, the image indexes of b, a and x, the scaled k
+        and the scale den_a den_b."""
+        a, b, x = (names.index(name) if name else None for name in (a, b, x))
         den = ops[a].den * ops[b].den
-        return label, a, b, name, k and k * _exact(Fraction(den, ops[name].den)), den
+        return label, ops[a].action, ops[b].action, b, a, x, k and k * _exact(Fraction(den, ops[x].den)), den
 
     plan = []
     for tag, (e, h, f) in (("alpha", names_a), ("beta", names_b)):
@@ -200,13 +204,18 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     failures = []
     cases = 0
     for mono in (m for bd in bidegree_cone(g, max_coh) for m in monomial_basis(g, bd)):
-        img = {name: act(*mono) for name, act in actions.items()}
-        for label, a, b, name, k, den in plan:
-            cases += 1
-            out = _apply(actions[a], img[b])
+        img = [op.action(*mono) for op in ops]
+        cases += len(plan)
+        for label, act_a, act_b, ib, ia, ix, k, den in plan:
+            out = _apply(act_a, img[ib])
             if k:
-                _accumulate(((key, k * v) for key, v in img[name].items()), out)
-            back = _apply(actions[b], img[a])
+                for key, v in img[ix].items():
+                    s = out.get(key, 0) + k * v
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+            back = _apply(act_b, img[ia])
             # both sides are exact with no zero values, so they compare as dicts
             if out != back:
                 _accumulate(((key, -v) for key, v in back.items()), out)
@@ -297,11 +306,16 @@ def check_descent(g: int, d: int) -> dict:
     beta analogue lowering m, for every generator key with k in
     [2g+2d, 2g+2d+4]; out-of-range R indices mean the empty sum.
 
-    Both sides are multiplied by N = (k-g-l)! (1 when negative), R_k's
-    own denominator: the identity is checked in ints as f(N R_k sigma) =
-    (2g+2d-k) N R_down sigma, and a witness is divided back by N.  Each
-    N R_{k,m,l} sigma is built once per (l, sigma), and the witnesses are
-    sorted back into (k, l, m, sigma, family) order."""
+    Both sides are multiplied by 4 N, with N = (k-g-l)! (1 when negative)
+    R_k's own denominator and 4 f's den: the identity is checked in ints
+    as f(4 N R_k sigma) = (2g+2d-k) 4 N R_down sigma, and a witness is
+    divided back by 4 N.  Each 4 N R_{k,m,l} sigma is built once per
+    (l, sigma).  The keys (k, m) of one (l, sigma) give pieces in distinct
+    bidegrees and f is bihomogeneous, so f is applied once per (l, sigma,
+    family), to the sum of the pieces, and compared with the sum of the
+    right sides: the sums agree exactly when every key's identity holds.
+    Only a failing sum is split per key, and the witnesses are sorted back
+    into (k, l, m, sigma, family) order."""
     _, _, fa = make_sl2("alpha", d, g)
     _, _, fb = make_sl2("beta", d, g)
     ks = range(2 * g + 2 * d, 2 * g + 2 * d + 5)
@@ -309,24 +323,33 @@ def check_descent(g: int, d: int) -> dict:
     found = []  # (order key, witness)
     for l in range(g + 1):
         gens = {(k, m): _generator(g, k, m, l) for k in ks for m in range(g - l + 1)}
+        scaled = {key: {abc: 4 * v for abc, v in terms.items()} for key, (terms, _) in gens.items()}
+        # per family, the int (2g+2d-k) N / N_down of each key whose lowered
+        # R is in range; there is none at k = 2g+2d, where the factor is 0
+        steps = ({}, {})
+        for (k, m), (_, N) in gens.items():
+            for dm, step in enumerate(steps):
+                if (k - 1, m - dm) in gens:
+                    step[k, m] = (2 * g + 2 * d - k) * N // gens[k - 1, m - dm][1]
         for idx, sigma in enumerate(prim_basis(g, l)):
             chain = _sigma_chain(sigma, g)[1]
-            prods = {key: _times_chain(terms, chain) for key, (terms, _) in gens.items()}
-            for k, m in gens:
-                N = gens[k, m][1]
-                R_sigma = Element._raw(g, prods[k, m])
-                for fam, (name, f, m_down) in enumerate((("f_alpha", fa, m), ("f_beta", fb, m - 1))):
-                    cases += 1
-                    lhs = f(R_sigma)
-                    # no product at k = 2g+2d, where the factor is 0, nor at m_down = -1
-                    down = prods.get((k - 1, m_down), {})
-                    scale = (2 * g + 2 * d - k) * N // gens[k - 1, m_down][1] if down else 0
-                    rhs = {key: scale * v for key, v in down.items()} if scale else {}
-                    if lhs.terms != rhs:
+            prods = {key: _times_chain(terms, chain) for key, terms in scaled.items()}
+            joint = Element._raw(g, {key: v for terms in prods.values() for key, v in terms.items()})
+            for fam, (name, f, dm) in enumerate((("f_alpha", fa, 0), ("f_beta", fb, 1))):
+                cases += len(prods)
+                step = steps[dm]
+                rhs = {key: s * v for (k, m), s in step.items() for key, v in prods[k - 1, m - dm].items()}
+                if f(joint).terms == rhs:
+                    continue
+                for (k, m), left in prods.items():  # split per key for the witnesses
+                    scale = step.get((k, m))
+                    want = {key: scale * v for key, v in prods[k - 1, m - dm].items()} if scale else {}
+                    got, N4 = f(Element._raw(g, dict(left))).terms, 4 * gens[k, m][1]
+                    if got != want:
                         witness = {
                             "where": f"{name}, k={k}, m={m}, l={l}, sigma#{idx}",
-                            "expected": str(Element._raw(g, _divide(rhs, N))),
-                            "got": str(Element._raw(g, _divide(dict(lhs.terms), N))),
+                            "expected": str(Element._raw(g, _divide(want, N4))),
+                            "got": str(Element._raw(g, _divide(got, N4))),
                         }
                         found.append(((k, l, m, idx, fam), witness))
     found.sort(key=lambda item: item[0])
@@ -407,7 +430,11 @@ def check_closure(g: int, buffers=(None,)) -> dict:
     genus g - l, read from the _invariant_relations memo, which asserts
     their freeness on the first build.  The window
     is finite, so each closure reaches its fixpoint; a buffer too small for
-    the chains of f shows as a dimension mismatch."""
+    the chains of f shows as a dimension mismatch.  At least one buffer
+    is needed: with none, no case runs."""
+    buffers = tuple(buffers)
+    if not buffers:
+        raise ValueError("the closure check needs at least one buffer")
     ideal_dims = _lefschetz_dims(g, 6 * g - 6, lambda gl, bd: len(_invariant_relations(gl, 0, bd)))
     cases = 0
     failures = []

@@ -112,10 +112,11 @@ def prim_dim(g: int, l: int) -> int:
     return math.comb(2 * g, l) - (math.comb(2 * g, l - 2) if l >= 2 else 0)
 
 
-def _check_degrees(g: int, l: int, m: int = 0, d: int = 0) -> None:
-    """The range of a degree-d summand-l relation: ints 0 <= l <= g, 0 <= m <= g - l, d >= 0."""
+def _check_degrees(g: int, l: int, m: int = 0, d: int = 0, k: int = 0) -> None:
+    """The range of a degree-d summand-l relation: ints 0 <= l <= g, 0 <= m <= g - l, d >= 0,
+    and an int k of any value."""
     check_genus(g)
-    for name, v in (("l", l), ("m", m), ("d", d)):
+    for name, v in (("l", l), ("m", m), ("d", d), ("k", k)):
         _check_int(name, v, None)  # the type; the range in one message below
     if not 0 <= l <= g or not 0 <= m <= g - l or d < 0:
         raise ValueError(f"need 0 <= l <= g, 0 <= m <= g - l and d >= 0, got l={l}, m={m}, d={d}")
@@ -213,7 +214,7 @@ def _plain_relations(d: int, k: int, m: int, l: int, g: int, weights):
     as int terms over one denominator.  Every term has n = k+m-g-l and the
     factor (-1)^l 2^(2g-m-k) / n!, so the sum is built in integers, from
     N_r = r! c_{d,r}."""
-    _check_degrees(g, l, m, d)
+    _check_degrees(g, l, m, d, k)
     n = k + m - g - l
     if n < 0:
         return {}, 1
@@ -274,7 +275,7 @@ def _closed_route(d: int, k: int, m: int, l: int, g: int):
     denominator: alpha^a/a! of R_{k,m,l} becomes c_{d,a} = phi_series(d, g,
     a)[a], so each term W alpha^a / n! of _generator_terms becomes W (a!
     c_{d,a}) / n!, and a! c_{d,a} has int coefficients."""
-    _check_degrees(g, l, m, d)
+    _check_degrees(g, l, m, d, k)
     fn, out = math.factorial(max(k - g - l, 0)), {}
     for a, b, c, W in _generator_terms(g, k, m, l):
         fa = math.factorial(a)
@@ -318,7 +319,7 @@ def _generator(g: int, k: int, m: int, l: int):
     """R_{k,m,l} as (W terms of _generator_terms, (k-g-l)! or 1), after the
     range check; a negative m, or k < g + l, gives the empty sum."""
     _check_int("m", m, None)
-    _check_degrees(g, l, max(m, 0))
+    _check_degrees(g, l, max(m, 0), k=k)
     terms = {(a, b, c): W for a, b, c, W in _generator_terms(g, k, m, l)}
     return terms, math.factorial(max(k - g - l, 0))
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rank2chern import integral, operators
+from rank2chern import integral, operators, suites
 from rank2chern.algebra import (
     Element,
     _exact,
@@ -278,24 +278,27 @@ def test_sl2_relations_negative_control():
     assert not (e(f_bad(one)) - f_bad(e(one)) - h(one)).is_zero()
 
 
-def _patch_triple(monkeypatch, families, keep_den=False, **perturbation):
+def _patch_triple(monkeypatch, families, keep_den=False, psi_degree=None, **perturbation):
     """Replace the triples of ``families`` by the reference formulas with the
     given perturbation of f, applied through Operator as the checks do: over
     den = 1, or with ``keep_den`` over each member's own den, its action then
-    returning den times the reference image."""
+    returning den times the reference image.  With ``psi_degree`` only the
+    monomials with that many psi factors take the perturbed formulas, so
+    that f stays bihomogeneous but is wrong in some bidegrees only."""
     original = operators._triple
 
     def triple(family, d, g):
         ops = original(family, d, g)
         if family not in families:
             return ops
-        refs = reference_triple(family, d, g, **perturbation)
+        refs = zip(reference_triple(family, d, g, **perturbation), reference_triple(family, d, g))
         out = []
-        for r, op in zip(refs, ops):
+        for (r, plain), op in zip(refs, ops):
             den = op.den if keep_den else 1
 
-            def action(a, b, mask, r=r, den=den):
-                return {k: _exact(den * v) for k, v in r(Element.monomial(g, a, b, mask)).terms.items()}
+            def action(a, b, mask, r=r, plain=plain, den=den):
+                ref = r if psi_degree in (None, mask.bit_count()) else plain
+                return {k: _exact(den * v) for k, v in ref(Element.monomial(g, a, b, mask)).terms.items()}
 
             out.append(Operator(g, action, op.shift, den))
         return tuple(out)
@@ -498,6 +501,37 @@ def test_checks_fail_on_a_perturbed_f(monkeypatch, families, perturbation):
     _assert_fails_with_witnesses(check_descent(2, 0))
 
 
+@pytest.mark.parametrize("perturbation", [{"const_shift": 1}, {"laplacian": False}])
+@pytest.mark.parametrize("g", [2, 3])
+def test_descent_splits_a_failing_sum_into_the_oracle_witnesses(monkeypatch, g, perturbation):
+    # f is wrong on psi-degree 2 only, so within one (l, sigma) some keys
+    # (k, m) fail and others pass: the failing sum is split per key
+    _patch_triple(monkeypatch, ("alpha", "beta"), keep_den=True, psi_degree=2, **perturbation)
+    witnesses = []  # every witness, before the report keeps ten
+    monkeypatch.setattr(operators, "report", lambda *args: witnesses.extend(args[-1]) or report(*args))
+    got = check_descent(g, 0)
+    assert json.dumps(got, sort_keys=True) == json.dumps(oracle_descent(g, 0), sort_keys=True)
+    failing = {}  # (family, l, sigma) -> its failing keys
+    for w in witnesses:
+        name, _, _, l, sigma = w["where"].split(", ")
+        failing.setdefault((name, int(l[2:]), sigma), []).append(w)
+    assert any(0 < len(keys) < 5 * (g - l + 1) for (_, l, _), keys in failing.items())
+
+
+def test_a_passing_descent_check_applies_each_f_once_per_primitive_class(monkeypatch):
+    calls = []
+
+    def counted(self, x):
+        calls.append(self)
+        return call(self, x)
+
+    call = Operator.__call__
+    monkeypatch.setattr(Operator, "__call__", counted)
+    g = 3
+    assert check_descent(g, 0)["pass"]
+    assert len(calls) == 2 * sum(len(prim_basis(g, l)) for l in range(g + 1))
+
+
 def test_descent_sees_the_laplacian_that_the_relations_cannot(monkeypatch):
     # without L in both families the triples still satisfy every bracket
     # (L couples the families, and each family alone commutes with it), so
@@ -654,8 +688,8 @@ def test_descent_builds_each_relation_product_once(monkeypatch, d):
 
 
 def test_a_passing_relation_check_builds_no_residual(monkeypatch):
-    # the two sides compare as dicts; at most the 6 of 15 identities with
-    # a k X term add into a dict
+    # the two sides compare as dicts and a k X term is added inline, so
+    # only a failing identity builds its residual through _accumulate
     calls = []
 
     def counted(pairs, out):
@@ -666,7 +700,7 @@ def test_a_passing_relation_check_builds_no_residual(monkeypatch):
     monkeypatch.setattr(operators, "_accumulate", counted)
     rep = check_sl2_relations(3, 0)
     assert rep["pass"] and rep["cases"] % 15 == 0
-    assert len(calls) <= rep["cases"] // 15 * 6
+    assert not calls
 
 
 def test_each_mask_is_scanned_for_pairs_once_per_triple(monkeypatch):
@@ -922,6 +956,15 @@ def test_closure_refuses_a_negative_buffer():
             sl2_closure(2, buf)
     with pytest.raises(ValueError, match="coh_buffer"):
         check_closure(2, (-3,))
+
+
+@pytest.mark.parametrize("buffers", [(), []])
+def test_closure_refuses_an_empty_buffer_sweep(buffers):
+    # no buffer ran no case: a failing report without a witness
+    for check in (check_closure, suites.suite_closure):
+        with pytest.raises(ValueError, match="at least one buffer"):
+            check(2, buffers)
+    assert check_closure(2, iter((8,)))["cases"] > 0
 
 
 def test_closure_negative_control(monkeypatch):

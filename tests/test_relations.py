@@ -270,6 +270,9 @@ G, ONE = 2, Element.one(2)
 DEGREE_ARGUMENTS = {
     "prim_basis l": (lambda v: prim_basis(G, v), lambda v: 0 <= v <= G),
     "rel_generator m": (lambda v: rel_generator(6, v, ONE, G), lambda v: v <= G),  # m < 0: the empty sum
+    "rel_generator k": (lambda v: rel_generator(v, 0, ONE, G), lambda v: True),  # k < g + l: the empty sum
+    "rel_generator_poly k": (lambda v: rel.rel_generator_poly(G, v, 0, 0), lambda v: True),
+    "modified_mumford k": (lambda v: modified_mumford(0, v, 0, ONE, G), lambda v: True),
     "modified_mumford m": (lambda v: modified_mumford(0, 6, v, ONE, G), lambda v: 0 <= v <= G),
     "modified_mumford d": (lambda v: modified_mumford(v, 6, 0, ONE, G), lambda v: v >= 0),
     "ideal_slice d": (lambda v: ideal_slice(G, v, (8, 6)), lambda v: v >= 0),
