@@ -173,7 +173,10 @@ class Sparse:
     only).  The product loops stay per class: one shared loop calling a
     key-combining function per pair of terms was slower in every benchmark
     run, by 2% on the sl2 workload and 7% on the series workload (median of
-    4 pairs each).  ``g`` is the genus, or None for a class without one.
+    4 pairs each).  Powers are shared too, by square-and-multiply; only
+    ``BiPoly`` raises a two-term base by the binomial theorem, since its
+    products commute, which the psi's of an ``Element`` do not.  ``g`` is
+    the genus, or None for a class without one.
     Values are treated as immutable: operations build new values and never
     mutate ``terms`` in place.  Every coefficient follows :func:`_exact`, so
     integral values multiply in int arithmetic.
@@ -258,9 +261,12 @@ class Sparse:
         return self._raw(self.g, _apply(action, self.terms))
 
     def __pow__(self, n: int):
-        """Square-and-multiply; stops as soon as a square vanishes."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        """Square-and-multiply; stops as soon as a square vanishes.  Kept for
+        every base of ``Element``: psi's anticommute, so the binomial theorem
+        that ``BiPoly.__pow__`` uses for a two-term base is false there
+        ((psi_1 + psi_2)^2 = 0).  A non-int exponent, a bool included, is a
+        TypeError, a negative one a ValueError."""
+        _check_int("exponent", n)
         out = self._raw(self.g, {self._unit: 1})
         base = self
         while n:

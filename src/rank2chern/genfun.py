@@ -18,6 +18,7 @@ are exact, the shortcuts just keep the large-genus checks fast.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from functools import cache
@@ -68,6 +69,21 @@ class BiPoly(Sparse):
                     del t[k]
         return BiPoly._raw(None, t)
 
+    def __pow__(self, n: int):
+        """A two-term base v0 x^k0 + v1 x^k1 by the binomial theorem, with
+        no products: sum_i C(n, i) v0^(n-i) v1^i at the keys n k0 + i (k1 -
+        k0), which are distinct, with nonzero coefficients.  Every other
+        base by Sparse's square-and-multiply."""
+        if len(self.terms) != 2:
+            return super().__pow__(n)
+        _check_int("exponent", n)
+        ((i0, j0), v0), ((i1, j1), v1) = self.terms.items()
+        di, dj = i1 - i0, j1 - j0
+        return BiPoly._raw(
+            None,
+            {(n * i0 + i * di, n * j0 + i * dj): math.comb(n, i) * v0 ** (n - i) * v1**i for i in range(n + 1)},
+        )
+
     def coeff(self, i, j):
         return self.terms.get((i, j), 0)
 
@@ -85,14 +101,24 @@ class BiPoly(Sparse):
         return BiPoly._raw(None, {(a + i, b + j): v for (a, b), v in self.terms.items()})
 
     def subst_t(self, value) -> "BiPoly":
-        """Substitute a rational value for t."""
+        """Substitute a rational value for t, in one pass: value^j depends
+        on the t-exponent j alone, so it is computed once per distinct j,
+        and each term adds into (i, 0).  A zero power (t = 0, j > 0) leaves
+        its term out; a negative j at t = 0 raises ZeroDivisionError."""
         value = _exact(value)
-
-        def image(i, j):
-            c = value**j if j >= 0 else Fraction(1, value**-j)
-            return {(i, 0): c} if c else {}
-
-        return self._map(image)
+        powers, out = {}, {}
+        for (i, j), v in self.terms.items():
+            c = powers.get(j)
+            if c is None:
+                c = powers[j] = value**j if j >= 0 else Fraction(1, value**-j)
+            if c:
+                k = (i, 0)
+                s = out.get(k, 0) + v * c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return BiPoly._raw(None, out)
 
     def subst_q_equals_t(self) -> "BiPoly":
         """Fold q into t: (i, j) -> t^(i+j)."""
@@ -105,22 +131,46 @@ class BiPoly(Sparse):
         return min((i + j for i, j in self.terms), default=None)
 
     def divide_exact(self, den: "BiPoly") -> "BiPoly":
-        """Exact polynomial quotient; raises ValueError on a remainder."""
+        """Exact polynomial quotient; raises ValueError on a remainder.
+
+        One descending sweep over the lexicographic order of keys: each step
+        removes the leading key of the remainder and adds only smaller ones
+        (a shift of den's keys, whose largest lands on the leading key), so
+        a key once led never comes back.  The pending keys sit in a heap,
+        negated; a key that cancelled, or was pushed twice, is popped and
+        skipped."""
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         rem = dict(self.terms)
-        lt_key = max(den.terms)
-        lt_val = den.terms[lt_key]
+        (li, lj), lt_val = max(den.terms.items())
+        heap = [(-i, -j) for i, j in rem]
+        heapq.heapify(heap)
         quo = {}
-        while rem:
-            k = max(rem)
-            qk = (k[0] - lt_key[0], k[1] - lt_key[1])
-            if qk[0] < 0 or qk[1] < 0:
+        while heap:
+            ni, nj = heapq.heappop(heap)
+            v = rem.get((-ni, -nj))
+            if v is None:
+                continue
+            qi, qj = -ni - li, -nj - lj
+            if qi < 0 or qj < 0:
                 raise ValueError("division is not exact")
-            # each step removes the leading key and adds smaller ones only
-            c = quo[qk] = _exact(Fraction(rem[k], lt_val))
-            step = (((qk[0] + i, qk[1] + j), -c * v) for (i, j), v in den.terms.items())
-            _accumulate(step, rem)
+            if v.__class__ is int and lt_val.__class__ is int and not v % lt_val:
+                c = v // lt_val
+            else:
+                c = _exact(Fraction(v, lt_val))
+            quo[qi, qj] = c
+            for (i, j), w in den.terms.items():
+                k = (qi + i, qj + j)
+                s = rem.get(k)
+                if s is None:
+                    rem[k] = -c * w
+                    heapq.heappush(heap, (-k[0], -k[1]))
+                else:
+                    s -= c * w
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
         return BiPoly._raw(None, quo)
 
 

@@ -190,12 +190,18 @@ def _times_chain(coefficient: dict, chain) -> dict:
     """The term dict of x * sigma, x given by its (a, b, c) terms and sigma
     by its gamma chain: alpha and beta are central, so x * sigma is the sum
     of the alpha^a beta^b shifts of gamma^c sigma, which is 0 past the
-    chain.  The one product of a relation coefficient with sigma."""
-    out = {}
-    for (a, b, c), v in coefficient.items():
-        if c < len(chain):
-            _accumulate((((a + x, b + y, mask), v * w) for (x, y, mask), w in chain[c]), out)
-    return out
+    chain.  The one product of a relation coefficient with sigma.
+
+    Built in one pass, with no sums: chain[c], gamma^c sigma, is psi-only
+    of psi-degree l + 2c, so a product key (a, b, mask) gives back its
+    (a, b, c), which are distinct keys of x, and its mask, distinct within
+    chain[c].  No two products share a key, and none is 0."""
+    return {
+        (a, b, mask): v * w
+        for (a, b, c), v in coefficient.items()
+        if c < len(chain)
+        for (_, _, mask), w in chain[c]
+    }
 
 
 # ----------------------------------------------------------------------
@@ -213,21 +219,28 @@ def _plain_relations(d: int, k: int, m: int, l: int, g: int, weights):
     """sum over (w, p) in weights of w * mumford_relation(d, k+m-p, p, l, g)
     as int terms over one denominator.  Every term has n = k+m-g-l and the
     factor (-1)^l 2^(2g-m-k) / n!, so the sum is built in integers, from
-    N_r = r! c_{d,r}."""
+    N_r = r! c_{d,r}.  The term of (w, p, j, s) is an int scalar times
+    N_{n-3j-2s} shifted by beta^s gamma^j, the same for every (w, p): the
+    scalars are summed per (j, s) first, and N_r's terms are read once per
+    (j, s) whose scalar is nonzero."""
     _check_degrees(g, l, m, d, k)
     n = k + m - g - l
     if n < 0:
         return {}, 1
-    numerators = _phi_numerators(d, g, n)
-    out = {}
+    scalars = {}
     for weight, p in weights:
         for j in range(min(p, n // 3) + 1):
             wj = weight * math.comb(p, j) * math.perm(g - l - j, p - j) * (-2) ** j
             for s in range(min(p - j, (n - 3 * j) // 2) + 1):
-                r = n - 3 * j - 2 * s  # c_{d,r} = N_r / r! = (n!/r!) N_r / n!
-                w = wj * math.comb(p - j, s) * (-1) ** s * math.perm(n, n - r)
-                terms = numerators[r].items()
-                _accumulate((((a, b + s, c + j), w * v) for (a, b, c), v in terms if c + j <= g), out)
+                # c_{d,r} = N_r / r! = (n!/r!) N_r / n!, r = n - 3j - 2s
+                w = wj * math.comb(p - j, s) * (-1) ** s * math.perm(n, 3 * j + 2 * s)
+                scalars[j, s] = scalars.get((j, s), 0) + w
+    numerators = _phi_numerators(d, g, n)
+    out = {}
+    for (j, s), w in scalars.items():
+        if w:
+            terms = numerators[n - 3 * j - 2 * s].items()
+            _accumulate((((a, b + s, c + j), w * v) for (a, b, c), v in terms if c + j <= g), out)
     return _over(out, l, 2 * g - m - k, 1, math.factorial(n))
 
 

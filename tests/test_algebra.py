@@ -275,6 +275,10 @@ def test_nilpotent_power_exits_early():
     assert time.perf_counter() - start < 0.5
     with pytest.raises(ValueError):
         A(2) ** -1
+    # a bool is no exponent (no ** True read as ** 1), nor is a float
+    for bad in (True, False, 2.0):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            A(2) ** bad
 
 
 # ----------------------------------------------------------------------

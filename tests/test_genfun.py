@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rank2chern.algebra import Element
+from rank2chern.algebra import Element, Sparse
+from rank2chern.algebra import _accumulate as accumulate
+from rank2chern.algebra import _exact as exact_rational
 from rank2chern.genfun import (
     BiPoly,
     BiRational,
@@ -219,9 +221,54 @@ SCALARS = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
 NONZERO = SCALARS.filter(bool)
 
 
-def _bipolys(lo):
+def _bipolys(lo, min_size=0, max_size=4):
     keys = st.tuples(st.integers(lo, 3), st.integers(lo, 3))
-    return st.dictionaries(keys, NONZERO, max_size=4).map(BiPoly)
+    return st.dictionaries(keys, NONZERO, min_size=min_size, max_size=max_size).map(BiPoly)
+
+
+# the generic loops that the BiPoly kernels replaced, kept as oracles
+
+
+def _subst_t_oracle(p: BiPoly, value) -> BiPoly:
+    """t = value through the termwise map, one power per term."""
+    value = exact_rational(value)
+
+    def image(i, j):
+        c = value**j if j >= 0 else F(1, value**-j)
+        return {(i, 0): c} if c else {}
+
+    return p._map(image)
+
+
+def _pow_oracle(p: BiPoly, n: int) -> BiPoly:
+    """Square-and-multiply, whatever the number of terms."""
+    return Sparse.__pow__(p, n)
+
+
+def _divide_oracle(num: BiPoly, den: BiPoly) -> BiPoly:
+    """Polynomial division that looks up the leading key with max every step."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = dict(num.terms)
+    lt_key = max(den.terms)
+    lt_val = den.terms[lt_key]
+    quo = {}
+    while rem:
+        k = max(rem)
+        qk = (k[0] - lt_key[0], k[1] - lt_key[1])
+        if qk[0] < 0 or qk[1] < 0:
+            raise ValueError("division is not exact")
+        c = quo[qk] = exact_rational(F(rem[k], lt_val))
+        accumulate((((qk[0] + i, qk[1] + j), -c * v) for (i, j), v in den.terms.items()), rem)
+    return BiPoly._raw(None, quo)
+
+
+def _outcome(f, *args):
+    """f(*args) as ("value", terms) or ("raises", the exception's type)."""
+    try:
+        return "value", f(*args).terms
+    except (ValueError, ZeroDivisionError) as e:
+        return "raises", type(e)
 
 
 def _exact(p: BiPoly) -> bool:
@@ -231,17 +278,66 @@ def _exact(p: BiPoly) -> bool:
 
 
 @EXACT
-@given(x=_bipolys(-2), y=_bipolys(-2), c=SCALARS, v=NONZERO, n=st.integers(0, 4), i=st.integers(-2, 2))
-def test_bipoly_results_hold_exact_coefficients(x, y, c, v, n, i):
-    assert _exact(x) and _exact(y)
-    results = [x + y, x - y, x * y, x**n, x.scale(c), c * x, x + c, x.reflect(3, i), x.shift(i, -i)]
+@given(
+    x=_bipolys(-2),
+    y=_bipolys(-2),
+    b=_bipolys(-2, 2, 2),
+    c=SCALARS,
+    v=NONZERO,
+    n=st.integers(0, 6),
+    i=st.integers(-2, 2),
+)
+def test_bipoly_results_hold_exact_coefficients(x, y, b, c, v, n, i):
+    # b is a two-term base, which ** raises by the binomial theorem
+    assert _exact(x) and _exact(y) and len(b.terms) == 2
+    results = [x + y, x - y, x * y, x**n, b**n, x.scale(c), c * x, x + c, x.reflect(3, i), x.shift(i, -i)]
     results.append(x.subst_t(v))
+    for p in (x, b, x * b):
+        assert (p**n).terms == _pow_oracle(p, n).terms
+        for t in (v, c):  # c may be 0, which a negative t-exponent refuses on both sides
+            assert _outcome(p.subst_t, t) == _outcome(_subst_t_oracle, p, t)
+    for num, den in ((x, y), (x * b, b), (b, x), (x * y + b, y)):  # exact, inexact and Laurent
+        assert _outcome(num.divide_exact, den) == _outcome(_divide_oracle, num, den)
     if y:  # shifted to non-negative exponents: divide_exact is polynomial division
         x2, y2 = x.shift(2, 2), y.shift(2, 2)
         results.append((x2 * y2).divide_exact(y2))
-        assert results[-1] == x2
+        assert results[-1] == x2 and results[-1].terms == _divide_oracle(x2 * y2, y2).terms
+        with pytest.raises(ValueError, match="not exact"):  # a remainder, on both sides
+            (x2 * y2 + BiPoly.monomial(0, 0)).divide_exact(y2 * BiPoly.monomial(1, 1))
+        with pytest.raises(ValueError, match="not exact"):
+            _divide_oracle(x2 * y2 + BiPoly.monomial(0, 0), y2 * BiPoly.monomial(1, 1))
     for r in results:
         assert _exact(r), r
+
+
+def test_only_a_commuting_two_term_base_takes_the_binomial_theorem():
+    # psi's anticommute: (psi_1 + psi_2)^2 = 0, where the binomial theorem
+    # would give 2 psi_1 psi_2
+    assert (Element.psi(2, 1) + Element.psi(2, 2)) ** 2 == Element.zero(2)
+    q, t = BiPoly.monomial(1, 0), BiPoly.monomial(0, 1)
+    assert (q + t) ** 2 == q * q + 2 * q * t + t * t
+    for bad, error in ((True, TypeError), (2.0, TypeError), (-1, ValueError)):
+        for base in (q + t, q + t + 1, q):
+            with pytest.raises(error, match="exponent must be"):
+                base**bad
+
+
+def test_the_genfun_battery_makes_a_bounded_number_of_products(monkeypatch):
+    # a work count, not a time: square-and-multiply for the battery's
+    # two-term powers made 2,183 products, the binomial theorem leaves 668
+    from rank2chern.suites import suite_genfun
+
+    calls = []
+    honest = BiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return honest(self, other)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counted)
+    rep = suite_genfun()
+    assert rep["cases"] == 123 and rep["pass"]
+    assert 0 < len(calls) <= 700
 
 
 @EXACT

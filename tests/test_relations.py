@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import rank2chern.relations as rel
 from rank2chern.algebra import (
     Element,
+    _accumulate,
     bidegree_cone,
     check_genus,
     format_element,
@@ -49,7 +50,7 @@ from rank2chern.relations import (
     invariant_basis,
     verify_vanishing_corollary,
 )
-from rank2chern.series import InvariantPoly, phi_series
+from rank2chern.series import InvariantPoly, _phi_numerators, phi_series
 from rank2chern.suites import suite_pairing
 
 
@@ -461,6 +462,76 @@ def test_modified_mumford_golden_digest(g, d):
     ]
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == MODIFIED_DIGESTS[g, d]
+
+
+# ----------------------------------------------------------------------
+# the relation kernels against the loops they replaced
+
+
+def _times_chain_oracle(coefficient, chain):
+    """x * sigma summed product by product through _accumulate."""
+    out = {}
+    for (a, b, c), v in coefficient.items():
+        if c < len(chain):
+            _accumulate((((a + x, b + y, mask), v * w) for (x, y, mask), w in chain[c]), out)
+    return out
+
+
+def _plain_relations_oracle(d, k, m, l, g, weights):
+    """The weighted plain relations, reading N_r's terms once per (p, j, s)."""
+    n = k + m - g - l
+    if n < 0:
+        return {}, 1
+    numerators = _phi_numerators(d, g, n)
+    out = {}
+    for weight, p in weights:
+        for j in range(min(p, n // 3) + 1):
+            wj = weight * math.comb(p, j) * math.perm(g - l - j, p - j) * (-2) ** j
+            for s in range(min(p - j, (n - 3 * j) // 2) + 1):
+                r = n - 3 * j - 2 * s
+                w = wj * math.comb(p - j, s) * (-1) ** s * math.perm(n, n - r)
+                terms = numerators[r].items()
+                _accumulate((((a, b + s, c + j), w * v) for (a, b, c), v in terms if c + j <= g), out)
+    return rel._over(out, l, 2 * g - m - k, 1, math.factorial(n))
+
+
+def _mumford_check_keys(g, d):
+    """(k, m, l) of the modified-relation cross-validation at (g, d): every
+    m <= g - l and k <= 2g + 2d + 4, as in the series workload."""
+    return [(k, m, l) for l in range(g + 1) for m in range(g - l + 1) for k in range(2 * g + 2 * d + 5)]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_times_chain_matches_its_accumulate_oracle(g):
+    # every primitive class times every generator and checked coefficient
+    # it meets at d <= 2, term for term and in the same order
+    for l in range(g + 1):
+        coefficients = [
+            rel._generator(g, k, m, l)[0] for k in range(2 * g + 9) for m in range(g - l + 1)
+        ]
+        coefficients += [
+            rel._checked_coefficient(d, k, m, l, g)[0].terms
+            for d in range(3)
+            for k, m, l2 in _mumford_check_keys(g, d)
+            if l2 == l
+        ]
+        for sig in prim_basis(g, l):
+            chain = rel._sigma_chain(sig, g)[1]
+            for terms in coefficients:
+                got = rel._times_chain(terms, chain)
+                assert list(got.items()) == list(_times_chain_oracle(terms, chain).items())
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_plain_relations_match_their_per_p_oracle(g):
+    # both weightings: one plain relation, and the sum route's alternating
+    # combination, whose scalars are summed per (j, s) before N_r is read
+    for d in range(3):
+        for k, m, l in _mumford_check_keys(g, d):
+            sum_weights = [((-1) ** s * math.comb(m, s) * math.perm(g - l - s, m - s), s) for s in range(m + 1)]
+            for weights in ([(1, m)], sum_weights):
+                got = rel._plain_relations(d, k, m, l, g, iter(weights))
+                assert got == _plain_relations_oracle(d, k, m, l, g, weights), (d, k, m, l)
 
 
 def _exact_form(x):
