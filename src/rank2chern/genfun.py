@@ -10,10 +10,12 @@ stratification).
 Coefficients follow the package's one rule (``algebra._exact``): every
 closed form here has integer coefficients, so they multiply in int
 arithmetic.  Rational-function equality is decided by
-cross-multiplication of exact polynomials.  Equality first tries two exact
-shortcuts (identical numerator and denominator, or both proportional with
-the same ratio) before falling back to the full cross product; both paths
-are exact, the shortcuts just keep the large-genus checks fast.
+cross-multiplication of exact polynomials, after two exact shortcuts
+(identical, or proportional with one ratio); the shift symmetry of a form
+whose shift is zero takes the second in one mirrored pass over its keys.
+A t = -1 identity N(q, -1) = P(q) D(q, -1) expands neither P nor P D: both
+sides are evaluated at q = 2^s, s from a coefficient bound that makes the
+evaluation injective, and compared as two exact ints.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class BiPoly(Sparse):
         return min((i + j for i, j in self.terms), default=None)
 
     def divide_exact(self, den: "BiPoly") -> "BiPoly":
-        """Exact polynomial quotient; raises ValueError on a remainder.
+        """Exact Laurent quotient; raises ValueError on a remainder.
 
         One descending sweep over the lexicographic order of keys: each step
         removes the leading key of the remainder and adds only smaller ones
@@ -145,6 +147,9 @@ class BiPoly(Sparse):
         (li, lj), lt_val = max(den.terms.items())
         heap = [(-i, -j) for i, j in rem]
         heapq.heapify(heap)
+        # an exact quotient's lowest degrees are the operands' differences
+        lo_i = min((i for i, _ in rem), default=0) - min(i for i, _ in den.terms)
+        lo_j = min((j for _, j in rem), default=0) - min(j for _, j in den.terms)
         quo = {}
         while heap:
             ni, nj = heapq.heappop(heap)
@@ -152,7 +157,7 @@ class BiPoly(Sparse):
             if v is None:
                 continue
             qi, qj = -ni - li, -nj - lj
-            if qi < 0 or qj < 0:
+            if qi < lo_i or qj < lo_j:
                 raise ValueError("division is not exact")
             if v.__class__ is int and lt_val.__class__ is int and not v % lt_val:
                 c = v // lt_val
@@ -283,6 +288,20 @@ def _proportionality_ratio(p1: BiPoly, p2: BiPoly):
     return c
 
 
+def _mirror_ratio(p: BiPoly, dq: int, dt: int):
+    """``_proportionality_ratio(p, p.reflect(dq, dt))`` with no reflected copy."""
+    terms = p.terms
+    k = max(terms)
+    w = terms.get((dq - k[0], dt - k[1]))
+    if w is None:
+        return None
+    c = _exact(Fraction(w, terms[k]))
+    for (i, j), v in terms.items():
+        if terms.get((dq - i, dt - j)) != c * v:
+            return None
+    return c
+
+
 # ----------------------------------------------------------------------
 # closed forms
 
@@ -404,7 +423,9 @@ def identities(formula: str, g: int, rank: int = 2, d: int = 0) -> dict:
 
 def check_shift_symmetry(f: BiRational, r: int, g: int) -> bool:
     """q^((r+2)(r-1)(g-1)) t^(r(r-1)(g-1)) f(1/q, 1/t) = f(q, t), decided
-    exactly on the cross-multiplied polynomials."""
+    exactly: when the shift is zero and N and D are each proportional to
+    their mirror images, by the two ratios, read in one pass each; else on
+    the reflected, shifted and cross-multiplied polynomials."""
     A = (r + 2) * (r - 1) * (g - 1)
     B = r * (r - 1) * (g - 1)
     N, D = f.num, f.den
@@ -412,47 +433,78 @@ def check_shift_symmetry(f: BiRational, r: int, g: int) -> bool:
         return True
     dqn, dtn = N.max_q_degree(), N.max_t_degree()
     dqd, dtd = D.max_q_degree(), D.max_t_degree()
-    rev_n = N.reflect(dqn, dtn)
-    rev_d = D.reflect(dqd, dtd)
     sq = A - dqn + dqd
     st = B - dtn + dtd
+    if not sq and not st:
+        # equality's proportionality shortcut against f's own reflection
+        cn = _mirror_ratio(N, dqn, dtn)
+        cd = None if cn is None else _mirror_ratio(D, dqd, dtd)
+        if cd is not None:
+            return cn == cd
+    rev_n = N.reflect(dqn, dtn)
+    rev_d = D.reflect(dqd, dtd)
     num_shift = (max(sq, 0), max(st, 0))
     den_shift = (max(-sq, 0), max(-st, 0))
     g2 = BiRational(rev_n.shift(*num_shift), rev_d.shift(*den_shift))
     return f == g2
 
 
+def _equal_at_t_minus_one(f: BiRational, factors) -> bool:
+    """Whether f(q, -1) = P(q) = prod base^e over factors (bases in q with
+    int coefficients), by one exact int equality that expands neither P
+    nor P D.  N/D is f at t = -1 (a vanishing D raises ZeroDivisionError),
+    scaled to int coefficients by the lcm of their denominators and to
+    exponents >= 0 by q^-m, m the lowest q-exponent.  Each coefficient of
+    E = N - P D is at most C = max |N_i| + ||D||_1 prod ||base||_1^e <
+    2^(s-1) = X/2 in absolute value, s = C.bit_length() + 1.  If E != 0
+    with lowest term c q^i, E(X) = c X^i + X^(i+1) Y for an int Y, and
+    0 < |c| < X/2 is no multiple of X, so E(X) != 0: N(X) = P(X) D(X)
+    exactly when N = P D."""
+    f = f.subst_t(-1)
+    for _, e in factors:
+        _check_int("exponent", e)
+    scale = math.lcm(*(v.denominator for p in (f.num, f.den) for v in p.terms.values()))
+    low = min(i for p in (f.num, f.den) for i, _ in p.terms)
+
+    def ints(p, low=0, scale=1):  # [(q-exponent - low, scale * coefficient)]
+        return [(i - low, v.numerator * (scale // v.denominator)) for (i, _), v in p.terms.items()]
+
+    num, den = ints(f.num, low, scale), ints(f.den, low, scale)
+    norm = math.prod(sum(abs(v) for _, v in ints(base)) ** e for base, e in factors)
+    s = (max((abs(v) for _, v in num), default=0) + sum(abs(v) for _, v in den) * norm).bit_length() + 1
+
+    def at_x(terms):
+        return sum(v << s * i for i, v in terms)
+
+    target = math.prod(at_x(ints(base)) ** e for base, e in factors)
+    return at_x(num) == target * at_x(den)
+
+
 def stack_t_minus_one_matches(f: BiRational, r: int, g: int) -> bool:
     """t = -1 specialization of f, the rank-r stack series, equals
     prod_{k=2..r} (1 - (-q)^k)^(2g-2)."""
-    f = f.subst_t(-1)
-    target = BiPoly.one()
-    for k in range(2, r + 1):
-        target = target * (BiPoly.one() - _q(k, 0, (-1) ** k)) ** (2 * g - 2)
-    return f.num.terms == (target * f.den).terms
+    factors = [(BiPoly.one() - _q(k, 0, (-1) ** k), 2 * g - 2) for k in range(2, r + 1)]
+    return _equal_at_t_minus_one(f, factors)
 
 
 def closed_form_t_minus_one_matches(f: BiRational, g: int) -> bool:
     """t = -1 specialization of f, the closed form of genus g at any
     degree d >= 0, equals (1-q^2)^(2g-2)."""
-    f = f.subst_t(-1)
-    target = (BiPoly.one() - _q(2, 0)) ** (2 * g - 2)
-    return f.num.terms == (target * f.den).terms
+    return _equal_at_t_minus_one(f, [(BiPoly.one() - _q(2, 0), 2 * g - 2)])
 
 
 def rank3_t_minus_one_matches(f: BiRational, g: int) -> bool:
     """t = -1 limit of f, the rank-three formula of genus g, equals
     (1-q^2)^(2g-2) (1+q^3)^(2g-2); the simple pole factors 1+t are divided
-    out exactly before substituting."""
+    out exactly before substituting, and a denominator that still vanishes
+    at t = -1 is no match."""
     one_plus_t = BiPoly.one() + _q(0, 1)
-    num1 = f.num.divide_exact(one_plus_t)
-    den1 = f.den.divide_exact(one_plus_t)
-    lhs_num = num1.subst_t(-1)
-    lhs_den = den1.subst_t(-1)
-    if lhs_den.is_zero():
+    f = BiRational(f.num.divide_exact(one_plus_t), f.den.divide_exact(one_plus_t))
+    factors = [(BiPoly.one() - _q(2, 0), 2 * g - 2), (BiPoly.one() + _q(3, 0), 2 * g - 2)]
+    try:
+        return _equal_at_t_minus_one(f, factors)
+    except ZeroDivisionError:
         return False
-    target = ((BiPoly.one() - _q(2, 0)) * (BiPoly.one() + _q(3, 0))) ** (2 * g - 2)
-    return lhs_num.terms == (target * lhs_den).terms
 
 
 def zagier_combinatorial_omega(g: int) -> BiPoly:

@@ -246,17 +246,20 @@ def _pow_oracle(p: BiPoly, n: int) -> BiPoly:
 
 
 def _divide_oracle(num: BiPoly, den: BiPoly) -> BiPoly:
-    """Polynomial division that looks up the leading key with max every step."""
+    """Laurent division that looks up the leading key with max every step;
+    a quotient key below the operands' lowest degrees' difference means a
+    remainder."""
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     rem = dict(num.terms)
     lt_key = max(den.terms)
     lt_val = den.terms[lt_key]
+    lo = [min((k[a] for k in rem), default=0) - min(k[a] for k in den.terms) for a in (0, 1)]
     quo = {}
     while rem:
         k = max(rem)
         qk = (k[0] - lt_key[0], k[1] - lt_key[1])
-        if qk[0] < 0 or qk[1] < 0:
+        if qk[0] < lo[0] or qk[1] < lo[1]:
             raise ValueError("division is not exact")
         c = quo[qk] = exact_rational(F(rem[k], lt_val))
         accumulate((((qk[0] + i, qk[1] + j), -c * v) for (i, j), v in den.terms.items()), rem)
@@ -297,15 +300,21 @@ def test_bipoly_results_hold_exact_coefficients(x, y, b, c, v, n, i):
         for t in (v, c):  # c may be 0, which a negative t-exponent refuses on both sides
             assert _outcome(p.subst_t, t) == _outcome(_subst_t_oracle, p, t)
     for num, den in ((x, y), (x * b, b), (b, x), (x * y + b, y)):  # exact, inexact and Laurent
-        assert _outcome(num.divide_exact, den) == _outcome(_divide_oracle, num, den)
+        outcome = _outcome(num.divide_exact, den)
+        assert outcome == _outcome(_divide_oracle, num, den)
+        if outcome[0] == "value":
+            assert BiPoly(outcome[1]) * den == num
+    if x:  # every exact Laurent quotient comes back
+        assert (x * b).divide_exact(b) == x and (x * b).divide_exact(x) == b
     if y:  # shifted to non-negative exponents: divide_exact is polynomial division
         x2, y2 = x.shift(2, 2), y.shift(2, 2)
         results.append((x2 * y2).divide_exact(y2))
         assert results[-1] == x2 and results[-1].terms == _divide_oracle(x2 * y2, y2).terms
-        with pytest.raises(ValueError, match="not exact"):  # a remainder, on both sides
-            (x2 * y2 + BiPoly.monomial(0, 0)).divide_exact(y2 * BiPoly.monomial(1, 1))
-        with pytest.raises(ValueError, match="not exact"):
-            _divide_oracle(x2 * y2 + BiPoly.monomial(0, 0), y2 * BiPoly.monomial(1, 1))
+        num, den = x2 * y2 + BiPoly.monomial(0, 0), y2 * BiPoly.monomial(1, 1)
+        assert _outcome(num.divide_exact, den) == _outcome(_divide_oracle, num, den)
+        if len(y.terms) > 1:  # den is no monomial, so no Laurent unit: a remainder
+            with pytest.raises(ValueError, match="not exact"):
+                num.divide_exact(den)
     for r in results:
         assert _exact(r), r
 
@@ -324,20 +333,40 @@ def test_only_a_commuting_two_term_base_takes_the_binomial_theorem():
 
 def test_the_genfun_battery_makes_a_bounded_number_of_products(monkeypatch):
     # a work count, not a time: square-and-multiply for the battery's
-    # two-term powers made 2,183 products, the binomial theorem leaves 668
+    # two-term powers made 2,183 products, the binomial theorem 668, and the
+    # t = -1 checks by int evaluation leave 542, all outside those checks;
+    # every battery form's shift is zero, so none is reflected
+    import rank2chern.genfun as gf
     from rank2chern.suites import suite_genfun
 
-    calls = []
-    honest = BiPoly.__mul__
+    calls, in_checks, reflected = [], [], []
+    honest_mul, honest_reflect = BiPoly.__mul__, BiPoly.reflect
 
     def counted(self, other):
         calls.append(1)
-        return honest(self, other)
+        return honest_mul(self, other)
 
+    def reflect(self, *args):
+        reflected.append(1)
+        return honest_reflect(self, *args)
+
+    for name in ("stack_t_minus_one_matches", "closed_form_t_minus_one_matches", "rank3_t_minus_one_matches"):
+
+        def check(*args, honest=getattr(gf, name)):
+            before = len(calls)
+            try:
+                return honest(*args)
+            finally:
+                in_checks.append(len(calls) - before)
+
+        monkeypatch.setattr(gf, name, check)
     monkeypatch.setattr(BiPoly, "__mul__", counted)
+    monkeypatch.setattr(BiPoly, "reflect", reflect)
     rep = suite_genfun()
     assert rep["cases"] == 123 and rep["pass"]
-    assert 0 < len(calls) <= 700
+    assert 0 < len(calls) <= 560
+    assert len(in_checks) == 39 and not any(in_checks)
+    assert not reflected
 
 
 @EXACT
@@ -351,6 +380,12 @@ def test_bipoly_series_coefficients_hold_exact_coefficients(x, z, c0, top):
 
 def test_exact_division_and_ratios():
     q = BiPoly.monomial(1, 0)
+    # an exact Laurent quotient, with a negative exponent on either side
+    inv_q = BiPoly.monomial(-1, 0)
+    assert inv_q.divide_exact(BiPoly.one()) == inv_q and (1 + inv_q).divide_exact(1 + q) == inv_q
+    assert BiPoly.one().divide_exact(BiPoly.monomial(0, -1)) == BiPoly.monomial(0, 1)
+    with pytest.raises(ValueError, match="not exact"):
+        (1 + inv_q).divide_exact(1 - q)
     half = q.divide_exact(2 * q)
     assert half == F(1, 2) and half.terms == {(0, 0): F(1, 2)}
     assert (q + q).terms == {(1, 0): 2} and type((q * F(1, 2) + q * F(1, 2)).coeff(1, 0)) is int
@@ -470,3 +505,176 @@ def test_stack_t_minus_one_refuses_a_perturbed_series():
     key = max(f.num.terms)
     bad = BiRational(f.num + BiPoly.monomial(*key), f.den)
     assert not stack_t_minus_one_matches(bad, 3, 2)
+
+
+# ----------------------------------------------------------------------
+# the t = -1 checks by one int evaluation and the mirrored symmetry pass,
+# against the expanded checks they replaced, kept as oracles
+
+
+def _stack_t_minus_one_oracle(f, r, g):
+    f = f.subst_t(-1)
+    target = BiPoly.one()
+    for k in range(2, r + 1):
+        target = target * (BiPoly.one() - BiPoly.monomial(k, 0, (-1) ** k)) ** (2 * g - 2)
+    return f.num.terms == (target * f.den).terms
+
+
+def _closed_form_t_minus_one_oracle(f, g):
+    f = f.subst_t(-1)
+    target = (BiPoly.one() - BiPoly.monomial(2, 0)) ** (2 * g - 2)
+    return f.num.terms == (target * f.den).terms
+
+
+def _rank3_t_minus_one_oracle(f, g):
+    one_plus_t = BiPoly.one() + BiPoly.monomial(0, 1)
+    lhs_num = f.num.divide_exact(one_plus_t).subst_t(-1)
+    lhs_den = f.den.divide_exact(one_plus_t).subst_t(-1)
+    if lhs_den.is_zero():
+        return False
+    target = ((BiPoly.one() - BiPoly.monomial(2, 0)) * (BiPoly.one() + BiPoly.monomial(3, 0))) ** (2 * g - 2)
+    return lhs_num.terms == (target * lhs_den).terms
+
+
+def _shift_symmetry_oracle(f, r, g):
+    """Reflect, shift, and compare by BiRational equality."""
+    A = (r + 2) * (r - 1) * (g - 1)
+    B = r * (r - 1) * (g - 1)
+    N, D = f.num, f.den
+    if N.is_zero():
+        return True
+    dqn, dtn = N.max_q_degree(), N.max_t_degree()
+    dqd, dtd = D.max_q_degree(), D.max_t_degree()
+    sq = A - dqn + dqd
+    st = B - dtn + dtd
+    rev_n = N.reflect(dqn, dtn).shift(max(sq, 0), max(st, 0))
+    rev_d = D.reflect(dqd, dtd).shift(max(-sq, 0), max(-st, 0))
+    return f == BiRational(rev_n, rev_d)
+
+
+def _verdict(check, *args):
+    """check(*args) as ("value", verdict) or ("raises", the exception's type)."""
+    try:
+        return "value", check(*args)
+    except (ValueError, ZeroDivisionError, TypeError) as e:
+        return "raises", type(e)
+
+
+def _agree(f, formula, r, g):
+    """Assert both routes give one verdict on f, and return it: (t = -1, symmetry)."""
+    new, oracle = {
+        "stack": (stack_t_minus_one_matches, _stack_t_minus_one_oracle),
+        "closed": (closed_form_t_minus_one_matches, _closed_form_t_minus_one_oracle),
+        "rank3": (rank3_t_minus_one_matches, _rank3_t_minus_one_oracle),
+    }[formula]
+    args = (f, r, g) if formula == "stack" else (f, g)
+    tm1 = _verdict(new, *args)
+    assert tm1 == _verdict(oracle, *args), (formula, r, g, f)
+    sym = _verdict(check_shift_symmetry, f, r, g)
+    assert sym == _verdict(_shift_symmetry_oracle, f, r, g), (formula, r, g, f)
+    return tm1, sym
+
+
+def _battery(max_r=5, max_g=8, ds=range(4)):
+    """(form, formula, r, g, d) over the battery's closed forms."""
+    out = [(omega_stack(r, g), "stack", r, g, 0) for r in range(2, max_r + 1) for g in range(2, max_g + 1)]
+    out += [(omega_closed_form(g, d), "closed", 2, g, d) for g in range(2, max_g + 1) for d in ds]
+    return out + [(omega_rank3(g), "rank3", 3, g, 0) for g in range(2, min(max_g, 5) + 1)]
+
+
+def test_the_battery_forms_take_one_verdict_on_both_routes():
+    for f, formula, r, g, d in _battery():
+        # the degree-d series (d >= 1) is not symmetric
+        assert _agree(f, formula, r, g) == (("value", True), ("value", not d)), (formula, r, g, d)
+
+
+def test_perturbed_forms_take_one_verdict_on_both_routes():
+    t = BiPoly.monomial(0, 1)
+    tm1, sym = set(), set()
+    for f, formula, r, g, _ in _battery(3, 3, (0,)):
+        N, D = f.num, f.den
+        top = (N.max_q_degree(), N.max_t_degree())
+        forms = [BiRational(N, 2 * D)]
+        for i, j in N.terms:
+            unit = BiPoly.monomial(i, j)
+            mirrored = BiPoly.monomial(top[0] - i, top[1] - j)
+            forms += [BiRational(N + unit, D), BiRational(N - unit, D)]
+            forms += [BiRational(N + 3 * unit * (1 + t), D), BiRational(N + unit + mirrored, D)]
+        for i, j in D.terms:
+            unit = BiPoly.monomial(i, j)
+            forms += [BiRational(N, D + unit), BiRational(N, D - unit)]
+        for h in forms:
+            a, b = _agree(h, formula, r, g)
+            tm1.add(a)
+            sym.add(b)
+    # both verdicts on both checks, and the raise of a rank-3 numerator
+    # that 1 + t does not divide
+    assert {("value", True), ("value", False), ("raises", ValueError)} <= tm1
+    assert {("value", True), ("value", False)} <= sym
+
+
+@EXACT
+@given(
+    y=_bipolys(-2, 1),
+    z=_bipolys(-2),
+    w=_bipolys(-2),
+    pal=_bipolys(0, 1),
+    sign=st.sampled_from([1, -1]),
+    c=NONZERO,
+    r=st.integers(2, 3),
+    g=st.integers(0, 3),
+    laurent=st.booleans(),
+)
+def test_fraction_and_laurent_forms_take_one_verdict_on_both_routes(y, z, w, pal, sign, c, r, g, laurent):
+    one_plus_t = BiPoly.one() + BiPoly.monomial(0, 1)
+    # t = -1: N = P D + (1 + t) z + w matches exactly when w(q, -1) = 0
+    targets = {
+        "stack": (r, [(1 - BiPoly.monomial(k, 0, (-1) ** k)) for k in range(2, r + 1)]),
+        "closed": (2, [1 - BiPoly.monomial(2, 0)]),
+        "rank3": (3, [1 - BiPoly.monomial(2, 0), 1 + BiPoly.monomial(3, 0)]),
+    }
+    for formula, (rank, bases) in targets.items():
+        target = BiPoly.one()
+        for base in bases:
+            target = target * base ** max(2 * g - 2, 0)
+        num, den = target * y + one_plus_t * z + w, y
+        if formula == "rank3":
+            num, den = num * one_plus_t, den * one_plus_t
+        _agree(BiRational(num, den), formula, rank, g)
+    # symmetry: a symmetric stack form times a common palindrome, scaled,
+    # moved to negative exponents or perturbed
+    f = omega_stack(r, max(g, 1))
+    pal = pal + sign * pal.reflect(pal.max_q_degree(), pal.max_t_degree())
+    pal = pal or BiPoly.one()
+    shift = BiPoly.monomial(-1, -2) if laurent else BiPoly.one()
+    _agree(BiRational(f.num * pal * shift * c + w, f.den * pal * shift), "stack", r, max(g, 1))
+
+
+def test_a_carry_cannot_fake_a_t_minus_one_match():
+    # N = 2^k and P D = q agree at q = 2^k: the evaluation point must lie
+    # beyond every coefficient of N - P D
+    q = BiPoly.monomial(1, 0)
+    for k in range(1, 70):
+        for f in (BiRational(BiPoly.const(2**k), q), BiRational(BiPoly.const(F(-(2**k), 3)), q * F(-1, 3))):
+            assert not closed_form_t_minus_one_matches(f, 1) and not stack_t_minus_one_matches(f, 1, 1)
+            assert not _closed_form_t_minus_one_oracle(f, 1)
+
+
+def test_the_t_minus_one_checks_refuse_what_they_refused():
+    q, t = BiPoly.monomial(1, 0), BiPoly.monomial(0, 1)
+    with pytest.raises(ValueError, match="exponent must be"):  # 2g - 2 = -2
+        closed_form_t_minus_one_matches(omega_closed_form(2), 0)
+    with pytest.raises(ValueError, match="exponent must be"):
+        stack_t_minus_one_matches(omega_stack(2, 2), 2, 0)
+    with pytest.raises(ValueError, match="exponent must be"):
+        rank3_t_minus_one_matches(omega_rank3(2), 0)
+    with pytest.raises(TypeError, match="exponent must be"):
+        closed_form_t_minus_one_matches(omega_closed_form(2), 1.5)
+    # a denominator that vanishes at t = -1
+    for f in (BiRational(q, 1 + t), BiRational(q + q * t, (1 + t) * (1 - q))):
+        with pytest.raises(ZeroDivisionError):
+            closed_form_t_minus_one_matches(f, 2)
+        with pytest.raises(ZeroDivisionError):
+            stack_t_minus_one_matches(f, 2, 2)
+    assert rank3_t_minus_one_matches(BiRational((1 + t) * q, (1 + t) ** 2), 2) is False
+    assert rank3_t_minus_one_matches(BiRational((1 + t) * q, (1 + t) ** 2), 0) is False
