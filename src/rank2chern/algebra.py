@@ -39,9 +39,11 @@ class Bidegree(NamedTuple):
     chern: int
 
 
-def check_genus(g: int) -> None:
-    if not isinstance(g, int) or not 2 <= g <= MAX_GENUS:
-        raise ValueError(f"genus must be an integer in [2, {MAX_GENUS}], got {g!r}")
+def check_genus(g: int, least: int = 2) -> None:
+    """Refuse a g that is not an int in [least, MAX_GENUS], a bool included;
+    least is 0 for the invariant rings of the summands of genus g - l."""
+    if type(g) is not int or not least <= g <= MAX_GENUS:
+        raise ValueError(f"genus must be an integer in [{least}, {MAX_GENUS}], got {g!r}")
 
 
 def _check_int(name: str, v, least: int | None = 0) -> None:
@@ -326,8 +328,7 @@ class Element(Sparse):
     @classmethod
     def psi(cls, g: int, i: int) -> "Element":
         check_genus(g)
-        if not 1 <= i <= 2 * g:
-            raise ValueError(f"psi index must be in [1, {2 * g}], got {i}")
+        _check_psi_index(g, i)
         return cls(g, {(0, 0, 1 << (i - 1)): 1})
 
     @classmethod
@@ -390,6 +391,12 @@ class Element(Sparse):
         return f"Element(g={self.g}, {format_element(self)})"
 
 
+def _check_psi_index(g: int, i: int) -> None:
+    """Refuse an i that is not an int in [1, 2g], a bool included."""
+    if type(i) is not int or not 1 <= i <= 2 * g:
+        raise ValueError(f"psi index must be in [1, {2 * g}], got {i!r}")
+
+
 def d_alpha(x: Element) -> Element:
     return x._map(lambda a, b, m: {(a - 1, b, m): a} if a else {})
 
@@ -404,8 +411,7 @@ def d_psi(x: Element, i: int) -> Element:
     On a sorted monomial containing psi_i at (1-based) position p the
     result carries the sign (-1)^(p-1); it is zero when psi_i is absent.
     """
-    if not 1 <= i <= 2 * x.g:
-        raise ValueError(f"psi index must be in [1, {2 * x.g}], got {i}")
+    _check_psi_index(x.g, i)
     bit = 1 << (i - 1)
     below = bit - 1
 
@@ -425,10 +431,9 @@ def gamma(g: int) -> Element:
     return Element._raw(g, terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a warm c = 1 must not answer True or 1.0
 def gamma_power(g: int, c: int) -> Element:
-    if c < 0:
-        raise ValueError("negative gamma power")
+    _check_int("gamma power", c)
     if c == 0:
         return Element.one(g)
     return gamma_power(g, c - 1) * gamma(g)
@@ -487,11 +492,10 @@ def theta(g: int) -> Element:
     return -gamma(g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a warm c = 2 must not answer 2.0
 def theta_power(g: int, c: int) -> Element:
     """theta^c = (-1)^c gamma^c."""
-    if c < 0:
-        raise ValueError("negative theta power")
+    _check_int("theta power", c)
     return -gamma_power(g, c) if c % 2 else gamma_power(g, c)
 
 

@@ -10,9 +10,10 @@ stratification).
 Coefficients follow the package's one rule (``algebra._exact``): every
 closed form here has integer coefficients, so they multiply in int
 arithmetic.  Rational-function equality is decided by
-cross-multiplication of exact polynomials, after two exact shortcuts
-(identical, or proportional with one ratio); the shift symmetry of a form
-whose shift is zero takes the second in one mirrored pass over its keys.
+cross-multiplication of exact polynomials, after one exact shortcut
+(identical forms); the shift symmetry of a form whose shift is zero is
+decided by two proportionality ratios, each read in one mirrored pass over
+its keys, and of any other form by cross-multiplying the shifted mirrors.
 A t = -1 identity N(q, -1) = P(q) D(q, -1) expands neither P nor P D: both
 sides are evaluated at q = 2^s, s from a coefficient bound that makes the
 evaluation injective, and compared as two exact ints.
@@ -231,14 +232,8 @@ class BiRational:
             return n2.is_zero()
         if n2.is_zero():
             return False
-        # exact shortcuts before the full cross product
         if n1.terms == n2.terms and d1.terms == d2.terms:
             return True
-        rn = _proportionality_ratio(n1, n2)
-        if rn is not None:
-            rd = _proportionality_ratio(d1, d2)
-            if rd is not None:
-                return rn == rd
         return (n1 * d2).terms == (n2 * d1).terms
 
     def subst_t(self, value) -> "BiRational":
@@ -274,22 +269,9 @@ class BiRational:
         return f"BiRational({self.num!r} / {self.den!r})"
 
 
-def _proportionality_ratio(p1: BiPoly, p2: BiPoly):
-    """c with p2 = c * p1 exactly, or None."""
-    if len(p1.terms) != len(p2.terms) or not p1.terms:
-        return None
-    k = max(p1.terms)
-    if k not in p2.terms:
-        return None
-    c = _exact(Fraction(p2.terms[k], p1.terms[k]))
-    for key, v in p1.terms.items():
-        if p2.terms.get(key) != c * v:
-            return None
-    return c
-
-
 def _mirror_ratio(p: BiPoly, dq: int, dt: int):
-    """``_proportionality_ratio(p, p.reflect(dq, dt))`` with no reflected copy."""
+    """c with p.reflect(dq, dt) = c * p exactly, or None, read from p's own
+    terms with no reflected copy; p is nonzero."""
     terms = p.terms
     k = max(terms)
     w = terms.get((dq - k[0], dt - k[1]))
@@ -314,6 +296,7 @@ def omega_stack(r: int, g: int) -> BiRational:
     """Refined Poincare series of the full fixed-determinant stack:
     prod_{k=2..r} (1 + q^k t^(k-1))^2g / ((1 - q^k t^(k-2)) (1 - q^k t^k))."""
     _check_int("rank", r, 2)
+    _check_int("genus", g)
     num = BiPoly.one()
     den = BiPoly.one()
     for k in range(2, r + 1):
@@ -328,6 +311,7 @@ def omega_closed_form(g: int, d: int = 0) -> BiRational:
     d = 0 is the stable-locus closed form (a polynomial); d >= 1 gives the
     series for the stack of bundles with destabilizing degree <= d.
     """
+    _check_int("genus", g)
     _check_int("d", d)
     num = (BiPoly.one() + _q(2, 1)) ** (2 * g) - _q(2 * g + 4 * d, 0) * (
         BiPoly.one() + _q(0, 1)
@@ -345,6 +329,7 @@ def omega_closed_polynomial(g: int) -> BiPoly:
 def omega_rank3(g: int) -> BiRational:
     """The conjectural rank-three closed form, with the internal 1/(1-t^2)
     cleared into a common denominator."""
+    _check_int("genus", g)
     one = BiPoly.one()
     t1 = (one - _q(0, 2)) * (one + _q(2, 1)) ** (2 * g) * (one + _q(3, 2)) ** (2 * g)
     t2 = (
@@ -426,6 +411,8 @@ def check_shift_symmetry(f: BiRational, r: int, g: int) -> bool:
     exactly: when the shift is zero and N and D are each proportional to
     their mirror images, by the two ratios, read in one pass each; else on
     the reflected, shifted and cross-multiplied polynomials."""
+    _check_int("rank", r, None)
+    _check_int("genus", g)
     A = (r + 2) * (r - 1) * (g - 1)
     B = r * (r - 1) * (g - 1)
     N, D = f.num, f.den
@@ -441,12 +428,9 @@ def check_shift_symmetry(f: BiRational, r: int, g: int) -> bool:
         cd = None if cn is None else _mirror_ratio(D, dqd, dtd)
         if cd is not None:
             return cn == cd
-    rev_n = N.reflect(dqn, dtn)
-    rev_d = D.reflect(dqd, dtd)
-    num_shift = (max(sq, 0), max(st, 0))
-    den_shift = (max(-sq, 0), max(-st, 0))
-    g2 = BiRational(rev_n.shift(*num_shift), rev_d.shift(*den_shift))
-    return f == g2
+    rev_n = N.reflect(dqn, dtn).shift(max(sq, 0), max(st, 0))
+    rev_d = D.reflect(dqd, dtd).shift(max(-sq, 0), max(-st, 0))
+    return (N * rev_d).terms == (rev_n * D).terms
 
 
 def _equal_at_t_minus_one(f: BiRational, factors) -> bool:
@@ -511,6 +495,7 @@ def zagier_combinatorial_omega(g: int) -> BiPoly:
     """The block-count sum over tuples (p, l, r, s, h) with
     2p + l + r + s + h = g - 1 of
     2^h C(g,h) C(g-h,p) q^(2r+2s+2h+4p) t^(2s+h+2p) (1 + q^(4l) t^(2l) - [l=0])."""
+    _check_int("genus", g)
     n = g - 1
 
     def terms():
@@ -544,6 +529,7 @@ def chern_specialization_coefficients(poly: BiPoly, g: int):
     """Coefficients of q^0, q^2, ..., q^(4g-4) in the t = 1 specialization
     of poly, the d = 0 closed polynomial of genus g (all odd coefficients
     vanish)."""
+    _check_int("genus", g, 1)
     poly = poly.subst_t(1)
     return [poly.coeff(2 * i, 0) for i in range(2 * g - 1)]
 

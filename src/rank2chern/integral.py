@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MAX_GENUS, Element, _exact, koszul_sign, monomial_basis
+from .algebra import Element, _exact, check_genus, koszul_sign, monomial_basis
 from .linalg import QMatrix
 
 _ZERO = Fraction(0)
@@ -50,13 +50,12 @@ def top_bidegree(g: int):
     return (6 * g - 6, 4 * g - 4)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a warm g = 1 must not answer True
 def _virasoro_line(g: int):
     """(den, rows), from g = 0: rows[l][c] is den times the B = 1 integral
     of alpha^a beta^a gamma^c sigma sigma* with a = g-1-l-c >= 0, and den is
     the least positive int that makes every one of them an int."""
-    if not 0 <= g <= MAX_GENUS:
-        raise ValueError(f"genus must be in [0, {MAX_GENUS}], got {g!r}")
+    check_genus(g, 0)
     # With sigma = psi_1..psi_l and sigma* = psi_{g+1}..psi_{g+l}, gamma^c is
     # c! times the sum over c-sets of pairs -2 psi_i psi_{i+g}; the C(g-l, c)
     # sets that miss sigma each give the value I_{l+c} of l + c whole pairs,

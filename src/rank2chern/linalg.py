@@ -128,13 +128,6 @@ class QMatrix:
         self.rows = len(self.data)
         self.cols = cols
 
-    def transpose(self) -> "QMatrix":
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, x in row.items():
-                out[j][i] = x
-        return QMatrix(self.rows, out)
-
     def mul_vector(self, vec) -> dict:
         """The product with a sparse column vector, as {row: value}."""
         vec = _sparse(vec, self.cols)

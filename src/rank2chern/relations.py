@@ -43,7 +43,6 @@ from functools import lru_cache
 from itertools import groupby
 
 from .algebra import (
-    MAX_GENUS,
     Element,
     _accumulate,
     _check_int,
@@ -316,16 +315,15 @@ def _checked_coefficient(d: int, k: int, m: int, l: int, g: int):
     by_closed = _closed_route(d, k, m, l, g)
     if not _same_value(*_sum_route(d, k, m, l, g), *by_closed):
         raise VerificationError(f"modified relation routes disagree at d={d}, k={k}, m={m}, l={l}, g={g}")
-    terms, den = _lowest_terms(*by_closed)
-    return InvariantPoly._raw(g, terms), den
+    return _lowest_terms(*by_closed)
 
 
 def modified_mumford(d: int, k: int, m: int, sig: Element, g: int) -> Element:
     """Modified Mumford relation attached to (k, theta^m sig): the checked
     sigma_l coefficient times sig, sig checked primitive once per class."""
     l, chain = _sigma_chain(sig, g)
-    scaled, den = _checked_coefficient(d, k, m, l, g)
-    return Element._raw(g, _divide(_times_chain(scaled.terms, chain), den))
+    terms, den = _checked_coefficient(d, k, m, l, g)
+    return Element._raw(g, _divide(_times_chain(terms, chain), den))
 
 
 def _generator(g: int, k: int, m: int, l: int):
@@ -490,8 +488,7 @@ def invariant_basis(g: int, bd) -> list:
     """Monomials (a, b, c), c <= g, with alpha^a beta^b gamma^c in bidegree
     bd, for the invariant ring Q[alpha, beta, gamma]/I_g of any genus
     0 <= g <= MAX_GENUS: summands l = g, g - 1 of genus g read genus 0, 1."""
-    if not 0 <= g <= MAX_GENUS:
-        raise ValueError(f"invariant ring genus must be in [0, {MAX_GENUS}], got {g!r}")
+    check_genus(g, 0)
     coh, chern = bd
     if chern % 2 or coh % 2:
         return []

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, Sparse, _accumulate, _check_int, check_genus, gamma_power
+from .algebra import Element, Sparse, _accumulate, _apply, _check_int, check_genus, gamma_power
 
 
 class InvariantPoly(Sparse):
@@ -60,31 +60,18 @@ class InvariantPoly(Sparse):
             raise ValueError(f"genus mismatch: {g} vs {other.g}")
         t = {}
         for (a1, b1, c1), v1 in self.terms.items():
-            for (a2, b2, c2), v2 in other.terms.items():
-                c = c1 + c2
-                if c > g:
-                    continue
-                k = (a1 + a2, b1 + b2, c)
-                s = t.get(k, 0) + v1 * v2
-                if s:
-                    t[k] = s
-                else:
-                    del t[k]
+            pairs = (((a1 + a2, b1 + b2, c1 + c2), v1 * v2) for (a2, b2, c2), v2 in other.terms.items() if c1 + c2 <= g)
+            _accumulate(pairs, t)
         return InvariantPoly._raw(g, t)
 
     def embed(self) -> Element:
         """Expand gamma powers into the full descendent algebra."""
         g = self.g
-        t = {}
-        for (a, b, c), v in self.terms.items():
-            for (x, y, mask), w in gamma_power(g, c).terms.items():
-                k = (a + x, b + y, mask)
-                s = t.get(k, 0) + v * w
-                if s:
-                    t[k] = s
-                else:
-                    del t[k]
-        return Element._raw(g, t)
+
+        def image(a, b, c):
+            return {(a + x, b + y, mask): w for (x, y, mask), w in gamma_power(g, c).terms.items()}
+
+        return Element._raw(g, _apply(image, self.terms))
 
 
 @lru_cache(maxsize=None)

@@ -295,6 +295,25 @@ def test_derive_examples():
         d_psi(A(g), 9)
 
 
+def test_a_psi_index_or_power_that_is_no_int_is_refused_at_entry():
+    # a bool is not read as 1 and a float not as its int, even when the
+    # int's value is memoised
+    assert gamma_power(2, 1) == gamma(2) and theta_power(2, 2) == theta(2) ** 2
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="gamma power must be an int"):
+            gamma_power(2, bad)
+    with pytest.raises(TypeError, match="theta power must be an int"):
+        theta_power(2, 2.0)
+    with pytest.raises(ValueError, match="gamma power must be >= 0"):
+        gamma_power(2, -1)
+    x = P(2, 1) * P(2, 2)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=r"psi index must be in \[1, 4\]"):
+            Element.psi(2, bad)
+        with pytest.raises(ValueError, match=r"psi index must be in \[1, 4\]"):
+            d_psi(x, bad)
+
+
 def test_d_psi_refuses_an_index_outside_1_to_2g():
     for g in (2, 3):
         x = P(g, 1) * P(g, 2) + A(g)

@@ -15,6 +15,7 @@ from rank2chern.genfun import (
     chern_specialization_coefficients,
     closed_form_t_minus_one_matches,
     full_stack_telescoping_qt,
+    identities,
     intermediate_difference_matches,
     is_centered_unimodal,
     omega_closed_form,
@@ -162,6 +163,31 @@ def test_intermediate_difference_refuses_a_d_that_is_no_stratum(bad, error):
 def test_omega_stack_refuses_a_rank_that_is_no_rank(bad, error):
     with pytest.raises(error, match="rank must be"):
         omega_stack(bad, 2)
+
+
+# each genfun entry refuses, at entry, a genus that is no int or lies
+# below its range; a bool genus is not read as 1
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: check_unimodality(omega_closed_polynomial(2), -1), ValueError, id="unimodal-at--1"),
+        pytest.param(lambda: check_unimodality(omega_closed_polynomial(2), 0), ValueError, id="unimodal-at-0"),
+        pytest.param(lambda: identities("n21", True)["unimodal"](), TypeError, id="n21-at-True"),
+        pytest.param(lambda: check_shift_symmetry(omega_stack(2, 2), 2, 2.0), TypeError, id="symmetry-at-2.0"),
+        pytest.param(lambda: zagier_combinatorial_omega(-1), ValueError, id="zagier-at--1"),
+        pytest.param(lambda: omega_stack(2, True), TypeError, id="stack-at-True"),
+        pytest.param(lambda: omega_closed_form(1.0), TypeError, id="closed-at-1.0"),
+        pytest.param(lambda: omega_rank3(-1), ValueError, id="rank3-at--1"),
+    ],
+)
+def test_the_closed_forms_and_checks_refuse_a_genus_that_is_no_genus(call, error):
+    with pytest.raises(error, match="genus must be"):
+        call()
+
+
+def test_shift_symmetry_refuses_a_rank_that_is_no_int():
+    with pytest.raises(TypeError, match="rank must be"):
+        check_shift_symmetry(omega_stack(2, 2), 2.0, 2)
 
 
 def test_zagier_sum():
@@ -678,3 +704,35 @@ def test_the_t_minus_one_checks_refuse_what_they_refused():
             stack_t_minus_one_matches(f, 2, 2)
     assert rank3_t_minus_one_matches(BiRational((1 + t) * q, (1 + t) ** 2), 2) is False
     assert rank3_t_minus_one_matches(BiRational((1 + t) * q, (1 + t) ** 2), 0) is False
+
+
+def test_proportional_forms_are_equal_by_cross_multiplication():
+    # (cN)/(cD) = N/D for every nonzero c, and (cN)/D = N/D only for c = 1
+    q, t = BiPoly.monomial(1, 0), BiPoly.monomial(0, 1)
+    for f in (omega_stack(2, 2), omega_rank3(2), BiRational(1 + q * t, 1 - q)):
+        for c in (2, -1, F(1, 3), 3 - q * t):
+            assert BiRational(c * f.num, c * f.den) == f and f == BiRational(f.num * c, f.den * c)
+            assert BiRational(c * f.num, f.den) != f and f != BiRational(f.num * c, f.den)
+
+
+def test_shift_symmetry_cross_multiplies_shifted_and_common_factor_forms():
+    # the general path against the oracle: m f is symmetric two genera up
+    # and f / m two genera down (shifts of either sign), and a common
+    # factor p that is no palindrome defeats the mirrored pass
+    q, t = BiPoly.monomial(1, 0), BiPoly.monomial(0, 1)
+    p = 1 + 2 * q + 3 * t
+    for r, g in ((2, 2), (3, 2), (2, 4)):
+        m = BiPoly.monomial((r + 2) * (r - 1), r * (r - 1))
+        f, h = omega_stack(r, g), omega_stack(r, g + 2)
+        cases = [
+            (BiRational(f.num * m, f.den), g + 2, True),
+            (BiRational(h.num, h.den * m), g, True),
+            (BiRational(f.num * m, f.den), g + 1, False),
+            (BiRational(f.num * p, f.den * p), g, True),
+            (BiRational(f.num * p * 2, f.den * p * 3), g, True),
+            (BiRational(f.num * p + q, f.den * p), g, False),
+            (BiRational(f.num * p, f.den * p), g + 1, False),
+        ]
+        for form, genus, want in cases:
+            assert check_shift_symmetry(form, r, genus) is want, (r, g, genus)
+            assert _shift_symmetry_oracle(form, r, genus) is want, (r, g, genus)

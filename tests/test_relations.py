@@ -52,6 +52,7 @@ from rank2chern.relations import (
 )
 from rank2chern.series import InvariantPoly, _phi_numerators, phi_series
 from rank2chern.suites import suite_pairing
+from test_linalg import transpose
 
 
 def slice_vector(x: Element, basis_index: dict) -> dict:
@@ -359,8 +360,8 @@ def test_checked_coefficient_matches_its_fraction_oracle(g, d):
     for key in _relation_keys(g, d):
         got, den = rel._checked_coefficient(*key)
         want, want_den = _checked_coefficient_fraction(*key)
-        assert den == want_den and got.terms == want.terms, key
-        assert {x: type(v) for x, v in got.terms.items()} == {x: int for x in want.terms}, key
+        assert den == want_den and got == want.terms, key
+        assert {x: type(v) for x, v in got.items()} == {x: int for x in want.terms}, key
         assert {x: type(v) for x, v in want.terms.items()} == {x: int for x in want.terms}, key
 
 
@@ -432,9 +433,9 @@ def test_the_memoised_pairing_is_the_transpose():
     # the slice memo builds M^T as the pairing at the complementary bidegree
     for g in (2, 3, 4, 5):
         for bd in bidegree_cone(g, 6 * g - 6):
-            transpose, rank = rel._pairing_slice(g, bd)
+            mt, rank = rel._pairing_slice(g, bd)
             matrix = rel._invariant_pairing(g, bd)
-            assert transpose == matrix.transpose() and rank == row_reduce(matrix)[0], (g, bd)
+            assert mt == transpose(matrix) and rank == row_reduce(matrix)[0], (g, bd)
 
 
 MODIFIED_DIGESTS = {
@@ -510,7 +511,7 @@ def test_times_chain_matches_its_accumulate_oracle(g):
             rel._generator(g, k, m, l)[0] for k in range(2 * g + 9) for m in range(g - l + 1)
         ]
         coefficients += [
-            rel._checked_coefficient(d, k, m, l, g)[0].terms
+            rel._checked_coefficient(d, k, m, l, g)[0]
             for d in range(3)
             for k, m, l2 in _mumford_check_keys(g, d)
             if l2 == l
@@ -863,8 +864,8 @@ def _pairing_kernel_matches_ideal_full(g, bd, B):
     elements = ideal_slice(g, 0, bd)
     if len(elements) != len(basis) - rk:
         return False
-    transpose = matrix.transpose()
-    return not any(transpose.mul_vector(slice_vector(x, index)) for x in elements)
+    mt = transpose(matrix)
+    return not any(mt.mul_vector(slice_vector(x, index)) for x in elements)
 
 
 # Oracles: the per-(g, l) summand builders, each summand l of genus g built
@@ -1010,6 +1011,18 @@ def test_the_invariant_core_has_its_own_genus_bound():
             _virasoro_line(g)
     with pytest.raises(ValueError, match="genus"):
         check_genus(1)
+
+
+def test_the_invariant_core_refuses_a_genus_that_is_no_int():
+    # one genus check: a bool is not read as 1, even with genus 1 memoised
+    assert _virasoro_line(1) == (1, ((1,),))
+    for g in (True, 1.0):
+        with pytest.raises(ValueError, match=r"genus must be an integer in \[0, 8\]"):
+            _virasoro_line(g)
+        with pytest.raises(ValueError, match=r"genus must be an integer in \[0, 8\]"):
+            invariant_basis(g, (6, 4))
+    with pytest.raises(ValueError, match=r"genus must be an integer in \[0, 8\], got 9"):
+        invariant_basis(9, (40, 36))
 
 
 def test_a_negative_d_is_refused_where_the_relation_family_is_built():

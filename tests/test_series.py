@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rank2chern.algebra import Element, gamma_power
 from rank2chern.relations import mumford_relation, prim_basis
@@ -159,6 +161,24 @@ def test_embed_matches_the_sum_of_embedded_terms():
         for d in (0, 1, 2):
             for c in phi_series(d, g, 10):
                 assert c.embed() == _embed_by_sums(c)
+
+
+_POLY_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4)),
+    st.fractions(-4, 4, max_denominator=3).filter(bool),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(g=st.integers(2, 4), x=_POLY_TERMS, y=_POLY_TERMS)
+def test_embed_and_products_match_their_hand_loops(g, x, y):
+    # embed through the shared linear map and the product through the
+    # shared accumulation, against a sum of products and a nested loop
+    x, y = InvariantPoly(g, x), InvariantPoly(g, y)
+    assert x.embed() == _embed_by_sums(x)
+    assert x * y == InvariantPoly(g, _oracle_mul(x.terms, y.terms, g))
+    assert all(type(v) is int or v.denominator > 1 for v in (x * y).terms.values())
 
 
 def test_factorial_times_a_coefficient_is_integral():

@@ -4,9 +4,10 @@ check, CLI path, demo or benchmark key needs.
 A module-level function or class method of the package passes when one of
 these holds:
 
-* its name is referenced (as a name or an attribute) in ``src/`` outside
-  its own body;
-* its name is referenced in ``demos/``;
+* its name is referenced in ``src/`` outside its own body, or in
+  ``demos/``: as a name or an attribute for a function, and as an
+  attribute (``.name``) only for a method, which a local variable of the
+  same name does not call;
 * ``perfbench/tracer.py`` reads its ``"layer.name"`` or
   ``"layer.Class.method"`` key, read as ``test_benchmark_contract.py``
   reads it;
@@ -65,18 +66,18 @@ def uncalled(sources: dict, demos, keys, kept) -> list:
     """The "layer.name" keys of the defs in ``sources`` ({layer: source
     text}) that have no user: no reference in the sources outside their
     own body, none in the ``demos`` texts, no key in ``keys`` and no entry
-    in ``kept``."""
+    in ``kept``; a method's reference must be an attribute."""
     trees = {layer: ast.parse(text) for layer, text in sources.items()}
-    refs = [_references(tree) for tree in trees.values()]
-    demo_names = set().union(*(_references(ast.parse(text)) for text in demos))
+    refs = [_references(tree) for tree in [*trees.values(), *map(ast.parse, demos)]]
     out = []
     for layer, tree in trees.items():
         for qualname, node in _defs(tree):
             name, key = qualname.rpartition(".")[2], f"{layer}.{qualname}"
-            if name.startswith("__") and name.endswith("__") or name in demo_names or key in keys or key in kept:
+            if name.startswith("__") and name.endswith("__") or key in keys or key in kept:
                 continue
             own = {id(n) for n in ast.walk(node)}
-            if not any(id(n) not in own for r in refs for n in r.get(name, ())):
+            kinds = ast.Attribute if "." in qualname else (ast.Name, ast.Attribute)
+            if not any(id(n) not in own and isinstance(n, kinds) for r in refs for n in r.get(name, ())):
                 out.append(key)
     return out
 
@@ -109,17 +110,25 @@ def test_every_kept_name_is_a_def_in_src():
 
 
 def test_the_scan_flags_an_unused_def():
-    # negative control: a def and a method that nothing calls, and one that
-    # only calls itself
+    # negative control: a def and a method that nothing calls, one that
+    # only calls itself, and a method named only by a local variable
     sources = _sources()
     before = set(uncalled(sources, _demos(), _tracer_keys(), KEPT))
     sources["integral"] += (
         "\n\ndef _never_called():\n    return 0\n"
         "\n\ndef _only_itself(n):\n    return _only_itself(n - 1) if n else 0\n"
     )
-    sources["linalg"] += "\n\nclass _Spare:\n    def unused_method(self):\n        return 0\n"
+    sources["linalg"] += (
+        "\n\nclass _Spare:\n    def unused_method(self):\n        width = 0\n        return width\n"
+        "\n    def width(self):\n        return 0\n"
+    )
     got = set(uncalled(sources, _demos(), _tracer_keys(), KEPT)) - before
-    assert got == {"integral._never_called", "integral._only_itself", "linalg._Spare.unused_method"}
+    assert got == {
+        "integral._never_called",
+        "integral._only_itself",
+        "linalg._Spare.unused_method",
+        "linalg._Spare.width",
+    }
     # each of the three ways out clears a flagged def
     assert "integral._never_called" not in uncalled(sources, _demos(), _tracer_keys(), {"integral._never_called": ""})
     assert "integral._never_called" not in uncalled(sources, _demos(), {"integral._never_called"}, KEPT)
