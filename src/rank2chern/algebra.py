@@ -193,6 +193,8 @@ class Sparse:
         self.g = g
         self.terms = {}
         for k, v in (terms or {}).items():
+            if any(type(e) is not int for e in k):
+                raise TypeError(f"monomial key must have int components, got {k!r}")
             keep = self._admit(k)
             v = _exact(v)
             if v and keep:
@@ -457,14 +459,12 @@ def monomial_basis(g: int, bd) -> list:
     if diff < 0:
         return []
     out = []
-    for s in range(diff % 2, min(2 * g, diff) + 1, 2):
+    # a = (chern - diff - s) / 2 rises as s falls, and masks come sorted, so the keys do
+    for s in reversed(range(diff % 2, min(2 * g, diff) + 1, 2)):
         b = (diff - s) // 2
         a = chern // 2 - b - s
-        if a < 0:
-            continue
-        for combo in itertools.combinations(range(2 * g), s):
-            out.append((a, b, mask_of(i + 1 for i in combo)))
-    out.sort()
+        if a >= 0:
+            out.extend((a, b, mask) for mask in exterior_basis(g, s))
     return out
 
 
@@ -474,7 +474,7 @@ def chern_filter_basis(g: int, coh: int, ell: int) -> list:
     return sorted(m for chern in range(0, ell + 1, 2) for m in monomial_basis(g, (coh, chern)))
 
 
-def bidegree_cone(g: int, max_coh: int):
+def bidegree_cone(max_coh: int):
     """All bidegrees (coh, chern) with coh <= max_coh satisfying
     chern <= coh <= 2 chern (plus (0, 0)), chern even."""
     for coh in range(max_coh + 1):

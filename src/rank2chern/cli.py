@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 # The option that selects a path through each subcommand.
 _MODE = {"omega": "route", "sl2": "check", "verify": "suite", "genfun": "formula"}
 
-# Options each path ignores; it refuses any value but the default (0 for --d).
+# Options each path ignores; it refuses any value but the default (0 for --d).  The
+# pairing paths take a nonzero --normalization, which scales the pairing but no rank.
 _IGNORED = {
     ("omega", "ideal"): ("normalization",),
     ("omega", "pairing"): ("d", "max_coh"),
@@ -144,8 +145,9 @@ _IGNORED = {
 
 def _usage_error(args):
     """Why the parsed arguments are invalid, or None."""
+    genus = 2 if args.genus is None else args.genus
     try:
-        check_genus(2 if args.genus is None else args.genus)
+        check_genus(genus)
     except ValueError as exc:
         return str(exc)
     for name in ("d", "max_coh", "expand"):
@@ -169,7 +171,7 @@ def _usage_error(args):
         return f"--normalization does not apply to {path} with --d {args.d}"
     if args.command == "genfun" and args.check is not None:
         # only the names are read here; every formula has at least one
-        applies = gf.identities(args.formula, args.genus, d=args.d)
+        applies = gf.identities(args.formula, genus, d=args.d)
         where = f"{path} --d {args.d}" if args.d else path
         if args.check not in (*applies, "all"):
             return f"--check {args.check} does not apply to {where}"
@@ -183,7 +185,7 @@ def _emit_table(table: OmegaTable, fmt: str, out) -> None:
         out.write(table.to_csv())
     else:
         out.write(f"# genus={table.g} d={table.d} maxCoh={table.max_coh}\n")
-        for (coh, chern), n in sorted(table.dims.items()):
+        for (coh, chern), n in table.nonzero():
             out.write(f"coh={coh} chern={chern} dim={n}\n")
 
 
@@ -192,7 +194,7 @@ def _cmd_omega(args, out) -> int:
     d = args.d
     max_coh = args.max_coh if args.max_coh is not None else default_max_coh(g, d)
     if args.route == "pairing":
-        table = omega_from_pairing(g, args.normalization)
+        table = omega_from_pairing(g)
     elif args.route == "closed":
         expansion = gf.omega_closed_form(g, d).series_coefficients(max_coh)
         table = OmegaTable.from_expansion(g, d, max_coh, expansion)
@@ -226,7 +228,7 @@ def _cmd_relations(args, out) -> int:
     d = args.d
     max_coh = args.max_coh if args.max_coh is not None else default_max_coh(g, d)
     slices = []
-    for bd in bidegree_cone(g, max_coh):
+    for bd in bidegree_cone(max_coh):
         elements = ideal_slice(g, d, bd)
         if elements:
             slices.append((tuple(bd), [format_element(x) for x in elements]))

@@ -106,8 +106,10 @@ class BiPoly(Sparse):
     def subst_t(self, value) -> "BiPoly":
         """Substitute a rational value for t, in one pass: value^j depends
         on the t-exponent j alone, so it is computed once per distinct j,
-        and each term adds into (i, 0).  A zero power (t = 0, j > 0) leaves
-        its term out; a negative j at t = 0 raises ZeroDivisionError."""
+        and each term adds into the int key i; the zero sums are dropped
+        and the keys (i, 0) built once, at the end.  A zero power (t = 0,
+        j > 0) leaves its term out; a negative j at t = 0 raises
+        ZeroDivisionError."""
         value = _exact(value)
         powers, out = {}, {}
         for (i, j), v in self.terms.items():
@@ -115,13 +117,8 @@ class BiPoly(Sparse):
             if c is None:
                 c = powers[j] = value**j if j >= 0 else Fraction(1, value**-j)
             if c:
-                k = (i, 0)
-                s = out.get(k, 0) + v * c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return BiPoly._raw(None, out)
+                out[i] = out.get(i, 0) + v * c
+        return BiPoly._raw(None, {(i, 0): v for i, v in out.items() if v})
 
     def subst_q_equals_t(self) -> "BiPoly":
         """Fold q into t: (i, j) -> t^(i+j)."""
@@ -250,6 +247,7 @@ class BiRational:
 
         Requires a denominator with nonzero constant term.
         """
+        _check_int("max_total", max_total)
         c0 = self.den.coeff(0, 0)
         if not c0:
             raise ValueError("denominator has no constant term; not a power series")
@@ -380,8 +378,11 @@ def identities(formula: str, g: int, rank: int = 2, d: int = 0) -> dict:
     only its t = -1 specialization is an identity.  Each check looks its
     function up in this module when it runs.  The closed form is expanded
     by the first check that reads it, once for all the checks of this
-    dict: reading the names expands nothing.
+    dict: reading the names expands nothing.  g and d are checked here,
+    rank by the form that reads it.
     """
+    _check_int("genus", g)
+    _check_int("d", d)
     if formula == "intermediate":
         if d:
             return {"tminus1": lambda: closed_form_t_minus_one_matches(omega_closed_form(g, d), g)}
@@ -467,6 +468,8 @@ def _equal_at_t_minus_one(f: BiRational, factors) -> bool:
 def stack_t_minus_one_matches(f: BiRational, r: int, g: int) -> bool:
     """t = -1 specialization of f, the rank-r stack series, equals
     prod_{k=2..r} (1 - (-q)^k)^(2g-2)."""
+    _check_int("rank", r, None)
+    _check_int("genus", g, None)
     factors = [(BiPoly.one() - _q(k, 0, (-1) ** k), 2 * g - 2) for k in range(2, r + 1)]
     return _equal_at_t_minus_one(f, factors)
 
@@ -474,6 +477,7 @@ def stack_t_minus_one_matches(f: BiRational, r: int, g: int) -> bool:
 def closed_form_t_minus_one_matches(f: BiRational, g: int) -> bool:
     """t = -1 specialization of f, the closed form of genus g at any
     degree d >= 0, equals (1-q^2)^(2g-2)."""
+    _check_int("genus", g, None)
     return _equal_at_t_minus_one(f, [(BiPoly.one() - _q(2, 0), 2 * g - 2)])
 
 
@@ -482,6 +486,7 @@ def rank3_t_minus_one_matches(f: BiRational, g: int) -> bool:
     (1-q^2)^(2g-2) (1+q^3)^(2g-2); the simple pole factors 1+t are divided
     out exactly before substituting, and a denominator that still vanishes
     at t = -1 is no match."""
+    _check_int("genus", g, None)
     one_plus_t = BiPoly.one() + _q(0, 1)
     f = BiRational(f.num.divide_exact(one_plus_t), f.den.divide_exact(one_plus_t))
     factors = [(BiPoly.one() - _q(2, 0), 2 * g - 2), (BiPoly.one() + _q(3, 0), 2 * g - 2)]

@@ -203,7 +203,7 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
     plan += [identity(f"[{a},{b}]=0", a, b) for a in names_a for b in names_b]
     failures = []
     cases = 0
-    for mono in (m for bd in bidegree_cone(g, max_coh) for m in monomial_basis(g, bd)):
+    for mono in (m for bd in bidegree_cone(max_coh) for m in monomial_basis(g, bd)):
         img = [op.action(*mono) for op in ops]
         cases += len(plan)
         for label, act_a, act_b, ib, ia, ix, k, den in plan:
@@ -250,7 +250,7 @@ def _adjointness_failures(F: Operator, sign: int, B, bases: dict):
     dc, dch = F.shift
     failures = []
     cases = 0
-    for bd in bidegree_cone(g, 6 * g - 6):
+    for bd in bidegree_cone(6 * g - 6):
         comp = (top_c - bd.coh - dc, top_ch - bd.chern - dch)
         for key in (bd, comp):
             if key not in bases:
@@ -382,7 +382,7 @@ def sl2_closure(g: int, coh_buffer: int = None) -> dict:
         coh_buffer = 4 * g
     _check_int("coh_buffer", coh_buffer)
     top_chern = 4 * g - 4
-    bases = {bd: monomial_basis(g, bd) for bd in bidegree_cone(g, 6 * g - 6 + coh_buffer)}
+    bases = {bd: monomial_basis(g, bd) for bd in bidegree_cone(6 * g - 6 + coh_buffer)}
     above = [bd for bd in bases if bd.chern > top_chern]
     below = [bd for bd in bases if bd.chern <= top_chern]
     indexes = {bd: {mono: i for i, mono in enumerate(bases[bd])} for bd in below}

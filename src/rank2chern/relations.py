@@ -55,7 +55,7 @@ from .algebra import (
     gamma,
     theta_power,
 )
-from .integral import _normalization, _numerator
+from .integral import _numerator
 from .linalg import QMatrix, row_reduce
 from .series import InvariantPoly, _phi_numerators, phi_series
 
@@ -179,7 +179,10 @@ def _gamma_chain(g: int, terms: tuple):
 
 def _sigma_chain(sig: Element, g: int):
     """_gamma_chain of sig at genus g, keyed on its items in their order;
-    a sig of another genus is refused before the memo is read."""
+    a sig that is no Element, or of another genus, is refused before the
+    memo is read."""
+    if not isinstance(sig, Element):
+        raise TypeError(f"sigma must be an Element, got {sig!r}")
     if sig.g != g:
         raise ValueError(f"genus mismatch: {sig.g} vs {g}")
     return _gamma_chain(g, tuple(sig.terms.items()))
@@ -372,10 +375,12 @@ def _invariant_families(g: int, d: int, bd):
 def _summands(g: int, bd):
     """(l, g - l, bd - (3l, 2l)) per Lefschetz summand l: summand l of genus g
     at bd is prim_dim(g, l) copies of the invariant ring of genus g - l at
-    bd - (3l, 2l), its relation R_{k,m,l} being R_{k-2l,m,0} there.  One
-    with an empty invariant basis is zero, and left out."""
-    shifted = ((l, g - l, (bd[0] - 3 * l, bd[1] - 2 * l)) for l in range(g + 1))
-    return [s for s in shifted if invariant_basis(s[1], s[2])]
+    bd - (3l, 2l), its relation R_{k,m,l} being R_{k-2l,m,0} there.  Off the
+    ring cone (both degrees even, chern <= coh <= 2 chern) invariant_basis
+    is empty and the summand zero: the l kept are l = coh mod 2 up to top."""
+    coh, chern = bd
+    top = -1 if chern % 2 else min(g, coh - chern, 2 * chern - coh)  # shifted chern <= coh <= 2 chern
+    return [(l, g - l, (coh - 3 * l, chern - 2 * l)) for l in range(coh % 2, top + 1, 2)]
 
 
 def ideal_slice_keys(g: int, d: int, bd):
@@ -383,6 +388,9 @@ def ideal_slice_keys(g: int, d: int, bd):
     of the degree-d graded relation ideal landing in bidegree bd."""
     check_genus(g)
     _check_int("d", d)
+    coh, chern = bd
+    _check_int("coh", coh, None)
+    _check_int("chern", chern, None)
     return sorted(
         (ell, k + 2 * l, m, l, idx)
         for l, gl, sbd in _summands(g, bd)
@@ -453,21 +461,14 @@ class OmegaTable:
         return out
 
     def to_json_dict(self):
-        table = [
-            {"coh": coh, "chern": chern, "dim": n}
-            for (coh, chern), n in sorted(self.dims.items())
-            if n
-        ]
+        table = [{"coh": coh, "chern": chern, "dim": n} for (coh, chern), n in self.nonzero()]
         return {"genus": self.g, "d": self.d, "maxCoh": self.max_coh, "table": table}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = ["coh,chern,dim"]
-        for (coh, chern), n in sorted(self.dims.items()):
-            if n:
-                lines.append(f"{coh},{chern},{n}")
+        lines = ["coh,chern,dim", *(f"{coh},{chern},{n}" for (coh, chern), n in self.nonzero())]
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
@@ -538,7 +539,7 @@ def _lefschetz_dims(g: int, max_coh: int, count) -> dict:
     """dims[bd] = sum over summands l of prim_dim(g, l) * count(g - l,
     bd - (3l, 2l)), zeros dropped, count reading an invariant ring."""
     dims = {}
-    for bd in bidegree_cone(g, max_coh):
+    for bd in bidegree_cone(max_coh):
         n = sum(prim_dim(g, l) * count(gl, sbd) for l, gl, sbd in _summands(g, bd))
         if n:
             dims[tuple(bd)] = n
@@ -560,11 +561,10 @@ def omega_from_ideal(g: int, d: int, max_coh: int = None) -> OmegaTable:
     return OmegaTable(g, d, max_coh, _lefschetz_dims(g, max_coh, count))
 
 
-def omega_from_pairing(g: int, B=1) -> OmegaTable:
-    """d = 0 table from ranks of the graded pairing: rank = sum over
-    summands l of prim_dim(g, l) * the pairing rank of genus g - l."""
+def omega_from_pairing(g: int) -> OmegaTable:
+    """d = 0 table from pairing ranks, which no nonzero B changes: rank =
+    sum over summands l of prim_dim(g, l) * the pairing rank of genus g - l."""
     check_genus(g)
-    _normalization(B)
     dims = _lefschetz_dims(g, 6 * g - 6, lambda gl, bd: _pairing_slice(gl, bd)[1])
     return OmegaTable(g, 0, 6 * g - 6, dims)
 
@@ -579,12 +579,11 @@ def verify_vanishing_corollary(table: OmegaTable) -> bool:
     return True
 
 
-def pairing_kernel_matches_ideal(g: int, bd, B=1) -> bool:
+def pairing_kernel_matches_ideal(g: int, bd) -> bool:
     """d = 0 coincidence on one bidegree, summand by summand: the relations
     of each invariant ring span exactly the left kernel of its pairing
-    matrix (containment plus dimension count)."""
+    matrix (containment plus dimension count), which no B changes."""
     check_genus(g)
-    _normalization(B)
     for _, gl, sbd in _summands(g, bd):
         rows = _invariant_relations(gl, 0, sbd)
         transpose, rank = _pairing_slice(gl, sbd)

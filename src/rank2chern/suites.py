@@ -33,7 +33,7 @@ from .relations import (
 def suite_main(genus: int, B=1) -> dict:
     """The d = 0 table from the pairing route against the closed form,
     plus the top-degree structure and the nonvanishing witness integral."""
-    table = omega_from_pairing(genus, B)
+    table = omega_from_pairing(genus)
     expansion = genfun.omega_closed_polynomial(genus)
     closed = OmegaTable.from_expansion(genus, 0, table.max_coh, expansion)
     cases, failures = dims_mismatches(table.dims, closed.dims)
@@ -79,14 +79,14 @@ def suite_intermediate(genus: int, d: int, max_coh: int = None) -> dict:
     return report("suite", "intermediate", genus, d, cases, failures)
 
 
-def suite_pairing(genus: int, B=1) -> dict:
+def suite_pairing(genus: int) -> dict:
     """Two-route coincidence at d = 0 and the per-bidegree kernel match."""
     by_ideal = omega_from_ideal(genus, 0, 6 * genus - 6)
-    by_pairing = omega_from_pairing(genus, B)
+    by_pairing = omega_from_pairing(genus)
     cases, failures = dims_mismatches(by_ideal.dims, by_pairing.dims)
-    for bd in bidegree_cone(genus, 6 * genus - 6):
+    for bd in bidegree_cone(6 * genus - 6):
         cases += 1
-        if not pairing_kernel_matches_ideal(genus, bd, B):
+        if not pairing_kernel_matches_ideal(genus, bd):
             failures.append(
                 {"where": f"kernel match at bd={tuple(bd)}", "expected": "match", "got": "mismatch"}
             )
@@ -155,7 +155,7 @@ def run_suites(name: str, genus: int, d: int, max_coh=None, B=1):
         for dd in ([d] if name == "intermediate" else [1, 2]):
             reports.append(suite_intermediate(genus, dd, max_coh))
     if name in ("pairing", "all"):
-        reports.append(suite_pairing(genus, B))
+        reports.append(suite_pairing(genus))
     if name in ("sl2", "all"):
         reports.append(suite_sl2(genus, d, max_coh, B))
     if name in ("closure", "all"):

@@ -694,7 +694,7 @@ def test_the_t_minus_one_checks_refuse_what_they_refused():
         stack_t_minus_one_matches(omega_stack(2, 2), 2, 0)
     with pytest.raises(ValueError, match="exponent must be"):
         rank3_t_minus_one_matches(omega_rank3(2), 0)
-    with pytest.raises(TypeError, match="exponent must be"):
+    with pytest.raises(TypeError, match="genus must be an int"):
         closed_form_t_minus_one_matches(omega_closed_form(2), 1.5)
     # a denominator that vanishes at t = -1
     for f in (BiRational(q, 1 + t), BiRational(q + q * t, (1 + t) * (1 - q))):

@@ -134,7 +134,7 @@ def test_triples_match_monomial_closed_forms():
             c = g + 2 * d - 1
             for family in ("alpha", "beta"):
                 e, h, f = make_sl2(family, d, g)
-                for bd in bidegree_cone(g, 12):
+                for bd in bidegree_cone(12):
                     for a, b, mask in monomial_basis(g, bd):
                         m = Element.monomial(g, a, b, mask)
                         s = mask.bit_count()
@@ -166,7 +166,7 @@ def test_operators_match_the_defining_formulas(g):
     # keeps the Sparse contract: nonzero coefficients, each an int when
     # integral and a Fraction otherwise
     rnd = random.Random(g)
-    monomials = [Element.monomial(g, *m) for bd in bidegree_cone(g, 12) for m in monomial_basis(g, bd)]
+    monomials = [Element.monomial(g, *m) for bd in bidegree_cone(12) for m in monomial_basis(g, bd)]
     elements = monomials + [_rand_element(rnd, g, 6) for _ in range(10)]
     for d in (0, 1, 2):
         for family in ("alpha", "beta", "diagonal"):
@@ -185,7 +185,7 @@ def test_actions_are_integer_maps_over_one_denominator():
             for family in ("alpha", "beta", "diagonal"):
                 ops = make_sl2(family, d, g)
                 assert [op.den for op in ops] == [1, 1, 4], (family, d)
-                for bd in bidegree_cone(g, 12):
+                for bd in bidegree_cone(12):
                     for mono in monomial_basis(g, bd):
                         for op in ops:
                             assert all(type(v) is int for v in op.action(*mono).values()), (family, d, mono)
@@ -319,7 +319,7 @@ def oracle_sl2_relations(g, d, max_coh=None):
     ops = dict(zip(names_a + names_b, make_sl2("alpha", d, g) + make_sl2("beta", d, g)))
     failures = []
     cases = 0
-    for mono in (m for bd in bidegree_cone(g, max_coh) for m in monomial_basis(g, bd)):
+    for mono in (m for bd in bidegree_cone(max_coh) for m in monomial_basis(g, bd)):
         x = Element.monomial(g, *mono)
         img = {name: op(x) for name, op in ops.items()}
 
@@ -347,7 +347,7 @@ def oracle_adjointness_failures(F, sign, B=1):
     dc, dch = F.shift
     failures = []
     cases = 0
-    for bd in bidegree_cone(g, 6 * g - 6):
+    for bd in bidegree_cone(6 * g - 6):
         comp = (top_c - bd.coh - dc, top_ch - bd.chern - dch)
         left = monomial_basis(g, bd)
         right = monomial_basis(g, comp)
@@ -456,7 +456,7 @@ def test_checks_match_their_element_oracles_on_a_perturbed_f_over_den_4(monkeypa
     # of the failing reports is divided back from the den-scaled identities
     _patch_triple(monkeypatch, ("alpha", "beta"), keep_den=True, **perturbation)
     _, _, f = make_sl2("alpha", 0, 2)
-    images = [f.action(*mono) for bd in bidegree_cone(2, 12) for mono in monomial_basis(2, bd)]
+    images = [f.action(*mono) for bd in bidegree_cone(12) for mono in monomial_basis(2, bd)]
     assert f.den == 4 and all(type(v) is int for image in images for v in image.values())
     reports = _checks_match_oracles(2, (0, 1, 2)) + _checks_match_oracles(3, (0,))
     failing = {rep["check"] for rep in reports if rep["failures"]}
@@ -564,7 +564,7 @@ def test_diagonal_h_is_shifted_chern_grading():
         _, h, _ = make_sl2("diagonal", 0, g)
         _, h_a, _ = make_sl2("alpha", 0, g)
         cancelled = 0
-        for bd in bidegree_cone(g, max_coh):
+        for bd in bidegree_cone(max_coh):
             for mono in monomial_basis(g, bd):
                 x = Element.monomial(g, *mono)
                 assert h(x) == x.scale(bd.chern - (2 * g - 2)), (g, x)
@@ -651,7 +651,7 @@ def test_members_shift_by_their_bidegree():
                 e, h, f = make_sl2(family, d, g)
                 assert (e.shift, h.shift, f.shift) == ((coh, chern), (0, 0), (-coh, -chern))
                 landed = 0
-                for bd in bidegree_cone(g, 12):
+                for bd in bidegree_cone(12):
                     for mono in monomial_basis(g, bd):
                         x = Element.monomial(g, *mono)
                         for op in (e, h, f):
@@ -833,7 +833,7 @@ def oracle_closure(g, coh_buffer=None, max_sweeps=60):
     window = 6 * g - 6 + coh_buffer
     top_chern = 4 * g - 4
 
-    bds = list(bidegree_cone(g, window))
+    bds = list(bidegree_cone(window))
     bases = {bd: monomial_basis(g, bd) for bd in bds}
     indexes = {bd: {mono: i for i, mono in enumerate(bases[bd])} for bd in bds}
     spans = {bd: RowSpan(len(bases[bd])) for bd in bds}
@@ -943,7 +943,7 @@ def test_closure_builds_no_span_above_the_top_chern_degree(monkeypatch):
 
     monkeypatch.setattr(operators, "RowSpan", recorded)
     got = sl2_closure(g, buf)
-    cone = list(bidegree_cone(g, 6 * g - 6 + buf))
+    cone = list(bidegree_cone(6 * g - 6 + buf))
     assert any(bd.chern > 4 * g - 4 and monomial_basis(g, bd) for bd in cone)
     below = [len(monomial_basis(g, bd)) for bd in cone if bd.chern <= 4 * g - 4]
     assert sorted(built) == sorted(below)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rank2chern.genfun as gf
 import rank2chern.relations as rel
 from rank2chern.algebra import (
     Element,
@@ -68,7 +69,7 @@ def ideal_multiplicative_closure_holds(g: int, d: int, max_coh: int = None) -> b
     if max_coh is None:
         max_coh = default_max_coh(g, d)
     gens = [Element.alpha(g), Element.beta(g)] + [Element.psi(g, i) for i in range(1, 2 * g + 1)]
-    for bd in bidegree_cone(g, max_coh):
+    for bd in bidegree_cone(max_coh):
         elements = ideal_slice(g, d, bd)
         if not elements:
             continue
@@ -405,11 +406,11 @@ def test_the_two_route_check_makes_no_fraction_arithmetic():
 
 def test_the_table_routes_make_no_fraction_arithmetic():
     # relation rows are the int W's of _generator_terms, and pairing entries
-    # int numerators times B's numerator; linalg keeps int rows in ints
+    # int numerators; linalg keeps int rows in ints
     calls = (
         lambda: omega_from_ideal(6, 1),
-        lambda: omega_from_pairing(6, F(-5, 2)),
-        lambda: all(pairing_kernel_matches_ideal(4, bd, F(7, 3)) for bd in bidegree_cone(4, 18)),
+        lambda: omega_from_pairing(6),
+        lambda: all(pairing_kernel_matches_ideal(4, bd) for bd in bidegree_cone(18)),
     )
     arithmetic = _FRACTION_ARITHMETIC - {"__eq__"}
     for i, call in enumerate(calls):
@@ -422,7 +423,7 @@ def test_the_table_routes_make_no_fraction_arithmetic():
 
 def test_relation_rows_and_pairing_entries_are_ints():
     for g in (3, 5):
-        for bd in bidegree_cone(g, default_max_coh(g, 1)):
+        for bd in bidegree_cone(default_max_coh(g, 1)):
             for _, gl, sbd in rel._summands(g, bd):
                 rows = list(rel._invariant_relations(gl, 0, sbd) + rel._invariant_relations(gl, 1, sbd))
                 rows += rel._invariant_pairing(gl, sbd).data
@@ -432,7 +433,7 @@ def test_relation_rows_and_pairing_entries_are_ints():
 def test_the_memoised_pairing_is_the_transpose():
     # the slice memo builds M^T as the pairing at the complementary bidegree
     for g in (2, 3, 4, 5):
-        for bd in bidegree_cone(g, 6 * g - 6):
+        for bd in bidegree_cone(6 * g - 6):
             mt, rank = rel._pairing_slice(g, bd)
             matrix = rel._invariant_pairing(g, bd)
             assert mt == transpose(matrix) and rank == row_reduce(matrix)[0], (g, bd)
@@ -760,7 +761,7 @@ def _full_monomial_slice(g, d, bd):
 def test_ideal_slice_is_the_free_full_monomial_family(g):
     cases = 0
     for d in (0, 1, 2):
-        for bd in bidegree_cone(g, default_max_coh(g, d)):
+        for bd in bidegree_cone(default_max_coh(g, d)):
             rows = _full_monomial_slice(g, d, bd)
             assert ideal_slice(g, d, bd) == rows, (d, bd)
             cases += len(rows)
@@ -838,7 +839,7 @@ def test_dims_mismatches_reads_an_absent_bidegree_as_zero():
 def _omega_from_ideal_full(g, d):
     max_coh = rel.default_max_coh(g, d)
     dims = {}
-    for bd in bidegree_cone(g, max_coh):
+    for bd in bidegree_cone(max_coh):
         n = len(monomial_basis(g, bd)) - len(ideal_slice(g, d, bd))
         if n:
             dims[tuple(bd)] = n
@@ -847,7 +848,7 @@ def _omega_from_ideal_full(g, d):
 
 def _omega_from_pairing_full(g, B):
     dims = {}
-    for bd in bidegree_cone(g, 6 * g - 6):
+    for bd in bidegree_cone(6 * g - 6):
         rk, _ = row_reduce(pairing_matrix(g, bd, B))
         if rk:
             dims[tuple(bd)] = rk
@@ -937,7 +938,7 @@ def _decomposition_mismatches(g, d, shift):
     bd - shift(l), against the per-(g, l) oracles on every bidegree and l;
     relation rows are compared up to a positive factor."""
     cases, bad = 0, []
-    for bd in bidegree_cone(g, rel.default_max_coh(g, d)):
+    for bd in bidegree_cone(rel.default_max_coh(g, d)):
         for l in range(g + 1):
             gl, sbd = g - l, (bd[0] - shift(l)[0], bd[1] - shift(l)[1])
             rows = rel._invariant_relations(gl, d, sbd)
@@ -961,8 +962,8 @@ def _matches_closed_form(table):
 def test_summand_routes_match_full_monomial_oracles(g):
     for d in (0, 1, 2):
         assert omega_from_ideal(g, d).dims == _omega_from_ideal_full(g, d).dims, d
-    B = F(-5, 2)
-    assert omega_from_pairing(g, B).dims == _omega_from_pairing_full(g, B).dims
+    # the route takes no B; the oracle ranks B-scaled pairing matrices
+    assert omega_from_pairing(g).dims == _omega_from_pairing_full(g, F(-5, 2)).dims
 
 
 @pytest.mark.parametrize("g", [5, 6, 7, 8])
@@ -992,7 +993,7 @@ def test_invariant_pairings_are_proportional_to_the_summand_pairings():
     for g in (3, 4, 5):
         for l in range(g + 1):
             ratios = set()
-            for bd in bidegree_cone(g, 6 * g - 6):
+            for bd in bidegree_cone(6 * g - 6):
                 sbd = (bd[0] - 3 * l, bd[1] - 2 * l)
                 want = _summand_pairing(g, l, bd, 1).data
                 got = rel._invariant_pairing(g - l, sbd).data
@@ -1074,13 +1075,13 @@ def test_the_table_routes_read_only_invariant_rings(monkeypatch, clear_slices):
         assert _matches_closed_form(omega_from_ideal(6, d)), d
     assert _matches_closed_form(omega_from_pairing(6))
     assert read, "the pairing route no longer reads the patched integral"
-    assert all(pairing_kernel_matches_ideal(4, bd) for bd in bidegree_cone(4, 18))
+    assert all(pairing_kernel_matches_ideal(4, bd) for bd in bidegree_cone(18))
 
 
 def test_summands_count_every_monomial():
     # sum over l of dim Prim_l * #invariant monomials of genus g - l is the size of the slice
     for g in (2, 3, 4):
-        for bd in bidegree_cone(g, rel.default_max_coh(g, 2)):
+        for bd in bidegree_cone(rel.default_max_coh(g, 2)):
             count = sum(prim_dim(g, l) * len(invariant_basis(g - l, (bd[0] - 3 * l, bd[1] - 2 * l))) for l in range(g + 1))
             assert count == len(monomial_basis(g, bd)), (g, bd)
         assert all(prim_dim(g, l) == len(prim_basis(g, l)) for l in range(g + 1))
@@ -1097,7 +1098,7 @@ def test_pairing_read_from_the_wrong_summand_disagrees(monkeypatch, clear_slices
     monkeypatch.setattr(rel, "_numerator", misplaced)
     clear_slices()
     assert not _matches_closed_form(omega_from_pairing(g))
-    assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
+    assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(6 * g - 6))
 
 
 def test_kernel_match_catches_what_the_table_cannot(monkeypatch, clear_slices):
@@ -1110,7 +1111,7 @@ def test_kernel_match_catches_what_the_table_cannot(monkeypatch, clear_slices):
     monkeypatch.setattr(rel, "_numerator", scaled)
     clear_slices()
     assert _matches_closed_form(omega_from_pairing(g))
-    assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
+    assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(6 * g - 6))
 
 
 def test_duplicated_summand_relation_is_dependent(monkeypatch, clear_slices):
@@ -1128,12 +1129,12 @@ def test_duplicated_summand_relation_is_dependent(monkeypatch, clear_slices):
 
 
 def test_omega_pairing_normalization_invariance():
-    # the pairing memo holds no B, so every B reads the same slices
-    for g in (2, 3, 4):
-        t1 = omega_from_pairing(g, F(1))
-        for B in (F(7, 3), F(-5, 2)):
-            t2 = omega_from_pairing(g, B)
-            assert t1.dims == t2.dims, (g, B)
+    # the route takes no B: the full-monomial oracle's ranks at every B
+    # are its table
+    for g in (2, 3):
+        table = omega_from_pairing(g)
+        for B in (F(1), F(7, 3), F(-5, 2)):
+            assert _omega_from_pairing_full(g, B).dims == table.dims, (g, B)
 
 
 def test_omega_pairing_symmetric_table():
@@ -1165,16 +1166,15 @@ def test_vanishing_corollary():
 
 
 def test_kernel_coincidence_g2():
-    for bd in bidegree_cone(2, 6):
+    for bd in bidegree_cone(6):
         assert pairing_kernel_matches_ideal(2, bd)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_summand_kernel_match_equals_full_monomial_oracle(g):
-    B = F(-5, 2)
-    for bd in bidegree_cone(g, 6 * g - 6):
-        got = pairing_kernel_matches_ideal(g, bd, B)
-        assert got == _pairing_kernel_matches_ideal_full(g, bd, B), bd
+    for bd in bidegree_cone(6 * g - 6):
+        got = pairing_kernel_matches_ideal(g, bd)
+        assert got == _pairing_kernel_matches_ideal_full(g, bd, F(-5, 2)), bd
         assert got, bd
 
 
@@ -1187,7 +1187,7 @@ def test_kernel_match_without_a_relation_family_fails(monkeypatch, clear_slices)
 
     monkeypatch.setattr(rel, "_invariant_families", drop_first)
     clear_slices()
-    bds = list(bidegree_cone(g, 6 * g - 6))
+    bds = list(bidegree_cone(6 * g - 6))
     got = [pairing_kernel_matches_ideal(g, bd) for bd in bds]
     assert not all(got)
     # the full-monomial oracle loses the same family on the same bidegrees
@@ -1205,7 +1205,7 @@ def test_kernel_match_with_a_perturbed_relation_fails(monkeypatch, clear_slices)
 
     monkeypatch.setattr(rel, "_generator_terms", perturbed)
     clear_slices()
-    assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(g, 6 * g - 6))
+    assert not all(pairing_kernel_matches_ideal(g, bd) for bd in bidegree_cone(6 * g - 6))
 
 
 def test_each_invariant_slice_is_built_once_per_process(monkeypatch, clear_slices):
@@ -1231,10 +1231,9 @@ def test_each_invariant_slice_is_built_once_per_process(monkeypatch, clear_slice
     monkeypatch.setattr(rel, "_invariant_pairing", counted_pairing)
     monkeypatch.setattr(rel, "row_reduce", counted_reduce)
     clear_slices()
-    B = F(7, 3)
     assert _matches_closed_form(omega_from_ideal(5, 0))
-    assert _matches_closed_form(omega_from_pairing(5, B))
-    assert suite_pairing(4, B)["pass"]
+    assert _matches_closed_form(omega_from_pairing(5))
+    assert suite_pairing(4)["pass"]
     for kind, keys in built.items():
         assert keys and len(keys) == len(set(keys)), kind
     nonempty = [key for key in built["relations"] if rel._invariant_relations(*key)]
@@ -1328,3 +1327,47 @@ def test_route_disagreement_is_checked_per_call_and_never_memoised(monkeypatch):
             modified_mumford(0, 7, 1, sig, g)
     info = rel._checked_coefficient.cache_info()
     assert info.misses == 2 and info.currsize == 0
+
+
+def test_a_summand_is_kept_exactly_when_its_invariant_basis_is_nonempty():
+    # _summands' ring-cone test against the bases it no longer builds, for
+    # every genus g - l <= 8 of a summand and a box around the cone
+    for g in range(2, 9):
+        for coh in range(-6, 60):
+            for chern in range(-6, 60):
+                shifted = [(l, g - l, (coh - 3 * l, chern - 2 * l)) for l in range(g + 1)]
+                want = [s for s in shifted if invariant_basis(s[1], s[2])]
+                assert rel._summands(g, (coh, chern)) == want, (g, coh, chern)
+
+
+# one row per argument that a builder once took and read as something else,
+# or crashed on inside; each is now refused at entry
+ENTRY_CONTRACT = {
+    "float key of an Element": (lambda: Element(2, {(0.5, 0, 0): 1}), TypeError),
+    "bool key of an Element": (lambda: Element(2, {(True, 0, 0): 1}), TypeError),
+    "float exponent of Element.monomial": (lambda: Element.monomial(2, 2.0, 0, 0), TypeError),
+    "float key of an InvariantPoly": (lambda: InvariantPoly(2, {(0, 0, 1.0): 1}), TypeError),
+    "float exponent of BiPoly.monomial": (lambda: BiPoly.monomial(0.5, 0), TypeError),
+    "modified relation without a sigma": (lambda: modified_mumford(0, 4, 0, 1, 2), TypeError),
+    "generator without a sigma": (lambda: rel_generator(4, 0, None, 2), TypeError),
+    "slice at a one-entry bidegree": (lambda: ideal_slice(2, 0, (4,)), ValueError),
+    "identities at a bool genus": (lambda: gf.identities("n21", True), TypeError),
+    "identities at a float d": (lambda: gf.identities("intermediate", 2, d=1.5), TypeError),
+    "stack t = -1 at a bool rank": (lambda: gf.stack_t_minus_one_matches(gf.omega_stack(2, 2), True, 2), TypeError),
+    "stack t = -1 at a bool genus": (lambda: gf.stack_t_minus_one_matches(gf.omega_stack(2, 2), 2, True), TypeError),
+    "closed t = -1 at a bool genus": (
+        lambda: gf.closed_form_t_minus_one_matches(gf.omega_closed_form(2), True),
+        TypeError,
+    ),
+    "rank3 t = -1 at a bool genus": (lambda: gf.rank3_t_minus_one_matches(gf.omega_rank3(2), True), TypeError),
+    "series to a float degree": (lambda: gf.omega_closed_form(2).series_coefficients(2.5), TypeError),
+    "series to a bool degree": (lambda: gf.omega_closed_form(2).series_coefficients(True), TypeError),
+    "series to a negative degree": (lambda: gf.omega_closed_form(2).series_coefficients(-1), ValueError),
+}
+
+
+@pytest.mark.parametrize("row", ENTRY_CONTRACT)
+def test_the_builders_refuse_what_they_misread_at_entry(row):
+    call, error = ENTRY_CONTRACT[row]
+    with pytest.raises(error):
+        call()

@@ -15,6 +15,10 @@ these holds:
 
 Dunder methods are called by the language and pass.  Tests are no users: a
 name only the tests call belongs in the tests.
+
+Every parameter of a def or lambda in ``src/`` is read, too: a parameter
+that its body never loads (a method's ``self`` or ``cls`` aside) is a
+setting that changes no result, unless ``UNREAD`` names it with its reason.
 """
 
 import ast
@@ -36,6 +40,13 @@ KEPT = {
     "linalg.RowSpan.vectors": "the one reading of a span as its reduced echelon rows",
     "operators.operator_adjointness_failures": "the per-operator adjointness witnesses; retires with the "
     "invariant-ring sl2 checks",
+}
+
+UNREAD = {
+    "algebra.Sparse._admit(key)": "the default hook, which admits every key; Element and InvariantPoly "
+    "override it to check theirs",
+    "algebra.Sparse._coerce(other)": "the default hook, which coerces nothing; BiPoly overrides it to read "
+    "scalars as constants",
 }
 
 
@@ -133,3 +144,60 @@ def test_the_scan_flags_an_unused_def():
     assert "integral._never_called" not in uncalled(sources, _demos(), _tracer_keys(), {"integral._never_called": ""})
     assert "integral._never_called" not in uncalled(sources, _demos(), {"integral._never_called"}, KEPT)
     assert "integral._never_called" not in uncalled(sources, ["_never_called()"], _tracer_keys(), KEPT)
+
+
+def unread_parameters(sources: dict) -> list:
+    """"layer.qualname(param)" of each parameter of a def or lambda in
+    ``sources`` ({layer: source text}) that its body, nested defs
+    included, never loads; a method's first parameter is left out, and a
+    lambda's qualname ends in ``<lambda>``."""
+    out = []
+
+    def scan(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                scan(child, f"{prefix}.{child.name}", True)
+            elif isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+                a = child.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                if in_class and isinstance(child, ast.FunctionDef):
+                    params = params[1:]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                names = (n for b in body for n in ast.walk(b) if isinstance(n, ast.Name))
+                loads = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+                out.extend(f"{name}({p.arg})" for p in params if p.arg not in loads)
+                scan(child, name, False)
+            else:
+                scan(child, prefix, in_class)
+
+    for layer, text in sources.items():
+        scan(ast.parse(text), layer, False)
+    return out
+
+
+def test_every_parameter_in_src_is_read():
+    assert [key for key in unread_parameters(_sources()) if key not in UNREAD] == []
+
+
+def test_every_unread_exemption_is_a_parameter_in_src():
+    assert set(UNREAD) <= set(unread_parameters(_sources()))
+
+
+def test_the_scan_flags_an_unread_parameter():
+    # negative control: bidegree_cone as it once was, taking a genus it never
+    # read, an unread lambda and nested-def parameter, and a method whose
+    # self alone goes unread, which passes
+    sources = _sources()
+    cone = "def bidegree_cone(max_coh: int):"
+    assert cone in sources["algebra"]
+    sources["algebra"] = sources["algebra"].replace(cone, "def bidegree_cone(g: int, max_coh: int):")
+    sources["integral"] += (
+        "\n\ndef _outer(x):\n    def inner(y, z):\n        return x + y\n    return inner, lambda u, v: v\n"
+        "\n\nclass _Spare:\n    def width(self, n):\n        return n\n"
+    )
+    assert set(unread_parameters(sources)) - set(UNREAD) == {
+        "algebra.bidegree_cone(g)",
+        "integral._outer.inner(z)",
+        "integral._outer.<lambda>(u)",
+    }
