@@ -55,6 +55,15 @@ def _check_int(name: str, v, least: int | None = 0) -> None:
         raise ValueError(f"{name} must be >= {least}, got {v}")
 
 
+def _check_bidegree(bd):
+    """The pair (coh, chern) of a bidegree, refusing a part that is not an
+    int (TypeError): one rule for every public entry that takes one."""
+    coh, chern = bd
+    _check_int("coh", coh, None)
+    _check_int("chern", chern, None)
+    return coh, chern
+
+
 def koszul_sign(mask1: int, mask2: int) -> int:
     """Sign of moving the sorted psi block ``mask2`` past ``mask1``.
 
@@ -145,7 +154,7 @@ def _divide(terms: dict, den: int) -> dict:
     return terms
 
 
-def _lowest_terms(terms: dict, den: int = 1):
+def _lowest_terms(terms: dict, den: int):
     """The value x = ``terms / den`` (exact values, ``den > 0``) as a fresh
     pair ``(den' * x, den')`` of int terms over den', the lcm of the
     denominators of x's values.  With :func:`_same_value`, the one home of
@@ -452,7 +461,7 @@ def monomial_basis(g: int, bd) -> list:
     list when the bidegree is outside the cone.
     """
     check_genus(g)
-    coh, chern = bd
+    coh, chern = _check_bidegree(bd)
     if coh < 0 or chern < 0 or chern % 2:
         return []
     diff = coh - chern  # equals 2b + s
@@ -471,12 +480,15 @@ def monomial_basis(g: int, bd) -> list:
 def chern_filter_basis(g: int, coh: int, ell: int) -> list:
     """All monomials of cohomological degree ``coh`` and Chern degree <= ell."""
     check_genus(g)
+    _check_int("coh", coh, None)
+    _check_int("ell", ell, None)
     return sorted(m for chern in range(0, ell + 1, 2) for m in monomial_basis(g, (coh, chern)))
 
 
 def bidegree_cone(max_coh: int):
     """All bidegrees (coh, chern) with coh <= max_coh satisfying
-    chern <= coh <= 2 chern (plus (0, 0)), chern even."""
+    chern <= coh <= 2 chern (plus (0, 0)), chern even; max_coh is an int >= 0."""
+    _check_int("max_coh", max_coh)
     for coh in range(max_coh + 1):
         lo = (coh + 1) // 2
         for chern in range(lo + (lo % 2), coh + 1, 2):

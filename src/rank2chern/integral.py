@@ -32,14 +32,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, _exact, check_genus, koszul_sign, monomial_basis
+from .algebra import Element, _check_bidegree, _exact, check_genus, koszul_sign, monomial_basis
 from .linalg import QMatrix
 
 _ZERO = Fraction(0)
 
 
 def _normalization(B):
-    """B in the form of ``_exact``; 0 is refused, and so is a float."""
+    """B in the form of ``_exact``; 0 is refused, and so are a float and a bool."""
+    if B.__class__ is bool:
+        raise TypeError(f"normalization B must be an int or Fraction, got {B!r}")
     B = _exact(B)
     if not B:
         raise ValueError("normalization B must be nonzero")
@@ -48,6 +50,11 @@ def _normalization(B):
 
 def top_bidegree(g: int):
     return (6 * g - 6, 4 * g - 4)
+
+
+def complement(g: int, bd):
+    """The bidegree that pairs with bd into the top bidegree of genus g."""
+    return (6 * g - 6 - bd[0], 4 * g - 4 - bd[1])
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: a warm g = 1 must not answer True
@@ -126,8 +133,8 @@ def pairing_matrix(g: int, bd, B=1) -> QMatrix:
     stored; columns whose psi mask overlaps the row's are skipped.
     """
     B = _normalization(B)
-    coh, chern = bd
-    cols_basis = monomial_basis(g, (6 * g - 6 - coh, 4 * g - 4 - chern))
+    bd = _check_bidegree(bd)
+    cols_basis = monomial_basis(g, complement(g, bd))
     data = []
     for m1 in monomial_basis(g, bd):
         pairs = ((j, _pair_monomials(g, m1, m2)) for j, m2 in enumerate(cols_basis) if not m1[2] & m2[2])

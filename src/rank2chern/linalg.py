@@ -29,10 +29,12 @@ _ONE = Fraction(1)
 
 def _sparse(vec, ncols: int) -> dict:
     """Copy of a sparse vector with values in the form of ``_exact``, zeros
-    dropped and every column checked against ``ncols``; a float value is
-    refused."""
+    dropped and every column checked to be an int (a bool refused) in
+    0..ncols-1; a float value is refused."""
     out = {}
     for c, x in vec.items():
+        if c.__class__ is not int:
+            raise TypeError(f"column must be an int, got {c!r}")
         if not 0 <= c < ncols:
             raise ValueError(f"column {c} outside 0..{ncols - 1}")
         if x:

@@ -52,10 +52,10 @@ from fractions import Fraction
 
 from .algebra import Element, _accumulate, _apply, _check_int, _exact, bidegree_cone, check_genus
 from .algebra import _divide, koszul_sign, monomial_basis
-from .integral import _normalization, _pair_monomials, _value, top_bidegree
+from .integral import _normalization, _pair_monomials, _value, complement
 from .linalg import RowSpan
 from .relations import _generator, _invariant_relations, _lefschetz_dims, _sigma_chain, _times_chain
-from .relations import dims_mismatches, merged_report, prim_basis, report
+from .relations import WITNESSES, dims_mismatches, merged_report, prim_basis, report, witness
 
 
 class Operator:
@@ -219,16 +219,15 @@ def check_sl2_relations(g: int, d: int, max_coh: int = None) -> dict:
             # both sides are exact with no zero values, so they compare as dicts
             if out != back:
                 _accumulate(((key, -v) for key, v in back.items()), out)
-                where = f"{label} on {Element.monomial(g, *mono)}"
                 got = Element._raw(g, _divide(out, den))
-                failures.append({"where": where, "expected": "0", "got": str(got)})
+                failures.append(witness(f"{label} on {Element.monomial(g, *mono)}", 0, got))
     return report("check", "relations", g, d, cases, failures)
 
 
 def operator_adjointness_failures(F: Operator, sign: int, B=1):
     """Witnesses against <F(D), D'> = sign * <D, F(D')> over all
     complementary monomial pairs around the top bidegree of F's genus; it
-    stops at the ten witnesses a report keeps.  Both sides are compared at
+    stops at the WITNESSES a report keeps.  Both sides are compared at
     B = 1 and times F.den den(g), as ints, which rescale them alike; a
     witness prints them at B.  sign is the int 1 or -1."""
     return _adjointness_failures(F, sign, B, {})
@@ -246,12 +245,11 @@ def _adjointness_failures(F: Operator, sign: int, B, bases: dict):
     if F.shift is None:
         raise ValueError("adjointness needs a bihomogeneous operator")
     g = F.g
-    top_c, top_ch = top_bidegree(g)
     dc, dch = F.shift
     failures = []
     cases = 0
     for bd in bidegree_cone(6 * g - 6):
-        comp = (top_c - bd.coh - dc, top_ch - bd.chern - dch)
+        comp = complement(g, (bd.coh + dc, bd.chern + dch))
         for key in (bd, comp):
             if key not in bases:
                 bases[key] = monomial_basis(g, key)
@@ -275,9 +273,8 @@ def _adjointness_failures(F: Operator, sign: int, B, bases: dict):
                 if lhs != rhs:
                     D, E = Element.monomial(g, *m1), Element.monomial(g, *m2)
                     unit = Fraction(B, F.den)
-                    expected, got = (str(_value(g, n, unit)) for n in (rhs, lhs))
-                    failures.append({"where": f"<F({D}),{E}>", "expected": expected, "got": got})
-                    if len(failures) >= 10:
+                    failures.append(witness(f"<F({D}),{E}>", _value(g, rhs, unit), _value(g, lhs, unit)))
+                    if len(failures) >= WITNESSES:
                         return cases, failures
     return cases, failures
 
@@ -346,14 +343,11 @@ def check_descent(g: int, d: int) -> dict:
                     want = {key: scale * v for key, v in prods[k - 1, m - dm].items()} if scale else {}
                     got, N4 = f(Element._raw(g, dict(left))).terms, 4 * gens[k, m][1]
                     if got != want:
-                        witness = {
-                            "where": f"{name}, k={k}, m={m}, l={l}, sigma#{idx}",
-                            "expected": str(Element._raw(g, _divide(want, N4))),
-                            "got": str(Element._raw(g, _divide(got, N4))),
-                        }
-                        found.append(((k, l, m, idx, fam), witness))
+                        where = f"{name}, k={k}, m={m}, l={l}, sigma#{idx}"
+                        sides = (Element._raw(g, _divide(x, N4)) for x in (want, got))
+                        found.append(((k, l, m, idx, fam), witness(where, *sides)))
     found.sort(key=lambda item: item[0])
-    return report("check", "descent", g, d, cases, [witness for _, witness in found])
+    return report("check", "descent", g, d, cases, [fail for _, fail in found])
 
 
 # ----------------------------------------------------------------------
@@ -432,6 +426,7 @@ def check_closure(g: int, buffers=(None,)) -> dict:
     is finite, so each closure reaches its fixpoint; a buffer too small for
     the chains of f shows as a dimension mismatch.  At least one buffer
     is needed: with none, no case runs."""
+    check_genus(g)
     buffers = tuple(buffers)
     if not buffers:
         raise ValueError("the closure check needs at least one buffer")

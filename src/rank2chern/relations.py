@@ -45,6 +45,7 @@ from itertools import groupby
 from .algebra import (
     Element,
     _accumulate,
+    _check_bidegree,
     _check_int,
     _divide,
     _lowest_terms,
@@ -55,7 +56,7 @@ from .algebra import (
     gamma,
     theta_power,
 )
-from .integral import _numerator
+from .integral import _numerator, complement
 from .linalg import QMatrix, row_reduce
 from .series import InvariantPoly, _phi_numerators, phi_series
 
@@ -64,12 +65,20 @@ class VerificationError(RuntimeError):
     """Two routes to the same exact object disagree."""
 
 
+WITNESSES = 10  # the failures a report keeps
+
+
+def witness(where: str, expected, got) -> dict:
+    """The failure witness ``{"where", "expected", "got"}``, its two values as text."""
+    return {"where": where, "expected": str(expected), "got": str(got)}
+
+
 def report(kind: str, name: str, genus: int, d: int, cases: int, failures: list) -> dict:
     """The verdict of a check (kind "check") or a suite (kind "suite").
 
     It passes only when it ran at least one case and none failed; the first
-    ten failures are kept as witnesses, each ``{"where", "expected", "got"}``.
-    Every check and suite builds its verdict here.
+    WITNESSES failures are kept, each a ``witness``.  Every check and suite
+    builds its verdict here.
     """
     return {
         kind: name,
@@ -77,7 +86,7 @@ def report(kind: str, name: str, genus: int, d: int, cases: int, failures: list)
         "d": d,
         "cases": cases,
         "pass": cases > 0 and not failures,
-        "failures": failures[:10],
+        "failures": failures[:WITNESSES],
     }
 
 
@@ -91,15 +100,10 @@ def merged_report(kind: str, name: str, genus: int, d: int, parts) -> dict:
 def dims_mismatches(got: dict, want: dict, where: str = ""):
     """(cases, witnesses) of the comparison of two ``{bd: dim}`` tables: one
     case per bidegree of either table, an absent one read as 0, and a
-    witness ``{"where": f"{where}bd={bd}", "expected", "got"}`` per
-    mismatch, in bidegree order.  The one table diff of every route check."""
+    ``witness`` at ``f"{where}bd={bd}"`` per mismatch, in bidegree order.  The one table diff of every route check."""
     keys = sorted(set(got) | set(want))
-    witnesses = [
-        {"where": f"{where}bd={bd}", "expected": str(want.get(bd, 0)), "got": str(got.get(bd, 0))}
-        for bd in keys
-        if got.get(bd, 0) != want.get(bd, 0)
-    ]
-    return len(keys), witnesses
+    diffs = ((bd, want.get(bd, 0), got.get(bd, 0)) for bd in keys)
+    return len(keys), [witness(f"{where}bd={bd}", w, v) for bd, w, v in diffs if w != v]
 
 
 # ----------------------------------------------------------------------
@@ -388,12 +392,9 @@ def ideal_slice_keys(g: int, d: int, bd):
     of the degree-d graded relation ideal landing in bidegree bd."""
     check_genus(g)
     _check_int("d", d)
-    coh, chern = bd
-    _check_int("coh", coh, None)
-    _check_int("chern", chern, None)
     return sorted(
         (ell, k + 2 * l, m, l, idx)
-        for l, gl, sbd in _summands(g, bd)
+        for l, gl, sbd in _summands(g, _check_bidegree(bd))
         for ell, k, m in _invariant_families(gl, d, sbd)
         for idx in range(prim_dim(g, l))
     )
@@ -425,12 +426,24 @@ def ideal_slice(g: int, d: int, bd):
 
 @dataclass
 class OmegaTable:
-    """Refined dimension table: dims[(coh, chern)] = dim gr^C_chern H^coh."""
+    """Refined dimension table: dims[(coh, chern)] = dim gr^C_chern H^coh.
+
+    The genus, d >= 0 and max_coh >= 0 are checked as they are built, and so
+    is each entry, two ints mapped to an int >= 0; zero entries are dropped."""
 
     g: int
     d: int
     max_coh: int
     dims: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_genus(self.g)
+        _check_int("d", self.d)
+        _check_int("max_coh", self.max_coh)
+        for bd, n in self.dims.items():
+            _check_bidegree(bd)
+            _check_int("dim", n)
+        self.dims = {bd: n for bd, n in self.dims.items() if n}
 
     @classmethod
     def from_expansion(cls, g: int, d: int, max_coh: int, expansion) -> "OmegaTable":
@@ -450,14 +463,13 @@ class OmegaTable:
         return self.dims.get((coh, chern), 0)
 
     def nonzero(self):
-        return sorted((bd, n) for bd, n in self.dims.items() if n)
+        return sorted(self.dims.items())
 
     def poincare_coefficients(self):
         """q = t specialization: cohomological-degree Betti numbers."""
         out = {}
         for (coh, _), n in self.dims.items():
-            if n:
-                out[coh] = out.get(coh, 0) + n
+            out[coh] = out.get(coh, 0) + n
         return out
 
     def to_json_dict(self):
@@ -472,13 +484,7 @@ class OmegaTable:
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, OmegaTable)
-            and self.g == other.g
-            and self.d == other.d
-            and {k: v for k, v in self.dims.items() if v}
-            == {k: v for k, v in other.dims.items() if v}
-        )
+        return isinstance(other, OmegaTable) and self.g == other.g and self.d == other.d and self.dims == other.dims
 
 
 def default_max_coh(g: int, d: int) -> int:
@@ -518,7 +524,7 @@ def _invariant_pairing(g: int, bd) -> QMatrix:
     (integral._numerator at l = 0), for p, q in the invariant bases of bd
     and of its complementary bidegree.  Summand l of genus g + l, and any
     nonzero normalization B, pair by a nonzero multiple of it."""
-    cols = invariant_basis(g, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
+    cols = invariant_basis(g, complement(g, bd))
     rows = []
     for p in invariant_basis(g, bd):
         entries = ((j, _numerator(g, 0, *(x + y for x, y in zip(p, q)))) for j, q in enumerate(cols))
@@ -531,7 +537,7 @@ def _pairing_slice(g: int, bd):
     """(M^T, rank M), M = _invariant_pairing(g, bd): a nonzero B only
     scales M, so the memo is B-free.  M^T, which the kernel match reads,
     is the pairing at the complementary bidegree, built as such."""
-    transpose = _invariant_pairing(g, (6 * g - 6 - bd[0], 4 * g - 4 - bd[1]))
+    transpose = _invariant_pairing(g, complement(g, bd))
     return transpose, row_reduce(transpose)[0]
 
 
@@ -573,8 +579,8 @@ def verify_vanishing_corollary(table: OmegaTable) -> bool:
     """Top-Chern vanishing: no dimension at coh >= 2(g-1) below the line
     chern = coh - 2(g-1)."""
     g = table.g
-    for (coh, chern), n in table.dims.items():
-        if n and coh >= 2 * (g - 1) and chern < coh - 2 * (g - 1):
+    for coh, chern in table.dims:
+        if coh >= 2 * (g - 1) and chern < coh - 2 * (g - 1):
             return False
     return True
 
@@ -584,7 +590,7 @@ def pairing_kernel_matches_ideal(g: int, bd) -> bool:
     of each invariant ring span exactly the left kernel of its pairing
     matrix (containment plus dimension count), which no B changes."""
     check_genus(g)
-    for _, gl, sbd in _summands(g, bd):
+    for _, gl, sbd in _summands(g, _check_bidegree(bd)):
         rows = _invariant_relations(gl, 0, sbd)
         transpose, rank = _pairing_slice(gl, sbd)
         if len(rows) != transpose.cols - rank or any(transpose.mul_vector(r) for r in rows):

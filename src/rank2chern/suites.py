@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import genfun
 from .algebra import MAX_GENUS, Element, bidegree_cone
-from .integral import graded_integral
+from .integral import graded_integral, top_bidegree
 from .operators import check_adjointness, check_closure, check_descent, check_sl2_relations
 from .relations import (
     OmegaTable,
@@ -27,6 +27,7 @@ from .relations import (
     pairing_kernel_matches_ideal,
     report,
     verify_vanishing_corollary,
+    witness,
 )
 
 
@@ -37,33 +38,17 @@ def suite_main(genus: int, B=1) -> dict:
     expansion = genfun.omega_closed_polynomial(genus)
     closed = OmegaTable.from_expansion(genus, 0, table.max_coh, expansion)
     cases, failures = dims_mismatches(table.dims, closed.dims)
-
-    top_coh = 6 * genus - 6
-    top_chern = 4 * genus - 4
-    for (coh, chern), n in table.dims.items():
-        if coh == top_coh and chern < top_chern and n:
-            failures.append(
-                {"where": f"dims[({coh},{chern})]", "expected": "0", "got": str(n)}
-            )
-    if table.dim(top_coh, top_chern) != 1:
-        failures.append(
-            {
-                "where": f"dims[({top_coh},{top_chern})]",
-                "expected": "1",
-                "got": str(table.dim(top_coh, top_chern)),
-            }
-        )
-    witness = (Element.alpha(genus) * Fraction(1, 2)) ** (genus - 1) * Element.beta(genus) ** (
-        genus - 1
-    )
-    value = graded_integral(witness, B)
+    # the rest of the top row is the vanishing corollary's: at coh = 6g - 6 it wants 0 below chern 4g - 4
+    coh, chern = top_bidegree(genus)
+    if table.dim(coh, chern) != 1:
+        failures.append(witness(f"dims[({coh},{chern})]", 1, table.dim(coh, chern)))
+    integrand = (Element.alpha(genus) * Fraction(1, 2)) ** (genus - 1) * Element.beta(genus) ** (genus - 1)
+    value = graded_integral(integrand, B)
     expected = B / Fraction(2 ** (genus - 1))
     if value != expected or value == 0:
-        failures.append(
-            {"where": "integral (alpha/2)^(g-1) beta^(g-1)", "expected": str(expected), "got": str(value)}
-        )
+        failures.append(witness("integral (alpha/2)^(g-1) beta^(g-1)", expected, value))
     if not verify_vanishing_corollary(table):
-        failures.append({"where": "vanishing corollary", "expected": "pass", "got": "fail"})
+        failures.append(witness("vanishing corollary", "pass", "fail"))
     return report("suite", "main", genus, 0, cases + 3, failures)
 
 
@@ -87,9 +72,7 @@ def suite_pairing(genus: int) -> dict:
     for bd in bidegree_cone(6 * genus - 6):
         cases += 1
         if not pairing_kernel_matches_ideal(genus, bd):
-            failures.append(
-                {"where": f"kernel match at bd={tuple(bd)}", "expected": "match", "got": "mismatch"}
-            )
+            failures.append(witness(f"kernel match at bd={tuple(bd)}", "match", "mismatch"))
     return report("suite", "pairing", genus, 0, cases, failures)
 
 
@@ -112,33 +95,22 @@ def suite_genfun() -> dict:
     """The generating-series identity battery (exact, series level only):
     the identities of ``genfun.identities`` for each closed form, then the
     telescoping identities of the stratification, which concern none alone."""
-    failures = []
-    cases = 0
-
-    def note(ok: bool, where: str):
-        nonlocal cases
-        cases += 1
-        if not ok:
-            failures.append({"where": where, "expected": "pass", "got": "fail"})
-
     genera = range(2, MAX_GENUS + 1)
     battery = [("stack", r, genera) for r in range(2, 6)]
     battery += [("n21", 2, genera), ("rank3", 3, range(2, 6))]
+    verdicts = []  # (verdict, where) in battery order
     for formula, r, gs in battery:
         for g in gs:
             for name, check in genfun.identities(formula, g, r).items():
-                note(check(), f"{name}, {formula} r={r}, g={g}")
-    for g in genera:
-        note(genfun.telescoping_identity(g), f"telescoping, g={g}")
+                verdicts.append((check(), f"{name}, {formula} r={r}, g={g}"))
+    verdicts += [(genfun.telescoping_identity(g), f"telescoping, g={g}") for g in genera]
     for g in range(2, 6):
         for d in range(1, 4):
-            note(
-                genfun.intermediate_difference_matches(g, d),
-                f"stratum difference, g={g}, d={d}",
-            )
+            verdicts.append((genfun.intermediate_difference_matches(g, d), f"stratum difference, g={g}, d={d}"))
         for d in range(0, 3):
-            note(genfun.full_stack_telescoping_qt(g, d), f"q=t stack telescoping, g={g}, d={d}")
-    return report("suite", "genfun", 0, 0, cases, failures)
+            verdicts.append((genfun.full_stack_telescoping_qt(g, d), f"q=t stack telescoping, g={g}, d={d}"))
+    failures = [witness(where, "pass", "fail") for ok, where in verdicts if not ok]
+    return report("suite", "genfun", 0, 0, len(verdicts), failures)
 
 
 SUITES = ("main", "intermediate", "sl2", "pairing", "closure", "genfun", "all")
